@@ -1,9 +1,16 @@
 """Set-semantics container for simulation objects plus relational projections.
 
 The context holds at most one member per (kind, id) key and preserves
-insertion order for deterministic queries. Network projections attach to a
-context and hold labeled, undirected edges between agent members; removing
-a member strips its edges from every attached projection.
+insertion order for deterministic queries. Projections attach to a context
+and relate its agent members by labeled, undirected edges; removing a
+member strips its edges from every attached projection.
+
+A ``NetworkProjection`` stores explicit edges (the scenario's social
+edges). The same-group relation is implicit in ``group_id``: two agents
+share a SAME_GROUP edge exactly when their groups are equal, so a
+``GroupProjection`` keeps each group's sorted member ids and answers
+queries from them, in O(agents) time and memory rather than one stored
+edge per pair.
 """
 
 from __future__ import annotations
@@ -107,7 +114,7 @@ class Context:
 
     def __init__(self) -> None:
         self._members: dict[Key, Any] = {}
-        self._projections: list[NetworkProjection] = []
+        self._projections: list[Projection] = []
 
     def __len__(self) -> int:
         return len(self._members)
@@ -150,12 +157,12 @@ class Context:
             test = predicate
         return [(k, i, o) for k, i, o in self.items() if test(k, i, o)]
 
-    def attach(self, projection: "NetworkProjection") -> None:
+    def attach(self, projection: "Projection") -> None:
         projection._context = self
         self._projections.append(projection)
 
     @property
-    def projections(self) -> list["NetworkProjection"]:
+    def projections(self) -> list["Projection"]:
         return list(self._projections)
 
 
@@ -181,12 +188,6 @@ class NetworkProjection:
         lo, hi = (a, b) if a < b else (b, a)
         self._edges.add((lo, hi, label))
 
-    def has_edge(self, a: int, b: int, label: EdgeLabel | None = None) -> bool:
-        lo, hi = (a, b) if a < b else (b, a)
-        if label is not None:
-            return (lo, hi, label) in self._edges
-        return any(e[0] == lo and e[1] == hi for e in self._edges)
-
     def neighbors(self, a: int, label: EdgeLabel | None = None) -> list[int]:
         """Adjacent agent ids, ascending."""
         found = set()
@@ -210,15 +211,49 @@ class NetworkProjection:
         self._edges = {e for e in self._edges if agent_id not in (e[0], e[1])}
 
 
+class GroupProjection:
+    """The SAME_GROUP relation: a complete graph per group, held implicitly.
+
+    Stores each group's ascending member ids and each agent's group:
+    building costs O(agents), ``neighbors`` and removal O(group size), and
+    no edge is ever materialized.
+    """
+
+    name = "same_group"
+
+    def __init__(self, members_by_group: dict[int, list[int]]) -> None:
+        self._context: Context | None = None
+        self._members = {g: sorted(ids) for g, ids in members_by_group.items()}
+        self._group_of = {a: g for g, ids in self._members.items() for a in ids}
+
+    def neighbors(self, a: int, label: EdgeLabel | None = None) -> list[int]:
+        """Adjacent agent ids, ascending."""
+        if label not in (None, EdgeLabel.SAME_GROUP) or a not in self._group_of:
+            return []
+        return [b for b in self._members[self._group_of[a]] if b != a]
+
+    def edge_count(self, label: EdgeLabel | None = None) -> int:
+        if label not in (None, EdgeLabel.SAME_GROUP):
+            return 0
+        return sum(len(ids) * (len(ids) - 1) // 2 for ids in self._members.values())
+
+    def _drop_endpoint(self, agent_id: int | None) -> None:
+        group = self._group_of.pop(agent_id, None)
+        if group is not None:
+            self._members[group].remove(agent_id)
+
+
+Projection = NetworkProjection | GroupProjection
+
+
 def build_same_group_projection(
     context: Context, members_by_group: dict[int, list[int]]
-) -> NetworkProjection:
-    """Complete graph per group, labeled SAME_GROUP."""
-    projection = NetworkProjection(name="same_group")
-    context.attach(projection)
+) -> GroupProjection:
+    """Complete graph per group, labeled SAME_GROUP, without storing its edges."""
     for ids in members_by_group.values():
-        ordered = sorted(ids)
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1 :]:
-                projection.add_edge(a, b, EdgeLabel.SAME_GROUP)
+        for a in ids:
+            if (ObjectKind.AGENT, a) not in context:
+                raise NotFoundError(f"agent {a} not in attached context")
+    projection = GroupProjection(members_by_group)
+    context.attach(projection)
     return projection

@@ -14,7 +14,13 @@ from typing import Any
 
 import numpy as np
 
-from .context import Context, NetworkProjection, ObjectKind, build_same_group_projection
+from .context import (
+    Context,
+    NetworkProjection,
+    ObjectKind,
+    Projection,
+    build_same_group_projection,
+)
 from .model import Agent, AgentPhase, StrategyConfig, spawn_members
 from .protocols import (
     FailureReason,
@@ -77,7 +83,7 @@ class Simulation:
         self.strategies: dict[int, StrategyConfig] = {}
         self.context = Context()
         self.scheduler = Scheduler(executor=self._execute, context=self.context)
-        self.projections: dict[str, NetworkProjection] = {}
+        self.projections: dict[str, Projection] = {}
         self._round_actions: dict[int, ScheduledAction] = {}
         self._setup()
 
@@ -239,6 +245,9 @@ class Simulation:
         room = self.rooms[action.target]
         agenda = action.payload
         old = room.room_state
+        if old is not RoomState.CLOSED:
+            self._log("room_open_skipped", room=room.id, state=old.value)
+            return
         room.open(agenda, self.now)
         self._log(
             "room_opened",

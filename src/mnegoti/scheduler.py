@@ -187,9 +187,6 @@ class Scheduler:
         self._seq_counter += 1
         heapq.heappush(self._heap, (tick, -action.priority, action.seq, action))
 
-    def pending(self) -> int:
-        return sum(1 for *_rest, a in self._heap if not a.cancelled)
-
     # -- watchers ------------------------------------------------------
 
     def register_watcher(self, rule: WatcherRule) -> WatcherRule:

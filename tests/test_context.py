@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +16,11 @@ from mnegoti.context import (
     Query,
     build_same_group_projection,
 )
+from mnegoti.engine import Simulation
 from mnegoti.errors import DuplicateMemberError, InvalidEdgeError, NotFoundError
 from mnegoti.model import Agent, AgentPhase
 from mnegoti.rooms import MeetingRoom, Agenda, AdmissionPolicy, AdmissionKind
+from mnegoti.scenario import load_scenario
 
 
 def agent(ident, group=0, phase=AgentPhase.IDLE):
@@ -137,14 +141,60 @@ class TestProjection:
             projection.add_edge(0, 9)
 
     def test_same_group_projection_is_complete_graph(self):
-        # Oracle: complete graph K3 has 3 edges and degree 2 everywhere.
-        n = 3
-        expected_edges = n * (n - 1) // 2
-        ctx = filled_context(n)
-        projection = build_same_group_projection(ctx, {0: [0, 1, 2]})
-        assert projection.edge_count(EdgeLabel.SAME_GROUP) == expected_edges
-        for member in range(n):
-            assert len(projection.neighbors(member, EdgeLabel.SAME_GROUP)) == n - 1
+        # Oracle: a complete graph K_n per group, n(n-1)/2 edges each, and
+        # every member adjacent to exactly the other members of its group.
+        for sizes in ([3], [1], [50], [3, 50], [1, 3], [50, 1]):
+            groups, next_id = {}, 0
+            for g, n in enumerate(sizes):
+                # Listed out of order; neighbors must still come back ascending.
+                groups[g] = list(reversed(range(next_id, next_id + n)))
+                next_id += n
+            ctx = filled_context(next_id)
+            projection = build_same_group_projection(ctx, groups)
+            expected_edges = sum(n * (n - 1) // 2 for n in sizes)
+            assert projection.edge_count(EdgeLabel.SAME_GROUP) == expected_edges
+            assert projection.edge_count() == expected_edges
+            assert projection.edge_count(EdgeLabel.SOCIAL) == 0
+            for ids in groups.values():
+                for member in ids:
+                    expected = sorted(set(ids) - {member})
+                    assert projection.neighbors(member, EdgeLabel.SAME_GROUP) == expected
+                    assert projection.neighbors(member) == expected
+                    assert projection.neighbors(member, EdgeLabel.SOCIAL) == []
+
+    def test_same_group_projection_needs_members_in_context(self):
+        ctx = filled_context(2)
+        with pytest.raises(NotFoundError):
+            build_same_group_projection(ctx, {0: [0, 1, 2]})
+
+    def test_remove_strips_same_group_edges(self):
+        ctx = filled_context(7)
+        projection = build_same_group_projection(ctx, {0: [0, 1, 2, 3], 1: [4, 5, 6]})
+        assert projection.edge_count(EdgeLabel.SAME_GROUP) == 6 + 3
+        ctx.remove(ObjectKind.AGENT, 2)
+        assert projection.neighbors(2, EdgeLabel.SAME_GROUP) == []
+        assert projection.neighbors(0, EdgeLabel.SAME_GROUP) == [1, 3]
+        assert projection.neighbors(3, EdgeLabel.SAME_GROUP) == [0, 1]
+        assert projection.neighbors(5, EdgeLabel.SAME_GROUP) == [4, 6]
+        assert projection.edge_count(EdgeLabel.SAME_GROUP) == 3 + 3
+        ctx.remove(ObjectKind.AGENT, 4)
+        ctx.remove(ObjectKind.AGENT, 5)
+        assert projection.neighbors(6, EdgeLabel.SAME_GROUP) == []
+        assert projection.edge_count(EdgeLabel.SAME_GROUP) == 3
+
+    def test_same_group_setup_memory_is_linear(self, minimal_doc):
+        # A stored complete graph over 1 000 agents holds 499 500 edges and
+        # peaks far above this bound; the implicit relation needs O(agents).
+        minimal_doc["groups"][0]["member_count"] = 1000
+        scenario = load_scenario(minimal_doc)
+        tracemalloc.start()
+        try:
+            sim = Simulation(scenario, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sim.projections["same_group"].edge_count(EdgeLabel.SAME_GROUP) == 499_500
+        assert peak < 8 * 2**20
 
     def test_neighbors_sorted_ascending(self):
         ctx = filled_context(5)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 
 import pytest
+import yaml
 
 from mnegoti.engine import Simulation
 from mnegoti.model import AgentPhase
@@ -25,6 +26,7 @@ from mnegoti.runner import (
     write_artifacts,
 )
 from mnegoti.scenario import load_scenario, load_scenario_file
+from mnegoti.scheduler import RunStatus
 
 
 def events_of(sim: Simulation, kind: str) -> list[dict]:
@@ -267,6 +269,20 @@ class TestLifecycleFromSchedule:
         sim.run()
         assert len(sim.rooms[0].history) == 2
         assert [e.data["session"] for e in sim.events if e.kind == "session_end"] == [0, 1]
+
+    def test_open_of_a_room_in_session_is_skipped(self, scenario_dir):
+        doc = yaml.safe_load((scenario_dir / "concurrent_rooms.yaml").read_text())
+        first_open = doc["rooms"][0]["schedule"][0]
+        second_open = copy.deepcopy(first_open)
+        second_open["at"] = 3
+        doc["rooms"][0]["schedule"].append(second_open)
+        sim = Simulation(load_scenario(doc))
+        sim.run()
+        assert sim.scheduler.control.status is RunStatus.STOPPED
+        skipped = [e for e in sim.events if e.kind == "room_open_skipped"]
+        assert [(e.tick, e.data) for e in skipped] == [(3, {"room": 0, "state": "in_session"})]
+        assert len(events_of(sim, "room_opened")) == 3
+        assert [len(room.history) for _, room in sorted(sim.rooms.items())] == [1, 1, 1]
 
 
 class TestArtifacts:
