@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .errors import MnegotiError, ValidationError
 from .runner import RunArtifacts, read_event_log, run
-from .scenario import load_scenario_file
+from .scenario import Scenario, load_scenario_file
 
 OUT_ENV_VAR = "MNEGOTI_OUT"
 
@@ -41,14 +41,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _load(path: str) -> Scenario | None:
+    """The scenario in ``path``, or None once the reason it cannot load is printed."""
     try:
-        scenario = load_scenario_file(args.scenario)
+        return load_scenario_file(path)
     except FileNotFoundError:
-        print(f"error: no such file: {args.scenario}", file=sys.stderr)
-        return 1
+        print(f"error: no such file: {path}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path} is not UTF-8 text: {exc.reason} at byte {exc.start}",
+              file=sys.stderr)
     except ValidationError as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
+    return None
+
+
+def _cmd_validate(args: argparse.Namespace) -> int:
+    scenario = _load(args.scenario)
+    if scenario is None:
         return 1
     print(
         f"ok: {len(scenario.criteria)} criteria, {len(scenario.issues)} issues, "
@@ -59,18 +70,19 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario_file(args.scenario)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.scenario}", file=sys.stderr)
-        return 1
-    except ValidationError as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return 1
-    out_dir = args.out or os.environ.get(OUT_ENV_VAR) or "out"
     if args.replications < 1:
         print("error: --replications must be >= 1", file=sys.stderr)
         return 1
+    if args.seed is not None and args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return 1
+    if args.ticks is not None and args.ticks < 0:
+        print("error: --ticks must be >= 0", file=sys.stderr)
+        return 1
+    scenario = _load(args.scenario)
+    if scenario is None:
+        return 1
+    out_dir = args.out or os.environ.get(OUT_ENV_VAR) or "out"
     try:
         results = run(
             scenario,
@@ -109,8 +121,11 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     except FileNotFoundError:
         print(f"error: no such file: {args.log}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: cannot read {args.log}: {exc.strerror}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError) as exc:
-        print(f"error: malformed event log: {exc}", file=sys.stderr)
+        print(f"error: malformed event log {args.log}: {exc}", file=sys.stderr)
         return 1
     current_tick = None
     for record in events:

@@ -1,30 +1,26 @@
-"""Set-semantics container for simulation objects plus relational projections.
+"""Set-semantics container for simulation objects and the same-group relation.
 
 The context holds at most one member per (kind, id) key and preserves
-insertion order for deterministic queries. Projections attach to a context
-and relate its agent members by labeled, undirected edges; removing a
-member strips its edges from every attached projection.
+insertion order for deterministic queries; watcher rules select their
+watchers and watchees from it with a ``Query``.
 
-A ``NetworkProjection`` stores explicit edges (the scenario's social
-edges). The same-group relation is implicit in ``group_id``: two agents
-share a SAME_GROUP edge exactly when their groups are equal, so a
-``GroupProjection`` keeps each group's sorted member ids and answers
-queries from them, in O(agents) time and memory rather than one stored
-edge per pair.
+The one relation over agents is the same-group relation, implicit in
+``group_id``: two agents share a SAME_GROUP edge exactly when their
+groups are equal, so a ``GroupProjection`` keeps each group's sorted
+member ids and answers queries from them, in O(agents) time and memory
+rather than one stored edge per pair. Removing an agent from the context
+drops it from every attached projection. The scenario's ``social_edges``
+are validated on load but not materialised: no strategy or protocol
+reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterator
 
-from .errors import (
-    ConfigurationError,
-    DuplicateMemberError,
-    InvalidEdgeError,
-    NotFoundError,
-)
+from .errors import DuplicateMemberError, NotFoundError
 
 
 class ObjectKind(str, Enum):
@@ -34,7 +30,6 @@ class ObjectKind(str, Enum):
 
 class EdgeLabel(str, Enum):
     SAME_GROUP = "same_group"
-    SOCIAL = "social"
 
 
 Key = tuple[ObjectKind, int]
@@ -66,37 +61,6 @@ class Query:
                 return False
         return True
 
-    @classmethod
-    def from_document(cls, doc: dict, path: str) -> "Query":
-        allowed = {"kind", "id", "state", "group_id"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ConfigurationError(f"{path}: unknown query field(s) {sorted(unknown)}")
-        kind = None
-        if "kind" in doc:
-            try:
-                kind = ObjectKind(doc["kind"])
-            except ValueError:
-                raise ConfigurationError(f"{path}: unknown kind {doc['kind']!r}") from None
-        return cls(
-            kind=kind,
-            ident=doc.get("id"),
-            state=doc.get("state"),
-            group_id=doc.get("group_id"),
-        )
-
-    def to_document(self) -> dict:
-        doc: dict = {}
-        if self.kind is not None:
-            doc["kind"] = self.kind.value
-        if self.ident is not None:
-            doc["id"] = self.ident
-        if self.state is not None:
-            doc["state"] = self.state
-        if self.group_id is not None:
-            doc["group_id"] = self.group_id
-        return doc
-
 
 def _state_name(obj: Any) -> str | None:
     """Phase name for agents, lifecycle state name for rooms."""
@@ -114,7 +78,7 @@ class Context:
 
     def __init__(self) -> None:
         self._members: dict[Key, Any] = {}
-        self._projections: list[Projection] = []
+        self._projections: list[GroupProjection] = []
 
     def __len__(self) -> int:
         return len(self._members)
@@ -157,58 +121,9 @@ class Context:
             test = predicate
         return [(k, i, o) for k, i, o in self.items() if test(k, i, o)]
 
-    def attach(self, projection: "Projection") -> None:
+    def attach(self, projection: "GroupProjection") -> None:
         projection._context = self
         self._projections.append(projection)
-
-    @property
-    def projections(self) -> list["Projection"]:
-        return list(self._projections)
-
-
-@dataclass
-class NetworkProjection:
-    """Undirected labeled edges over the agents of an attached context."""
-
-    name: str
-    _context: Context | None = None
-    _edges: set[tuple[int, int, EdgeLabel]] = field(default_factory=set)
-
-    def _check_endpoint(self, agent_id: int) -> None:
-        if self._context is None:
-            return
-        if (ObjectKind.AGENT, agent_id) not in self._context:
-            raise NotFoundError(f"agent {agent_id} not in attached context")
-
-    def add_edge(self, a: int, b: int, label: EdgeLabel = EdgeLabel.SOCIAL) -> None:
-        if a == b:
-            raise InvalidEdgeError(f"self-edge on agent {a}")
-        self._check_endpoint(a)
-        self._check_endpoint(b)
-        lo, hi = (a, b) if a < b else (b, a)
-        self._edges.add((lo, hi, label))
-
-    def neighbors(self, a: int, label: EdgeLabel | None = None) -> list[int]:
-        """Adjacent agent ids, ascending."""
-        found = set()
-        for lo, hi, lab in self._edges:
-            if label is not None and lab is not label:
-                continue
-            if lo == a:
-                found.add(hi)
-            elif hi == a:
-                found.add(lo)
-        return sorted(found)
-
-    def edge_count(self, label: EdgeLabel | None = None) -> int:
-        if label is None:
-            return len(self._edges)
-        return sum(1 for e in self._edges if e[2] is label)
-
-    def _drop_endpoint(self, agent_id: int | None) -> None:
-        if agent_id is None:
-            return
-        self._edges = {e for e in self._edges if agent_id not in (e[0], e[1])}
 
 
 class GroupProjection:
@@ -241,9 +156,6 @@ class GroupProjection:
         group = self._group_of.pop(agent_id, None)
         if group is not None:
             self._members[group].remove(agent_id)
-
-
-Projection = NetworkProjection | GroupProjection
 
 
 def build_same_group_projection(

@@ -14,13 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .context import (
-    Context,
-    NetworkProjection,
-    ObjectKind,
-    Projection,
-    build_same_group_projection,
-)
+from .context import Context, GroupProjection, ObjectKind, build_same_group_projection
 from .model import Agent, AgentPhase, StrategyConfig, spawn_members
 from .protocols import (
     FailureReason,
@@ -83,7 +77,7 @@ class Simulation:
         self.strategies: dict[int, StrategyConfig] = {}
         self.context = Context()
         self.scheduler = Scheduler(executor=self._execute, context=self.context)
-        self.projections: dict[str, Projection] = {}
+        self.projections: dict[str, GroupProjection] = {}
         self._round_actions: dict[int, ScheduledAction] = {}
         self._setup()
 
@@ -119,11 +113,6 @@ class Simulation:
         self.projections["same_group"] = build_same_group_projection(
             self.context, members_by_group
         )
-        social = NetworkProjection(name="social")
-        self.context.attach(social)
-        for a, b in self.scenario.social_edges:
-            social.add_edge(a, b)
-        self.projections["social"] = social
 
         for spec in sorted(self.scenario.rooms, key=lambda r: r.id):
             room = MeetingRoom(spec.id)

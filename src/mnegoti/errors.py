@@ -26,11 +26,7 @@ class DuplicateMemberError(MnegotiError):
 
 
 class NotFoundError(MnegotiError):
-    """Referenced member or edge endpoint does not exist."""
-
-
-class InvalidEdgeError(MnegotiError):
-    """Self-edge or otherwise illegal projection edge."""
+    """Referenced member does not exist."""
 
 
 class SchedulingError(MnegotiError):

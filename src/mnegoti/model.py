@@ -168,10 +168,6 @@ class Agent:
     phase: AgentPhase = AgentPhase.IDLE
     room_id: int | None = None
 
-    @property
-    def state(self) -> tuple[str, int | None]:
-        return (self.phase.value, self.room_id)
-
 
 def sample_preferences(group: AgentGroup, rng: np.random.Generator) -> tuple[float, ...]:
     """Sample one raw preference vector inside the group's bounds.

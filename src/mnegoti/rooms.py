@@ -1,9 +1,10 @@
 """Meeting room lifecycle: open, admission, attendance, sessions, history.
 
 A room cycles Closed -> Open -> InSession -> Closed (or Open -> Closed when
-no session starts). Attendees live in a per-room sub-context with set
-semantics, and every completed opening appends an immutable SessionRecord,
-so history survives reopening.
+no session starts). Attendees are kept by id in entry order; ``enter``
+admits an agent only while it is idle or watching, so no agent attends
+twice. Every completed opening appends an immutable SessionRecord, so
+history survives reopening.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .context import Context, ObjectKind
 from .errors import (
     AdmissionDeniedError,
     BusyError,
@@ -92,17 +92,13 @@ class MeetingRoom:
         self.id = room_id
         self.room_state = RoomState.CLOSED
         self.agenda: Agenda | None = None
-        self.attendees = Context()
+        self.attendees: dict[int, Agent] = {}
         self.history: list[SessionRecord] = []
         self.session: NegotiationSession | None = None
         self.opened_at: int | None = None
 
-    @property
-    def state(self) -> str:
-        return self.room_state.value
-
     def attendee_ids(self) -> list[int]:
-        return sorted(ident for _, ident, _ in self.attendees.items())
+        return sorted(self.attendees)
 
     def open(self, agenda: Agenda, tick: int) -> None:
         if self.room_state is not RoomState.CLOSED:
@@ -153,7 +149,7 @@ class MeetingRoom:
             raise BusyError(f"agent {agent.id} is already in room {agent.room_id}")
         if not self.check_admission(agent, issues_by_id, default_threshold):
             raise AdmissionDeniedError(f"agent {agent.id} not admitted to room {self.id}")
-        self.attendees.add(ObjectKind.AGENT, agent.id, agent)
+        self.attendees[agent.id] = agent
         agent.phase = AgentPhase.IN_ROOM
         agent.room_id = self.id
         return True
@@ -169,7 +165,7 @@ class MeetingRoom:
             raise InvalidTransitionError(
                 f"room {self.id} is {self.room_state.value}, cannot start a session"
             )
-        attendees = [obj for _, _, obj in self.attendees.items()]
+        attendees = list(self.attendees.values())
         if len(attendees) < 2:
             raise InvalidTransitionError(
                 f"room {self.id} needs at least 2 attendees, has {len(attendees)}"
@@ -194,23 +190,20 @@ class MeetingRoom:
         """Record the session, release attendees to Idle, return their ids."""
         if self.room_state is RoomState.CLOSED:
             raise InvalidTransitionError(f"room {self.id} is already closed")
-        attendee_ids = tuple(self.attendee_ids())
+        released = self.attendee_ids()
         self.history.append(
             SessionRecord(
                 opened_at=self.opened_at if self.opened_at is not None else tick,
                 closed_at=tick,
                 agenda=self.agenda,
-                attendee_ids=attendee_ids,
+                attendee_ids=tuple(released),
                 outcome=outcome,
             )
         )
-        released = []
-        for ident in attendee_ids:
-            agent = self.attendees.get(ObjectKind.AGENT, ident)
+        for agent in self.attendees.values():
             agent.phase = AgentPhase.IDLE
             agent.room_id = None
-            released.append(ident)
-        self.attendees = Context()
+        self.attendees = {}
         self.agenda = None
         self.session = None
         self.opened_at = None

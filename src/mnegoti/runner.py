@@ -151,6 +151,8 @@ def event_line(record: EventRecord) -> str:
 
 def parse_event_line(line: str) -> EventRecord:
     doc = json.loads(line)
+    if not isinstance(doc, dict) or not isinstance(doc.get("data"), dict):
+        raise ValueError(f"not an event record: {line[:80]!r}")
     return EventRecord(
         tick=doc["tick"], priority=doc["priority"], kind=doc["kind"], data=doc["data"]
     )

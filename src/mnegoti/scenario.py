@@ -14,10 +14,11 @@ from pathlib import Path
 
 import yaml
 
-from .context import Query
-from .errors import ConfigurationError, ValidationError
+from .context import ObjectKind, Query
+from .errors import ValidationError
 from .model import (
     AgentGroup,
+    AgentPhase,
     Criterion,
     Direction,
     DistributionKind,
@@ -28,7 +29,7 @@ from .model import (
     StrategyKind,
 )
 from .protocols import ProtocolConfig, ProtocolKind
-from .rooms import AdmissionKind, AdmissionPolicy, Agenda
+from .rooms import AdmissionKind, AdmissionPolicy, Agenda, RoomState
 from .scheduler import ActionKind, ReactionOffset, Trigger
 
 SCHEMA_VERSION = 1
@@ -47,15 +48,7 @@ _TOP_KEYS = {
     "watchers",
 }
 
-_STATE_NAMES = {
-    "idle",
-    "watching",
-    "in_room",
-    "negotiating",
-    "closed",
-    "open",
-    "in_session",
-}
+_STATE_NAMES = {p.value for p in AgentPhase} | {s.value for s in RoomState}
 
 
 @dataclass(frozen=True)
@@ -126,15 +119,6 @@ class Scenario:
             )
             out.append(Issue(id=spec.id, name=spec.name, scores=scores))
         return out
-
-    def member_ids_by_group(self) -> dict[int, list[int]]:
-        """Agent id blocks, assigned per group in declaration order."""
-        blocks: dict[int, list[int]] = {}
-        next_id = 0
-        for group in self.groups:
-            blocks[group.id] = list(range(next_id, next_id + group.member_count))
-            next_id += group.member_count
-        return blocks
 
 
 # -- primitive checks ---------------------------------------------------
@@ -515,15 +499,26 @@ def _parse_trigger(raw, path: str) -> Trigger:
 
 def _parse_query(raw, group_ids: set[int], path: str) -> Query:
     doc = _mapping(raw, path)
-    try:
-        query = Query.from_document(doc, path)
-    except ConfigurationError as exc:
-        raise ValidationError(path, str(exc)) from None
-    if query.state is not None and query.state not in _STATE_NAMES:
-        raise ValidationError(f"{path}.state", f"unknown state {query.state!r}")
-    if query.group_id is not None and query.group_id not in group_ids:
-        raise ValidationError(f"{path}.group_id", f"group {query.group_id} does not exist")
-    return query
+    _no_unknown_keys(doc, {"kind", "id", "state", "group_id"}, path)
+    kind = None
+    if "kind" in doc:
+        kind_raw = _str(doc["kind"], f"{path}.kind")
+        try:
+            kind = ObjectKind(kind_raw)
+        except ValueError:
+            raise ValidationError(f"{path}.kind", f"unknown kind {kind_raw!r}") from None
+    ident = _int(doc["id"], f"{path}.id", minimum=0) if "id" in doc else None
+    state = None
+    if "state" in doc:
+        state = _str(doc["state"], f"{path}.state")
+        if state not in _STATE_NAMES:
+            raise ValidationError(f"{path}.state", f"unknown state {state!r}")
+    group_id = None
+    if "group_id" in doc:
+        group_id = _int(doc["group_id"], f"{path}.group_id", minimum=0)
+        if group_id not in group_ids:
+            raise ValidationError(f"{path}.group_id", f"group {group_id} does not exist")
+    return Query(kind=kind, ident=ident, state=state, group_id=group_id)
 
 
 def _parse_watchers(raw, group_ids: set[int], path: str) -> tuple[WatcherConfig, ...]:
@@ -626,7 +621,7 @@ def parse_scenario_text(text: str) -> Scenario:
 
 
 def load_scenario_file(path: str | Path) -> Scenario:
-    return parse_scenario_text(Path(path).read_text())
+    return parse_scenario_text(Path(path).read_text(encoding="utf-8"))
 
 
 def serialize_scenario(scenario: Scenario) -> dict:
@@ -712,8 +707,21 @@ def _watcher_doc(w: WatcherConfig) -> dict:
     if w.target_role != "watcher":
         reaction["target"] = w.target_role
     return {
-        "watcher": w.watcher.to_document(),
-        "watchee": w.watchee.to_document(),
+        "watcher": _query_doc(w.watcher),
+        "watchee": _query_doc(w.watchee),
         "trigger": trigger,
         "reaction": reaction,
     }
+
+
+def _query_doc(query: Query) -> dict:
+    doc: dict = {}
+    if query.kind is not None:
+        doc["kind"] = query.kind.value
+    if query.ident is not None:
+        doc["id"] = query.ident
+    if query.state is not None:
+        doc["state"] = query.state
+    if query.group_id is not None:
+        doc["group_id"] = query.group_id
+    return doc

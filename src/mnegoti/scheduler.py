@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
-from .context import Context, ObjectKind, Query, _state_name
+from .context import Context, Key, ObjectKind, Query, _state_name
 from .errors import (
     CascadeOverflowError,
     InvalidTransitionError,
@@ -125,7 +125,6 @@ class TickReport:
 
     tick: int
     executed: list[ScheduledAction] = field(default_factory=list)
-    fired: list[FiredReaction] = field(default_factory=list)
 
 
 class Scheduler:
@@ -148,7 +147,6 @@ class Scheduler:
         self._current_band: int | None = None
         self._in_step = False
         self._reactions_this_tick = 0
-        self._fired_this_tick: list[FiredReaction] = []
 
     @property
     def now(self) -> int:
@@ -211,6 +209,12 @@ class Scheduler:
         for rule in self._rules:
             if not rule.watchee_query.matches(kind, ident, obj):
                 continue
+            if rule.when is ReactionOffset.NEXT_TICK:
+                start = self.clock.now + 1
+                priority = rule.priority if rule.priority is not None else 0
+            else:
+                start = self.clock.now
+                priority = self._same_tick_band(rule.priority)
             watchers = self._match_watchers(rule.watcher_query)
             for watcher_id, watcher_obj in watchers:
                 w_state = _state_name(watcher_obj)
@@ -219,9 +223,10 @@ class Scheduler:
                 if not rule.trigger.evaluate(w_state, new_state):
                     continue
                 target = watcher_id if rule.target_role == "watcher" else ident
-                action = self._enqueue_reaction(rule.reaction_kind, target, rule)
+                action = self._react(
+                    rule.reaction_kind, target, start, priority, rule, (kind, ident)
+                )
                 fired.append(FiredReaction(rule.rule_id, watcher_id, kind, ident, action))
-        self._fired_this_tick.extend(fired)
         return fired
 
     def _match_watchers(self, query: Query) -> list[tuple[int, Any]]:
@@ -230,47 +235,38 @@ class Scheduler:
         found = [(i, o) for _, i, o in self.context.query(query)]
         return sorted(found, key=lambda pair: pair[0])
 
-    def _enqueue_reaction(
-        self, kind: ActionKind, target: Any, rule: WatcherRule
-    ) -> ScheduledAction:
-        self._reactions_this_tick += 1
-        if self._reactions_this_tick > self.cascade_cap:
-            raise CascadeOverflowError(
-                f"more than {self.cascade_cap} watcher reactions in tick {self.clock.now}"
-            )
-        if rule.when is ReactionOffset.NEXT_TICK:
-            action = ScheduledAction(
-                kind=kind,
-                target=target,
-                start=self.clock.now + 1,
-                priority=rule.priority if rule.priority is not None else 0,
-            )
-        else:
-            action = ScheduledAction(
-                kind=kind,
-                target=target,
-                start=self.clock.now,
-                priority=self._same_tick_band(rule.priority),
-            )
-        self._push(action, action.start)
-        return action
-
     def enqueue_reaction(
         self, kind: ActionKind, target: Any, priority: int | None = None
     ) -> ScheduledAction:
         """Engine hook for direct same-tick follow-ups (e.g. invitation scans)."""
+        return self._react(kind, target, self.clock.now, self._same_tick_band(priority))
+
+    def _react(
+        self,
+        kind: ActionKind,
+        target: Any,
+        start: int,
+        priority: int,
+        rule: WatcherRule | None = None,
+        watchee: Key | None = None,
+    ) -> ScheduledAction:
+        """Queue one reaction, counted against the per-tick cascade cap.
+
+        ``rule`` and ``watchee`` are given for a watcher reaction and left
+        out for an engine follow-up; they only name the cause on overflow.
+        """
         self._reactions_this_tick += 1
         if self._reactions_this_tick > self.cascade_cap:
+            if rule is None:
+                cause = f"an engine follow-up {kind.value}"
+            else:
+                cause = f"fired by watcher rule {rule.rule_id} on {watchee[0].value} {watchee[1]}"
             raise CascadeOverflowError(
-                f"more than {self.cascade_cap} watcher reactions in tick {self.clock.now}"
+                f"more than {self.cascade_cap} reactions (the cascade cap) in tick "
+                f"{self.clock.now}; the reaction over the cap was {cause}"
             )
-        action = ScheduledAction(
-            kind=kind,
-            target=target,
-            start=self.clock.now,
-            priority=self._same_tick_band(priority),
-        )
-        self._push(action, action.start)
+        action = ScheduledAction(kind=kind, target=target, start=start, priority=priority)
+        self._push(action, start)
         return action
 
     def _same_tick_band(self, configured: int | None) -> int:
@@ -295,7 +291,6 @@ class Scheduler:
         tick = self.clock.now
         self._in_step = True
         self._reactions_this_tick = 0
-        self._fired_this_tick = []
         executed: list[ScheduledAction] = []
         try:
             while self._heap and self._heap[0][0] == tick:
@@ -315,7 +310,7 @@ class Scheduler:
         self.clock.advance()
         if self.control.stop_at is not None and tick >= self.control.stop_at:
             self.control.status = RunStatus.STOPPED
-        return TickReport(tick=tick, executed=executed, fired=self._fired_this_tick)
+        return TickReport(tick=tick, executed=executed)
 
     # -- run control ---------------------------------------------------
 

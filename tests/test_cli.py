@@ -35,6 +35,27 @@ class TestValidate:
         assert "no such file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+class TestUnreadableScenario:
+    @staticmethod
+    def argv(command, path, out):
+        return [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+
+    def test_directory_exits_one(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(self.argv(command, tmp_path, out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path}")
+        assert not out.exists()
+
+    def test_non_utf8_file_exits_one(self, command, tmp_path, capsys):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes("name: caf\xe9\n".encode("latin-1"))
+        out = tmp_path / "out"
+        assert main(self.argv(command, path, out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8")
+        assert not out.exists()
+
+
 class TestRun:
     def test_same_seed_twice_identical_outputs(self, scenario_path, tmp_path, capsys):
         first, second = tmp_path / "a", tmp_path / "b"
@@ -70,6 +91,13 @@ class TestRun:
         assert chosen.exists()
         assert not (tmp_path / "ignored").exists()
 
+    @pytest.mark.parametrize("flag", ["--ticks", "--seed"])
+    def test_negative_seed_or_ticks_exits_one(self, flag, scenario_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", scenario_path, flag, "-3", "--out", str(out)]) == 1
+        assert f"error: {flag} must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ticks_override(self, scenario_path, tmp_path, capsys):
         out = tmp_path / "short"
         assert main(["run", scenario_path, "--ticks", "0", "--out", str(out)]) == 0
@@ -96,6 +124,12 @@ class TestInspect:
 
     def test_missing_log_exits_one(self, capsys):
         assert main(["inspect", "/nonexistent/events.log"]) == 1
+
+    def test_line_that_is_not_an_object_exits_one(self, tmp_path, capsys):
+        log = tmp_path / "events.log"
+        log.write_text("[1,2]\n")
+        assert main(["inspect", str(log)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: malformed event log {log}")
 
 
 class TestParsing:

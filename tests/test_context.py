@@ -1,4 +1,4 @@
-"""Set semantics, insertion-ordered queries, and projection edges."""
+"""Set semantics, insertion-ordered queries, and the same-group relation."""
 
 from __future__ import annotations
 
@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from mnegoti.context import (
     Context,
     EdgeLabel,
-    NetworkProjection,
     ObjectKind,
     Query,
     build_same_group_projection,
 )
 from mnegoti.engine import Simulation
-from mnegoti.errors import DuplicateMemberError, InvalidEdgeError, NotFoundError
+from mnegoti.errors import DuplicateMemberError, NotFoundError
 from mnegoti.model import Agent, AgentPhase
 from mnegoti.rooms import MeetingRoom, Agenda, AdmissionPolicy, AdmissionKind
 from mnegoti.scenario import load_scenario
@@ -66,16 +65,6 @@ class TestMembership:
         with pytest.raises(NotFoundError):
             Context().remove(ObjectKind.AGENT, 5)
 
-    def test_remove_strips_projection_edges(self):
-        ctx = filled_context(3)
-        projection = NetworkProjection(name="p")
-        ctx.attach(projection)
-        projection.add_edge(0, 1)
-        projection.add_edge(0, 2)
-        assert projection.edge_count() == 2
-        ctx.remove(ObjectKind.AGENT, 0)
-        assert projection.edge_count() == 0
-
 
 class TestQuery:
     def test_open_room_filter(self):
@@ -111,35 +100,6 @@ class TestQuery:
 
 
 class TestProjection:
-    def test_neighbors_after_single_edge(self):
-        ctx = filled_context(3)
-        projection = NetworkProjection(name="p")
-        ctx.attach(projection)
-        projection.add_edge(1, 2, EdgeLabel.SOCIAL)
-        assert projection.neighbors(1) == [2]
-        assert projection.neighbors(2) == [1]
-
-    def test_add_edge_is_idempotent(self):
-        ctx = filled_context(3)
-        projection = NetworkProjection(name="p")
-        ctx.attach(projection)
-        projection.add_edge(1, 2, EdgeLabel.SOCIAL)
-        projection.add_edge(1, 2, EdgeLabel.SOCIAL)
-        projection.add_edge(2, 1, EdgeLabel.SOCIAL)
-        assert projection.edge_count() == 1
-
-    def test_self_edge_rejected(self):
-        projection = NetworkProjection(name="p")
-        with pytest.raises(InvalidEdgeError):
-            projection.add_edge(1, 1)
-
-    def test_missing_endpoint_rejected(self):
-        ctx = filled_context(2)
-        projection = NetworkProjection(name="p")
-        ctx.attach(projection)
-        with pytest.raises(NotFoundError):
-            projection.add_edge(0, 9)
-
     def test_same_group_projection_is_complete_graph(self):
         # Oracle: a complete graph K_n per group, n(n-1)/2 edges each, and
         # every member adjacent to exactly the other members of its group.
@@ -154,13 +114,11 @@ class TestProjection:
             expected_edges = sum(n * (n - 1) // 2 for n in sizes)
             assert projection.edge_count(EdgeLabel.SAME_GROUP) == expected_edges
             assert projection.edge_count() == expected_edges
-            assert projection.edge_count(EdgeLabel.SOCIAL) == 0
             for ids in groups.values():
                 for member in ids:
                     expected = sorted(set(ids) - {member})
                     assert projection.neighbors(member, EdgeLabel.SAME_GROUP) == expected
                     assert projection.neighbors(member) == expected
-                    assert projection.neighbors(member, EdgeLabel.SOCIAL) == []
 
     def test_same_group_projection_needs_members_in_context(self):
         ctx = filled_context(2)
@@ -196,16 +154,6 @@ class TestProjection:
         assert sim.projections["same_group"].edge_count(EdgeLabel.SAME_GROUP) == 499_500
         assert peak < 8 * 2**20
 
-    def test_neighbors_sorted_ascending(self):
-        ctx = filled_context(5)
-        projection = NetworkProjection(name="p")
-        ctx.attach(projection)
-        projection.add_edge(2, 4)
-        projection.add_edge(2, 0)
-        projection.add_edge(2, 3)
-        assert projection.neighbors(2) == [0, 3, 4]
-
-
 ops = st.lists(
     st.tuples(st.sampled_from(["add", "remove"]), st.integers(0, 9)),
     min_size=1,
@@ -237,22 +185,3 @@ class TestSetSemanticsProperty:
             members = [i for _, i, _ in ctx.items()]
             assert len(members) == len(set(members))
             assert set(members) == shadow
-
-    @given(ops=ops)
-    @settings(max_examples=100)
-    def test_edges_never_dangle(self, ops):
-        ctx = Context()
-        projection = NetworkProjection(name="p")
-        ctx.attach(projection)
-        present: set[int] = set()
-        for op, ident in ops:
-            if op == "add" and ident not in present:
-                ctx.add(ObjectKind.AGENT, ident, agent(ident))
-                present.add(ident)
-                for other in sorted(present - {ident}):
-                    projection.add_edge(ident, other)
-            elif op == "remove" and ident in present:
-                ctx.remove(ObjectKind.AGENT, ident)
-                present.remove(ident)
-            for a, b, _ in projection._edges:
-                assert a in present and b in present

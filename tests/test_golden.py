@@ -6,11 +6,17 @@ Comparing two runs of the same code cannot catch a change in output;
 these digests were recorded once and pin the bytes themselves. Update
 them only with a change that alters the output on purpose, and say so
 in CHANGES.md.
+
+The bundled scenarios never reach ``trade_off`` proposals, elimination
+bidding with hundreds of bidders, invitations or ticks with thousands of
+watcher reactions, so the seed-1 inputs of the four benchmark workloads
+are pinned as well, to the digests tabulated in ``benchmark/README.md``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 
 import pytest
 
@@ -18,6 +24,8 @@ from mnegoti.runner import run
 from mnegoti.scenario import load_scenario_file
 
 from conftest import SCENARIO_DIR
+
+BENCHMARK_DIR = SCENARIO_DIR.parent / "benchmark"
 
 ARTIFACTS = ("events.log", "summary.csv", "population.csv")
 
@@ -83,3 +91,36 @@ def test_artifacts_match_golden_digests(name, seed, tmp_path):
     rep = tmp_path / "rep_000"
     digests = tuple(hashlib.sha256((rep / f).read_bytes()).hexdigest() for f in ARTIFACTS)
     assert dict(zip(ARTIFACTS, digests)) == dict(zip(ARTIFACTS, GOLDEN[(name, seed)]))
+
+
+# Workload -> sha256 of its seed-1 events.log files, concatenated in path
+# order, as ``cat artifacts/*/rep_*/events.log`` in benchmark/README.md.
+WORKLOAD_EVENTS_LOG = {
+    "town_hall": "fec9b03103147190132fce839d0026fa451b0ed5d48c801e54256e7f49887904",
+    "summit": "3499aa5c6cdff6b79151c4d3fab7a35547d4016f49ab52de25fa9dbeffbc1dbf",
+    "room_churn": "6f5dedf018b27e29b4ffb14ac0523ef8dfc685331b8368b0c1a52c1f47daeeb7",
+    "sweep": "d03e9c05df207cc9280df8db4973ebb1861e9430a111749bf86e57f2b4f6b56c",
+}
+
+
+def _workloads():
+    """The benchmark's scenario generators, loaded from their file."""
+    spec = importlib.util.spec_from_file_location(
+        "mnegoti_workloads", BENCHMARK_DIR / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_EVENTS_LOG))
+def test_benchmark_workload_events_log_matches_golden_digest(workload, tmp_path):
+    workloads = _workloads()
+    replications = workloads.SWEEP_REPLICATIONS if workload == "sweep" else 1
+    for path in workloads.write_inputs(workload, 1, tmp_path / "inputs"):
+        scenario = load_scenario_file(path)
+        run(scenario, replications=replications, out_dir=tmp_path / "artifacts" / path.stem)
+    digest = hashlib.sha256()
+    for log in sorted((tmp_path / "artifacts").glob("*/rep_*/events.log")):
+        digest.update(log.read_bytes())
+    assert digest.hexdigest() == WORKLOAD_EVENTS_LOG[workload]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from mnegoti.engine import Simulation
 from mnegoti.errors import ValidationError
 from mnegoti.model import Direction, DistributionKind, StrategyKind
 from mnegoti.scenario import (
@@ -42,8 +43,8 @@ class TestLoading:
                 "bounds": [[0.0, 1.0]],
             }
         )
-        scenario = load_scenario(minimal_doc)
-        assert scenario.member_ids_by_group() == {0: [0, 1], 5: [2, 3, 4]}
+        sim = Simulation(load_scenario(minimal_doc), seed=1)
+        assert {a.id: a.group_id for a in sim.agents.values()} == {0: 0, 1: 0, 2: 5, 3: 5, 4: 5}
 
     def test_yaml_text_parses(self):
         text = """
@@ -180,6 +181,25 @@ class TestValidationErrors:
         minimal_doc["watchers"][0]["watcher"] = {"kind": "agent", "mood": "sunny"}
         with pytest.raises(ValidationError, match="mood"):
             load_scenario(minimal_doc)
+
+    def test_watcher_query_id_must_be_an_integer(self, minimal_doc):
+        minimal_doc["watchers"][0]["watcher"] = {"kind": "agent", "id": "3"}
+        with pytest.raises(ValidationError, match="expected an integer") as exc:
+            load_scenario(minimal_doc)
+        assert path_of(exc.value) == "watchers[0].watcher.id"
+
+    def test_watcher_query_id_must_not_be_negative(self, minimal_doc):
+        minimal_doc["watchers"][0]["watchee"] = {"kind": "meeting_room", "id": -5}
+        with pytest.raises(ValidationError, match=">= 0") as exc:
+            load_scenario(minimal_doc)
+        assert path_of(exc.value) == "watchers[0].watchee.id"
+
+    def test_watcher_query_group_id_must_not_be_a_bool(self, minimal_doc):
+        minimal_doc["groups"][0]["id"] = 1
+        minimal_doc["watchers"][0]["watcher"] = {"kind": "agent", "group_id": True}
+        with pytest.raises(ValidationError, match="expected an integer") as exc:
+            load_scenario(minimal_doc)
+        assert path_of(exc.value) == "watchers[0].watcher.group_id"
 
     def test_unknown_trigger_state(self, minimal_doc):
         minimal_doc["watchers"][0]["trigger"] = {"watchee.state": "ajar"}

@@ -210,9 +210,28 @@ class TestWatchers:
 
     def test_cascade_cap_raises(self):
         scheduler = Scheduler(cascade_cap=10)
-        with pytest.raises(CascadeOverflowError):
-            for _ in range(11):
-                scheduler.enqueue_reaction(ActionKind.AGENT_SCAN, 0)
+        for _ in range(10):
+            scheduler.enqueue_reaction(ActionKind.AGENT_SCAN, 0)
+        with pytest.raises(CascadeOverflowError) as exc:
+            scheduler.enqueue_reaction(ActionKind.AGENT_SCAN, 0)
+        message = str(exc.value)
+        assert "more than 10 reactions" in message
+        assert "tick 0" in message
+        assert "engine follow-up agent_scan" in message
+
+    def test_cascade_overflow_names_rule_and_watchee(self):
+        # Rule 0 fires for all three agents; rule 1's second reaction is the
+        # fifth of the tick, one over the cap.
+        ctx, _ = self.population(3)
+        scheduler = Scheduler(context=ctx, cascade_cap=4)
+        scheduler.register_watcher(self.room_open_rule())
+        scheduler.register_watcher(self.room_open_rule())
+        with pytest.raises(CascadeOverflowError) as exc:
+            scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open")
+        message = str(exc.value)
+        assert "more than 4 reactions" in message
+        assert "tick 0" in message
+        assert "watcher rule 1 on meeting_room 0" in message
 
     @given(
         phases=st.lists(st.sampled_from(list(AgentPhase)), min_size=1, max_size=6),
