@@ -69,10 +69,8 @@ from .scenario import (
 from .scheduler import (
     ActionKind,
     ReactionOffset,
-    RunStatus,
     ScheduledAction,
     Scheduler,
-    TickClock,
     Trigger,
     WatcherRule,
 )

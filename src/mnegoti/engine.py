@@ -2,9 +2,10 @@
 
 Wires the population context, meeting rooms, watcher rules and the tick
 scheduler together, dispatches scheduled actions, and accumulates the
-ordered event log. Everything an action mutates is notified to the
-scheduler so watcher rules can react; the sequence of log records is a
-pure function of (scenario, seed).
+ordered event log. ``run`` steps ticks 0..ticks; ``step`` runs one tick
+and does nothing once the last tick has run. Everything an action
+mutates is notified to the scheduler so watcher rules can react; the
+sequence of log records is a pure function of (scenario, seed).
 """
 
 from __future__ import annotations
@@ -27,13 +28,7 @@ from .protocols import (
 )
 from .rooms import AdmissionKind, MeetingRoom, RoomState
 from .scenario import Scenario
-from .scheduler import (
-    ActionKind,
-    RunStatus,
-    ScheduledAction,
-    Scheduler,
-    WatcherRule,
-)
+from .scheduler import ActionKind, ScheduledAction, Scheduler
 
 # Default priority bands; larger runs earlier within a tick. Watcher
 # reactions land one band below the action that fired them.
@@ -41,7 +36,6 @@ OPEN_PRIORITY = 100
 CLOSE_PRIORITY = 90
 SCAN_PRIORITY = 80
 ROUND_PRIORITY = 50
-REPORT_PRIORITY = 10
 
 
 @dataclass(frozen=True)
@@ -119,18 +113,8 @@ class Simulation:
             self.rooms[spec.id] = room
             self.context.add(ObjectKind.MEETING_ROOM, spec.id, room)
 
-        for config in self.scenario.watchers:
-            self.scheduler.register_watcher(
-                WatcherRule(
-                    watcher_query=config.watcher,
-                    watchee_query=config.watchee,
-                    trigger=config.trigger,
-                    reaction_kind=config.reaction_kind,
-                    when=config.when,
-                    priority=config.priority,
-                    target_role=config.target_role,
-                )
-            )
+        for rule in self.scenario.watchers:
+            self.scheduler.register_watcher(rule)
 
         for spec in sorted(self.scenario.rooms, key=lambda r: r.id):
             for entry in spec.schedule:
@@ -153,25 +137,18 @@ class Simulation:
                             priority=entry.priority if entry.priority is not None else CLOSE_PRIORITY,
                         )
                     )
-        self.scheduler.stop(at=self.ticks)
-
-    def schedule_report(self, start: int = 0, interval: int = 1) -> ScheduledAction:
-        """Periodic state snapshot into the event log (API-only, not in scenarios)."""
-        return self.scheduler.schedule(
-            ScheduledAction(
-                kind=ActionKind.REPORT, start=start, interval=interval, priority=REPORT_PRIORITY
-            )
-        )
 
     # -- run loop --------------------------------------------------------
 
     def run(self) -> list[EventRecord]:
-        while self.scheduler.control.status is RunStatus.RUNNING:
-            self.scheduler.step()
+        while self.now <= self.ticks:
+            self.step()
         return self.events
 
-    def step(self):
-        return self.scheduler.step()
+    def step(self) -> None:
+        """Run the current tick, unless the last tick has already run."""
+        if self.now <= self.ticks:
+            self.scheduler.step()
 
     @property
     def now(self) -> int:
@@ -191,13 +168,13 @@ class Simulation:
 
     def _notify_agent(self, agent: Agent, old_phase: AgentPhase) -> None:
         fired = self.scheduler.notify_state_change(
-            ObjectKind.AGENT, agent.id, old_phase.value, agent.phase.value, obj=agent
+            ObjectKind.AGENT, agent.id, old_phase.value, agent.phase.value, agent
         )
         self._log_fired(fired)
 
     def _notify_room(self, room: MeetingRoom, old_state: RoomState) -> None:
         fired = self.scheduler.notify_state_change(
-            ObjectKind.MEETING_ROOM, room.id, old_state.value, room.room_state.value, obj=room
+            ObjectKind.MEETING_ROOM, room.id, old_state.value, room.room_state.value, room
         )
         self._log_fired(fired)
 

@@ -38,7 +38,7 @@ class CascadeOverflowError(MnegotiError):
 
 
 class InvalidTransitionError(MnegotiError):
-    """Illegal state transition (room lifecycle or run control)."""
+    """Illegal meeting-room lifecycle transition."""
 
 
 class RoomClosedError(MnegotiError):

@@ -9,6 +9,7 @@ emits the fully explicit canonical form, which reloads to an equal value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .model import (
 )
 from .protocols import ProtocolConfig, ProtocolKind
 from .rooms import AdmissionKind, AdmissionPolicy, Agenda, RoomState
-from .scheduler import ActionKind, ReactionOffset, Trigger
+from .scheduler import ActionKind, ReactionOffset, Trigger, WatcherRule
 
 SCHEMA_VERSION = 1
 
@@ -49,6 +50,15 @@ _TOP_KEYS = {
 }
 
 _STATE_NAMES = {p.value for p in AgentPhase} | {s.value for s in RoomState}
+
+# The object kind each reaction acts on; a ``report`` reaction ignores its
+# target and a ``room_open`` reaction has no agenda, so neither is listed.
+_REACTION_TARGET_KIND = {
+    ActionKind.AGENT_SCAN: ObjectKind.AGENT,
+    ActionKind.ROOM_INVITE: ObjectKind.MEETING_ROOM,
+    ActionKind.ROOM_CLOSE: ObjectKind.MEETING_ROOM,
+    ActionKind.NEGOTIATION_ROUND: ObjectKind.MEETING_ROOM,
+}
 
 
 @dataclass(frozen=True)
@@ -75,17 +85,6 @@ class RoomSpec:
 
 
 @dataclass(frozen=True)
-class WatcherConfig:
-    watcher: Query
-    watchee: Query
-    trigger: Trigger
-    reaction_kind: ActionKind = ActionKind.AGENT_SCAN
-    when: ReactionOffset = ReactionOffset.SAME_TICK
-    priority: int | None = None
-    target_role: str = "watcher"
-
-
-@dataclass(frozen=True)
 class Scenario:
     version: int
     seed: int
@@ -97,7 +96,7 @@ class Scenario:
     social_edges: tuple[tuple[int, int], ...]
     protocols: tuple[ProtocolConfig, ...]
     rooms: tuple[RoomSpec, ...]
-    watchers: tuple[WatcherConfig, ...]
+    watchers: tuple[WatcherRule, ...]
 
     @property
     def total_agents(self) -> int:
@@ -153,6 +152,8 @@ def _float(value, path: str, lo: float | None = None, hi: float | None = None) -
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(path, f"expected a number, got {value!r}")
     value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError(path, f"expected a finite number, got {value!r}")
     if lo is not None and value < lo:
         raise ValidationError(path, f"must be >= {lo}, got {value}")
     if hi is not None and value > hi:
@@ -516,12 +517,16 @@ def _parse_query(raw, group_ids: set[int], path: str) -> Query:
     group_id = None
     if "group_id" in doc:
         group_id = _int(doc["group_id"], f"{path}.group_id", minimum=0)
+        if kind is ObjectKind.MEETING_ROOM:
+            raise ValidationError(
+                f"{path}.group_id", "a meeting_room has no group, so this query never matches"
+            )
         if group_id not in group_ids:
             raise ValidationError(f"{path}.group_id", f"group {group_id} does not exist")
     return Query(kind=kind, ident=ident, state=state, group_id=group_id)
 
 
-def _parse_watchers(raw, group_ids: set[int], path: str) -> tuple[WatcherConfig, ...]:
+def _parse_watchers(raw, group_ids: set[int], path: str) -> tuple[WatcherRule, ...]:
     items = _sequence(raw, path)
     watchers = []
     for k, item in enumerate(items):
@@ -540,6 +545,10 @@ def _parse_watchers(raw, group_ids: set[int], path: str) -> tuple[WatcherConfig,
             raise ValidationError(
                 f"{p}.reaction.kind", f"unknown action kind {kind_raw!r}"
             ) from None
+        if kind is ActionKind.ROOM_OPEN:
+            raise ValidationError(
+                f"{p}.reaction.kind", "room_open cannot be a reaction: a reaction carries no agenda"
+            )
         when_raw = rdoc.get("when", "same_tick")
         try:
             when = ReactionOffset(when_raw)
@@ -555,10 +564,17 @@ def _parse_watchers(raw, group_ids: set[int], path: str) -> tuple[WatcherConfig,
             raise ValidationError(
                 f"{p}.reaction.target", f"expected watcher or watchee, got {target_role!r}"
             )
+        needed = _REACTION_TARGET_KIND.get(kind)
+        target = watcher if target_role == "watcher" else watchee
+        if needed is not None and target.kind is not needed:
+            raise ValidationError(
+                f"{p}.{target_role}.kind",
+                f"{kind.value} acts on the {target_role}, so it must select kind: {needed.value}",
+            )
         watchers.append(
-            WatcherConfig(
-                watcher=watcher,
-                watchee=watchee,
+            WatcherRule(
+                watcher_query=watcher,
+                watchee_query=watchee,
                 trigger=trigger,
                 reaction_kind=kind,
                 when=when,
@@ -695,7 +711,7 @@ def _entry_doc(entry: ScheduleEntry) -> dict:
     return doc
 
 
-def _watcher_doc(w: WatcherConfig) -> dict:
+def _watcher_doc(w: WatcherRule) -> dict:
     trigger: dict = {}
     if w.trigger.watcher_state is not None:
         trigger["watcher.state"] = w.trigger.watcher_state
@@ -707,8 +723,8 @@ def _watcher_doc(w: WatcherConfig) -> dict:
     if w.target_role != "watcher":
         reaction["target"] = w.target_role
     return {
-        "watcher": _query_doc(w.watcher),
-        "watchee": _query_doc(w.watchee),
+        "watcher": _query_doc(w.watcher_query),
+        "watchee": _query_doc(w.watchee_query),
         "trigger": trigger,
         "reaction": reaction,
     }

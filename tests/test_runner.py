@@ -26,7 +26,7 @@ from mnegoti.runner import (
     write_artifacts,
 )
 from mnegoti.scenario import load_scenario, load_scenario_file
-from mnegoti.scheduler import RunStatus
+from mnegoti.scheduler import ActionKind, ScheduledAction
 
 
 def events_of(sim: Simulation, kind: str) -> list[dict]:
@@ -98,6 +98,22 @@ class TestDeterminism:
             assert [r.weights for r in artifacts.population] == [
                 r.weights for r in single.population
             ]
+
+
+class TestRunBound:
+    def test_stop_at_ten_executes_eleven_ticks(self, minimal_doc):
+        minimal_doc["ticks"] = 10
+        minimal_doc["rooms"] = []
+        sim = Simulation(load_scenario(minimal_doc))
+        sim.scheduler.schedule(ScheduledAction(kind=ActionKind.REPORT, start=0, interval=1))
+        sim.run()
+        assert [e.tick for e in sim.events if e.kind == "report"] == list(range(11))
+        assert sim.now == 11
+        logged = len(sim.events)
+        sim.run()
+        sim.step()
+        assert len(sim.events) == logged
+        assert sim.now == 11
 
 
 class TestWatcherFlow:
@@ -178,7 +194,7 @@ class TestWatcherFlow:
     def test_agent_attends_at_most_one_room(self, scenario_dir):
         scenario = load_scenario_file(scenario_dir / "concurrent_rooms.yaml")
         sim = Simulation(scenario)
-        while sim.scheduler.control.status.value == "running":
+        for _ in range(sim.ticks + 1):
             sim.step()
             rooms_by_agent: dict[int, list[int]] = {}
             for room_id, room in sim.rooms.items():
@@ -278,7 +294,7 @@ class TestLifecycleFromSchedule:
         doc["rooms"][0]["schedule"].append(second_open)
         sim = Simulation(load_scenario(doc))
         sim.run()
-        assert sim.scheduler.control.status is RunStatus.STOPPED
+        assert sim.now == sim.ticks + 1
         skipped = [e for e in sim.events if e.kind == "room_open_skipped"]
         assert [(e.tick, e.data) for e in skipped] == [(3, {"room": 0, "state": "in_session"})]
         assert len(events_of(sim, "room_opened")) == 3

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mnegoti.engine import Simulation
 from mnegoti.errors import ValidationError
@@ -13,6 +17,8 @@ from mnegoti.scenario import (
     parse_scenario_text,
     serialize_scenario,
 )
+
+from conftest import MINIMAL_DOC
 
 SCENARIO_FILES = ["protection_strategies.yaml", "supply_chain.yaml", "concurrent_rooms.yaml"]
 
@@ -230,6 +236,140 @@ class TestValidationErrors:
         minimal_doc["rooms"][0]["schedule"][0]["action"] = "lock"
         with pytest.raises(ValidationError, match="lock"):
             load_scenario(minimal_doc)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "place, path",
+        [
+            (lambda doc, v: doc["groups"][0]["bounds"][0].__setitem__(0, v), "groups[0].bounds[0][0]"),
+            (lambda doc, v: doc.__setitem__("theta_in", v), "theta_in"),
+            (lambda doc, v: doc["issues"][1]["scores"].__setitem__(0, v), "issues[1].scores[0]"),
+            (
+                lambda doc, v: doc["groups"][0].__setitem__(
+                    "distribution", {"kind": "truncated_normal", "sd": v}
+                ),
+                "groups[0].distribution.sd",
+            ),
+            (
+                lambda doc, v: doc["groups"][0]["strategy"].__setitem__("beta", v),
+                "groups[0].strategy.beta",
+            ),
+        ],
+        ids=["bounds", "theta_in", "score", "sd", "beta"],
+    )
+    def test_non_finite_number_rejected(self, minimal_doc, place, path, value):
+        place(minimal_doc, value)
+        with pytest.raises(ValidationError, match="expected a finite number") as exc:
+            load_scenario(minimal_doc)
+        assert path_of(exc.value) == path
+
+
+STATES = ["idle", "watching", "in_room", "negotiating", "closed", "open", "in_session"]
+
+queries = st.fixed_dictionaries(
+    {},
+    optional={
+        "kind": st.sampled_from(["agent", "meeting_room"]),
+        "group_id": st.just(0),
+    },
+)
+
+
+class TestWatcherRuleKinds:
+    """A reaction must act on an object of the kind it needs."""
+
+    @pytest.mark.parametrize(
+        "watcher, watchee, target, side",
+        [
+            ({"kind": "meeting_room"}, {"kind": "meeting_room"}, "watcher", "watcher"),
+            ({}, {"kind": "meeting_room"}, "watcher", "watcher"),
+            ({"kind": "agent"}, {"kind": "meeting_room"}, "watchee", "watchee"),
+        ],
+    )
+    def test_agent_scan_needs_an_agent_target(self, minimal_doc, watcher, watchee, target, side):
+        minimal_doc["watchers"][0].update(watcher=watcher, watchee=watchee)
+        minimal_doc["watchers"][0]["reaction"] = {"kind": "agent_scan", "target": target}
+        with pytest.raises(ValidationError, match="kind: agent") as exc:
+            load_scenario(minimal_doc)
+        assert path_of(exc.value) == f"watchers[0].{side}.kind"
+
+    @pytest.mark.parametrize("reaction", ["room_invite", "room_close", "negotiation_round"])
+    @pytest.mark.parametrize("watchee", [{"kind": "agent"}, {}])
+    def test_room_reaction_needs_a_meeting_room_target(self, minimal_doc, reaction, watchee):
+        minimal_doc["watchers"][0]["watchee"] = watchee
+        minimal_doc["watchers"][0]["trigger"] = {"watchee.state": "watching"}
+        minimal_doc["watchers"][0]["reaction"] = {"kind": reaction, "target": "watchee"}
+        with pytest.raises(ValidationError, match="kind: meeting_room") as exc:
+            load_scenario(minimal_doc)
+        assert path_of(exc.value) == "watchers[0].watchee.kind"
+
+    @pytest.mark.parametrize("target", ["watcher", "watchee"])
+    def test_room_open_is_never_a_reaction(self, minimal_doc, target):
+        minimal_doc["watchers"][0]["reaction"] = {"kind": "room_open", "target": target}
+        with pytest.raises(ValidationError, match="no agenda") as exc:
+            load_scenario(minimal_doc)
+        assert path_of(exc.value) == "watchers[0].reaction.kind"
+
+    def test_group_id_on_a_meeting_room_query(self, minimal_doc):
+        minimal_doc["watchers"][0]["watchee"] = {"kind": "meeting_room", "group_id": 0}
+        with pytest.raises(ValidationError, match="never matches") as exc:
+            load_scenario(minimal_doc)
+        assert path_of(exc.value) == "watchers[0].watchee.group_id"
+
+    @given(
+        watcher=queries,
+        watchee=queries,
+        reaction=st.sampled_from(
+            ["room_open", "room_invite", "agent_scan", "negotiation_round", "room_close", "report"]
+        ),
+        target=st.sampled_from(["watcher", "watchee"]),
+        when=st.sampled_from(["same_tick", "next_tick"]),
+        trigger=st.fixed_dictionaries(
+            {},
+            optional={
+                "watcher.state": st.sampled_from(STATES),
+                "watchee.state": st.sampled_from(STATES),
+            },
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_generated_rule_is_rejected_or_runs(
+        self, watcher, watchee, reaction, target, when, trigger
+    ):
+        doc = copy.deepcopy(MINIMAL_DOC)
+        # Room 5 next to agents 0 and 1: a target id names one kind only.
+        doc["rooms"][0]["id"] = 5
+        doc["watchers"].append(
+            {
+                "watcher": watcher,
+                "watchee": watchee,
+                "trigger": trigger,
+                "reaction": {"kind": reaction, "target": target, "when": when},
+            }
+        )
+        needed = {"agent_scan": "agent", "report": None}.get(reaction, "meeting_room")
+        sides = {"watcher": watcher, "watchee": watchee}
+        valid = (
+            reaction != "room_open"
+            and needed in (None, sides[target].get("kind"))
+            and not any(
+                q.get("kind") == "meeting_room" and "group_id" in q for q in sides.values()
+            )
+        )
+        if not valid:
+            with pytest.raises(ValidationError):
+                load_scenario(doc)
+            return
+        sim = Simulation(load_scenario(doc))
+        sim.run()
+        for event in sim.events:
+            if event.kind != "watcher_fired" or event.data["rule"] != 1:
+                continue
+            if target == "watchee":
+                kind = event.data["watchee_kind"]
+            else:
+                kind = "agent" if event.data["watcher"] in sim.agents else "meeting_room"
+            assert needed in (None, kind)
 
 
 class TestRoundTrip:

@@ -1,26 +1,22 @@
-"""Tick ordering, repetition, watchers, reactions, and run control."""
+"""Tick ordering, repetition, watchers, and reactions."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mnegoti.context import Context, ObjectKind, Query
-from mnegoti.errors import (
-    CascadeOverflowError,
-    InvalidTransitionError,
-    SchedulingError,
-)
+from mnegoti.errors import CascadeOverflowError, SchedulingError
 from mnegoti.model import Agent, AgentPhase
 from mnegoti.rooms import MeetingRoom
 from mnegoti.scheduler import (
     ActionKind,
     ReactionOffset,
-    RunStatus,
     ScheduledAction,
     Scheduler,
-    TickClock,
     Trigger,
     WatcherRule,
 )
@@ -44,14 +40,6 @@ def make_agent(ident, phase=AgentPhase.IDLE):
     a = Agent(id=ident, group_id=0, raw_prefs=(1.0,), weights=(1.0,))
     a.phase = phase
     return a
-
-
-class TestClock:
-    def test_starts_at_zero_and_increments(self):
-        clock = TickClock()
-        assert clock.now == 0
-        clock.advance()
-        assert clock.now == 1
 
 
 class TestScheduling:
@@ -89,9 +77,7 @@ class TestScheduling:
 
     def test_empty_queue_still_advances(self):
         scheduler, executed = recording_scheduler()
-        report = scheduler.step()
-        assert report.tick == 0
-        assert report.executed == []
+        scheduler.step()
         assert scheduler.now == 1
         assert executed == []
 
@@ -129,9 +115,7 @@ class TestWatchers:
             watchee_query=Query(kind=ObjectKind.MEETING_ROOM),
             trigger=Trigger(watchee_state="open"),
         )
-        for key, value in overrides.items():
-            setattr(rule, key, value)
-        return rule
+        return replace(rule, **overrides)
 
     @staticmethod
     def population(n):
@@ -143,15 +127,15 @@ class TestWatchers:
         return ctx, room
 
     def test_noop_change_fires_nothing(self):
-        ctx, _ = self.population(3)
+        ctx, room = self.population(3)
         scheduler = Scheduler(context=ctx)
         scheduler.register_watcher(self.room_open_rule())
-        fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "open", "open")
+        fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "open", "open", room)
         assert fired == []
 
     def test_three_matching_agents_fire_in_ascending_id_order(self):
         # Oracle: enumerate the query matches directly.
-        ctx, _ = self.population(3)
+        ctx, room = self.population(3)
         expected_watchers = sorted(
             ident
             for kind, ident, obj in ctx.items()
@@ -161,50 +145,51 @@ class TestWatchers:
 
         scheduler = Scheduler(context=ctx)
         scheduler.register_watcher(self.room_open_rule())
-        fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open")
+        fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
         assert [f.watcher_id for f in fired] == expected_watchers
         assert all(f.action.kind is ActionKind.AGENT_SCAN for f in fired)
 
     def test_trigger_must_transition_from_false_to_true(self):
-        ctx, _ = self.population(1)
+        ctx, room = self.population(1)
         scheduler = Scheduler(context=ctx)
         scheduler.register_watcher(self.room_open_rule())
-        assert scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "open", "in_session") == []
+        assert scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "open", "in_session", room) == []
 
     def test_constant_false_trigger_never_fires(self):
-        ctx, _ = self.population(2)
+        ctx, room = self.population(2)
         scheduler = Scheduler(context=ctx)
         scheduler.register_watcher(
             self.room_open_rule(trigger=Trigger(watchee_state="no_such_state"))
         )
         for old, new in [("closed", "open"), ("open", "in_session"), ("in_session", "closed")]:
-            assert scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, old, new) == []
+            assert scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, old, new, room) == []
 
     def test_watcher_state_constraint_filters_watchers(self):
-        ctx, _ = self.population(2)
+        ctx, room = self.population(2)
         ctx.get(ObjectKind.AGENT, 1).phase = AgentPhase.NEGOTIATING
         scheduler = Scheduler(context=ctx)
         scheduler.register_watcher(
             self.room_open_rule(trigger=Trigger(watcher_state="idle", watchee_state="open"))
         )
-        fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open")
+        fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
         assert [f.watcher_id for f in fired] == [0]
 
     def test_two_rules_fire_in_rule_id_order(self):
-        ctx, _ = self.population(1)
+        ctx, room = self.population(1)
         scheduler = Scheduler(context=ctx)
         first = scheduler.register_watcher(self.room_open_rule())
         second = scheduler.register_watcher(self.room_open_rule())
-        fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open")
-        assert [f.rule_id for f in fired] == [first.rule_id, second.rule_id]
+        assert (first, second) == (0, 1)
+        fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
+        assert [f.rule_id for f in fired] == [first, second]
 
     def test_next_tick_reaction_lands_on_following_tick(self):
-        ctx, _ = self.population(1)
+        ctx, room = self.population(1)
         scheduler = Scheduler(context=ctx)
         scheduler.register_watcher(
             self.room_open_rule(when=ReactionOffset.NEXT_TICK, priority=3)
         )
-        fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open")
+        fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
         assert fired[0].action.start == scheduler.now + 1
         assert fired[0].action.priority == 3
 
@@ -222,12 +207,12 @@ class TestWatchers:
     def test_cascade_overflow_names_rule_and_watchee(self):
         # Rule 0 fires for all three agents; rule 1's second reaction is the
         # fifth of the tick, one over the cap.
-        ctx, _ = self.population(3)
+        ctx, room = self.population(3)
         scheduler = Scheduler(context=ctx, cascade_cap=4)
         scheduler.register_watcher(self.room_open_rule())
         scheduler.register_watcher(self.room_open_rule())
         with pytest.raises(CascadeOverflowError) as exc:
-            scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open")
+            scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
         message = str(exc.value)
         assert "more than 4 reactions" in message
         assert "tick 0" in message
@@ -247,7 +232,8 @@ class TestWatchers:
         ctx = Context()
         for i, phase in enumerate(phases):
             ctx.add(ObjectKind.AGENT, i, make_agent(i, phase=phase))
-        ctx.add(ObjectKind.MEETING_ROOM, 0, MeetingRoom(0))
+        room = MeetingRoom(0)
+        ctx.add(ObjectKind.MEETING_ROOM, 0, room)
         trigger = Trigger(watcher_state=watcher_state, watchee_state=watchee_state)
         scheduler = Scheduler(context=ctx)
         scheduler.register_watcher(
@@ -257,7 +243,7 @@ class TestWatchers:
                 trigger=trigger,
             )
         )
-        fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, old, new)
+        fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, old, new, room)
 
         # Brute force: re-evaluate the rule against every object directly.
         expected = []
@@ -293,7 +279,7 @@ class TestSameTickReactions:
         def executor(action):
             trace.append((action.kind, action.priority))
             if action.target == "opener":
-                scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open")
+                scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
 
         scheduler.executor = executor
         scheduler.schedule(ScheduledAction(kind=ActionKind.ROOM_OPEN, target="opener", start=0, priority=10))
@@ -308,7 +294,8 @@ class TestSameTickReactions:
     def test_unconfigured_reaction_runs_one_band_below_current(self):
         ctx = Context()
         ctx.add(ObjectKind.AGENT, 0, make_agent(0))
-        ctx.add(ObjectKind.MEETING_ROOM, 0, MeetingRoom(0))
+        room = MeetingRoom(0)
+        ctx.add(ObjectKind.MEETING_ROOM, 0, room)
         scheduler = Scheduler(context=ctx)
         scheduler.register_watcher(
             WatcherRule(
@@ -322,7 +309,7 @@ class TestSameTickReactions:
         def executor(action):
             bands.append(action.priority)
             if action.target == "opener":
-                scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open")
+                scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
 
         scheduler.executor = executor
         scheduler.schedule(ScheduledAction(kind=ActionKind.ROOM_OPEN, target="opener", start=0, priority=40))
@@ -340,65 +327,6 @@ class TestSameTickReactions:
         scheduler.schedule(ScheduledAction(kind=ActionKind.REPORT, target="spawner", start=0, priority=20))
         scheduler.step()
         assert seen == [20, 19]
-
-
-class TestRunControl:
-    def test_stop_at_ten_executes_eleven_ticks(self):
-        scheduler, executed = recording_scheduler()
-        scheduler.schedule(ScheduledAction(kind=ActionKind.REPORT, start=0, interval=1))
-        scheduler.stop(at=10)
-        while scheduler.control.status is RunStatus.RUNNING:
-            scheduler.step()
-        assert [tick for tick, _ in executed] == list(range(11))
-
-    def test_pause_resume_preserves_event_order(self):
-        def run(with_pause):
-            scheduler, executed = recording_scheduler()
-            for priority in (3, 9, 6):
-                scheduler.schedule(
-                    ScheduledAction(kind=ActionKind.REPORT, target=priority, start=0, interval=2, priority=priority)
-                )
-            scheduler.stop(at=6)
-            while scheduler.control.status is RunStatus.RUNNING:
-                scheduler.step()
-                if with_pause and scheduler.now == 3:
-                    scheduler.pause()
-                    assert scheduler.step() is None
-                    scheduler.resume()
-            return [(tick, a.target) for tick, a in executed]
-
-        assert run(with_pause=True) == run(with_pause=False)
-
-    def test_resume_after_stop_is_invalid(self):
-        scheduler, _ = recording_scheduler()
-        scheduler.stop()
-        assert scheduler.control.status is RunStatus.STOPPED
-        with pytest.raises(InvalidTransitionError):
-            scheduler.resume()
-
-    def test_step_when_stopped_is_noop(self):
-        scheduler, executed = recording_scheduler()
-        scheduler.schedule(ScheduledAction(kind=ActionKind.REPORT, start=0))
-        scheduler.stop()
-        assert scheduler.step() is None
-        assert executed == []
-
-    def test_stop_from_within_tick_completes_it(self):
-        scheduler = Scheduler()
-        seen = []
-
-        def executor(action):
-            seen.append((scheduler.now, action.target))
-            if action.target == "stopper":
-                scheduler.stop()
-
-        scheduler.executor = executor
-        scheduler.schedule(ScheduledAction(kind=ActionKind.REPORT, target="stopper", start=0, priority=9))
-        scheduler.schedule(ScheduledAction(kind=ActionKind.REPORT, target="later", start=0, priority=1))
-        scheduler.schedule(ScheduledAction(kind=ActionKind.REPORT, target="never", start=1))
-        while scheduler.control.status is RunStatus.RUNNING:
-            scheduler.step()
-        assert seen == [(0, "stopper"), (0, "later")]
 
 
 action_specs = st.lists(
