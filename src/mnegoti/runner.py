@@ -139,14 +139,99 @@ def population_rows(sim: Simulation) -> list[PopulationRow]:
     ]
 
 
+# The reference encoding of one record, and the encoder of every kind that
+# has no template below.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _priority(record: EventRecord) -> int | str:
+    return "null" if record.priority is None else record.priority
+
+
+def _watcher_fired(r: EventRecord) -> str:
+    d = r.data
+    return (
+        f'{{"data":{{"at":{d["at"]},"band":{d["band"]},"reaction":"{d["reaction"]}",'
+        f'"rule":{d["rule"]},"watchee":{d["watchee"]},"watchee_kind":"{d["watchee_kind"]}",'
+        f'"watcher":{d["watcher"]}}},"kind":"watcher_fired","priority":{_priority(r)},'
+        f'"tick":{r.tick}}}'
+    )
+
+
+def _offer(r: EventRecord) -> str:
+    d = r.data
+    proposer = d["proposer"]
+    if isinstance(proposer, str):
+        proposer = _ENCODER.encode(proposer)
+    return (
+        f'{{"data":{{"issue":{d["issue"]},"proposer":{proposer},"room":{d["room"]},'
+        f'"round":{d["round"]}}},"kind":"offer","priority":{_priority(r)},"tick":{r.tick}}}'
+    )
+
+
+def _vote(r: EventRecord) -> str:
+    d = r.data
+    accept = "true" if d["accept"] else "false"
+    return (
+        f'{{"data":{{"accept":{accept},"agent":{d["agent"]},"room":{d["room"]},'
+        f'"round":{d["round"]}}},"kind":"vote","priority":{_priority(r)},"tick":{r.tick}}}'
+    )
+
+
+def _acceptable_published(r: EventRecord) -> str:
+    d = r.data
+    issues = ",".join(map(str, d["issues"]))
+    return (
+        f'{{"data":{{"agent":{d["agent"]},"issues":[{issues}],"room":{d["room"]},'
+        f'"round":{d["round"]}}},"kind":"acceptable_published","priority":{_priority(r)},'
+        f'"tick":{r.tick}}}'
+    )
+
+
+def _agent_entered(r: EventRecord) -> str:
+    d = r.data
+    return (
+        f'{{"data":{{"agent":{d["agent"]},"room":{d["room"]},'
+        f'"utility":{float.__repr__(d["utility"])}}},"kind":"agent_entered",'
+        f'"priority":{_priority(r)},"tick":{r.tick}}}'
+    )
+
+
+def _agent_watching(r: EventRecord) -> str:
+    return (
+        f'{{"data":{{"agent":{r.data["agent"]}}},"kind":"agent_watching",'
+        f'"priority":{_priority(r)},"tick":{r.tick}}}'
+    )
+
+
+# One template per fixed-shape kind: the data of these kinds holds only
+# ints, bools, finite floats, "mediator" and enum values, in the shape the
+# engine logs them.
+_TEMPLATES = {
+    "watcher_fired": _watcher_fired,
+    "offer": _offer,
+    "vote": _vote,
+    "acceptable_published": _acceptable_published,
+    "agent_entered": _agent_entered,
+    "agent_watching": _agent_watching,
+}
+
+
 def event_line(record: EventRecord) -> str:
-    doc = {
-        "tick": record.tick,
-        "priority": record.priority,
-        "kind": record.kind,
-        "data": record.data,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """One events.log line, without its newline.
+
+    The line is ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` of
+    ``{"tick", "priority", "kind", "data"}``: keys sorted at both levels,
+    ASCII only, floats as ``float.__repr__``. The fixed-shape kinds are
+    formatted by a template; ``tests/test_runner.py::TestEventLine`` checks
+    each template against that reference encoding.
+    """
+    template = _TEMPLATES.get(record.kind)
+    if template is not None:
+        return template(record)
+    return _ENCODER.encode(
+        {"tick": record.tick, "priority": record.priority, "kind": record.kind, "data": record.data}
+    )
 
 
 def parse_event_line(line: str) -> EventRecord:
@@ -167,8 +252,9 @@ def write_artifacts(artifacts: RunArtifacts, directory: str | Path) -> Path:
     out = Path(directory)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        events_text = "".join(event_line(e) + "\n" for e in artifacts.events)
-        (out / "events.log").write_text(events_text)
+        with open(out / "events.log", "w", encoding="utf-8") as log:
+            for record in artifacts.events:
+                log.write(event_line(record) + "\n")
 
         summary_lines = [SUMMARY_HEADER] + [row.to_csv() for row in artifacts.summary]
         (out / "summary.csv").write_text("\n".join(summary_lines) + "\n")

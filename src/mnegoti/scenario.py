@@ -49,7 +49,15 @@ _TOP_KEYS = {
     "watchers",
 }
 
-_STATE_NAMES = {p.value for p in AgentPhase} | {s.value for s in RoomState}
+# libyaml's parser when PyYAML was built with it; both build the same document.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# The states each object kind takes; a query with no kind may name any.
+_STATES_BY_KIND = {
+    ObjectKind.AGENT: frozenset(p.value for p in AgentPhase),
+    ObjectKind.MEETING_ROOM: frozenset(s.value for s in RoomState),
+}
+_STATE_NAMES = frozenset().union(*_STATES_BY_KIND.values())
 
 # The object kind each reaction acts on; a ``report`` reaction ignores its
 # target and a ``room_open`` reaction has no agenda, so neither is listed.
@@ -486,16 +494,25 @@ def _parse_rooms(
     return tuple(rooms)
 
 
-def _parse_trigger(raw, path: str) -> Trigger:
+def _state(raw, kind: ObjectKind | None, path: str) -> str:
+    """A state name that an object of ``kind`` can take; any state if no kind."""
+    state = _str(raw, path)
+    if state not in _STATE_NAMES:
+        raise ValidationError(path, f"unknown state {state!r}")
+    if kind is not None and state not in _STATES_BY_KIND[kind]:
+        raise ValidationError(path, f"a {kind.value} is never {state!r}, so this rule never fires")
+    return state
+
+
+def _parse_trigger(raw, watcher: Query, watchee: Query, path: str) -> Trigger:
     doc = _mapping(raw, path)
     _no_unknown_keys(doc, {"watcher.state", "watchee.state"}, path)
-    for key, value in doc.items():
-        if _str(value, f"{path}.{key}") not in _STATE_NAMES:
-            raise ValidationError(f"{path}.{key}", f"unknown state {value!r}")
-    return Trigger(
-        watcher_state=doc.get("watcher.state"),
-        watchee_state=doc.get("watchee.state"),
-    )
+    watcher_state = watchee_state = None
+    if "watcher.state" in doc:
+        watcher_state = _state(doc["watcher.state"], watcher.kind, f"{path}.watcher.state")
+    if "watchee.state" in doc:
+        watchee_state = _state(doc["watchee.state"], watchee.kind, f"{path}.watchee.state")
+    return Trigger(watcher_state=watcher_state, watchee_state=watchee_state)
 
 
 def _parse_query(raw, group_ids: set[int], path: str) -> Query:
@@ -509,11 +526,7 @@ def _parse_query(raw, group_ids: set[int], path: str) -> Query:
         except ValueError:
             raise ValidationError(f"{path}.kind", f"unknown kind {kind_raw!r}") from None
     ident = _int(doc["id"], f"{path}.id", minimum=0) if "id" in doc else None
-    state = None
-    if "state" in doc:
-        state = _str(doc["state"], f"{path}.state")
-        if state not in _STATE_NAMES:
-            raise ValidationError(f"{path}.state", f"unknown state {state!r}")
+    state = _state(doc["state"], kind, f"{path}.state") if "state" in doc else None
     group_id = None
     if "group_id" in doc:
         group_id = _int(doc["group_id"], f"{path}.group_id", minimum=0)
@@ -535,7 +548,7 @@ def _parse_watchers(raw, group_ids: set[int], path: str) -> tuple[WatcherRule, .
         _no_unknown_keys(doc, {"watcher", "watchee", "trigger", "reaction"}, p)
         watcher = _parse_query(_require(doc, "watcher", p), group_ids, f"{p}.watcher")
         watchee = _parse_query(_require(doc, "watchee", p), group_ids, f"{p}.watchee")
-        trigger = _parse_trigger(_require(doc, "trigger", p), f"{p}.trigger")
+        trigger = _parse_trigger(_require(doc, "trigger", p), watcher, watchee, f"{p}.trigger")
         rdoc = _mapping(_require(doc, "reaction", p), f"{p}.reaction")
         _no_unknown_keys(rdoc, {"kind", "when", "priority", "target"}, f"{p}.reaction")
         kind_raw = _str(_require(rdoc, "kind", f"{p}.reaction"), f"{p}.reaction.kind")
@@ -630,7 +643,7 @@ def load_scenario(document) -> Scenario:
 
 def parse_scenario_text(text: str) -> Scenario:
     try:
-        document = yaml.safe_load(text)
+        document = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ValidationError("scenario", f"not a well-formed document: {exc}") from None
     return load_scenario(document)

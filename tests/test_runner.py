@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import copy
+import json
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mnegoti.engine import Simulation
+from mnegoti import runner
+
+from mnegoti.context import ObjectKind
+from mnegoti.engine import EventRecord, Simulation
 from mnegoti.model import AgentPhase
 from mnegoti.protocols import (
     FailureReason,
@@ -35,6 +41,12 @@ def events_of(sim: Simulation, kind: str) -> list[dict]:
 
 def log_bytes(events) -> bytes:
     return "".join(event_line(e) + "\n" for e in events).encode()
+
+
+def reference_line(record: EventRecord) -> str:
+    """The events.log encoding that ``event_line`` must reproduce byte for byte."""
+    doc = {"tick": record.tick, "priority": record.priority, "kind": record.kind, "data": record.data}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def outcome(utilities, agreed=True):
@@ -348,3 +360,77 @@ class TestArtifacts:
         run(scenario, out_dir=tmp_path)
         first_line = (tmp_path / "rep_000" / "summary.csv").read_text().splitlines()[0]
         assert first_line == "room_id,session,status,issue_id,rounds,welfare,min_utility,nash_product"
+
+    def test_written_log_equals_reference_encoding(self, scenario_dir, tmp_path):
+        scenario = load_scenario_file(scenario_dir / "protection_strategies.yaml")
+        artifacts = run(scenario, out_dir=tmp_path)[0]
+        assert set(runner._TEMPLATES) <= {e.kind for e in artifacts.events}
+        expected = "".join(reference_line(e) + "\n" for e in artifacts.events)
+        assert (tmp_path / "rep_000" / "events.log").read_bytes() == expected.encode("ascii")
+
+
+INTS = st.integers(min_value=-(2**63), max_value=2**63)
+IDS = st.integers(min_value=0, max_value=2**63)
+UTILITIES = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 0.1 + 0.2]), st.floats(0.0, 1.0))
+
+# The data each templated kind carries, as the engine logs it.
+TEMPLATED_DATA = {
+    "watcher_fired": st.fixed_dictionaries(
+        {
+            "rule": IDS,
+            "watcher": IDS,
+            "watchee_kind": st.sampled_from([k.value for k in ObjectKind]),
+            "watchee": IDS,
+            "reaction": st.sampled_from([k.value for k in ActionKind]),
+            "at": IDS,
+            "band": INTS,
+        }
+    ),
+    "offer": st.fixed_dictionaries(
+        {
+            "room": IDS,
+            "round": IDS,
+            "proposer": st.one_of(st.just("mediator"), IDS),
+            "issue": IDS,
+        }
+    ),
+    "vote": st.fixed_dictionaries(
+        {"room": IDS, "round": IDS, "agent": IDS, "accept": st.booleans()}
+    ),
+    "acceptable_published": st.fixed_dictionaries(
+        {
+            "room": IDS,
+            "round": IDS,
+            "agent": IDS,
+            "issues": st.one_of(st.just([]), st.lists(IDS, max_size=200)),
+        }
+    ),
+    "agent_entered": st.fixed_dictionaries({"agent": IDS, "room": IDS, "utility": UTILITIES}),
+    "agent_watching": st.fixed_dictionaries({"agent": IDS}),
+}
+
+
+class TestEventLine:
+    """``event_line`` against the reference ``json.dumps`` encoding."""
+
+    def test_every_template_is_generated(self):
+        assert set(TEMPLATED_DATA) == set(runner._TEMPLATES)
+
+    @pytest.mark.parametrize("kind", sorted(TEMPLATED_DATA))
+    @given(draw=st.data(), tick=IDS, priority=st.one_of(st.none(), INTS))
+    @settings(max_examples=200, deadline=None)
+    def test_template_equals_reference(self, kind, draw, tick, priority):
+        record = EventRecord(tick, priority, kind, draw.draw(TEMPLATED_DATA[kind]))
+        assert event_line(record) == reference_line(record)
+
+    def test_long_issue_list(self):
+        data = {"room": 3, "round": 7, "agent": 11, "issues": list(range(500))}
+        record = EventRecord(2, 50, "acceptable_published", data)
+        assert event_line(record) == reference_line(record)
+
+    def test_generic_kind_escapes_scenario_text(self):
+        data = {"group": 0, "name": 'Zürich "x"\n', "members": [0, 1]}
+        record = EventRecord(0, None, "population_spawned", data)
+        line = event_line(record)
+        assert line == reference_line(record)
+        assert line.isascii() and "\\u00fc" in line

@@ -5,9 +5,12 @@ from __future__ import annotations
 import copy
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mnegoti import scenario as scenario_module
+from mnegoti.cli import main
 from mnegoti.engine import Simulation
 from mnegoti.errors import ValidationError
 from mnegoti.model import Direction, DistributionKind, StrategyKind
@@ -21,6 +24,7 @@ from mnegoti.scenario import (
 from conftest import MINIMAL_DOC
 
 SCENARIO_FILES = ["protection_strategies.yaml", "supply_chain.yaml", "concurrent_rooms.yaml"]
+MALFORMED = "{version: 1, seed: ["
 
 
 def path_of(exc: ValidationError) -> str:
@@ -67,7 +71,37 @@ groups: [{id: 0, name: g, member_count: 2, bounds: [[0.0, 1.0]]}]
 
     def test_malformed_yaml_is_validation_error(self):
         with pytest.raises(ValidationError):
-            parse_scenario_text("{version: 1, seed: [")
+            parse_scenario_text(MALFORMED)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+class TestYamlLoader:
+    def test_libyaml_is_the_default_when_installed(self):
+        assert scenario_module.YAML_LOADER is yaml.CSafeLoader
+
+    @pytest.mark.parametrize("name", SCENARIO_FILES)
+    def test_both_loaders_give_equal_scenarios(self, scenario_dir, name, monkeypatch):
+        text = (scenario_dir / name).read_text(encoding="utf-8")
+        fast = parse_scenario_text(text)
+        monkeypatch.setattr(scenario_module, "YAML_LOADER", yaml.SafeLoader)
+        assert parse_scenario_text(text) == fast
+
+
+class TestPurePythonLoader:
+    @pytest.fixture(autouse=True)
+    def pure_python_loader(self, monkeypatch):
+        monkeypatch.setattr(scenario_module, "YAML_LOADER", yaml.SafeLoader)
+
+    def test_malformed_yaml_is_validation_error_at_scenario(self):
+        with pytest.raises(ValidationError, match="not a well-formed document") as exc:
+            parse_scenario_text(MALFORMED)
+        assert path_of(exc.value) == "scenario"
+
+    def test_cli_validate_reports_malformed_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(MALFORMED)
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("invalid scenario:")
 
 
 class TestNormalization:
@@ -266,17 +300,21 @@ class TestValidationErrors:
 
 STATES = ["idle", "watching", "in_room", "negotiating", "closed", "open", "in_session"]
 
+AGENT_STATES = {"idle", "watching", "in_room", "negotiating"}
+STATES_OF = {"agent": AGENT_STATES, "meeting_room": set(STATES) - AGENT_STATES, None: set(STATES)}
+
 queries = st.fixed_dictionaries(
     {},
     optional={
         "kind": st.sampled_from(["agent", "meeting_room"]),
+        "state": st.sampled_from(STATES),
         "group_id": st.just(0),
     },
 )
 
 
 class TestWatcherRuleKinds:
-    """A reaction must act on an object of the kind it needs."""
+    """A reaction must act on the kind it needs; a state must be one its side takes."""
 
     @pytest.mark.parametrize(
         "watcher, watchee, target, side",
@@ -316,6 +354,36 @@ class TestWatcherRuleKinds:
             load_scenario(minimal_doc)
         assert path_of(exc.value) == "watchers[0].watchee.group_id"
 
+    @pytest.mark.parametrize(
+        "watcher, watchee, trigger, path",
+        [
+            (
+                {"kind": "agent"},
+                {"kind": "meeting_room"},
+                {"watchee.state": "watching"},
+                "watchers[0].trigger.watchee.state",
+            ),
+            (
+                {"kind": "agent"},
+                {"kind": "meeting_room", "state": "idle"},
+                {},
+                "watchers[0].watchee.state",
+            ),
+            (
+                {"kind": "agent"},
+                {"kind": "meeting_room"},
+                {"watcher.state": "open"},
+                "watchers[0].trigger.watcher.state",
+            ),
+        ],
+        ids=["trigger-watchee", "query-watchee", "trigger-watcher"],
+    )
+    def test_state_the_kind_never_takes(self, minimal_doc, watcher, watchee, trigger, path):
+        minimal_doc["watchers"][0].update(watcher=watcher, watchee=watchee, trigger=trigger)
+        with pytest.raises(ValidationError, match="never fires") as exc:
+            load_scenario(minimal_doc)
+        assert path_of(exc.value) == path
+
     @given(
         watcher=queries,
         watchee=queries,
@@ -354,6 +422,13 @@ class TestWatcherRuleKinds:
             and needed in (None, sides[target].get("kind"))
             and not any(
                 q.get("kind") == "meeting_room" and "group_id" in q for q in sides.values()
+            )
+            and all(
+                q["state"] in STATES_OF[q.get("kind")] for q in sides.values() if "state" in q
+            )
+            and all(
+                state in STATES_OF[sides[key.split(".")[0]].get("kind")]
+                for key, state in trigger.items()
             )
         )
         if not valid:
