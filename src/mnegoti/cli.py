@@ -9,7 +9,8 @@ from pathlib import Path
 
 from .errors import MnegotiError, ValidationError
 from .runner import RunArtifacts, read_event_log, run
-from .scenario import Scenario, load_scenario_file
+from .scenario import Scenario, load_scenario_file, open_fanout
+from .scheduler import REACTION_CASCADE_CAP
 
 OUT_ENV_VAR = "MNEGOTI_OUT"
 
@@ -61,6 +62,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     if scenario is None:
         return 1
+    for tick, rule_id, bound in open_fanout(scenario):
+        if bound > REACTION_CASCADE_CAP:
+            print(
+                f"warning: tick {tick}: watcher rule {rule_id} may fire up to {bound} "
+                f"reactions; the cascade cap is {REACTION_CASCADE_CAP}",
+                file=sys.stderr,
+            )
     print(
         f"ok: {len(scenario.criteria)} criteria, {len(scenario.issues)} issues, "
         f"{len(scenario.groups)} groups ({scenario.total_agents} agents), "

@@ -253,27 +253,23 @@ class Simulation:
         agent = self.agents[action.target]
         if agent.phase not in (AgentPhase.IDLE, AgentPhase.WATCHING):
             return
-        open_rooms = [
-            room
-            for _, room in sorted(self.rooms.items())
-            if room.room_state is RoomState.OPEN
-        ]
-        admissible = [
-            room
-            for room in open_rooms
-            if room.check_admission(agent, self.issues_by_id, self.scenario.theta_in)
-        ]
-        if not admissible:
+        # Highest own max-utility over the agenda wins; lowest room id on ties.
+        best = None
+        best_utility = 0.0
+        for _, room in sorted(self.rooms.items()):
+            if room.room_state is not RoomState.OPEN:
+                continue
+            if not room.check_admission(agent, self.issues_by_id, self.scenario.theta_in):
+                continue
+            u = room.agenda_utility(agent, self.issues_by_id)
+            if best is None or u > best_utility:
+                best, best_utility = room, u
+        if best is None:
             if agent.phase is AgentPhase.IDLE:
                 agent.phase = AgentPhase.WATCHING
                 self._log("agent_watching", agent=agent.id)
                 self._notify_agent(agent, AgentPhase.IDLE)
             return
-        # Highest own max-utility over the agenda wins; lowest room id on ties.
-        best = min(
-            admissible,
-            key=lambda room: (-room.agenda_utility(agent, self.issues_by_id), room.id),
-        )
         old_phase = agent.phase
         entered = best.enter(agent, self.now, self.issues_by_id, self.scenario.theta_in)
         if entered:
@@ -281,7 +277,7 @@ class Simulation:
                 "agent_entered",
                 agent=agent.id,
                 room=best.id,
-                utility=best.agenda_utility(agent, self.issues_by_id),
+                utility=best_utility,
             )
             self._notify_agent(agent, old_phase)
 

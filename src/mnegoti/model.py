@@ -158,7 +158,10 @@ class Agent:
 
     ``raw_prefs`` is the bounds-checked sample, ``weights`` its normalization
     (non-negative, summing to 1). ``phase``/``room_id`` form the mutable state
-    the watcher machinery observes.
+    the watcher machinery observes. ``utilities`` is the agent's utility
+    table, issue id -> ``evaluate`` value, filled on first read by
+    ``protocols.utility``; issue ids must name the same issues for the
+    agent's lifetime.
     """
 
     id: int
@@ -167,6 +170,7 @@ class Agent:
     weights: tuple[float, ...]
     phase: AgentPhase = AgentPhase.IDLE
     room_id: int | None = None
+    utilities: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
 
 
 def sample_preferences(group: AgentGroup, rng: np.random.Generator) -> tuple[float, ...]:

@@ -2,6 +2,9 @@
 
 Sessions operate on a per-participant utility table over the agenda issues,
 so the protocol machinery is independent of how utilities were produced.
+A session fixes each participant's best and worst agenda utility when it
+is built and counts the previous round's offers once per round, so a
+round costs O(participants x issues).
 All tie-breaks resolve to the lowest issue id (or ascending agent id), which
 makes every transcript a pure function of the session inputs.
 """
@@ -102,18 +105,39 @@ class NegotiationSession:
     candidates: list[int] = field(default_factory=list)
     started_tick: int = 0
     ended_tick: int = 0
+    # participant -> (best, worst) utility over the agenda
+    extremes: dict[int, tuple[float, float]] = field(init=False, repr=False, compare=False)
+    # (round, issue -> count, proposer -> issue) of that round's participant offers
+    _last_offers: tuple[int, Counter, dict[int, int]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.candidates:
             self.candidates = list(self.issue_ids)
+        self.extremes = {}
+        for p in self.participants:
+            utils = [self.utilities[p][i] for i in self.issue_ids]
+            self.extremes[p] = (max(utils), min(utils))
 
     def utility(self, participant: int, issue_id: int) -> float:
         return self.utilities[participant][issue_id]
 
     def threshold(self, participant: int, t: int) -> float:
-        utils = [self.utilities[participant][i] for i in self.issue_ids]
+        u_max, u_min = self.extremes[participant]
         beta = self.strategies[participant].beta
-        return concession_threshold(utils, t, self.deadline_rounds, beta)
+        return _conceded(u_max, u_min, t, self.deadline_rounds, beta)
+
+    def last_round_offers(self) -> tuple[Counter, dict[int, int]]:
+        """The last round's participant offers: count per issue, and each proposer's issue.
+
+        Built once per round and shared by every trade-off proposal of the next.
+        """
+        if self._last_offers is None or self._last_offers[0] != self.round:
+            offers = [o for o in self.transcript[-1].offers if o.proposer is not None]
+            counts = Counter(o.issue_id for o in offers)
+            self._last_offers = (self.round, counts, {o.proposer: o.issue_id for o in offers})
+        return self._last_offers[1], self._last_offers[2]
 
     def force_fail(self, reason: FailureReason) -> None:
         if self.status is not SessionStatus.ACTIVE:
@@ -127,16 +151,23 @@ def concession_threshold(
 ) -> float:
     """Minimum acceptable utility at round t of max_rounds.
 
-    Starts at the best agenda utility and concedes toward the worst,
-    reaching it exactly at the deadline; beta > 1 concedes early,
-    beta < 1 holds out. Endpoints are exact by construction.
+    This is the polynomial time-dependent tactic of Faratin, Sierra &
+    Jennings (1998), "Negotiation decision functions for autonomous
+    agents": the threshold starts at the best agenda utility and concedes
+    toward the worst by ((t - 1) / (max_rounds - 1)) ** (1 / beta),
+    reaching it exactly at the deadline; beta > 1 concedes early (a
+    conceder), beta < 1 holds out (boulware). Endpoints are exact by
+    construction.
     """
+    return _conceded(max(utilities), min(utilities), t, max_rounds, beta)
+
+
+def _conceded(u_max: float, u_min: float, t: int, max_rounds: int, beta: float) -> float:
+    """``concession_threshold`` from the best and worst agenda utility."""
     if beta <= 0.0:
         raise ProtocolError(f"beta must be > 0, got {beta}")
     if t < 1 or t > max_rounds:
         raise ProtocolError(f"round {t} outside 1..{max_rounds}")
-    u_max = max(utilities)
-    u_min = min(utilities)
     if max_rounds == 1 or t == max_rounds:
         return u_min
     if t == 1:
@@ -181,14 +212,11 @@ def propose(session: NegotiationSession, participant: int, tick: int = 0) -> Off
         choice = _argmax_issue(utils, candidates)
         return Offer(proposer=participant, issue_id=choice, round=t, tick=tick)
 
-    # Trade-off: follow what the others proposed most often last round.
-    previous = session.transcript[-1]
-    counts = Counter(
-        o.issue_id
-        for o in previous.offers
-        if o.proposer is not None and o.proposer != participant
-    )
-    choice = min(candidates, key=lambda i: (-counts[i], -utils[i], i))
+    # Trade-off: follow what the others proposed most often last round,
+    # that is every participant's offers but this participant's own.
+    counts, offered = session.last_round_offers()
+    own = offered.get(participant)
+    choice = min(candidates, key=lambda i: (-(counts[i] - (i == own)), -utils[i], i))
     return Offer(proposer=participant, issue_id=choice, round=t, tick=tick)
 
 
@@ -313,6 +341,15 @@ def no_quorum_outcome(participants: Sequence[int]) -> NegotiationOutcome:
     )
 
 
+def utility(agent: Agent, issue: Issue) -> float:
+    """The agent's utility for ``issue``; ``evaluate`` fills the table on first read."""
+    table = agent.utilities
+    u = table.get(issue.id)
+    if u is None:
+        u = table[issue.id] = evaluate(agent, issue)
+    return u
+
+
 def build_session(
     room_id: int,
     agents: Sequence[Agent],
@@ -327,7 +364,7 @@ def build_session(
     issue_ids = tuple(sorted(i.id for i in issues))
     by_id = {i.id: i for i in issues}
     utilities = {
-        a.id: {iid: evaluate(a, by_id[iid]) for iid in issue_ids} for a in ordered
+        a.id: {iid: utility(a, by_id[iid]) for iid in issue_ids} for a in ordered
     }
     strategies = strategies or {}
     return NegotiationSession(

@@ -20,12 +20,14 @@ from .errors import (
     InvalidTransitionError,
     RoomClosedError,
 )
-from .model import Agent, AgentPhase, Issue, StrategyConfig, evaluate
+from .model import Agent, AgentPhase, Issue, StrategyConfig
+from .model import evaluate  # noqa: F401  (kept importable: benchmark/tracing.py patches it)
 from .protocols import (
     NegotiationOutcome,
     NegotiationSession,
     ProtocolConfig,
     build_session,
+    utility,
 )
 
 
@@ -113,7 +115,7 @@ class MeetingRoom:
         """The agent's best utility over the current agenda."""
         if self.agenda is None:
             raise RoomClosedError(f"room {self.id} has no agenda")
-        return max(evaluate(agent, issues_by_id[i]) for i in self.agenda.issue_ids)
+        return max(utility(agent, issues_by_id[i]) for i in self.agenda.issue_ids)
 
     def check_admission(
         self,

@@ -653,6 +653,43 @@ def load_scenario_file(path: str | Path) -> Scenario:
     return parse_scenario_text(Path(path).read_text(encoding="utf-8"))
 
 
+def open_fanout(scenario: Scenario) -> list[tuple[int, int, int]]:
+    """(tick, rule id, bound) for each tick with scheduled opens and each rule they can fire.
+
+    A rule fires on a room becoming open only when its trigger tests
+    ``watchee.state: open`` and its watchee query can match that room. Each
+    opening then fires at most one reaction per watcher the rule's query can
+    match by kind and group, so the bound is the matching opens scheduled at
+    the tick times those watchers. Every reaction counts against the
+    scheduler's per-tick cascade cap.
+    """
+    opens: dict[int, list[int]] = {}
+    for room in scenario.rooms:
+        for entry in room.schedule:
+            if entry.action == "open":
+                opens.setdefault(entry.at, []).append(room.id)
+    group_sizes = {g.id: g.member_count for g in scenario.groups}
+    bounds = []
+    for rule_id, rule in enumerate(scenario.watchers):
+        watchee, watcher = rule.watchee_query, rule.watcher_query
+        if rule.trigger.watchee_state != RoomState.OPEN.value:
+            continue
+        if watchee.kind is ObjectKind.AGENT or watchee.state not in (None, RoomState.OPEN.value):
+            continue
+        watchers = 0
+        if watcher.kind is not ObjectKind.MEETING_ROOM:
+            if watcher.group_id is None:
+                watchers += scenario.total_agents
+            else:
+                watchers += group_sizes[watcher.group_id]
+        if watcher.kind is not ObjectKind.AGENT and watcher.group_id is None:
+            watchers += len(scenario.rooms)
+        for tick, room_ids in opens.items():
+            matching = sum(1 for r in room_ids if watchee.ident in (None, r))
+            bounds.append((tick, rule_id, matching * watchers))
+    return sorted(bounds)
+
+
 def serialize_scenario(scenario: Scenario) -> dict:
     """Canonical, fully explicit document form of a scenario."""
     return {

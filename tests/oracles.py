@@ -8,6 +8,8 @@ for bit.
 
 from __future__ import annotations
 
+from collections import Counter
+
 
 def oracle_threshold(utilities: list[float], t: int, max_rounds: int, beta: float) -> float:
     best = max(utilities)
@@ -96,6 +98,156 @@ def elimination_oracle(utils: list[dict[int, float]]) -> tuple[str, int | None, 
         active.remove(fewest)
         if len(active) == 1:
             return ("agreed", active[0], t)
+
+
+def _best_issue(agent_utils: dict[int, float], pool: list[int]) -> int:
+    """Highest utility in the pool, lowest id on ties."""
+    best = None
+    for i in sorted(pool):
+        if best is None or agent_utils[i] > agent_utils[best]:
+            best = i
+    return best
+
+
+def proposal_oracle(
+    agent_utils: dict[int, float],
+    strategy: tuple[str, float],
+    pool: list[int],
+    t: int,
+    deadline: int,
+    previous: list[tuple[int | None, int]],
+    proposer: int,
+) -> int:
+    """One participant's offer, recomputed from scratch.
+
+    ``strategy`` is (kind value, beta); ``pool`` the remaining candidates;
+    ``previous`` the (proposer, issue) offers of the previous round, empty
+    in round 1, with None for the mediator. The threshold's max and min
+    over the agenda and the count of the others' offers are rebuilt on
+    every call.
+    """
+    kind, beta = strategy
+    if kind == "top_bid":
+        return _best_issue(agent_utils, pool)
+    agenda = [agent_utils[i] for i in sorted(agent_utils)]
+    theta = oracle_threshold(agenda, min(t, deadline), deadline, beta)
+    acceptable = [i for i in pool if agent_utils[i] >= theta]
+    candidates = acceptable if acceptable else list(pool)
+    if kind == "time_dependent" or not previous:
+        return _best_issue(agent_utils, candidates)
+    counts = Counter(
+        issue for who, issue in previous if who is not None and who != proposer
+    )
+    choice = None
+    for i in sorted(candidates):
+        if choice is None:
+            choice = i
+        elif counts[i] > counts[choice]:
+            choice = i
+        elif counts[i] == counts[choice] and agent_utils[i] > agent_utils[choice]:
+            choice = i
+    return choice
+
+
+def _welfare_best(utils: list[dict[int, float]], pool: list[int]) -> int:
+    choice = None
+    choice_welfare = None
+    for i in sorted(pool):
+        welfare = sum(u[i] for u in utils)
+        if choice is None or welfare > choice_welfare:
+            choice = i
+            choice_welfare = welfare
+    return choice
+
+
+def elimination_round_oracle(
+    bids: list[int], candidates: list[int]
+) -> tuple[int | None, int | None]:
+    """(eliminated, agreed) of one elimination round from its bids.
+
+    Unanimous bids agree at once; otherwise the candidate with the fewest
+    bids goes, lowest id on ties, and a last remaining candidate is agreed.
+    """
+    if all(b == bids[0] for b in bids):
+        return None, bids[0]
+    fewest = None
+    for i in sorted(candidates):
+        if fewest is None or bids.count(i) < bids.count(fewest):
+            fewest = i
+    remaining = [i for i in candidates if i != fewest]
+    return fewest, remaining[0] if len(remaining) == 1 else None
+
+
+def session_oracle(
+    utils: list[dict[int, float]],
+    strategies: list[tuple[str, float]],
+    protocol: str,
+    deadline: int,
+) -> tuple[list[dict], tuple[str, int | None, int]]:
+    """Every round of a session of participants 0..P-1, by brute force.
+
+    Each round is a dict with ``offers`` [(proposer, issue)], ``votes``
+    [(participant, accept)], ``published`` [(participant, issues)],
+    ``rejected``, ``eliminated`` and ``agreed``; the outcome is
+    (status, issue, rounds_used). ``strategies`` holds (kind value, beta)
+    per participant; ``protocol`` is the protocol kind value.
+    """
+    issue_ids = sorted(utils[0])
+    candidates = list(issue_ids)
+    rounds: list[dict] = []
+    previous: list[tuple[int | None, int]] = []
+    t = 0
+    while True:
+        t += 1
+        block = {"offers": [], "votes": [], "published": [],
+                 "rejected": None, "eliminated": None, "agreed": None}
+        rounds.append(block)
+
+        def theta(a: int) -> float:
+            agenda = [utils[a][i] for i in issue_ids]
+            return oracle_threshold(agenda, t, deadline, strategies[a][1])
+
+        if protocol == "mediated_single_text":
+            candidate = _welfare_best(utils, candidates)
+            block["offers"].append((None, candidate))
+            votes = [(a, utils[a][candidate] >= theta(a)) for a in range(len(utils))]
+            block["votes"] = votes
+            if all(accept for _, accept in votes):
+                block["agreed"] = candidate
+                return rounds, ("agreed", candidate, t)
+            candidates.remove(candidate)
+            block["rejected"] = candidate
+            if not candidates or t >= deadline:
+                return rounds, ("failed", None, t)
+            continue
+
+        offers = [
+            (a, proposal_oracle(utils[a], strategies[a], candidates, t, deadline, previous, a))
+            for a in range(len(utils))
+        ]
+        block["offers"] = offers
+        previous = offers
+        if protocol == "monotonic_concession":
+            common = set(issue_ids)
+            for a in range(len(utils)):
+                accepted = tuple(i for i in issue_ids if utils[a][i] >= theta(a))
+                block["published"].append((a, accepted))
+                common &= set(accepted)
+            if common:
+                agreed = _welfare_best(utils, sorted(common))
+                block["agreed"] = agreed
+                return rounds, ("agreed", agreed, t)
+            if t >= deadline:
+                return rounds, ("failed", None, t)
+            continue
+
+        eliminated, agreed = elimination_round_oracle([i for _, i in offers], candidates)
+        block["eliminated"] = eliminated
+        if eliminated is not None:
+            candidates.remove(eliminated)
+        if agreed is not None:
+            block["agreed"] = agreed
+            return rounds, ("agreed", agreed, t)
 
 
 def naive_schedule_simulator(

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+
 import yaml
 import pytest
 
 from mnegoti.cli import main
+
+from conftest import MINIMAL_DOC, SCENARIO_DIR
+from test_golden import _workloads
 
 
 def write_doc(path, doc):
@@ -33,6 +38,56 @@ class TestValidate:
     def test_missing_file_exits_one(self, capsys):
         assert main(["validate", "/nonexistent/nowhere.yaml"]) == 1
         assert "no such file" in capsys.readouterr().err
+
+
+def crowded_doc() -> dict:
+    """1 200 agents in 4 groups and 9 conditions rooms opening at tick 1.
+
+    Every opening fires one scan per agent, so tick 1 may fire
+    9 x 1 200 = 10 800 reactions, over the cascade cap of 10 000.
+    """
+    doc = copy.deepcopy(MINIMAL_DOC)
+    group = doc["groups"][0]
+    doc["groups"] = [dict(group, id=g, name=f"g{g}", member_count=300) for g in range(4)]
+    room = doc["rooms"][0]
+    doc["rooms"] = [dict(room, id=r) for r in range(9)]
+    return doc
+
+
+class TestCascadeFanoutWarning:
+    def test_crowded_opening_warns_and_still_validates(self, tmp_path, capsys):
+        path = write_doc(tmp_path / "crowded.yaml", crowded_doc())
+        assert main(["validate", path]) == 0
+        printed = capsys.readouterr()
+        assert printed.err == (
+            "warning: tick 1: watcher rule 0 may fire up to 10800 reactions; "
+            "the cascade cap is 10000\n"
+        )
+        assert printed.out.startswith("ok:")
+
+    def test_crowded_opening_overflows_the_cap_when_run(self, tmp_path, capsys):
+        path = write_doc(tmp_path / "crowded.yaml", crowded_doc())
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+        assert "the cascade cap) in tick 1" in capsys.readouterr().err
+
+    def test_fanout_at_the_cap_does_not_warn(self, tmp_path, capsys):
+        doc = crowded_doc()
+        for group in doc["groups"]:
+            group["member_count"] = 250  # 9 x 1 000 = 9 000
+        doc["rooms"].append(dict(doc["rooms"][0], id=9))  # 10 x 1 000 = 10 000
+        assert main(["validate", write_doc(tmp_path / "full.yaml", doc)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.yaml")))
+    def test_bundled_scenarios_do_not_warn(self, name, capsys):
+        assert main(["validate", str(SCENARIO_DIR / name)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("workload", ["town_hall", "summit", "room_churn", "sweep"])
+    def test_benchmark_workloads_do_not_warn(self, workload, tmp_path, capsys):
+        for path in _workloads().write_inputs(workload, 1, tmp_path):
+            assert main(["validate", str(path)]) == 0
+            assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

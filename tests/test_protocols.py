@@ -24,9 +24,10 @@ from mnegoti.protocols import (
     session_outcome,
 )
 
-from oracles import concession_oracle, elimination_oracle, mediated_oracle
+from oracles import concession_oracle, elimination_oracle, mediated_oracle, session_oracle
 
 UTILITY_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
+BETAS = [0.01, 0.5, 1.0, 4.0]
 
 
 def make_session(
@@ -287,6 +288,63 @@ class TestOracleEquivalence:
             expected = concession_oracle([dict(enumerate(u)) for u in utils], max_rounds, betas)
             session = make_session(utils, ProtocolKind.MONOTONIC_CONCESSION, max_rounds, betas)
             assert run_to_completion(session) == expected
+
+
+@st.composite
+def mixed_sessions(draw):
+    """P 2-12 participants over I 1-8 issues, mixed strategies, any protocol.
+
+    Utilities come mostly from a coarse grid, so ties are frequent.
+    """
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, 8))
+    value = st.one_of(st.sampled_from(UTILITY_GRID), st.floats(0.0, 1.0))
+    utils = [[draw(value) for _ in range(m)] for _ in range(n)]
+    strategies = [
+        (draw(st.sampled_from(list(StrategyKind))), draw(st.sampled_from(BETAS)))
+        for _ in range(n)
+    ]
+    kind = draw(st.sampled_from(list(ProtocolKind)))
+    deadline = draw(st.integers(1, 6))
+    return utils, strategies, kind, deadline
+
+
+class TestTranscriptOracle:
+    @given(instance=mixed_sessions())
+    @settings(max_examples=300, deadline=None)
+    def test_every_round_matches_oracle(self, instance):
+        utils, strategies, kind, deadline = instance
+        n, m = len(utils), len(utils[0])
+        session = NegotiationSession(
+            room_id=0,
+            issue_ids=tuple(range(m)),
+            participants=tuple(range(n)),
+            utilities={a: {i: utils[a][i] for i in range(m)} for a in range(n)},
+            strategies={a: StrategyConfig(kind=k, beta=b) for a, (k, b) in enumerate(strategies)},
+            protocol=ProtocolConfig(id="p", kind=kind, max_rounds=deadline),
+            deadline_rounds=deadline,
+        )
+        outcome = run_to_completion(session)
+        got = [
+            {
+                "offers": [(o.proposer, o.issue_id) for o in block.offers],
+                "votes": block.votes,
+                "published": block.published,
+                "rejected": block.rejected,
+                "eliminated": block.eliminated,
+                "agreed": block.agreed,
+            }
+            for block in session.transcript
+        ]
+        expected_rounds, expected_outcome = session_oracle(
+            [dict(enumerate(u)) for u in utils],
+            [(k.value, b) for k, b in strategies],
+            kind.value,
+            deadline,
+        )
+        assert got == expected_rounds
+        assert outcome == expected_outcome
+        assert [b.round for b in session.transcript] == list(range(1, len(got) + 1))
 
 
 class TestUnanimity:

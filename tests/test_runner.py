@@ -10,7 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mnegoti import runner
+from mnegoti import protocols, rooms, runner
 
 from mnegoti.context import ObjectKind
 from mnegoti.engine import EventRecord, Simulation
@@ -33,6 +33,8 @@ from mnegoti.runner import (
 )
 from mnegoti.scenario import load_scenario, load_scenario_file
 from mnegoti.scheduler import ActionKind, ScheduledAction
+
+from conftest import SCENARIO_DIR
 
 
 def events_of(sim: Simulation, kind: str) -> list[dict]:
@@ -110,6 +112,60 @@ class TestDeterminism:
             assert [r.weights for r in artifacts.population] == [
                 r.weights for r in single.population
             ]
+
+
+def trade_off_rooms_doc() -> dict:
+    """concurrent_rooms.yaml with 20 trade-off agents per group and monotonic concession."""
+    doc = yaml.safe_load((SCENARIO_DIR / "concurrent_rooms.yaml").read_text())
+    for group in doc["groups"]:
+        group["member_count"] = 20
+        group["strategy"]["kind"] = "trade_off"
+    doc["protocols"] = [{"id": "local_vote", "kind": "monotonic_concession", "max_rounds": 5}]
+    return doc
+
+
+class TestUtilityTable:
+    """Each (agent, issue) utility is computed by ``evaluate`` once, on first read."""
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        calls = []
+        original = protocols.evaluate
+
+        def counted(agent, issue):
+            calls.append((agent.id, issue.id))
+            return original(agent, issue)
+
+        monkeypatch.setattr(protocols, "evaluate", counted)
+        monkeypatch.setattr(rooms, "evaluate", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "doc",
+        [lambda: yaml.safe_load((SCENARIO_DIR / "concurrent_rooms.yaml").read_text()),
+         trade_off_rooms_doc],
+        ids=["concurrent_rooms", "trade_off_rooms"],
+    )
+    def test_each_pair_is_evaluated_once(self, evaluated, doc):
+        sim = Simulation(load_scenario(doc()))
+        assert evaluated == []
+        sim.run()
+        # Every agent enters the room of its group and reads only its agenda.
+        read = {
+            (agent, issue)
+            for started in events_of(sim, "session_started")
+            for agent in started["participants"]
+            for issue in started["issues"]
+        }
+        assert len(read) == len(sim.agents) * len(sim.issues)
+        assert sorted(evaluated) == sorted(read)
+        assert {(a.id, i) for a in sim.agents.values() for i in a.utilities} == read
+
+    def test_trade_off_rounds_run(self):
+        sim = Simulation(load_scenario(trade_off_rooms_doc()))
+        sim.run()
+        assert len(sim.agents) == 60
+        assert any(offer["round"] >= 2 for offer in events_of(sim, "offer"))
 
 
 class TestRunBound:

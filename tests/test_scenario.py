@@ -17,6 +17,7 @@ from mnegoti.model import Direction, DistributionKind, StrategyKind
 from mnegoti.scenario import (
     load_scenario,
     load_scenario_file,
+    open_fanout,
     parse_scenario_text,
     serialize_scenario,
 )
@@ -445,6 +446,57 @@ class TestWatcherRuleKinds:
             else:
                 kind = "agent" if event.data["watcher"] in sim.agents else "meeting_room"
             assert needed in (None, kind)
+
+
+def two_group_doc() -> dict:
+    """MINIMAL_DOC with a second group of 3 agents: 5 agents, room 0 opens at tick 1."""
+    doc = copy.deepcopy(MINIMAL_DOC)
+    doc["groups"].append(dict(doc["groups"][0], id=1, name="others", member_count=3))
+    return doc
+
+
+class TestOpenFanout:
+    @pytest.mark.parametrize(
+        ("rule", "expected"),
+        [
+            ({}, [(1, 0, 5)]),
+            ({"watcher": {"kind": "agent", "group_id": 1}}, [(1, 0, 3)]),
+            ({"watcher": {"kind": "agent", "group_id": 0}}, [(1, 0, 2)]),
+            ({"watchee": {"kind": "meeting_room", "id": 1}}, [(1, 0, 0)]),
+            ({"watchee": {}}, [(1, 0, 5)]),
+            ({"trigger": {"watcher.state": "idle"}}, []),
+            ({"trigger": {"watchee.state": "closed"}}, []),
+            ({"watchee": {"kind": "meeting_room", "state": "closed"}}, []),
+            (
+                {"watcher": {"kind": "meeting_room"},
+                 "reaction": {"kind": "room_close", "target": "watcher"}},
+                [(1, 0, 1)],
+            ),
+        ],
+    )
+    def test_bound_per_rule(self, rule, expected):
+        doc = two_group_doc()
+        doc["watchers"][0].update(rule)
+        assert open_fanout(load_scenario(doc)) == expected
+
+    def test_opens_at_the_same_tick_multiply(self):
+        doc = two_group_doc()
+        room = doc["rooms"][0]
+        doc["rooms"] = [dict(room, id=r) for r in range(3)]
+        doc["rooms"].append({"id": 3, "schedule": [dict(room["schedule"][0], at=4)]})
+        assert open_fanout(load_scenario(doc)) == [(1, 0, 15), (4, 0, 5)]
+
+    @pytest.mark.parametrize("name", SCENARIO_FILES)
+    def test_bound_holds_in_a_run(self, scenario_dir, name):
+        scenario = load_scenario_file(scenario_dir / name)
+        sim = Simulation(scenario)
+        sim.run()
+        for tick, rule, bound in open_fanout(scenario):
+            fired = [
+                e for e in sim.events
+                if e.kind == "watcher_fired" and e.tick == tick and e.data["rule"] == rule
+            ]
+            assert 0 < len(fired) <= bound
 
 
 class TestRoundTrip:
