@@ -74,11 +74,16 @@ def _state_name(obj: Any) -> str | None:
 
 
 class Context:
-    """Population container; duplicate (kind, id) insertions always error."""
+    """Population container; duplicate (kind, id) insertions always error.
+
+    ``version`` counts membership changes: every ``add`` and ``remove``
+    bumps it, so a cache of members can tell when it is stale.
+    """
 
     def __init__(self) -> None:
         self._members: dict[Key, Any] = {}
         self._projections: list[GroupProjection] = []
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self._members)
@@ -91,12 +96,14 @@ class Context:
         if key in self._members:
             raise DuplicateMemberError(f"{kind.value} {ident} already in context")
         self._members[key] = obj
+        self.version += 1
 
     def remove(self, kind: ObjectKind, ident: int) -> None:
         key = (kind, ident)
         if key not in self._members:
             raise NotFoundError(f"{kind.value} {ident} not in context")
         del self._members[key]
+        self.version += 1
         for projection in self._projections:
             projection._drop_endpoint(ident if kind is ObjectKind.AGENT else None)
 

@@ -6,11 +6,17 @@ ordered event log. ``run`` steps ticks 0..ticks; ``step`` runs one tick
 and does nothing once the last tick has run. Everything an action
 mutates is notified to the scheduler so watcher rules can react; the
 sequence of log records is a pure function of (scenario, seed).
+
+An agent scan walks only the open rooms, and a watching agent whose last
+scan found no room skips the walk until another room opens (see
+``_exec_agent_scan``).
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
 
 import numpy as np
@@ -73,6 +79,11 @@ class Simulation:
         self.scheduler = Scheduler(executor=self._execute, context=self.context)
         self.projections: dict[str, GroupProjection] = {}
         self._round_actions: dict[int, ScheduledAction] = {}
+        # Rooms in the OPEN state, by ascending id; openings so far; and, per
+        # agent, the openings count at its last scan that found no room.
+        self._open_rooms: list[MeetingRoom] = []
+        self._openings = 0
+        self._empty_scan_at: dict[int, int] = {}
         self._setup()
 
     # -- setup -----------------------------------------------------------
@@ -215,6 +226,8 @@ class Simulation:
             self._log("room_open_skipped", room=room.id, state=old.value)
             return
         room.open(agenda, self.now)
+        insort(self._open_rooms, room, key=attrgetter("id"))
+        self._openings += 1
         self._log(
             "room_opened",
             room=room.id,
@@ -250,36 +263,44 @@ class Simulation:
                 self.scheduler.enqueue_reaction(ActionKind.AGENT_SCAN, agent_id)
 
     def _exec_agent_scan(self, action: ScheduledAction) -> None:
+        """Enter the best admissible open room, or watch when none admits the agent.
+
+        Admission depends only on the agent's fixed utilities and group and
+        on the agenda of an open room, which stays fixed while the room is
+        open. Rooms enter the OPEN state only by opening and leave it by
+        starting a session or closing, so between two openings the set of
+        open rooms can only shrink. A watching agent whose last scan found
+        no room therefore finds none again until a room opens, and its scan
+        is skipped without changing anything the run does.
+        """
         agent = self.agents[action.target]
         if agent.phase not in (AgentPhase.IDLE, AgentPhase.WATCHING):
+            return
+        if (
+            agent.phase is AgentPhase.WATCHING
+            and self._empty_scan_at.get(agent.id) == self._openings
+        ):
             return
         # Highest own max-utility over the agenda wins; lowest room id on ties.
         best = None
         best_utility = 0.0
-        for _, room in sorted(self.rooms.items()):
-            if room.room_state is not RoomState.OPEN:
-                continue
+        for room in self._open_rooms:
             if not room.check_admission(agent, self.issues_by_id, self.scenario.theta_in):
                 continue
             u = room.agenda_utility(agent, self.issues_by_id)
             if best is None or u > best_utility:
                 best, best_utility = room, u
         if best is None:
+            self._empty_scan_at[agent.id] = self._openings
             if agent.phase is AgentPhase.IDLE:
                 agent.phase = AgentPhase.WATCHING
                 self._log("agent_watching", agent=agent.id)
                 self._notify_agent(agent, AgentPhase.IDLE)
             return
         old_phase = agent.phase
-        entered = best.enter(agent, self.now, self.issues_by_id, self.scenario.theta_in)
-        if entered:
-            self._log(
-                "agent_entered",
-                agent=agent.id,
-                room=best.id,
-                utility=best_utility,
-            )
-            self._notify_agent(agent, old_phase)
+        best.seat(agent)
+        self._log("agent_entered", agent=agent.id, room=best.id, utility=best_utility)
+        self._notify_agent(agent, old_phase)
 
     def _exec_negotiation_round(self, action: ScheduledAction) -> None:
         room = self.rooms[action.target]
@@ -296,6 +317,7 @@ class Simulation:
             old_state = room.room_state
             old_phases = {aid: self.agents[aid].phase for aid in attendees}
             session = room.start_session(self.issues, protocol, self.strategies, self.now)
+            self._open_rooms.remove(room)
             self._log(
                 "session_started",
                 room=room.id,
@@ -357,6 +379,8 @@ class Simulation:
         old_state = room.room_state
         old_phases = {aid: self.agents[aid].phase for aid in room.attendee_ids()}
         released = room.close(outcome, self.now)
+        if old_state is RoomState.OPEN:
+            self._open_rooms.remove(room)
         round_action = self._round_actions.pop(room.id, None)
         if round_action is not None:
             self.scheduler.cancel(round_action)

@@ -151,10 +151,18 @@ class MeetingRoom:
             raise BusyError(f"agent {agent.id} is already in room {agent.room_id}")
         if not self.check_admission(agent, issues_by_id, default_threshold):
             raise AdmissionDeniedError(f"agent {agent.id} not admitted to room {self.id}")
+        self.seat(agent)
+        return True
+
+    def seat(self, agent: Agent) -> None:
+        """Make the agent an attendee, with none of ``enter``'s checks.
+
+        For a caller that has already found the room open, the agent idle or
+        watching, and ``check_admission`` true.
+        """
         self.attendees[agent.id] = agent
         agent.phase = AgentPhase.IN_ROOM
         agent.room_id = self.id
-        return True
 
     def start_session(
         self,

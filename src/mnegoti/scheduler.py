@@ -7,12 +7,19 @@ first, including same-tick watcher reactions, which always land on a
 strictly lower priority band than the action that fired them. A per-tick
 cap bounds reaction cascades. The scheduler has no run bound of its own:
 ``Simulation`` decides how many ticks to step.
+
+A state change costs each rule one test of its watchee side, and only a
+rule whose trigger flips goes on to its watchers. Those come from a
+candidate list per watcher query, built on first use from the parts of
+the query that never change (kind, id, group) and rebuilt only after the
+context's membership changes; a watcher's state is read only when the
+query or the trigger constrains it.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable
 
@@ -116,6 +123,9 @@ class Scheduler:
         self._seq_counter = 0
         self._rules: list[WatcherRule] = []
         self._reactions_this_tick = 0
+        # Watcher query -> its candidates, valid for one context version.
+        self._candidates: dict[Query, list[tuple[int, Any]]] = {}
+        self._candidates_version: int | None = None
 
     # -- queue ---------------------------------------------------------
 
@@ -159,12 +169,29 @@ class Scheduler:
         new_state: str | None,
         obj: Any,
     ) -> list[FiredReaction]:
-        """Evaluate all rules against one change of ``obj``; enqueue and return reactions."""
+        """Evaluate all rules against one change of ``obj``; enqueue and return reactions.
+
+        A rule fires for each matching watcher whose trigger is false before
+        the change and true after it. The watcher's state is the same on both
+        sides, so the flip must come from the watchee: the rule fires only when
+        ``old_state != watchee_state == new_state``, and a trigger with no
+        ``watchee_state`` never fires.
+        """
         if old_state == new_state:
             return []
         fired: list[FiredReaction] = []
         for rule_id, rule in enumerate(self._rules):
+            watchee_state = rule.trigger.watchee_state
+            if watchee_state is None or new_state != watchee_state:
+                continue
             if not rule.watchee_query.matches(kind, ident, obj):
+                continue
+            # The one state a watcher must be in, if the query or the trigger
+            # names one; no watcher can be in two.
+            wanted = rule.trigger.watcher_state
+            if wanted is None:
+                wanted = rule.watcher_query.state
+            elif rule.watcher_query.state not in (None, wanted):
                 continue
             if rule.when is ReactionOffset.NEXT_TICK:
                 start = self.now + 1
@@ -172,12 +199,8 @@ class Scheduler:
             else:
                 start = self.now
                 priority = self._same_tick_band(rule.priority)
-            watchers = self._match_watchers(rule.watcher_query)
-            for watcher_id, watcher_obj in watchers:
-                w_state = _state_name(watcher_obj)
-                if rule.trigger.evaluate(w_state, old_state):
-                    continue  # already true before the change
-                if not rule.trigger.evaluate(w_state, new_state):
+            for watcher_id, watcher_obj in self._watcher_candidates(rule.watcher_query):
+                if wanted is not None and _state_name(watcher_obj) != wanted:
                     continue
                 target = watcher_id if rule.target_role == "watcher" else ident
                 action = self._react(
@@ -186,11 +209,23 @@ class Scheduler:
                 fired.append(FiredReaction(rule_id, watcher_id, kind, ident, action))
         return fired
 
-    def _match_watchers(self, query: Query) -> list[tuple[int, Any]]:
+    def _watcher_candidates(self, query: Query) -> list[tuple[int, Any]]:
+        """Members matching ``query`` but for its state, by ascending id.
+
+        Ties between kinds keep the context's insertion order. The list is
+        built on first use and kept until the context's membership changes:
+        kind, id and group never change while a member is in the context.
+        """
         if self.context is None:
             return []
-        found = [(i, o) for _, i, o in self.context.query(query)]
-        return sorted(found, key=lambda pair: pair[0])
+        if self._candidates_version != self.context.version:
+            self._candidates = {}
+            self._candidates_version = self.context.version
+        candidates = self._candidates.get(query)
+        if candidates is None:
+            found = [(i, o) for _, i, o in self.context.query(replace(query, state=None))]
+            candidates = self._candidates[query] = sorted(found, key=lambda pair: pair[0])
+        return candidates
 
     def enqueue_reaction(
         self, kind: ActionKind, target: Any, priority: int | None = None

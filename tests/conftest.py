@@ -3,11 +3,23 @@
 from __future__ import annotations
 
 import copy
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+BENCHMARK_DIR = SCENARIO_DIR.parent / "benchmark"
+
+
+def benchmark_workloads():
+    """The benchmark's scenario generators, loaded from their file."""
+    spec = importlib.util.spec_from_file_location(
+        "mnegoti_workloads", BENCHMARK_DIR / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 MINIMAL_DOC = {
     "version": 1,

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 
+from mnegoti.model import AgentPhase
+from mnegoti.rooms import RoomState
+
 
 def oracle_threshold(utilities: list[float], t: int, max_rounds: int, beta: float) -> float:
     best = max(utilities)
@@ -279,3 +282,100 @@ def naive_schedule_simulator(
                 pending.append((tick + interval, priority, counter, index))
                 counter += 1
     return executed
+
+
+def _state_of(obj) -> str | None:
+    for attr in ("phase", "room_state"):
+        value = getattr(obj, attr, None)
+        if value is not None:
+            return value.value
+    return None
+
+
+def _query_holds(query, kind, ident, obj) -> bool:
+    return (
+        (query.kind is None or kind == query.kind)
+        and (query.ident is None or ident == query.ident)
+        and (query.state is None or _state_of(obj) == query.state)
+        and (query.group_id is None or getattr(obj, "group_id", None) == query.group_id)
+    )
+
+
+def _trigger_holds(trigger, watcher_state, watchee_state) -> bool:
+    return (trigger.watcher_state is None or watcher_state == trigger.watcher_state) and (
+        trigger.watchee_state is None or watchee_state == trigger.watchee_state
+    )
+
+
+def brute_force_notify(members, rules, now, current_band, kind, ident, old_state, new_state, obj):
+    """Every reaction that one state change fires, re-derived from every member.
+
+    ``members`` are the context's (kind, id, object) triples in insertion
+    order. For each rule, in rule id order, whose watchee query matches the
+    changed object, every member is tested against the watcher query, the
+    matches are sorted by id (stably, so insertion order breaks ties) and
+    the trigger is evaluated per watcher before and after the change.
+    Returns one (rule_id, watcher_id, reaction kind, target, start,
+    priority) tuple per reaction, in firing order.
+    """
+    if old_state == new_state:
+        return []
+    fired = []
+    for rule_id, rule in enumerate(rules):
+        if not _query_holds(rule.watchee_query, kind, ident, obj):
+            continue
+        if rule.when == "next_tick":
+            start = now + 1
+            priority = 0 if rule.priority is None else rule.priority
+        elif current_band is None:
+            start = now
+            priority = 0 if rule.priority is None else rule.priority
+        else:
+            start = now
+            below = current_band - 1
+            priority = below if rule.priority is None else min(rule.priority, below)
+        watchers = sorted(
+            ((i, o) for k, i, o in members if _query_holds(rule.watcher_query, k, i, o)),
+            key=lambda pair: pair[0],
+        )
+        for watcher_id, watcher in watchers:
+            state = _state_of(watcher)
+            if _trigger_holds(rule.trigger, state, old_state):
+                continue
+            if not _trigger_holds(rule.trigger, state, new_state):
+                continue
+            target = watcher_id if rule.target_role == "watcher" else ident
+            fired.append((rule_id, watcher_id, rule.reaction_kind, target, start, priority))
+    return fired
+
+
+def scan_every_room(sim, action) -> None:
+    """``Simulation._exec_agent_scan`` without its shortcuts, to patch in its place.
+
+    Every scan of an idle or watching agent sorts all rooms, tests each
+    open one for admission, and enters the best one through
+    ``MeetingRoom.enter``, which checks admission again.
+    """
+    agent = sim.agents[action.target]
+    if agent.phase not in (AgentPhase.IDLE, AgentPhase.WATCHING):
+        return
+    best = None
+    best_utility = 0.0
+    for _, room in sorted(sim.rooms.items()):
+        if room.room_state is not RoomState.OPEN:
+            continue
+        if not room.check_admission(agent, sim.issues_by_id, sim.scenario.theta_in):
+            continue
+        u = room.agenda_utility(agent, sim.issues_by_id)
+        if best is None or u > best_utility:
+            best, best_utility = room, u
+    if best is None:
+        if agent.phase is AgentPhase.IDLE:
+            agent.phase = AgentPhase.WATCHING
+            sim._log("agent_watching", agent=agent.id)
+            sim._notify_agent(agent, AgentPhase.IDLE)
+        return
+    old_phase = agent.phase
+    if best.enter(agent, sim.now, sim.issues_by_id, sim.scenario.theta_in):
+        sim._log("agent_entered", agent=agent.id, room=best.id, utility=best_utility)
+        sim._notify_agent(agent, old_phase)

@@ -55,6 +55,22 @@ class TestMembership:
         keys = [(k, i) for k, i, _ in ctx.items()]
         assert keys == [(ObjectKind.AGENT, 0), (ObjectKind.MEETING_ROOM, 0)]
 
+    def test_version_counts_membership_changes_only(self):
+        # A remove followed by an add leaves the length unchanged, so the
+        # version, not ``len``, tells a member cache that it is stale.
+        ctx = filled_context(2)
+        assert ctx.version == 2
+        ctx.remove(ObjectKind.AGENT, 1)
+        ctx.add(ObjectKind.MEETING_ROOM, 1, MeetingRoom(1))
+        assert (len(ctx), ctx.version) == (2, 4)
+        ctx.get(ObjectKind.AGENT, 0).phase = AgentPhase.WATCHING
+        ctx.query(Query(kind=ObjectKind.AGENT))
+        with pytest.raises(DuplicateMemberError):
+            ctx.add(ObjectKind.AGENT, 0, agent(0))
+        with pytest.raises(NotFoundError):
+            ctx.remove(ObjectKind.AGENT, 1)
+        assert ctx.version == 4
+
     def test_remove_only_member_empties_context(self):
         ctx = Context()
         ctx.add(ObjectKind.AGENT, 0, agent(0))

@@ -32,9 +32,11 @@ from mnegoti.runner import (
     write_artifacts,
 )
 from mnegoti.scenario import load_scenario, load_scenario_file
+from mnegoti.rooms import MeetingRoom
 from mnegoti.scheduler import ActionKind, ScheduledAction
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, benchmark_workloads
+from oracles import scan_every_room
 
 
 def events_of(sim: Simulation, kind: str) -> list[dict]:
@@ -269,6 +271,94 @@ class TestWatcherFlow:
                 for aid in room.attendee_ids():
                     rooms_by_agent.setdefault(aid, []).append(room_id)
             assert all(len(rooms) == 1 for rooms in rooms_by_agent.values())
+
+
+def room_opening(room_id: int, at: int, groups: list[int], priority: int | None = None) -> dict:
+    entry = {
+        "action": "open",
+        "at": at,
+        "agenda": {
+            "issues": [0, 1],
+            "admission": {"kind": "conditions", "groups": groups},
+            "protocol": "main",
+        },
+    }
+    if priority is not None:
+        entry["priority"] = priority
+    return {"id": room_id, "schedule": [entry]}
+
+
+class TestScanSkip:
+    """A watching agent skips its scan until a room opens; the log does not change."""
+
+    @staticmethod
+    def artifacts(scenario, out_dir, **kwargs) -> list[bytes]:
+        run(scenario, out_dir=out_dir, **kwargs)
+        return [
+            (out_dir / "rep_000" / name).read_bytes()
+            for name in ("events.log", "summary.csv", "population.csv")
+        ]
+
+    def assert_same_as_scanning_every_room(self, scenario, tmp_path, monkeypatch, **kwargs):
+        skipping = self.artifacts(scenario, tmp_path / "skipping", **kwargs)
+        with monkeypatch.context() as patched:
+            patched.setattr(Simulation, "_exec_agent_scan", scan_every_room)
+            scanning = self.artifacts(scenario, tmp_path / "scanning", **kwargs)
+        assert skipping == scanning
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.yaml")))
+    def test_bundled_logs_equal_every_room_scans(self, name, seed, tmp_path, monkeypatch):
+        scenario = load_scenario_file(SCENARIO_DIR / name)
+        self.assert_same_as_scanning_every_room(scenario, tmp_path, monkeypatch, seed=seed)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_room_churn_logs_equal_every_room_scans(self, seed, tmp_path, monkeypatch):
+        (path,) = benchmark_workloads().write_inputs("room_churn", seed, tmp_path / "inputs")
+        scenario = load_scenario_file(path)
+        self.assert_same_as_scanning_every_room(scenario, tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize(
+        ("at", "priority"), [(1, 50), (2, None)], ids=["same_tick_lower_band", "next_tick"]
+    )
+    def test_second_scan_checks_nothing_and_later_room_is_entered(
+        self, minimal_doc, monkeypatch, tmp_path, at, priority
+    ):
+        # Rooms 0 and 1 open at tick 1 for group 0 only, so outsider agent 2
+        # scans twice in that tick and is admitted nowhere; room 2 opens
+        # later for group 1.
+        minimal_doc["groups"].append(
+            {"id": 1, "name": "outsiders", "member_count": 1, "bounds": [[0.0, 1.0]]}
+        )
+        minimal_doc["rooms"] = [
+            room_opening(0, 1, [0]),
+            room_opening(1, 1, [0]),
+            room_opening(2, at, [1], priority),
+        ]
+        scenario = load_scenario(minimal_doc)
+        sim = Simulation(scenario)
+        calls = []
+        check_admission = MeetingRoom.check_admission
+
+        def counted(room, agent, *args):
+            calls.append((sim.now, agent.id, room.id))
+            return check_admission(room, agent, *args)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(MeetingRoom, "check_admission", counted)
+            sim.run()
+        scans = [
+            e.data["watchee"]
+            for e in sim.events
+            if e.kind == "watcher_fired" and e.data["watcher"] == 2 and e.tick == 1
+        ]
+        assert scans[:2] == [0, 1]
+        assert [c for c in calls if c[1] == 2] == [
+            (1, 2, 0), (1, 2, 1), (at, 2, 0), (at, 2, 1), (at, 2, 2)
+        ]
+        assert [(e.tick, e.data["room"]) for e in sim.events if e.kind == "agent_entered"
+                and e.data["agent"] == 2] == [(at, 2)]
+        self.assert_same_as_scanning_every_room(scenario, tmp_path, monkeypatch)
 
 
 class TestInvitations:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mnegoti.context import Context, ObjectKind, Query
 from mnegoti.errors import CascadeOverflowError, SchedulingError
 from mnegoti.model import Agent, AgentPhase
-from mnegoti.rooms import MeetingRoom
+from mnegoti.rooms import MeetingRoom, RoomState
 from mnegoti.scheduler import (
     ActionKind,
     ReactionOffset,
@@ -21,7 +21,7 @@ from mnegoti.scheduler import (
     WatcherRule,
 )
 
-from oracles import naive_schedule_simulator
+from oracles import brute_force_notify, naive_schedule_simulator
 
 
 def recording_scheduler(context=None):
@@ -36,8 +36,8 @@ def run_ticks(scheduler, n):
         scheduler.step()
 
 
-def make_agent(ident, phase=AgentPhase.IDLE):
-    a = Agent(id=ident, group_id=0, raw_prefs=(1.0,), weights=(1.0,))
+def make_agent(ident, phase=AgentPhase.IDLE, group=0):
+    a = Agent(id=ident, group_id=group, raw_prefs=(1.0,), weights=(1.0,))
     a.phase = phase
     return a
 
@@ -174,6 +174,28 @@ class TestWatchers:
         fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
         assert [f.watcher_id for f in fired] == [0]
 
+    def test_watcher_state_is_read_only_when_constrained(self):
+        class Unreadable:
+            group_id = 0
+
+            @property
+            def phase(self):
+                raise AssertionError("watcher state read")
+
+        ctx = Context()
+        ctx.add(ObjectKind.AGENT, 0, Unreadable())
+        room = MeetingRoom(0)
+        ctx.add(ObjectKind.MEETING_ROOM, 0, room)
+        scheduler = Scheduler(context=ctx)
+        scheduler.register_watcher(self.room_open_rule())
+        fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
+        assert [f.watcher_id for f in fired] == [0]
+        scheduler.register_watcher(
+            self.room_open_rule(trigger=Trigger(watcher_state="idle", watchee_state="open"))
+        )
+        with pytest.raises(AssertionError, match="watcher state read"):
+            scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
+
     def test_two_rules_fire_in_rule_id_order(self):
         ctx, room = self.population(1)
         scheduler = Scheduler(context=ctx)
@@ -254,6 +276,171 @@ class TestWatchers:
                 if not before and after:
                     expected.append(i)
         assert [f.watcher_id for f in fired] == expected
+
+
+AGENT_STATES = [p.value for p in AgentPhase]
+ROOM_STATES = [s.value for s in RoomState]
+ANY_STATE = [None, *AGENT_STATES, *ROOM_STATES]
+
+queries = st.builds(
+    Query,
+    kind=st.sampled_from([None, ObjectKind.AGENT, ObjectKind.MEETING_ROOM]),
+    ident=st.none() | st.integers(0, 5),
+    state=st.none() | st.sampled_from(ANY_STATE[1:]),
+    group_id=st.none() | st.integers(0, 2),
+)
+agent_queries = st.builds(
+    Query,
+    kind=st.just(ObjectKind.AGENT),
+    ident=st.none() | st.integers(0, 5),
+    state=st.none() | st.sampled_from(AGENT_STATES),
+    group_id=st.none() | st.integers(0, 2),
+)
+reaction_fields = dict(
+    reaction_kind=st.sampled_from(list(ActionKind)),
+    when=st.sampled_from(list(ReactionOffset)),
+    priority=st.none() | st.integers(-5, 120),
+    target_role=st.sampled_from(["watcher", "watchee"]),
+)
+any_rules = st.builds(
+    WatcherRule,
+    watcher_query=queries,
+    watchee_query=queries,
+    trigger=st.builds(
+        Trigger,
+        watcher_state=st.sampled_from(ANY_STATE),
+        watchee_state=st.sampled_from(ANY_STATE),
+    ),
+    **reaction_fields,
+)
+# Agents watching rooms, as the bundled open-scan rule does.
+room_watch_rules = st.builds(
+    WatcherRule,
+    watcher_query=agent_queries,
+    watchee_query=st.builds(
+        Query,
+        kind=st.just(ObjectKind.MEETING_ROOM),
+        state=st.sampled_from([None, None, *ROOM_STATES]),
+    ),
+    trigger=st.builds(
+        Trigger,
+        watcher_state=st.none() | st.sampled_from(AGENT_STATES),
+        watchee_state=st.sampled_from(ROOM_STATES),
+    ),
+    **reaction_fields,
+)
+# Agents watching one agent, so the changed watchee may be its own watcher.
+self_watch_rules = st.builds(
+    WatcherRule,
+    watcher_query=agent_queries,
+    watchee_query=st.builds(Query, kind=st.just(ObjectKind.AGENT), ident=st.integers(0, 3)),
+    trigger=st.builds(
+        Trigger,
+        watcher_state=st.none() | st.sampled_from(AGENT_STATES),
+        watchee_state=st.sampled_from(AGENT_STATES),
+    ),
+    **reaction_fields,
+)
+STATES_OF = {
+    ObjectKind.AGENT: (list(AgentPhase), "phase"),
+    ObjectKind.MEETING_ROOM: (list(RoomState), "room_state"),
+}
+# (operation, member or kind draw, state or group draw, band while notifying)
+operations = st.lists(
+    st.tuples(
+        st.sampled_from(["change", "change", "change", "add", "remove", "step"]),
+        st.integers(0, 63),
+        st.integers(0, 63),
+        st.none() | st.integers(-5, 120),
+    ),
+    min_size=3,
+    max_size=12,
+)
+
+
+class TestNotifyOracle:
+    """``notify_state_change`` against ``brute_force_notify``, reaction for reaction."""
+
+    @given(
+        agents=st.lists(
+            st.tuples(st.integers(0, 2), st.sampled_from(list(AgentPhase))),
+            min_size=1,
+            max_size=8,
+        ),
+        rooms=st.lists(st.sampled_from(list(RoomState)), min_size=1, max_size=3),
+        rules=st.lists(room_watch_rules | self_watch_rules | any_rules, min_size=1, max_size=3),
+        ops=operations,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_reactions_match_brute_force(self, agents, rooms, rules, ops):
+        ctx = Context()
+        for i, (group, phase) in enumerate(agents):
+            ctx.add(ObjectKind.AGENT, i, make_agent(i, phase, group))
+        for i, state in enumerate(rooms):
+            room = MeetingRoom(i)
+            room.room_state = state
+            ctx.add(ObjectKind.MEETING_ROOM, i, room)
+        scheduler = Scheduler(context=ctx, cascade_cap=10**9)
+        for rule in rules:
+            scheduler.register_watcher(rule)
+        # Changes favour members some watchee query can match and states the
+        # triggers name, so that many of them fire.
+        named = {r.trigger.watchee_state for r in rules}
+
+        for op, a, b, band in ops:
+            members = list(ctx.items())
+            if op == "step":
+                scheduler.step()
+            elif op == "add":
+                # Ids are reused, so agents and rooms sharing an id join in
+                # either order.
+                kind = list(ObjectKind)[a % 2]
+                ident = b % 8
+                if (kind, ident) in ctx:
+                    continue
+                states, attr = STATES_OF[kind]
+                if kind is ObjectKind.AGENT:
+                    obj = make_agent(ident, group=(a // 2) % 3)
+                else:
+                    obj = MeetingRoom(ident)
+                setattr(obj, attr, states[(b // 8) % len(states)])
+                ctx.add(kind, ident, obj)
+            elif members and op == "remove":
+                kind, ident, _ = members[a % len(members)]
+                ctx.remove(kind, ident)
+            elif members:
+                watched = [
+                    (k, i, o)
+                    for k, i, o in members
+                    if any(replace(r.watchee_query, state=None).matches(k, i, o) for r in rules)
+                ]
+                pool = watched * 3 + members
+                kind, ident, obj = pool[a % len(pool)]
+                states, attr = STATES_OF[kind]
+                current = getattr(obj, attr)
+                old = current.value
+                others = [s for s in states if s is not current]
+                choices = [s for s in others if s.value in named] + others
+                new = choices[b % len(choices)]
+                setattr(obj, attr, new)
+                expected = brute_force_notify(
+                    list(ctx.items()), rules, scheduler.now, band, kind, ident, old, new.value, obj
+                )
+                scheduler.current_band = band
+                fired = scheduler.notify_state_change(kind, ident, old, new.value, obj)
+                scheduler.current_band = None
+                assert [
+                    (
+                        f.rule_id,
+                        f.watcher_id,
+                        f.action.kind,
+                        f.action.target,
+                        f.action.start,
+                        f.action.priority,
+                    )
+                    for f in fired
+                ] == expected
+                assert all((f.watchee_kind, f.watchee_id) == (kind, ident) for f in fired)
 
 
 class TestSameTickReactions:
