@@ -299,6 +299,215 @@ class TestValidationErrors:
         assert path_of(exc.value) == path
 
 
+DROP = object()
+AGENDA = ("rooms", 0, "schedule", 0, "agenda")
+ADMISSION = AGENDA + ("admission",)
+RULE = ("watchers", 0)
+
+
+def at(keys: tuple, value=DROP):
+    """A mutation of MINIMAL_DOC that sets the value at ``keys``, or deletes it."""
+
+    def apply(doc: dict) -> None:
+        *parents, last = keys
+        for key in parents:
+            doc = doc[key]
+        if value is DROP:
+            del doc[last]
+        else:
+            doc[last] = value
+
+    return apply
+
+
+# Each row is a mutation of MINIMAL_DOC (or a YAML text) and the full text of
+# the error it raises; together they reach every ValidationError the loader raises.
+ERROR_TEXT = [
+    # primitive checks
+    (at(("seed",)), "scenario: missing required key 'seed'"),
+    (at(("groups", 0), 5), "groups[0]: expected a mapping, got int"),
+    (at(("criteria",), "value"), "criteria: expected a list, got str"),
+    (at(("seed",), "3"), "seed: expected an integer, got '3'"),
+    (at(("ticks",), -1), "ticks: must be >= 0, got -1"),
+    (at(("theta_in",), "high"), "theta_in: expected a number, got 'high'"),
+    (at(("theta_in",), float("nan")), "theta_in: expected a finite number, got nan"),
+    (at(("theta_in",), -0.5), "theta_in: must be >= 0.0, got -0.5"),
+    (at(("theta_in",), 1.2), "theta_in: must be <= 1.0, got 1.2"),
+    (at(("protocols", 0, "id"), 7), "protocols[0].id: expected a string, got 7"),
+    (at(("extras",), 1), "scenario: unknown key(s) ['extras']"),
+    ("- 1\n- 2\n", "scenario: expected a mapping, got list"),
+    # top level, criteria and issues
+    (at(("version",), 2), "version: unsupported schema version 2"),
+    (at(("criteria",), []), "criteria: at least one criterion is required"),
+    (
+        at(("criteria", 0, "id"), 1),
+        "criteria[0].id: criterion ids must be contiguous; expected 0, got 1",
+    ),
+    (
+        at(("criteria",), [{"id": 0, "name": "value"}, {"id": 1, "name": "value"}]),
+        "criteria[1].name: duplicate criterion name 'value'",
+    ),
+    (
+        at(("criteria", 0, "direction"), "sideways"),
+        "criteria[0].direction: unknown direction 'sideways'",
+    ),
+    (at(("issues",), []), "issues: at least one issue is required"),
+    (at(("issues", 1, "id"), 0), "issues[1].id: duplicate issue id 0"),
+    (at(("issues", 1, "name"), "left"), "issues[1].name: duplicate issue name 'left'"),
+    (at(("issues", 0, "scores"), [0.5, 0.5]), "issues[0].scores: expected 1 scores, got 2"),
+    # groups
+    (at(("groups",), []), "groups: at least one group is required"),
+    (
+        lambda doc: doc["groups"].append(dict(doc["groups"][0], name="other")),
+        "groups[1].id: duplicate group id 0",
+    ),
+    (
+        lambda doc: doc["groups"].append(dict(doc["groups"][0], id=1)),
+        "groups[1].name: duplicate group name 'everyone'",
+    ),
+    (
+        at(("groups", 0, "bounds"), [[0.0, 1.0], [0.0, 1.0]]),
+        "groups[0].bounds: expected 1 rows, got 2",
+    ),
+    (
+        at(("groups", 0, "bounds"), [[0.1]]),
+        "groups[0].bounds[0]: expected [lower, upper], got [0.1]",
+    ),
+    (at(("groups", 0, "bounds"), [[0.6, 0.4]]), "groups[0].bounds[0]: lower > upper (0.6 > 0.4)"),
+    (
+        at(("groups", 0, "distribution"), {"kind": "poisson"}),
+        "groups[0].distribution.kind: unknown distribution 'poisson'",
+    ),
+    (
+        at(("groups", 0, "distribution"), {"kind": "truncated_normal", "sd": 0}),
+        "groups[0].distribution.sd: must be > 0, got 0.0",
+    ),
+    (
+        at(("groups", 0, "strategy"), {"kind": "greedy"}),
+        "groups[0].strategy.kind: unknown strategy 'greedy'",
+    ),
+    (
+        at(("groups", 0, "strategy", "beta"), -1),
+        "groups[0].strategy.beta: must be > 0, got -1.0",
+    ),
+    # social edges and protocols
+    (at(("social_edges",), [[0]]), "social_edges[0]: expected [a, b], got [0]"),
+    (at(("social_edges",), [[1, 1]]), "social_edges[0]: self-edge on agent 1"),
+    (
+        at(("social_edges",), [[0, 99]]),
+        "social_edges[0][1]: agent 99 does not exist (population is 2)",
+    ),
+    (
+        lambda doc: doc["protocols"].append(dict(doc["protocols"][0])),
+        "protocols[1].id: duplicate protocol id 'main'",
+    ),
+    (at(("protocols", 0, "kind"), "auction"), "protocols[0].kind: unknown protocol 'auction'"),
+    # rooms
+    (
+        lambda doc: doc["rooms"].append(copy.deepcopy(doc["rooms"][0])),
+        "rooms[1].id: duplicate room id 0",
+    ),
+    (
+        at(("rooms", 0, "schedule", 0, "action"), "lock"),
+        "rooms[0].schedule[0].action: expected 'open' or 'close', got 'lock'",
+    ),
+    (
+        at(AGENDA + ("issues",), [0, 9]),
+        "rooms[0].schedule[0].agenda.issues[1]: issue 9 does not exist",
+    ),
+    (at(AGENDA + ("issues",), [0, 0]), "rooms[0].schedule[0].agenda.issues[1]: duplicate issue 0"),
+    (
+        at(AGENDA + ("issues",), []),
+        "rooms[0].schedule[0].agenda.issues: agenda must name at least one issue",
+    ),
+    (
+        at(AGENDA + ("protocol",), "ghost"),
+        "rooms[0].schedule[0].agenda.protocol: protocol 'ghost' does not exist",
+    ),
+    (
+        at(ADMISSION, {"kind": "lottery"}),
+        "rooms[0].schedule[0].agenda.admission.kind: unknown admission kind 'lottery'",
+    ),
+    (
+        at(ADMISSION, {"kind": "invitations", "agents": []}),
+        "rooms[0].schedule[0].agenda.admission.agents: invitation list must not be empty",
+    ),
+    (
+        at(ADMISSION, {"kind": "invitations", "agents": [0, 17]}),
+        "rooms[0].schedule[0].agenda.admission.agents[1]: "
+        "agent 17 does not exist (population is 2)",
+    ),
+    (
+        at(ADMISSION, {"kind": "conditions", "groups": [2]}),
+        "rooms[0].schedule[0].agenda.admission.groups[0]: group 2 does not exist",
+    ),
+    # watchers
+    (
+        at(RULE + ("trigger",), {"watchee.state": "ajar"}),
+        "watchers[0].trigger.watchee.state: unknown state 'ajar'",
+    ),
+    (
+        at(RULE + ("trigger",), {"watchee.state": "watching"}),
+        "watchers[0].trigger.watchee.state: "
+        "a meeting_room is never 'watching', so this rule never fires",
+    ),
+    (at(RULE + ("watcher",), {"kind": "robot"}), "watchers[0].watcher.kind: unknown kind 'robot'"),
+    (
+        at(RULE + ("watchee",), {"kind": "meeting_room", "group_id": 0}),
+        "watchers[0].watchee.group_id: a meeting_room has no group, so this query never matches",
+    ),
+    (
+        at(RULE + ("watcher",), {"kind": "agent", "group_id": 4}),
+        "watchers[0].watcher.group_id: group 4 does not exist",
+    ),
+    (
+        at(RULE + ("reaction",), {"kind": "dance"}),
+        "watchers[0].reaction.kind: unknown action kind 'dance'",
+    ),
+    (
+        at(RULE + ("reaction",), {"kind": "room_open"}),
+        "watchers[0].reaction.kind: room_open cannot be a reaction: a reaction carries no agenda",
+    ),
+    (
+        at(RULE + ("reaction",), {"kind": "agent_scan", "when": "later"}),
+        "watchers[0].reaction.when: expected same_tick or next_tick, got 'later'",
+    ),
+    (
+        at(RULE + ("reaction",), {"kind": "agent_scan", "target": "both"}),
+        "watchers[0].reaction.target: expected watcher or watchee, got 'both'",
+    ),
+    (
+        at(RULE + ("reaction",), {"kind": "room_close"}),
+        "watchers[0].watcher.kind: "
+        "room_close acts on the watcher, so it must select kind: meeting_room",
+    ),
+    # the document itself; the pure-Python loader's message is the one pinned
+    (
+        MALFORMED,
+        "scenario: not a well-formed document: while parsing a flow node\n"
+        "expected the node content, but found '<stream end>'\n"
+        '  in "<unicode string>", line 1, column 21:\n'
+        "    {version: 1, seed: [\n"
+        "                        ^",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "mutation, expected", ERROR_TEXT, ids=[text.split(": ")[0] for _, text in ERROR_TEXT]
+)
+def test_error_text(mutation, expected, monkeypatch):
+    monkeypatch.setattr(scenario_module, "YAML_LOADER", yaml.SafeLoader)
+    with pytest.raises(ValidationError) as exc:
+        if isinstance(mutation, str):
+            parse_scenario_text(mutation)
+        else:
+            doc = copy.deepcopy(MINIMAL_DOC)
+            mutation(doc)
+            load_scenario(doc)
+    assert str(exc.value) == expected
+
+
 STATES = ["idle", "watching", "in_room", "negotiating", "closed", "open", "in_session"]
 
 AGENT_STATES = {"idle", "watching", "in_room", "negotiating"}
