@@ -334,7 +334,7 @@ class Simulation:
         for _ in range(rounds_per_tick):
             if session.status is not SessionStatus.ACTIVE:
                 break
-            block = run_round(session, self.now)
+            block = run_round(session)
             self._log_round(room.id, block)
         if session.status is not SessionStatus.ACTIVE:
             session.ended_tick = self.now

@@ -58,8 +58,6 @@ class Offer:
 
     proposer: int | None
     issue_id: int
-    round: int
-    tick: int = 0
 
 
 @dataclass
@@ -193,7 +191,7 @@ def _welfare_argmax(session: NegotiationSession, pool: Sequence[int]) -> int:
     return min(pool, key=lambda i: (-welfare(i), i))
 
 
-def propose(session: NegotiationSession, participant: int, tick: int = 0) -> Offer:
+def propose(session: NegotiationSession, participant: int) -> Offer:
     """The participant's next offer under its configured strategy."""
     t = session.round + 1
     strategy = session.strategies[participant]
@@ -202,7 +200,7 @@ def propose(session: NegotiationSession, participant: int, tick: int = 0) -> Off
 
     if strategy.kind is StrategyKind.TOP_BID:
         choice = _argmax_issue(utils, pool)
-        return Offer(proposer=participant, issue_id=choice, round=t, tick=tick)
+        return Offer(proposer=participant, issue_id=choice)
 
     theta = session.threshold(participant, min(t, session.deadline_rounds))
     acceptable = [i for i in pool if utils[i] >= theta]
@@ -210,17 +208,17 @@ def propose(session: NegotiationSession, participant: int, tick: int = 0) -> Off
 
     if strategy.kind is StrategyKind.TIME_DEPENDENT or t == 1 or not session.transcript:
         choice = _argmax_issue(utils, candidates)
-        return Offer(proposer=participant, issue_id=choice, round=t, tick=tick)
+        return Offer(proposer=participant, issue_id=choice)
 
     # Trade-off: follow what the others proposed most often last round,
     # that is every participant's offers but this participant's own.
     counts, offered = session.last_round_offers()
     own = offered.get(participant)
     choice = min(candidates, key=lambda i: (-(counts[i] - (i == own)), -utils[i], i))
-    return Offer(proposer=participant, issue_id=choice, round=t, tick=tick)
+    return Offer(proposer=participant, issue_id=choice)
 
 
-def run_round(session: NegotiationSession, tick: int = 0) -> RoundBlock:
+def run_round(session: NegotiationSession) -> RoundBlock:
     """Advance the session by exactly one protocol round."""
     if session.status is not SessionStatus.ACTIVE:
         raise ProtocolError("session is not active")
@@ -230,21 +228,21 @@ def run_round(session: NegotiationSession, tick: int = 0) -> RoundBlock:
         raise ProtocolError(f"round {t} exceeds deadline {session.deadline_rounds}")
 
     if session.protocol.kind is ProtocolKind.MEDIATED_SINGLE_TEXT:
-        block = _mediated_round(session, t, tick)
+        block = _mediated_round(session, t)
     elif session.protocol.kind is ProtocolKind.MONOTONIC_CONCESSION:
-        block = _concession_round(session, t, tick)
+        block = _concession_round(session, t)
     else:
-        block = _elimination_round(session, t, tick)
+        block = _elimination_round(session, t)
 
     session.round = t
     session.transcript.append(block)
     return block
 
 
-def _mediated_round(session: NegotiationSession, t: int, tick: int) -> RoundBlock:
+def _mediated_round(session: NegotiationSession, t: int) -> RoundBlock:
     block = RoundBlock(round=t)
     candidate = _welfare_argmax(session, session.candidates)
-    block.offers.append(Offer(proposer=None, issue_id=candidate, round=t, tick=tick))
+    block.offers.append(Offer(proposer=None, issue_id=candidate))
     unanimous = True
     for p in session.participants:
         accept = session.utility(p, candidate) >= session.threshold(p, t)
@@ -263,10 +261,10 @@ def _mediated_round(session: NegotiationSession, t: int, tick: int) -> RoundBloc
     return block
 
 
-def _concession_round(session: NegotiationSession, t: int, tick: int) -> RoundBlock:
+def _concession_round(session: NegotiationSession, t: int) -> RoundBlock:
     block = RoundBlock(round=t)
     for p in session.participants:
-        block.offers.append(propose(session, p, tick))
+        block.offers.append(propose(session, p))
     common: set[int] | None = None
     for p in session.participants:
         theta = session.threshold(p, t)
@@ -284,10 +282,10 @@ def _concession_round(session: NegotiationSession, t: int, tick: int) -> RoundBl
     return block
 
 
-def _elimination_round(session: NegotiationSession, t: int, tick: int) -> RoundBlock:
+def _elimination_round(session: NegotiationSession, t: int) -> RoundBlock:
     block = RoundBlock(round=t)
     for p in session.participants:
-        block.offers.append(propose(session, p, tick))
+        block.offers.append(propose(session, p))
     bids = [o.issue_id for o in block.offers]
     if len(set(bids)) == 1:
         session.status = SessionStatus.AGREED

@@ -181,54 +181,63 @@ def _no_unknown_keys(doc: dict, allowed: set[str], path: str) -> None:
         raise ValidationError(path, f"unknown key(s) {sorted(unknown)}")
 
 
+def _records(raw, path: str, keys: set[str], required: str | None = None):
+    """Yield (path, mapping) for each item of a list of mappings with only ``keys``.
+
+    ``required`` names an item when the list must hold at least one.
+    """
+    items = _sequence(raw, path)
+    if required is not None and not items:
+        raise ValidationError(path, f"at least one {required} is required")
+    for k, item in enumerate(items):
+        p = f"{path}[{k}]"
+        doc = _mapping(item, p)
+        _no_unknown_keys(doc, keys, p)
+        yield p, doc
+
+
+def _unique(seen: set, value, path: str, what: str) -> None:
+    if value in seen:
+        raise ValidationError(path, f"duplicate {what} {value!r}")
+    seen.add(value)
+
+
+def _enum(cls, raw, path: str, what: str):
+    try:
+        return cls(raw)
+    except ValueError:
+        raise ValidationError(path, f"unknown {what} {raw!r}") from None
+
+
 # -- section parsers -----------------------------------------------------
 
 
 def _parse_criteria(raw, path: str) -> tuple[Criterion, ...]:
-    items = _sequence(raw, path)
-    if not items:
-        raise ValidationError(path, "at least one criterion is required")
     criteria = []
-    names = set()
-    for k, item in enumerate(items):
-        p = f"{path}[{k}]"
-        doc = _mapping(item, p)
-        _no_unknown_keys(doc, {"id", "name", "direction"}, p)
+    names: set[str] = set()
+    records = _records(raw, path, {"id", "name", "direction"}, "criterion")
+    for k, (p, doc) in enumerate(records):
         ident = _int(_require(doc, "id", p), f"{p}.id", minimum=0)
         if ident != k:
-            raise ValidationError(f"{p}.id", f"criterion ids must be contiguous; expected {k}, got {ident}")
+            raise ValidationError(
+                f"{p}.id", f"criterion ids must be contiguous; expected {k}, got {ident}"
+            )
         name = _str(_require(doc, "name", p), f"{p}.name")
-        if name in names:
-            raise ValidationError(f"{p}.name", f"duplicate criterion name {name!r}")
-        names.add(name)
-        direction_raw = doc.get("direction", "benefit")
-        try:
-            direction = Direction(direction_raw)
-        except ValueError:
-            raise ValidationError(f"{p}.direction", f"unknown direction {direction_raw!r}") from None
+        _unique(names, name, f"{p}.name", "criterion name")
+        direction = _enum(Direction, doc.get("direction", "benefit"), f"{p}.direction", "direction")
         criteria.append(Criterion(id=ident, name=name, direction=direction))
     return tuple(criteria)
 
 
 def _parse_issues(raw, n_criteria: int, path: str) -> tuple[IssueSpec, ...]:
-    items = _sequence(raw, path)
-    if not items:
-        raise ValidationError(path, "at least one issue is required")
     issues = []
     seen_ids: set[int] = set()
-    names = set()
-    for k, item in enumerate(items):
-        p = f"{path}[{k}]"
-        doc = _mapping(item, p)
-        _no_unknown_keys(doc, {"id", "name", "scores"}, p)
+    names: set[str] = set()
+    for p, doc in _records(raw, path, {"id", "name", "scores"}, "issue"):
         ident = _int(_require(doc, "id", p), f"{p}.id", minimum=0)
-        if ident in seen_ids:
-            raise ValidationError(f"{p}.id", f"duplicate issue id {ident}")
-        seen_ids.add(ident)
+        _unique(seen_ids, ident, f"{p}.id", "issue id")
         name = _str(_require(doc, "name", p), f"{p}.name")
-        if name in names:
-            raise ValidationError(f"{p}.name", f"duplicate issue name {name!r}")
-        names.add(name)
+        _unique(names, name, f"{p}.name", "issue name")
         scores_raw = _sequence(_require(doc, "scores", p), f"{p}.scores")
         if len(scores_raw) != n_criteria:
             raise ValidationError(
@@ -245,10 +254,7 @@ def _parse_distribution(raw, path: str) -> DistributionSpec:
     doc = _mapping(raw, path)
     _no_unknown_keys(doc, {"kind", "mean", "sd"}, path)
     kind_raw = _str(_require(doc, "kind", path), f"{path}.kind")
-    try:
-        kind = DistributionKind(kind_raw)
-    except ValueError:
-        raise ValidationError(f"{path}.kind", f"unknown distribution {kind_raw!r}") from None
+    kind = _enum(DistributionKind, kind_raw, f"{path}.kind", "distribution")
     if kind is DistributionKind.UNIFORM:
         return DistributionSpec(kind=kind)
     mean = _float(doc.get("mean", 0.5), f"{path}.mean", lo=0.0, hi=1.0)
@@ -262,10 +268,7 @@ def _parse_strategy(raw, path: str) -> StrategyConfig:
     doc = _mapping(raw, path)
     _no_unknown_keys(doc, {"kind", "beta"}, path)
     kind_raw = _str(_require(doc, "kind", path), f"{path}.kind")
-    try:
-        kind = StrategyKind(kind_raw)
-    except ValueError:
-        raise ValidationError(f"{path}.kind", f"unknown strategy {kind_raw!r}") from None
+    kind = _enum(StrategyKind, kind_raw, f"{path}.kind", "strategy")
     beta = _float(doc.get("beta", 1.0), f"{path}.beta")
     if beta <= 0.0:
         raise ValidationError(f"{path}.beta", f"must be > 0, got {beta}")
@@ -273,26 +276,15 @@ def _parse_strategy(raw, path: str) -> StrategyConfig:
 
 
 def _parse_groups(raw, n_criteria: int, path: str) -> tuple[AgentGroup, ...]:
-    items = _sequence(raw, path)
-    if not items:
-        raise ValidationError(path, "at least one group is required")
     groups = []
     seen_ids: set[int] = set()
-    names = set()
-    for k, item in enumerate(items):
-        p = f"{path}[{k}]"
-        doc = _mapping(item, p)
-        _no_unknown_keys(
-            doc, {"id", "name", "bounds", "distribution", "member_count", "strategy"}, p
-        )
+    names: set[str] = set()
+    keys = {"id", "name", "bounds", "distribution", "member_count", "strategy"}
+    for p, doc in _records(raw, path, keys, "group"):
         ident = _int(_require(doc, "id", p), f"{p}.id", minimum=0)
-        if ident in seen_ids:
-            raise ValidationError(f"{p}.id", f"duplicate group id {ident}")
-        seen_ids.add(ident)
+        _unique(seen_ids, ident, f"{p}.id", "group id")
         name = _str(_require(doc, "name", p), f"{p}.name")
-        if name in names:
-            raise ValidationError(f"{p}.name", f"duplicate group name {name!r}")
-        names.add(name)
+        _unique(names, name, f"{p}.name", "group name")
         rows_raw = _sequence(_require(doc, "bounds", p), f"{p}.bounds")
         if len(rows_raw) != n_criteria:
             raise ValidationError(
@@ -355,26 +347,16 @@ def _parse_social_edges(raw, total_agents: int, path: str) -> tuple[tuple[int, i
 
 
 def _parse_protocols(raw, path: str) -> tuple[ProtocolConfig, ...]:
-    items = _sequence(raw, path)
     protocols = []
-    seen = set()
-    for k, item in enumerate(items):
-        p = f"{path}[{k}]"
-        doc = _mapping(item, p)
-        _no_unknown_keys(doc, {"id", "kind", "max_rounds", "rounds_per_tick"}, p)
+    seen: set[str] = set()
+    for p, doc in _records(raw, path, {"id", "kind", "max_rounds", "rounds_per_tick"}):
         ident = _str(_require(doc, "id", p), f"{p}.id")
-        if ident in seen:
-            raise ValidationError(f"{p}.id", f"duplicate protocol id {ident!r}")
-        seen.add(ident)
+        _unique(seen, ident, f"{p}.id", "protocol id")
         kind_raw = _str(_require(doc, "kind", p), f"{p}.kind")
-        try:
-            kind = ProtocolKind(kind_raw)
-        except ValueError:
-            raise ValidationError(f"{p}.kind", f"unknown protocol {kind_raw!r}") from None
         protocols.append(
             ProtocolConfig(
                 id=ident,
-                kind=kind,
+                kind=_enum(ProtocolKind, kind_raw, f"{p}.kind", "protocol"),
                 max_rounds=_int(doc.get("max_rounds", 10), f"{p}.max_rounds", minimum=1),
                 rounds_per_tick=_int(
                     doc.get("rounds_per_tick", 1), f"{p}.rounds_per_tick", minimum=1
@@ -389,15 +371,13 @@ def _parse_admission(
 ) -> AdmissionPolicy:
     doc = _mapping(raw, path)
     kind_raw = _str(_require(doc, "kind", path), f"{path}.kind")
-    try:
-        kind = AdmissionKind(kind_raw)
-    except ValueError:
-        raise ValidationError(f"{path}.kind", f"unknown admission kind {kind_raw!r}") from None
+    kind = _enum(AdmissionKind, kind_raw, f"{path}.kind", "admission kind")
     if kind is AdmissionKind.INVITATIONS:
         _no_unknown_keys(doc, {"kind", "agents"}, path)
         agents_raw = _sequence(_require(doc, "agents", path), f"{path}.agents")
         if not agents_raw:
             raise ValidationError(f"{path}.agents", "invitation list must not be empty")
+        seen: set[int] = set()
         agents = []
         for j, a in enumerate(agents_raw):
             aid = _int(a, f"{path}.agents[{j}]", minimum=0)
@@ -406,6 +386,7 @@ def _parse_admission(
                     f"{path}.agents[{j}]",
                     f"agent {aid} does not exist (population is {total_agents})",
                 )
+            _unique(seen, aid, f"{path}.agents[{j}]", "agent")
             agents.append(aid)
         return AdmissionPolicy(kind=kind, agents=tuple(agents))
     _no_unknown_keys(doc, {"kind", "groups", "threshold"}, path)
@@ -429,18 +410,12 @@ def _parse_rooms(
     total_agents: int,
     path: str,
 ) -> tuple[RoomSpec, ...]:
-    items = _sequence(raw, path)
     protocol_by_id = {p.id: p for p in protocols}
     rooms = []
-    seen = set()
-    for k, item in enumerate(items):
-        p = f"{path}[{k}]"
-        doc = _mapping(item, p)
-        _no_unknown_keys(doc, {"id", "schedule"}, p)
+    seen: set[int] = set()
+    for p, doc in _records(raw, path, {"id", "schedule"}):
         ident = _int(_require(doc, "id", p), f"{p}.id", minimum=0)
-        if ident in seen:
-            raise ValidationError(f"{p}.id", f"duplicate room id {ident}")
-        seen.add(ident)
+        _unique(seen, ident, f"{p}.id", "room id")
         entries = []
         for j, entry_raw in enumerate(_sequence(_require(doc, "schedule", p), f"{p}.schedule")):
             ep = f"{p}.schedule[{j}]"
@@ -462,14 +437,12 @@ def _parse_rooms(
             _no_unknown_keys(
                 adoc, {"issues", "admission", "protocol", "deadline_rounds"}, ap
             )
-            agenda_issue_ids = []
+            agenda_issue_ids: set[int] = set()
             for m, iid_raw in enumerate(_sequence(_require(adoc, "issues", ap), f"{ap}.issues")):
                 iid = _int(iid_raw, f"{ap}.issues[{m}]", minimum=0)
                 if iid not in issue_ids:
                     raise ValidationError(f"{ap}.issues[{m}]", f"issue {iid} does not exist")
-                if iid in agenda_issue_ids:
-                    raise ValidationError(f"{ap}.issues[{m}]", f"duplicate issue {iid}")
-                agenda_issue_ids.append(iid)
+                _unique(agenda_issue_ids, iid, f"{ap}.issues[{m}]", "issue")
             if not agenda_issue_ids:
                 raise ValidationError(f"{ap}.issues", "agenda must name at least one issue")
             protocol_id = _str(_require(adoc, "protocol", ap), f"{ap}.protocol")
@@ -520,11 +493,7 @@ def _parse_query(raw, group_ids: set[int], path: str) -> Query:
     _no_unknown_keys(doc, {"kind", "id", "state", "group_id"}, path)
     kind = None
     if "kind" in doc:
-        kind_raw = _str(doc["kind"], f"{path}.kind")
-        try:
-            kind = ObjectKind(kind_raw)
-        except ValueError:
-            raise ValidationError(f"{path}.kind", f"unknown kind {kind_raw!r}") from None
+        kind = _enum(ObjectKind, _str(doc["kind"], f"{path}.kind"), f"{path}.kind", "kind")
     ident = _int(doc["id"], f"{path}.id", minimum=0) if "id" in doc else None
     state = _state(doc["state"], kind, f"{path}.state") if "state" in doc else None
     group_id = None
@@ -540,42 +509,34 @@ def _parse_query(raw, group_ids: set[int], path: str) -> Query:
 
 
 def _parse_watchers(raw, group_ids: set[int], path: str) -> tuple[WatcherRule, ...]:
-    items = _sequence(raw, path)
     watchers = []
-    for k, item in enumerate(items):
-        p = f"{path}[{k}]"
-        doc = _mapping(item, p)
-        _no_unknown_keys(doc, {"watcher", "watchee", "trigger", "reaction"}, p)
+    for p, doc in _records(raw, path, {"watcher", "watchee", "trigger", "reaction"}):
         watcher = _parse_query(_require(doc, "watcher", p), group_ids, f"{p}.watcher")
         watchee = _parse_query(_require(doc, "watchee", p), group_ids, f"{p}.watchee")
         trigger = _parse_trigger(_require(doc, "trigger", p), watcher, watchee, f"{p}.trigger")
-        rdoc = _mapping(_require(doc, "reaction", p), f"{p}.reaction")
-        _no_unknown_keys(rdoc, {"kind", "when", "priority", "target"}, f"{p}.reaction")
-        kind_raw = _str(_require(rdoc, "kind", f"{p}.reaction"), f"{p}.reaction.kind")
-        try:
-            kind = ActionKind(kind_raw)
-        except ValueError:
-            raise ValidationError(
-                f"{p}.reaction.kind", f"unknown action kind {kind_raw!r}"
-            ) from None
+        rp = f"{p}.reaction"
+        rdoc = _mapping(_require(doc, "reaction", p), rp)
+        _no_unknown_keys(rdoc, {"kind", "when", "priority", "target"}, rp)
+        kind_raw = _str(_require(rdoc, "kind", rp), f"{rp}.kind")
+        kind = _enum(ActionKind, kind_raw, f"{rp}.kind", "action kind")
         if kind is ActionKind.ROOM_OPEN:
             raise ValidationError(
-                f"{p}.reaction.kind", "room_open cannot be a reaction: a reaction carries no agenda"
+                f"{rp}.kind", "room_open cannot be a reaction: a reaction carries no agenda"
             )
         when_raw = rdoc.get("when", "same_tick")
         try:
             when = ReactionOffset(when_raw)
         except ValueError:
             raise ValidationError(
-                f"{p}.reaction.when", f"expected same_tick or next_tick, got {when_raw!r}"
+                f"{rp}.when", f"expected same_tick or next_tick, got {when_raw!r}"
             ) from None
         priority = None
         if rdoc.get("priority") is not None:
-            priority = _int(rdoc["priority"], f"{p}.reaction.priority")
+            priority = _int(rdoc["priority"], f"{rp}.priority")
         target_role = rdoc.get("target", "watcher")
         if target_role not in ("watcher", "watchee"):
             raise ValidationError(
-                f"{p}.reaction.target", f"expected watcher or watchee, got {target_role!r}"
+                f"{rp}.target", f"expected watcher or watchee, got {target_role!r}"
             )
         needed = _REACTION_TARGET_KIND.get(kind)
         target = watcher if target_role == "watcher" else watchee
@@ -584,6 +545,22 @@ def _parse_watchers(raw, group_ids: set[int], path: str) -> tuple[WatcherRule, .
                 f"{p}.{target_role}.kind",
                 f"{kind.value} acts on the {target_role}, so it must select kind: {needed.value}",
             )
+        # A rule fires only when its watchee changes into trigger.watchee.state
+        # and each side's query state, if any, agrees with the trigger's.
+        if trigger.watchee_state is None:
+            raise ValidationError(
+                f"{p}.trigger", "no watchee.state is set, so this rule never fires"
+            )
+        for side, query, state in (
+            ("watchee", watchee, trigger.watchee_state),
+            ("watcher", watcher, trigger.watcher_state),
+        ):
+            if None not in (query.state, state) and query.state != state:
+                raise ValidationError(
+                    f"{p}.{side}.state",
+                    f"{query.state!r} is not the trigger's {side}.state {state!r}, "
+                    "so this rule never fires",
+                )
         watchers.append(
             WatcherRule(
                 watcher_query=watcher,
@@ -657,7 +634,9 @@ def open_fanout(scenario: Scenario) -> list[tuple[int, int, int]]:
     """(tick, rule id, bound) for each tick with scheduled opens and each rule they can fire.
 
     A rule fires on a room becoming open only when its trigger tests
-    ``watchee.state: open`` and its watchee query can match that room. Each
+    ``watchee.state: open`` and its watchee query can match that room; the
+    loader has already rejected such a query with an agent kind or another
+    state, so only its id can rule a room out. Each
     opening then fires at most one reaction per watcher the rule's query can
     match by kind and group, so the bound is the matching opens scheduled at
     the tick times those watchers. Every reaction counts against the
@@ -673,8 +652,6 @@ def open_fanout(scenario: Scenario) -> list[tuple[int, int, int]]:
     for rule_id, rule in enumerate(scenario.watchers):
         watchee, watcher = rule.watchee_query, rule.watcher_query
         if rule.trigger.watchee_state != RoomState.OPEN.value:
-            continue
-        if watchee.kind is ObjectKind.AGENT or watchee.state not in (None, RoomState.OPEN.value):
             continue
         watchers = 0
         if watcher.kind is not ObjectKind.MEETING_ROOM:

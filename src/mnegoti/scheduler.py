@@ -64,13 +64,6 @@ class Trigger:
     watcher_state: str | None = None
     watchee_state: str | None = None
 
-    def evaluate(self, watcher_state: str | None, watchee_state: str | None) -> bool:
-        if self.watcher_state is not None and watcher_state != self.watcher_state:
-            return False
-        if self.watchee_state is not None and watchee_state != self.watchee_state:
-            return False
-        return True
-
 
 @dataclass(frozen=True)
 class WatcherRule:

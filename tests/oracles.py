@@ -301,7 +301,8 @@ def _query_holds(query, kind, ident, obj) -> bool:
     )
 
 
-def _trigger_holds(trigger, watcher_state, watchee_state) -> bool:
+def trigger_holds(trigger, watcher_state, watchee_state) -> bool:
+    """Whether every state a trigger names equals the given one."""
     return (trigger.watcher_state is None or watcher_state == trigger.watcher_state) and (
         trigger.watchee_state is None or watchee_state == trigger.watchee_state
     )
@@ -340,9 +341,9 @@ def brute_force_notify(members, rules, now, current_band, kind, ident, old_state
         )
         for watcher_id, watcher in watchers:
             state = _state_of(watcher)
-            if _trigger_holds(rule.trigger, state, old_state):
+            if trigger_holds(rule.trigger, state, old_state):
                 continue
-            if not _trigger_holds(rule.trigger, state, new_state):
+            if not trigger_holds(rule.trigger, state, new_state):
                 continue
             target = watcher_id if rule.target_role == "watcher" else ident
             fired.append((rule_id, watcher_id, rule.reaction_kind, target, start, priority))

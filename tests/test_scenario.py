@@ -129,6 +129,59 @@ class TestNormalization:
         assert scenario.rooms[0].schedule[0].agenda.deadline_rounds == 2
 
 
+DEFAULTS_DOC = """
+version: 1
+seed: 1
+ticks: 4
+criteria: [{id: 0, name: c}]
+issues: [{id: 0, name: a, scores: [0.5]}, {id: 1, name: b, scores: [0.25]}]
+groups:
+  - {id: 0, name: g, member_count: 2, bounds: [[0.0, 1.0]]}
+  - {id: 1, name: h, member_count: 1, bounds: [[0.0, 1.0]],
+     distribution: {kind: truncated_normal}, strategy: {kind: trade_off}}
+protocols: [{id: p, kind: mediated_single_text}]
+rooms:
+  - id: 0
+    schedule:
+      - {action: open, at: 1, agenda: {issues: [0, 1], admission: {kind: conditions}, protocol: p}}
+      - {action: close, at: 3}
+watchers:
+  - watcher: {kind: agent}
+    watchee: {kind: meeting_room}
+    trigger: {watchee.state: open}
+    reaction: {kind: agent_scan}
+"""
+
+
+def test_defaults_of_optional_keys():
+    """Each optional key left out takes the default the README documents."""
+    scenario = parse_scenario_text(DEFAULTS_DOC)
+    assert scenario.theta_in == 0.0
+    assert scenario.criteria[0].direction is Direction.BENEFIT
+    uniform, normal = (g.distribution for g in scenario.groups)
+    assert uniform.kind is DistributionKind.UNIFORM
+    assert (normal.kind, normal.mean, normal.sd) == (DistributionKind.TRUNCATED_NORMAL, 0.5, 0.25)
+    assert [(g.strategy.kind, g.strategy.beta) for g in scenario.groups] == [
+        (StrategyKind.TIME_DEPENDENT, 1.0),
+        (StrategyKind.TRADE_OFF, 1.0),
+    ]
+    (protocol,) = scenario.protocols
+    assert (protocol.max_rounds, protocol.rounds_per_tick) == (10, 1)
+    opening, closing = scenario.rooms[0].schedule
+    assert opening.agenda.deadline_rounds == protocol.max_rounds
+    assert opening.priority is None and closing.priority is None
+    (rule,) = scenario.watchers
+    assert (rule.when.value, rule.target_role, rule.priority) == ("same_tick", "watcher", None)
+
+    sim = Simulation(scenario)
+    sim.run()
+    priority = {e.kind: e.priority for e in sim.events}
+    assert priority["room_opened"] == 100
+    assert priority["room_close_skipped"] == 90  # the session closed the room at tick 2
+    # An unset reaction priority runs one band below the opening that fired it.
+    assert {e.data["band"] for e in sim.events if e.kind == "watcher_fired"} == {99}
+
+
 class TestValidationErrors:
     def test_bounds_lower_above_upper(self, minimal_doc):
         minimal_doc["groups"][0]["bounds"] = [[0.6, 0.4]]
@@ -481,6 +534,27 @@ ERROR_TEXT = [
         "watchers[0].watcher.kind: "
         "room_close acts on the watcher, so it must select kind: meeting_room",
     ),
+    (
+        at(ADMISSION, {"kind": "invitations", "agents": [1, 1, 0]}),
+        "rooms[0].schedule[0].agenda.admission.agents[1]: duplicate agent 1",
+    ),
+    (
+        at(RULE + ("trigger",), {"watcher.state": "watching"}),
+        "watchers[0].trigger: no watchee.state is set, so this rule never fires",
+    ),
+    (
+        at(RULE + ("watchee",), {"kind": "meeting_room", "state": "in_session"}),
+        "watchers[0].watchee.state: "
+        "'in_session' is not the trigger's watchee.state 'open', so this rule never fires",
+    ),
+    (
+        lambda doc: doc["watchers"][0].update(
+            watcher={"kind": "agent", "state": "idle"},
+            trigger={"watcher.state": "watching", "watchee.state": "open"},
+        ),
+        "watchers[0].watcher.state: "
+        "'idle' is not the trigger's watcher.state 'watching', so this rule never fires",
+    ),
     # the document itself; the pure-Python loader's message is the one pinned
     (
         MALFORMED,
@@ -640,6 +714,13 @@ class TestWatcherRuleKinds:
                 state in STATES_OF[sides[key.split(".")[0]].get("kind")]
                 for key, state in trigger.items()
             )
+            # A rule fires only when its watchee changes into watchee.state,
+            # and a query state other than the trigger's never matches then.
+            and "watchee.state" in trigger
+            and all(
+                "state" not in q or trigger.get(f"{side}.state", q["state"]) == q["state"]
+                for side, q in sides.items()
+            )
         )
         if not valid:
             with pytest.raises(ValidationError):
@@ -673,9 +754,20 @@ class TestOpenFanout:
             ({"watcher": {"kind": "agent", "group_id": 0}}, [(1, 0, 2)]),
             ({"watchee": {"kind": "meeting_room", "id": 1}}, [(1, 0, 0)]),
             ({"watchee": {}}, [(1, 0, 5)]),
-            ({"trigger": {"watcher.state": "idle"}}, []),
+            (
+                {"trigger": {"watcher.state": "idle"}},
+                ValidationError(
+                    "watchers[0].trigger", "no watchee.state is set, so this rule never fires"
+                ),
+            ),
             ({"trigger": {"watchee.state": "closed"}}, []),
-            ({"watchee": {"kind": "meeting_room", "state": "closed"}}, []),
+            (
+                {"watchee": {"kind": "meeting_room", "state": "closed"}},
+                ValidationError(
+                    "watchers[0].watchee.state",
+                    "'closed' is not the trigger's watchee.state 'open', so this rule never fires",
+                ),
+            ),
             (
                 {"watcher": {"kind": "meeting_room"},
                  "reaction": {"kind": "room_close", "target": "watcher"}},
@@ -684,9 +776,15 @@ class TestOpenFanout:
         ],
     )
     def test_bound_per_rule(self, rule, expected):
+        """``expected`` is the bound list, or the error of a rule that never fires."""
         doc = two_group_doc()
         doc["watchers"][0].update(rule)
-        assert open_fanout(load_scenario(doc)) == expected
+        if isinstance(expected, ValidationError):
+            with pytest.raises(ValidationError) as exc:
+                load_scenario(doc)
+            assert str(exc.value) == str(expected)
+        else:
+            assert open_fanout(load_scenario(doc)) == expected
 
     def test_opens_at_the_same_tick_multiply(self):
         doc = two_group_doc()

@@ -21,7 +21,7 @@ from mnegoti.scheduler import (
     WatcherRule,
 )
 
-from oracles import brute_force_notify, naive_schedule_simulator
+from oracles import brute_force_notify, naive_schedule_simulator, trigger_holds
 
 
 def recording_scheduler(context=None):
@@ -271,8 +271,8 @@ class TestWatchers:
         expected = []
         if old != new:
             for i, phase in enumerate(phases):
-                before = trigger.evaluate(phase.value, old)
-                after = trigger.evaluate(phase.value, new)
+                before = trigger_holds(trigger, phase.value, old)
+                after = trigger_holds(trigger, phase.value, new)
                 if not before and after:
                     expected.append(i)
         assert [f.watcher_id for f in fired] == expected
