@@ -7,7 +7,7 @@ import argparse
 from pathlib import Path
 
 from mnegoti import Simulation, load_scenario_file
-from mnegoti.runner import outcome_metrics, summarize
+from mnegoti.runner import summarize
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -37,19 +37,13 @@ def main() -> None:
             print(f"tick {event.tick:>3}  {event.kind:<16} {details}")
     print()
     print("summary:")
-    for row in summarize(sim):
+    for row in summarize(sim.events):
         print(
             f"  room {row.room_id} session {row.session}: {row.status}"
             f" issue={row.issue_id} rounds={row.rounds}"
-            f" welfare={row.welfare:.3f} nash={row.nash_product:.3f}"
+            f" welfare={row.welfare:.3f} min_utility={row.min_utility:.3f}"
+            f" nash={row.nash_product:.3f}"
         )
-    for room in sim.rooms.values():
-        for record in room.history:
-            m = outcome_metrics(record.outcome)
-            print(
-                f"  room {room.id} ticks {record.opened_at}..{record.closed_at}"
-                f" attendees={list(record.attendee_ids)} min_utility={m.min_utility:.3f}"
-            )
 
 
 if __name__ == "__main__":

@@ -41,24 +41,8 @@ from .protocols import (
     run_round,
     session_outcome,
 )
-from .rooms import (
-    AdmissionKind,
-    AdmissionPolicy,
-    Agenda,
-    MeetingRoom,
-    RoomState,
-    SessionRecord,
-)
-from .runner import (
-    Metrics,
-    RunArtifacts,
-    SummaryRow,
-    outcome_metrics,
-    run,
-    summarize,
-    summary_from_events,
-    write_artifacts,
-)
+from .rooms import AdmissionKind, AdmissionPolicy, Agenda, MeetingRoom, RoomState
+from .runner import RunArtifacts, SummaryRow, run, summarize, write_artifacts
 from .scenario import (
     Scenario,
     load_scenario,

@@ -28,7 +28,7 @@ from .protocols import (
     NegotiationOutcome,
     RoundBlock,
     SessionStatus,
-    no_quorum_outcome,
+    failed_outcome,
     run_round,
     session_outcome,
 )
@@ -225,7 +225,7 @@ class Simulation:
         if old is not RoomState.CLOSED:
             self._log("room_open_skipped", room=room.id, state=old.value)
             return
-        room.open(agenda, self.now)
+        room.open(agenda)
         insort(self._open_rooms, room, key=attrgetter("id"))
         self._openings += 1
         self._log(
@@ -311,7 +311,7 @@ class Simulation:
             attendees = room.attendee_ids()
             if len(attendees) < 2:
                 self._log("session_no_quorum", room=room.id, attendees=attendees)
-                self._close_room(room, no_quorum_outcome(attendees))
+                self._close_room(room, failed_outcome(attendees, FailureReason.NO_QUORUM))
                 return
             protocol = self.scenario.protocol(room.agenda.protocol_id)
             old_state = room.room_state
@@ -351,15 +351,7 @@ class Simulation:
             session.ended_tick = self.now
             outcome = session_outcome(session)
         else:
-            attendees = tuple(room.attendee_ids())
-            outcome = NegotiationOutcome(
-                status=SessionStatus.FAILED,
-                reason=FailureReason.FORCED_CLOSE,
-                agreed_issue=None,
-                rounds_used=0,
-                participants=attendees,
-                utilities=tuple(0.0 for _ in attendees),
-            )
+            outcome = failed_outcome(room.attendee_ids(), FailureReason.FORCED_CLOSE)
         self._close_room(room, outcome)
 
     def _exec_report(self, action: ScheduledAction) -> None:
@@ -370,7 +362,7 @@ class Simulation:
             "report",
             rooms={str(rid): room.room_state.value for rid, room in sorted(self.rooms.items())},
             agent_phases={k: phases[k] for k in sorted(phases)},
-            sessions_completed=sum(len(r.history) for r in self.rooms.values()),
+            sessions_completed=sum(r.sessions for r in self.rooms.values()),
         )
 
     # -- shared close path -------------------------------------------------
@@ -378,7 +370,7 @@ class Simulation:
     def _close_room(self, room: MeetingRoom, outcome: NegotiationOutcome) -> None:
         old_state = room.room_state
         old_phases = {aid: self.agents[aid].phase for aid in room.attendee_ids()}
-        released = room.close(outcome, self.now)
+        released = room.close()
         if old_state is RoomState.OPEN:
             self._open_rooms.remove(room)
         round_action = self._round_actions.pop(room.id, None)
@@ -387,7 +379,7 @@ class Simulation:
         self._log(
             "session_end",
             room=room.id,
-            session=len(room.history) - 1,
+            session=room.sessions - 1,
             status=outcome.status.value,
             reason=outcome.reason.value if outcome.reason else None,
             issue=outcome.agreed_issue,
@@ -396,7 +388,7 @@ class Simulation:
             utilities=list(outcome.utilities),
             ticks_spanned=outcome.ticks_spanned,
         )
-        self._log("room_closed", room=room.id, sessions=len(room.history))
+        self._log("room_closed", room=room.id, sessions=room.sessions)
         self._notify_room(room, old_state)
         for aid in released:
             self._notify_agent(self.agents[aid], old_phases[aid])

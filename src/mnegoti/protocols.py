@@ -326,16 +326,16 @@ def session_outcome(session: NegotiationSession) -> NegotiationOutcome:
     )
 
 
-def no_quorum_outcome(participants: Sequence[int]) -> NegotiationOutcome:
+def failed_outcome(participants: Sequence[int], reason: FailureReason) -> NegotiationOutcome:
+    """The outcome of an opening that ends before any session round: all zeros."""
     ordered = tuple(sorted(participants))
     return NegotiationOutcome(
         status=SessionStatus.FAILED,
-        reason=FailureReason.NO_QUORUM,
+        reason=reason,
         agreed_issue=None,
         rounds_used=0,
         participants=ordered,
         utilities=tuple(0.0 for _ in ordered),
-        ticks_spanned=1,
     )
 
 

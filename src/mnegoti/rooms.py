@@ -1,10 +1,10 @@
-"""Meeting room lifecycle: open, admission, attendance, sessions, history.
+"""Meeting room lifecycle: open, admission, attendance, sessions.
 
 A room cycles Closed -> Open -> InSession -> Closed (or Open -> Closed when
 no session starts). Attendees are kept by id in entry order; ``enter``
 admits an agent only while it is idle or watching, so no agent attends
-twice. Every completed opening appends an immutable SessionRecord, so
-history survives reopening.
+twice. A room counts its completed openings in ``sessions``; what each one
+ended with is in the run's ``session_end`` records.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ from .errors import (
 )
 from .model import Agent, AgentPhase, Issue, StrategyConfig
 from .model import evaluate  # noqa: F401  (kept importable: benchmark/tracing.py patches it)
-from .protocols import (
-    NegotiationOutcome,
-    NegotiationSession,
-    ProtocolConfig,
-    build_session,
-    utility,
-)
+from .protocols import NegotiationSession, ProtocolConfig, build_session, utility
 
 
 class RoomState(str, Enum):
@@ -78,15 +72,6 @@ class Agenda:
             raise ConfigurationError("agenda deadline_rounds must be >= 1")
 
 
-@dataclass(frozen=True)
-class SessionRecord:
-    opened_at: int
-    closed_at: int
-    agenda: Agenda
-    attendee_ids: tuple[int, ...]
-    outcome: NegotiationOutcome
-
-
 class MeetingRoom:
     """One negotiation venue; can be opened many times."""
 
@@ -95,21 +80,19 @@ class MeetingRoom:
         self.room_state = RoomState.CLOSED
         self.agenda: Agenda | None = None
         self.attendees: dict[int, Agent] = {}
-        self.history: list[SessionRecord] = []
         self.session: NegotiationSession | None = None
-        self.opened_at: int | None = None
+        self.sessions = 0
 
     def attendee_ids(self) -> list[int]:
         return sorted(self.attendees)
 
-    def open(self, agenda: Agenda, tick: int) -> None:
+    def open(self, agenda: Agenda) -> None:
         if self.room_state is not RoomState.CLOSED:
             raise InvalidTransitionError(
                 f"room {self.id} is {self.room_state.value}, cannot open"
             )
         self.agenda = agenda
         self.room_state = RoomState.OPEN
-        self.opened_at = tick
 
     def agenda_utility(self, agent: Agent, issues_by_id: Mapping[int, Issue]) -> float:
         """The agent's best utility over the current agenda."""
@@ -138,7 +121,6 @@ class MeetingRoom:
     def enter(
         self,
         agent: Agent,
-        tick: int,
         issues_by_id: Mapping[int, Issue],
         default_threshold: float = 0.0,
     ) -> bool:
@@ -196,26 +178,17 @@ class MeetingRoom:
             attendee.phase = AgentPhase.NEGOTIATING
         return session
 
-    def close(self, outcome: NegotiationOutcome, tick: int) -> list[int]:
-        """Record the session, release attendees to Idle, return their ids."""
+    def close(self) -> list[int]:
+        """Count the opening, release attendees to Idle, return their ids."""
         if self.room_state is RoomState.CLOSED:
             raise InvalidTransitionError(f"room {self.id} is already closed")
         released = self.attendee_ids()
-        self.history.append(
-            SessionRecord(
-                opened_at=self.opened_at if self.opened_at is not None else tick,
-                closed_at=tick,
-                agenda=self.agenda,
-                attendee_ids=tuple(released),
-                outcome=outcome,
-            )
-        )
+        self.sessions += 1
         for agent in self.attendees.values():
             agent.phase = AgentPhase.IDLE
             agent.room_id = None
         self.attendees = {}
         self.agenda = None
         self.session = None
-        self.opened_at = None
         self.room_state = RoomState.CLOSED
         return released

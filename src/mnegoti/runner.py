@@ -1,10 +1,11 @@
-"""Replication driver, outcome metrics, and artifact persistence.
+"""Replication driver, session summary, and artifact persistence.
 
 Replication r runs its own engine instance with seed = base_seed + r, so
 replications are independent and individually reproducible. Each one
 yields three files: events.log (one JSON record per line, in execution
-order), summary.csv (one row per completed session) and population.csv
-(sampled agent weights).
+order), summary.csv (one row per completed session, derived from the
+log's session_end records alone) and population.csv (sampled agent
+weights).
 """
 
 from __future__ import annotations
@@ -17,17 +18,10 @@ from typing import Sequence
 
 from .engine import EventRecord, Simulation
 from .errors import OutputError
-from .protocols import NegotiationOutcome, SessionStatus
+from .protocols import SessionStatus
 from .scenario import Scenario
 
 SUMMARY_HEADER = "room_id,session,status,issue_id,rounds,welfare,min_utility,nash_product"
-
-
-@dataclass(frozen=True)
-class Metrics:
-    social_welfare: float
-    min_utility: float
-    nash_product: float
 
 
 @dataclass(frozen=True)
@@ -65,51 +59,17 @@ class RunArtifacts:
     out_dir: Path | None = None
 
 
-def outcome_metrics(outcome: NegotiationOutcome) -> Metrics:
-    """Welfare triple of a terminated session; disagreement scores all zeros."""
-    if outcome.status is not SessionStatus.AGREED or not outcome.utilities:
-        return Metrics(0.0, 0.0, 0.0)
-    return Metrics(
-        social_welfare=math.fsum(outcome.utilities),
-        min_utility=min(outcome.utilities),
-        nash_product=math.prod(outcome.utilities),
-    )
+def summarize(events: Sequence[EventRecord]) -> list[SummaryRow]:
+    """One row per completed session, from its session_end record, by (room, session).
 
-
-def _status_label(outcome: NegotiationOutcome) -> str:
-    if outcome.status is SessionStatus.AGREED:
-        return "agreed"
-    return outcome.reason.value if outcome.reason else "failed"
-
-
-def summarize(sim: Simulation) -> list[SummaryRow]:
-    rows = []
-    for room_id in sorted(sim.rooms):
-        for index, record in enumerate(sim.rooms[room_id].history):
-            m = outcome_metrics(record.outcome)
-            rows.append(
-                SummaryRow(
-                    room_id=room_id,
-                    session=index,
-                    status=_status_label(record.outcome),
-                    issue_id=record.outcome.agreed_issue,
-                    rounds=record.outcome.rounds_used,
-                    welfare=m.social_welfare,
-                    min_utility=m.min_utility,
-                    nash_product=m.nash_product,
-                )
-            )
-    return rows
-
-
-def summary_from_events(events: Sequence[EventRecord]) -> list[SummaryRow]:
-    """Recompute the summary table from session_end records alone."""
+    Disagreement scores zero welfare, minimum utility and Nash product.
+    """
     rows = []
     for record in events:
         if record.kind != "session_end":
             continue
         data = record.data
-        utilities = tuple(data["utilities"])
+        utilities = data["utilities"]
         agreed = data["status"] == SessionStatus.AGREED.value
         if agreed and utilities:
             welfare = math.fsum(utilities)
@@ -289,7 +249,7 @@ def run(
         artifacts = RunArtifacts(
             seed=base_seed + r,
             events=list(sim.events),
-            summary=summarize(sim),
+            summary=summarize(sim.events),
             population=population_rows(sim),
         )
         if out_dir is not None:

@@ -377,6 +377,6 @@ def scan_every_room(sim, action) -> None:
             sim._notify_agent(agent, AgentPhase.IDLE)
         return
     old_phase = agent.phase
-    if best.enter(agent, sim.now, sim.issues_by_id, sim.scenario.theta_in):
+    if best.enter(agent, sim.issues_by_id, sim.scenario.theta_in):
         sim._log("agent_entered", agent=agent.id, room=best.id, utility=best_utility)
         sim._notify_agent(agent, old_phase)

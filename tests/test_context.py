@@ -92,7 +92,7 @@ class TestQuery:
             protocol_id="p",
             deadline_rounds=1,
         )
-        open_room.open(agenda, tick=0)
+        open_room.open(agenda)
         ctx.add(ObjectKind.MEETING_ROOM, 0, open_room)
         ctx.add(ObjectKind.MEETING_ROOM, 1, closed_room)
         hits = ctx.query(Query(kind=ObjectKind.MEETING_ROOM, state="open"))

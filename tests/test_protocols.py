@@ -18,7 +18,7 @@ from mnegoti.protocols import (
     SessionStatus,
     acceptable_set,
     concession_threshold,
-    no_quorum_outcome,
+    failed_outcome,
     propose,
     run_round,
     session_outcome,
@@ -402,7 +402,7 @@ class TestOutcome:
             session_outcome(session)
 
     def test_no_quorum_outcome_shape(self):
-        outcome = no_quorum_outcome([4])
+        outcome = failed_outcome([4], FailureReason.NO_QUORUM)
         assert outcome.status is SessionStatus.FAILED
         assert outcome.reason is FailureReason.NO_QUORUM
         assert outcome.participants == (4,)

@@ -1,4 +1,4 @@
-"""Room lifecycle, admission policies, attendance, and session history."""
+"""Room lifecycle, admission policies, attendance, and session counts."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from mnegoti.errors import (
     RoomClosedError,
 )
 from mnegoti.model import Agent, AgentPhase, Issue
-from mnegoti.protocols import ProtocolConfig, ProtocolKind, no_quorum_outcome, run_round, session_outcome
+from mnegoti.protocols import ProtocolConfig, ProtocolKind, SessionStatus, run_round, session_outcome
 from mnegoti.rooms import (
     AdmissionKind,
     AdmissionPolicy,
@@ -59,56 +59,53 @@ def make_agent(ident, weights=(0.5, 0.5), group=0):
 class TestLifecycle:
     def test_open_closed_room(self):
         room = MeetingRoom(0)
-        room.open(conditions_agenda(), tick=3)
+        room.open(conditions_agenda())
         assert room.room_state is RoomState.OPEN
         assert room.attendee_ids() == []
-        assert room.opened_at == 3
+        assert room.sessions == 0
 
     def test_open_twice_is_invalid(self):
         room = MeetingRoom(0)
-        room.open(conditions_agenda(), tick=0)
+        room.open(conditions_agenda())
         with pytest.raises(InvalidTransitionError):
-            room.open(conditions_agenda(), tick=1)
+            room.open(conditions_agenda())
 
     def test_close_closed_room_is_invalid(self):
         with pytest.raises(InvalidTransitionError):
-            MeetingRoom(0).close(no_quorum_outcome([]), tick=0)
+            MeetingRoom(0).close()
 
-    def test_close_releases_attendees_and_appends_history(self):
+    def test_close_releases_attendees_and_counts_the_session(self):
         room = MeetingRoom(0)
-        room.open(conditions_agenda(), tick=0)
+        room.open(conditions_agenda())
         a, b = make_agent(1), make_agent(2)
-        room.enter(a, 0, ISSUES)
-        room.enter(b, 0, ISSUES)
-        released = room.close(no_quorum_outcome([1, 2]), tick=2)
+        room.enter(b, ISSUES)
+        room.enter(a, ISSUES)
+        released = room.close()
         assert released == [1, 2]
         assert a.phase is AgentPhase.IDLE and a.room_id is None
         assert room.room_state is RoomState.CLOSED
-        assert len(room.history) == 1
-        assert room.history[0].attendee_ids == (1, 2)
-        assert room.history[0].opened_at == 0
-        assert room.history[0].closed_at == 2
+        assert room.attendee_ids() == [] and room.agenda is None
+        assert room.sessions == 1
 
-    def test_reopen_preserves_history(self):
+    def test_reopen_counts_every_session(self):
         room = MeetingRoom(0)
         for opening in range(3):
-            room.open(conditions_agenda(), tick=opening * 10)
-            room.close(no_quorum_outcome([]), tick=opening * 10 + 1)
-        assert len(room.history) == 3
-        assert [r.opened_at for r in room.history] == [0, 10, 20]
+            room.open(conditions_agenda())
+            room.close()
+        assert room.sessions == 3
 
 
 class TestAdmission:
     def test_invitation_list_membership(self):
         room = MeetingRoom(0)
-        room.open(invitations_agenda([3, 7]), tick=0)
+        room.open(invitations_agenda([3, 7]))
         assert room.check_admission(make_agent(3), ISSUES) is True
         assert room.check_admission(make_agent(7), ISSUES) is True
         assert room.check_admission(make_agent(4), ISSUES) is False
 
     def test_zero_threshold_admits_every_group_eligible_agent(self):
         room = MeetingRoom(0)
-        room.open(conditions_agenda(groups=(0,), threshold=0.0), tick=0)
+        room.open(conditions_agenda(groups=(0,), threshold=0.0))
         assert room.check_admission(make_agent(1, group=0), ISSUES) is True
         assert room.check_admission(make_agent(2, group=1), ISSUES) is False
 
@@ -117,19 +114,19 @@ class TestAdmission:
         # utilities 0.5 on both agenda issues, short of 0.6.
         agent = make_agent(1)
         room = MeetingRoom(0)
-        room.open(conditions_agenda(issue_ids=(0, 1), threshold=0.6), tick=0)
+        room.open(conditions_agenda(issue_ids=(0, 1), threshold=0.6))
         assert room.agenda_utility(agent, ISSUES) == pytest.approx(0.5)
         assert room.check_admission(agent, ISSUES) is False
 
         room2 = MeetingRoom(1)
-        room2.open(conditions_agenda(issue_ids=(0, 1, 2), threshold=0.55), tick=0)
+        room2.open(conditions_agenda(issue_ids=(0, 1, 2), threshold=0.55))
         assert room2.agenda_utility(agent, ISSUES) == pytest.approx(0.55)
         assert room2.check_admission(agent, ISSUES) is True
 
     def test_default_threshold_falls_back_to_scenario_theta(self):
         agent = make_agent(1)
         room = MeetingRoom(0)
-        room.open(conditions_agenda(), tick=0)
+        room.open(conditions_agenda())
         assert room.check_admission(agent, ISSUES, default_threshold=0.9) is False
         assert room.check_admission(agent, ISSUES, default_threshold=0.3) is True
 
@@ -141,43 +138,43 @@ class TestAdmission:
 class TestEnter:
     def test_admitted_idle_agent_becomes_attendee(self):
         room = MeetingRoom(0)
-        room.open(conditions_agenda(), tick=0)
+        room.open(conditions_agenda())
         agent = make_agent(1)
-        assert room.enter(agent, 0, ISSUES) is True
+        assert room.enter(agent, ISSUES) is True
         assert room.attendee_ids() == [1]
         assert agent.phase is AgentPhase.IN_ROOM
         assert agent.room_id == 0
 
     def test_reentry_is_idempotent(self):
         room = MeetingRoom(0)
-        room.open(conditions_agenda(), tick=0)
+        room.open(conditions_agenda())
         agent = make_agent(1)
-        room.enter(agent, 0, ISSUES)
-        assert room.enter(agent, 0, ISSUES) is False
+        room.enter(agent, ISSUES)
+        assert room.enter(agent, ISSUES) is False
         assert room.attendee_ids() == [1]
 
     def test_agent_in_another_room_is_busy(self):
         first, second = MeetingRoom(0), MeetingRoom(1)
-        first.open(conditions_agenda(), tick=0)
-        second.open(conditions_agenda(), tick=0)
+        first.open(conditions_agenda())
+        second.open(conditions_agenda())
         agent = make_agent(1)
-        first.enter(agent, 0, ISSUES)
+        first.enter(agent, ISSUES)
         with pytest.raises(BusyError):
-            second.enter(agent, 0, ISSUES)
+            second.enter(agent, ISSUES)
 
     def test_unadmitted_agent_is_denied(self):
         room = MeetingRoom(0)
-        room.open(invitations_agenda([9]), tick=0)
+        room.open(invitations_agenda([9]))
         with pytest.raises(AdmissionDeniedError):
-            room.enter(make_agent(1), 0, ISSUES)
+            room.enter(make_agent(1), ISSUES)
 
 
 class TestStartSession:
     def open_with(self, *agents):
         room = MeetingRoom(0)
-        room.open(conditions_agenda(deadline=3), tick=0)
+        room.open(conditions_agenda(deadline=3))
         for agent in agents:
-            room.enter(agent, 0, ISSUES)
+            room.enter(agent, ISSUES)
         return room
 
     def test_two_attendees_start_a_session(self):
@@ -201,9 +198,10 @@ class TestStartSession:
         while session.status.value == "active":
             run_round(session)
         outcome = session_outcome(session)
-        room.close(outcome, tick=2)
-        assert len(room.history) == 1
-        assert room.history[0].outcome is outcome
+        assert outcome.status is SessionStatus.FAILED and outcome.rounds_used == 2
+        assert outcome.participants == (1, 2)
+        assert room.close() == [1, 2]
+        assert room.session is None and room.sessions == 1
 
 
 class TestAgendaValidation:
@@ -253,15 +251,15 @@ class TestStateMachineProperty:
             before = room.room_state
             try:
                 if op == "open":
-                    room.open(conditions_agenda(), tick=0)
+                    room.open(conditions_agenda())
                 elif op == "enter":
                     for agent in agents:
                         if agent.room_id is None and room.room_state is RoomState.OPEN:
-                            room.enter(agent, 0, ISSUES)
+                            room.enter(agent, ISSUES)
                 elif op == "start":
                     room.start_session(list(ISSUES.values()), PROTOCOL, {}, tick=0)
                 else:
-                    room.close(no_quorum_outcome(room.attendee_ids()), tick=0)
+                    room.close()
             except (InvalidTransitionError, RoomClosedError):
                 assert room.room_state is before
                 continue

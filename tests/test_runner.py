@@ -15,21 +15,13 @@ from mnegoti import protocols, rooms, runner
 from mnegoti.context import ObjectKind
 from mnegoti.engine import EventRecord, Simulation
 from mnegoti.model import AgentPhase
-from mnegoti.protocols import (
-    FailureReason,
-    NegotiationOutcome,
-    SessionStatus,
-)
 from mnegoti.runner import (
-    Metrics,
+    SummaryRow,
     event_line,
-    outcome_metrics,
     population_rows,
     read_event_log,
     run,
     summarize,
-    summary_from_events,
-    write_artifacts,
 )
 from mnegoti.scenario import load_scenario, load_scenario_file
 from mnegoti.rooms import MeetingRoom
@@ -53,27 +45,56 @@ def reference_line(record: EventRecord) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def outcome(utilities, agreed=True):
-    return NegotiationOutcome(
-        status=SessionStatus.AGREED if agreed else SessionStatus.FAILED,
-        reason=None if agreed else FailureReason.NO_AGREEMENT,
-        agreed_issue=0 if agreed else None,
-        rounds_used=1,
-        participants=tuple(range(len(utilities))),
-        utilities=tuple(utilities) if agreed else tuple(0.0 for _ in utilities),
+def session_end(utilities, agreed=True, room=0, session=0):
+    """A synthetic session_end record; disagreement pays every participant 0."""
+    return EventRecord(
+        tick=1,
+        priority=50,
+        kind="session_end",
+        data={
+            "room": room,
+            "session": session,
+            "status": "agreed" if agreed else "failed",
+            "reason": None if agreed else "no_agreement",
+            "issue": 0 if agreed else None,
+            "rounds": 1,
+            "participants": list(range(len(utilities))),
+            "utilities": list(utilities) if agreed else [0.0 for _ in utilities],
+            "ticks_spanned": 1,
+        },
     )
 
 
+def welfare_triple(record):
+    (row,) = summarize([record])
+    return row.welfare, row.min_utility, row.nash_product
+
+
 class TestMetrics:
+    """The welfare triple that ``summarize`` derives from one session_end record."""
+
     def test_even_split(self):
-        assert outcome_metrics(outcome([0.5, 0.5])) == Metrics(1.0, 0.5, 0.25)
+        assert welfare_triple(session_end([0.5, 0.5])) == (1.0, 0.5, 0.25)
 
     def test_failed_outcome_scores_zero(self):
-        assert outcome_metrics(outcome([0.9, 0.9], agreed=False)) == Metrics(0.0, 0.0, 0.0)
+        assert welfare_triple(session_end([0.9, 0.9], agreed=False)) == (0.0, 0.0, 0.0)
 
     def test_zero_utility_annihilates_nash(self):
-        m = outcome_metrics(outcome([1.0, 0.0]))
-        assert m == Metrics(1.0, 0.0, 0.0)
+        assert welfare_triple(session_end([1.0, 0.0])) == (1.0, 0.0, 0.0)
+
+    def test_rows_by_room_then_session_from_session_end_only(self):
+        events = [
+            EventRecord(tick=0, priority=None, kind="scenario_loaded", data={}),
+            session_end([0.5, 0.5], room=1, session=0),
+            session_end([0.9, 0.9], agreed=False, room=0, session=1),
+            EventRecord(tick=1, priority=50, kind="room_closed", data={"room": 0, "sessions": 2}),
+            session_end([0.2], room=0, session=0),
+        ]
+        assert summarize(events) == [
+            SummaryRow(0, 0, "agreed", 0, 1, 0.2, 0.2, 0.2),
+            SummaryRow(0, 1, "no_agreement", None, 1, 0.0, 0.0, 0.0),
+            SummaryRow(1, 0, "agreed", 0, 1, 1.0, 0.5, 0.25),
+        ]
 
 
 class TestDeterminism:
@@ -398,7 +419,7 @@ class TestLifecycleFromSchedule:
         quorum = events_of(sim, "session_no_quorum")
         assert len(quorum) == 1
         assert quorum[0]["attendees"] == []
-        assert sim.rooms[0].history[0].outcome.reason is FailureReason.NO_QUORUM
+        assert [e["reason"] for e in events_of(sim, "session_end")] == ["no_quorum"]
 
     def test_forced_close_fails_running_session(self, minimal_doc):
         # Opposing degenerate-bounds groups keep rejecting each other's
@@ -432,7 +453,7 @@ class TestLifecycleFromSchedule:
         sim.run()
         assert len(events_of(sim, "room_close_skipped")) == 1
 
-    def test_room_reopens_and_history_accumulates(self, minimal_doc):
+    def test_room_reopens_and_sessions_accumulate(self, minimal_doc):
         first_open = minimal_doc["rooms"][0]["schedule"][0]
         second_open = copy.deepcopy(first_open)
         second_open["at"] = 5
@@ -441,8 +462,8 @@ class TestLifecycleFromSchedule:
         scenario = load_scenario(minimal_doc)
         sim = Simulation(scenario, seed=5)
         sim.run()
-        assert len(sim.rooms[0].history) == 2
-        assert [e.data["session"] for e in sim.events if e.kind == "session_end"] == [0, 1]
+        assert [e["session"] for e in events_of(sim, "session_end")] == [0, 1]
+        assert [e["sessions"] for e in events_of(sim, "room_closed")] == [1, 2]
 
     def test_open_of_a_room_in_session_is_skipped(self, scenario_dir):
         doc = yaml.safe_load((scenario_dir / "concurrent_rooms.yaml").read_text())
@@ -456,17 +477,10 @@ class TestLifecycleFromSchedule:
         skipped = [e for e in sim.events if e.kind == "room_open_skipped"]
         assert [(e.tick, e.data) for e in skipped] == [(3, {"room": 0, "state": "in_session"})]
         assert len(events_of(sim, "room_opened")) == 3
-        assert [len(room.history) for _, room in sorted(sim.rooms.items())] == [1, 1, 1]
+        assert sorted(e["room"] for e in events_of(sim, "room_closed")) == [0, 1, 2]
 
 
 class TestArtifacts:
-    def test_summary_recomputable_from_event_log(self, scenario_dir):
-        for name in ["protection_strategies.yaml", "supply_chain.yaml", "concurrent_rooms.yaml"]:
-            scenario = load_scenario_file(scenario_dir / name)
-            sim = Simulation(scenario)
-            sim.run()
-            assert summary_from_events(sim.events) == summarize(sim), name
-
     def test_written_files_roundtrip(self, minimal_doc, tmp_path):
         scenario = load_scenario(minimal_doc)
         artifacts = run(scenario, out_dir=tmp_path)[0]
