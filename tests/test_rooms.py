@@ -14,7 +14,13 @@ from mnegoti.errors import (
     RoomClosedError,
 )
 from mnegoti.model import Agent, AgentPhase, Issue
-from mnegoti.protocols import ProtocolConfig, ProtocolKind, SessionStatus, run_round, session_outcome
+from mnegoti.protocols import (
+    ProtocolConfig,
+    ProtocolKind,
+    SessionStatus,
+    run_round,
+    session_outcome,
+)
 from mnegoti.rooms import (
     AdmissionKind,
     AdmissionPolicy,
@@ -89,7 +95,7 @@ class TestLifecycle:
 
     def test_reopen_counts_every_session(self):
         room = MeetingRoom(0)
-        for opening in range(3):
+        for _ in range(3):
             room.open(conditions_agenda())
             room.close()
         assert room.sessions == 3
