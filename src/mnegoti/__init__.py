@@ -6,7 +6,7 @@ protocols on a discrete-tick schedule with watcher rules. Every run is a
 pure function of (scenario, seed).
 """
 
-from .context import Context, EdgeLabel, ObjectKind, Query
+from .context import Context, ObjectKind, Query
 from .engine import EventRecord, Simulation
 from .errors import MnegotiError, ValidationError
 from .model import (

@@ -1,17 +1,11 @@
-"""Set-semantics container for simulation objects and the same-group relation.
+"""Set-semantics container for simulation objects.
 
 The context holds at most one member per (kind, id) key and preserves
 insertion order for deterministic queries; watcher rules select their
-watchers and watchees from it with a ``Query``.
-
-The one relation over agents is the same-group relation, implicit in
-``group_id``: two agents share a SAME_GROUP edge exactly when their
-groups are equal, so a ``GroupProjection`` keeps each group's sorted
-member ids and answers queries from them, in O(agents) time and memory
-rather than one stored edge per pair. Removing an agent from the context
-drops it from every attached projection. The scenario's ``social_edges``
-are validated on load but not materialised: no strategy or protocol
-reads them.
+watchers and watchees from it with a ``Query``. It holds no relation
+over its members: groups are read from each agent's ``group_id``, and
+the scenario's ``social_edges`` are validated on load but not
+materialised, since no strategy or protocol reads them.
 """
 
 from __future__ import annotations
@@ -26,10 +20,6 @@ from .errors import DuplicateMemberError, NotFoundError
 class ObjectKind(str, Enum):
     AGENT = "agent"
     MEETING_ROOM = "meeting_room"
-
-
-class EdgeLabel(str, Enum):
-    SAME_GROUP = "same_group"
 
 
 Key = tuple[ObjectKind, int]
@@ -82,7 +72,6 @@ class Context:
 
     def __init__(self) -> None:
         self._members: dict[Key, Any] = {}
-        self._projections: list[GroupProjection] = []
         self.version = 0
 
     def __len__(self) -> int:
@@ -104,8 +93,6 @@ class Context:
             raise NotFoundError(f"{kind.value} {ident} not in context")
         del self._members[key]
         self.version += 1
-        for projection in self._projections:
-            projection._drop_endpoint(ident if kind is ObjectKind.AGENT else None)
 
     def get(self, kind: ObjectKind, ident: int) -> Any:
         try:
@@ -127,52 +114,3 @@ class Context:
         else:
             test = predicate
         return [(k, i, o) for k, i, o in self.items() if test(k, i, o)]
-
-    def attach(self, projection: "GroupProjection") -> None:
-        projection._context = self
-        self._projections.append(projection)
-
-
-class GroupProjection:
-    """The SAME_GROUP relation: a complete graph per group, held implicitly.
-
-    Stores each group's ascending member ids and each agent's group:
-    building costs O(agents), ``neighbors`` and removal O(group size), and
-    no edge is ever materialized.
-    """
-
-    name = "same_group"
-
-    def __init__(self, members_by_group: dict[int, list[int]]) -> None:
-        self._context: Context | None = None
-        self._members = {g: sorted(ids) for g, ids in members_by_group.items()}
-        self._group_of = {a: g for g, ids in self._members.items() for a in ids}
-
-    def neighbors(self, a: int, label: EdgeLabel | None = None) -> list[int]:
-        """Adjacent agent ids, ascending."""
-        if label not in (None, EdgeLabel.SAME_GROUP) or a not in self._group_of:
-            return []
-        return [b for b in self._members[self._group_of[a]] if b != a]
-
-    def edge_count(self, label: EdgeLabel | None = None) -> int:
-        if label not in (None, EdgeLabel.SAME_GROUP):
-            return 0
-        return sum(len(ids) * (len(ids) - 1) // 2 for ids in self._members.values())
-
-    def _drop_endpoint(self, agent_id: int | None) -> None:
-        group = self._group_of.pop(agent_id, None)
-        if group is not None:
-            self._members[group].remove(agent_id)
-
-
-def build_same_group_projection(
-    context: Context, members_by_group: dict[int, list[int]]
-) -> GroupProjection:
-    """Complete graph per group, labeled SAME_GROUP, without storing its edges."""
-    for ids in members_by_group.values():
-        for a in ids:
-            if (ObjectKind.AGENT, a) not in context:
-                raise NotFoundError(f"agent {a} not in attached context")
-    projection = GroupProjection(members_by_group)
-    context.attach(projection)
-    return projection

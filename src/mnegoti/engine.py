@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .context import Context, GroupProjection, ObjectKind, build_same_group_projection
+from .context import Context, ObjectKind
 from .model import Agent, AgentPhase, StrategyConfig, spawn_members
 from .protocols import (
     FailureReason,
@@ -42,6 +42,10 @@ OPEN_PRIORITY = 100
 CLOSE_PRIORITY = 90
 SCAN_PRIORITY = 80
 ROUND_PRIORITY = 50
+
+# Kept importable only because benchmark/tracing.py patches this name;
+# nothing calls it.
+build_same_group_projection = None
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,6 @@ class Simulation:
         self.strategies: dict[int, StrategyConfig] = {}
         self.context = Context()
         self.scheduler = Scheduler(executor=self._execute, context=self.context)
-        self.projections: dict[str, GroupProjection] = {}
         self._round_actions: dict[int, ScheduledAction] = {}
         # Rooms in the OPEN state, by ascending id; openings so far; and, per
         # agent, the openings count at its last scan that found no room.
@@ -100,11 +103,9 @@ class Simulation:
             rooms=len(self.scenario.rooms),
         )
         next_id = 0
-        members_by_group: dict[int, list[int]] = {}
         for group in self.scenario.groups:
             members = spawn_members(group, self.rng, next_id)
             next_id += group.member_count
-            members_by_group[group.id] = [a.id for a in members]
             for agent in members:
                 self.agents[agent.id] = agent
                 self.strategies[agent.id] = group.strategy
@@ -115,9 +116,6 @@ class Simulation:
                 name=group.name,
                 members=[a.id for a in members],
             )
-        self.projections["same_group"] = build_same_group_projection(
-            self.context, members_by_group
-        )
 
         for spec in sorted(self.scenario.rooms, key=lambda r: r.id):
             room = MeetingRoom(spec.id)
@@ -314,8 +312,6 @@ class Simulation:
                 self._close_room(room, failed_outcome(attendees, FailureReason.NO_QUORUM))
                 return
             protocol = self.scenario.protocol(room.agenda.protocol_id)
-            old_state = room.room_state
-            old_phases = {aid: self.agents[aid].phase for aid in attendees}
             session = room.start_session(self.issues, protocol, self.strategies, self.now)
             self._open_rooms.remove(room)
             self._log(
@@ -326,9 +322,9 @@ class Simulation:
                 issues=list(session.issue_ids),
                 deadline_rounds=session.deadline_rounds,
             )
-            self._notify_room(room, old_state)
+            self._notify_room(room, RoomState.OPEN)
             for aid in session.participants:
-                self._notify_agent(self.agents[aid], old_phases[aid])
+                self._notify_agent(self.agents[aid], AgentPhase.IN_ROOM)
         session = room.session
         rounds_per_tick = session.protocol.rounds_per_tick
         for _ in range(rounds_per_tick):
@@ -368,8 +364,9 @@ class Simulation:
     # -- shared close path -------------------------------------------------
 
     def _close_room(self, room: MeetingRoom, outcome: NegotiationOutcome) -> None:
+        # Attendees sit IN_ROOM while the room is open and NEGOTIATING in session.
         old_state = room.room_state
-        old_phases = {aid: self.agents[aid].phase for aid in room.attendee_ids()}
+        old_phase = AgentPhase.IN_ROOM if old_state is RoomState.OPEN else AgentPhase.NEGOTIATING
         released = room.close()
         if old_state is RoomState.OPEN:
             self._open_rooms.remove(room)
@@ -391,7 +388,7 @@ class Simulation:
         self._log("room_closed", room=room.id, sessions=room.sessions)
         self._notify_room(room, old_state)
         for aid in released:
-            self._notify_agent(self.agents[aid], old_phases[aid])
+            self._notify_agent(self.agents[aid], old_phase)
 
     def _log_round(self, room_id: int, block: RoundBlock) -> None:
         for offer in block.offers:

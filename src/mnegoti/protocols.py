@@ -262,6 +262,7 @@ def _mediated_round(session: NegotiationSession, t: int) -> RoundBlock:
 
 
 def _concession_round(session: NegotiationSession, t: int) -> RoundBlock:
+    """Agrees by the deadline, where every threshold is the worst agenda utility."""
     block = RoundBlock(round=t)
     for p in session.participants:
         block.offers.append(propose(session, p))
@@ -276,9 +277,6 @@ def _concession_round(session: NegotiationSession, t: int) -> RoundBlock:
         session.status = SessionStatus.AGREED
         session.agreed_issue = agreed
         block.agreed = agreed
-    elif t >= session.deadline_rounds:
-        session.status = SessionStatus.FAILED
-        session.failure_reason = FailureReason.NO_AGREEMENT
     return block
 
 

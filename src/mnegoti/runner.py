@@ -238,7 +238,11 @@ def run(
     out_dir: str | Path | None = None,
     ticks: int | None = None,
 ) -> list[RunArtifacts]:
-    """Run the scenario ``replications`` times with seeds base, base+1, ..."""
+    """Run the scenario ``replications`` times with seeds base, base+1, ...
+
+    Nothing is written until every replication has run, so a replication
+    that raises leaves no artifacts of the earlier ones behind.
+    """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     base_seed = seed if seed is not None else scenario.seed
@@ -252,9 +256,8 @@ def run(
             summary=summarize(sim.events),
             population=population_rows(sim),
         )
-        if out_dir is not None:
-            artifacts.out_dir = write_artifacts(
-                artifacts, Path(out_dir) / f"rep_{r:03d}"
-            )
         results.append(artifacts)
+    if out_dir is not None:
+        for r, artifacts in enumerate(results):
+            artifacts.out_dir = write_artifacts(artifacts, Path(out_dir) / f"rep_{r:03d}")
     return results

@@ -12,14 +12,13 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 BENCHMARK_DIR = SCENARIO_DIR.parent / "benchmark"
 
 
-def benchmark_workloads():
-    """The benchmark's scenario generators, loaded from their file."""
-    spec = importlib.util.spec_from_file_location(
-        "mnegoti_workloads", BENCHMARK_DIR / "workloads.py"
-    )
+def benchmark_module(name: str):
+    """``benchmark/<name>.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"mnegoti_{name}", BENCHMARK_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
 
 MINIMAL_DOC = {
     "version": 1,

@@ -9,8 +9,7 @@ import pytest
 
 from mnegoti.cli import main
 
-from conftest import MINIMAL_DOC, SCENARIO_DIR
-from test_golden import _workloads
+from conftest import MINIMAL_DOC, SCENARIO_DIR, benchmark_module
 
 
 def write_doc(path, doc):
@@ -85,7 +84,7 @@ class TestCascadeFanoutWarning:
 
     @pytest.mark.parametrize("workload", ["town_hall", "summit", "room_churn", "sweep"])
     def test_benchmark_workloads_do_not_warn(self, workload, tmp_path, capsys):
-        for path in _workloads().write_inputs(workload, 1, tmp_path):
+        for path in benchmark_module("workloads").write_inputs(workload, 1, tmp_path):
             assert main(["validate", str(path)]) == 0
             assert capsys.readouterr().err == ""
 
@@ -132,6 +131,38 @@ class TestRun:
         out = tmp_path / "reps"
         assert main(["run", scenario_path, "--replications", "3", "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["rep_000", "rep_001", "rep_002"]
+
+    def test_failed_replication_writes_nothing(self, tmp_path, capsys):
+        # Every agent that starts watching makes all 150 agents scan again.
+        # Seeds 2 and 3 stay under the cascade cap; seed 4 sends enough
+        # agents to watching to overflow it.
+        doc = copy.deepcopy(MINIMAL_DOC)
+        doc["criteria"] = [
+            {"id": 0, "name": "a", "direction": "benefit"},
+            {"id": 1, "name": "b", "direction": "benefit"},
+        ]
+        doc["issues"] = [
+            {"id": 0, "name": "left", "scores": [1.0, 0.0]},
+            {"id": 1, "name": "right", "scores": [0.0, 1.0]},
+        ]
+        doc["groups"][0].update(member_count=150, bounds=[[0.0, 1.0], [0.0, 1.0]])
+        agenda = doc["rooms"][0]["schedule"][0]["agenda"]
+        agenda["issues"] = [0]
+        agenda["admission"]["threshold"] = 0.45
+        doc["watchers"].append(
+            {
+                "watcher": {"kind": "agent"},
+                "watchee": {"kind": "agent"},
+                "trigger": {"watchee.state": "watching"},
+                "reaction": {"kind": "agent_scan", "when": "same_tick"},
+            }
+        )
+        path = write_doc(tmp_path / "cascade.yaml", doc)
+        out = tmp_path / "reps"
+        argv = ["run", path, "--seed", "2", "--replications", "3", "--out", str(out)]
+        assert main(argv) == 1
+        assert "the cascade cap" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_env_var_is_fallback(self, scenario_path, tmp_path, capsys, monkeypatch):
         env_dir = tmp_path / "from_env"

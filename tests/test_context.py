@@ -1,4 +1,4 @@
-"""Set semantics, insertion-ordered queries, and the same-group relation."""
+"""Set semantics, insertion-ordered queries, and linear set-up memory."""
 
 from __future__ import annotations
 
@@ -8,13 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mnegoti.context import (
-    Context,
-    EdgeLabel,
-    ObjectKind,
-    Query,
-    build_same_group_projection,
-)
+from mnegoti.context import Context, ObjectKind, Query
 from mnegoti.engine import Simulation
 from mnegoti.errors import DuplicateMemberError, NotFoundError
 from mnegoti.model import Agent, AgentPhase
@@ -115,50 +109,10 @@ class TestQuery:
         assert [ident for _, ident, _ in hits] == [1]
 
 
-class TestProjection:
-    def test_same_group_projection_is_complete_graph(self):
-        # Oracle: a complete graph K_n per group, n(n-1)/2 edges each, and
-        # every member adjacent to exactly the other members of its group.
-        for sizes in ([3], [1], [50], [3, 50], [1, 3], [50, 1]):
-            groups, next_id = {}, 0
-            for g, n in enumerate(sizes):
-                # Listed out of order; neighbors must still come back ascending.
-                groups[g] = list(reversed(range(next_id, next_id + n)))
-                next_id += n
-            ctx = filled_context(next_id)
-            projection = build_same_group_projection(ctx, groups)
-            expected_edges = sum(n * (n - 1) // 2 for n in sizes)
-            assert projection.edge_count(EdgeLabel.SAME_GROUP) == expected_edges
-            assert projection.edge_count() == expected_edges
-            for ids in groups.values():
-                for member in ids:
-                    expected = sorted(set(ids) - {member})
-                    assert projection.neighbors(member, EdgeLabel.SAME_GROUP) == expected
-                    assert projection.neighbors(member) == expected
-
-    def test_same_group_projection_needs_members_in_context(self):
-        ctx = filled_context(2)
-        with pytest.raises(NotFoundError):
-            build_same_group_projection(ctx, {0: [0, 1, 2]})
-
-    def test_remove_strips_same_group_edges(self):
-        ctx = filled_context(7)
-        projection = build_same_group_projection(ctx, {0: [0, 1, 2, 3], 1: [4, 5, 6]})
-        assert projection.edge_count(EdgeLabel.SAME_GROUP) == 6 + 3
-        ctx.remove(ObjectKind.AGENT, 2)
-        assert projection.neighbors(2, EdgeLabel.SAME_GROUP) == []
-        assert projection.neighbors(0, EdgeLabel.SAME_GROUP) == [1, 3]
-        assert projection.neighbors(3, EdgeLabel.SAME_GROUP) == [0, 1]
-        assert projection.neighbors(5, EdgeLabel.SAME_GROUP) == [4, 6]
-        assert projection.edge_count(EdgeLabel.SAME_GROUP) == 3 + 3
-        ctx.remove(ObjectKind.AGENT, 4)
-        ctx.remove(ObjectKind.AGENT, 5)
-        assert projection.neighbors(6, EdgeLabel.SAME_GROUP) == []
-        assert projection.edge_count(EdgeLabel.SAME_GROUP) == 3
-
-    def test_same_group_setup_memory_is_linear(self, minimal_doc):
-        # A stored complete graph over 1 000 agents holds 499 500 edges and
-        # peaks far above this bound; the implicit relation needs O(agents).
+class TestSetupMemory:
+    def test_simulation_setup_memory_is_linear(self, minimal_doc):
+        # One group of 1 000 agents: a stored same-group graph would hold
+        # 499 500 edges and peak far above this bound.
         minimal_doc["groups"][0]["member_count"] = 1000
         scenario = load_scenario(minimal_doc)
         tracemalloc.start()
@@ -167,8 +121,9 @@ class TestProjection:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sim.projections["same_group"].edge_count(EdgeLabel.SAME_GROUP) == 499_500
+        assert len(sim.agents) == 1000
         assert peak < 8 * 2**20
+
 
 ops = st.lists(
     st.tuples(st.sampled_from(["add", "remove"]), st.integers(0, 9)),

@@ -17,7 +17,6 @@ including reactions that land in the scan band.
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
 
 import pytest
@@ -27,7 +26,7 @@ from hypothesis import strategies as st
 from mnegoti.runner import run
 from mnegoti.scenario import load_scenario
 
-from conftest import BENCHMARK_DIR
+from conftest import benchmark_module
 
 PROTOCOLS = ("mediated_single_text", "monotonic_concession", "elimination_bidding")
 STRATEGIES = ("time_dependent", "trade_off", "top_bid")
@@ -39,15 +38,7 @@ DISTRIBUTIONS = ("uniform", "truncated_normal")
 PRIORITIES = st.none() | st.sampled_from((95, 85, 80, 79, 60, 40))
 
 
-def _checks():
-    """The benchmark's independent artifact checks, loaded from their file."""
-    spec = importlib.util.spec_from_file_location("mnegoti_checks", BENCHMARK_DIR / "checks.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-CHECKS = _checks()
+CHECKS = benchmark_module("checks")
 
 fraction = st.integers(0, 100).map(lambda k: k / 100)
 

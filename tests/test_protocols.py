@@ -292,11 +292,11 @@ class TestOracleEquivalence:
 
 @st.composite
 def mixed_sessions(draw):
-    """P 2-12 participants over I 1-8 issues, mixed strategies, any protocol.
+    """P 1-12 participants over I 1-8 issues, mixed strategies, any protocol.
 
     Utilities come mostly from a coarse grid, so ties are frequent.
     """
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 12))
     m = draw(st.integers(1, 8))
     value = st.one_of(st.sampled_from(UTILITY_GRID), st.floats(0.0, 1.0))
     utils = [[draw(value) for _ in range(m)] for _ in range(n)]
@@ -345,6 +345,10 @@ class TestTranscriptOracle:
         assert got == expected_rounds
         assert outcome == expected_outcome
         assert [b.round for b in session.transcript] == list(range(1, len(got) + 1))
+        if kind is ProtocolKind.MONOTONIC_CONCESSION:
+            # At the deadline every threshold is the participant's worst
+            # agenda utility, so every agenda issue is acceptable to all.
+            assert outcome[0] == "agreed" and outcome[2] <= deadline
 
 
 class TestUnanimity:

@@ -10,6 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mnegoti.engine
 from mnegoti import protocols, rooms, runner
 
 from mnegoti.context import ObjectKind
@@ -27,7 +28,7 @@ from mnegoti.scenario import load_scenario, load_scenario_file
 from mnegoti.rooms import MeetingRoom
 from mnegoti.scheduler import ActionKind, ScheduledAction
 
-from conftest import SCENARIO_DIR, benchmark_workloads
+from conftest import SCENARIO_DIR, benchmark_module
 from oracles import scan_every_room
 
 
@@ -335,7 +336,7 @@ class TestScanSkip:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_room_churn_logs_equal_every_room_scans(self, seed, tmp_path, monkeypatch):
-        (path,) = benchmark_workloads().write_inputs("room_churn", seed, tmp_path / "inputs")
+        (path,) = benchmark_module("workloads").write_inputs("room_churn", seed, tmp_path / "inputs")
         scenario = load_scenario_file(path)
         self.assert_same_as_scanning_every_room(scenario, tmp_path, monkeypatch)
 
@@ -594,3 +595,16 @@ class TestEventLine:
         line = event_line(record)
         assert line == reference_line(record)
         assert line.isascii() and "\\u00fc" in line
+
+
+class TestTracerNames:
+    """``benchmark/tracing.py`` patches program names; each one must still exist."""
+
+    def test_tracer_installs_and_restores(self):
+        tracing = benchmark_module("tracing")
+        patched = (runner.Simulation, runner.write_artifacts, mnegoti.engine.run_round)
+        with tracing.SetupTimer().installed():
+            assert runner.Simulation is not patched[0]
+        with tracing.Trace().installed():
+            assert runner.write_artifacts is not patched[1]
+        assert (runner.Simulation, runner.write_artifacts, mnegoti.engine.run_round) == patched
