@@ -481,6 +481,54 @@ class TestLifecycleFromSchedule:
         assert sorted(e["room"] for e in events_of(sim, "room_closed")) == [0, 1, 2]
 
 
+class TestPhaseNotifications:
+    """Every agent notification names the phase the agent last had.
+
+    At session start and at close the engine derives the attendees' old
+    phase from the room state; a shadow of each agent's phase checks it.
+    """
+
+    @staticmethod
+    def assert_old_phase_is_last_phase(
+        scenario, monkeypatch, seed=1, old_phases=(AgentPhase.IN_ROOM, AgentPhase.NEGOTIATING)
+    ):
+        sim = Simulation(scenario, seed=seed)
+        last = {aid: agent.phase for aid, agent in sim.agents.items()}
+        notify = Simulation._notify_agent
+        seen = set()
+
+        def checked(self, agent, old_phase):
+            assert old_phase is last[agent.id], (self.now, agent.id)
+            last[agent.id] = agent.phase
+            seen.add(old_phase)
+            notify(self, agent, old_phase)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Simulation, "_notify_agent", checked)
+            sim.run()
+        assert last == {aid: agent.phase for aid, agent in sim.agents.items()}
+        assert set(old_phases) <= seen
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.yaml")))
+    def test_bundled_scenarios(self, name, monkeypatch):
+        scenario = load_scenario_file(SCENARIO_DIR / name)
+        self.assert_old_phase_is_last_phase(scenario, monkeypatch)
+
+    def test_room_churn(self, tmp_path, monkeypatch):
+        (path,) = benchmark_module("workloads").write_inputs("room_churn", 1, tmp_path)
+        self.assert_old_phase_is_last_phase(load_scenario_file(path), monkeypatch)
+
+    def test_room_closed_open_for_no_quorum(self, minimal_doc, monkeypatch):
+        # A lone invitee sits IN_ROOM when its room closes without a session.
+        minimal_doc["rooms"][0]["schedule"][0]["agenda"]["admission"] = {
+            "kind": "invitations",
+            "agents": [1],
+        }
+        self.assert_old_phase_is_last_phase(
+            load_scenario(minimal_doc), monkeypatch, seed=5, old_phases={AgentPhase.IN_ROOM}
+        )
+
+
 class TestArtifacts:
     def test_written_files_roundtrip(self, minimal_doc, tmp_path):
         scenario = load_scenario(minimal_doc)
