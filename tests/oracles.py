@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from collections import Counter
 
+from mnegoti.errors import CascadeOverflowError
 from mnegoti.model import AgentPhase
 from mnegoti.rooms import RoomState
+from mnegoti.scheduler import ScheduledAction
 
 
 def oracle_threshold(utilities: list[float], t: int, max_rounds: int, beta: float) -> float:
@@ -380,3 +382,24 @@ def scan_every_room(sim, action) -> None:
     if best.enter(agent, sim.issues_by_id, sim.scenario.theta_in):
         sim._log("agent_entered", agent=agent.id, room=best.id, utility=best_utility)
         sim._notify_agent(agent, old_phase)
+
+
+def queue_every_scan(scheduler, kind, target, start, priority, rule_id=None, watchee=None):
+    """``Scheduler._react`` without scan merging, to patch in its place.
+
+    Every reaction counts against the cascade cap and is queued as an action
+    of its own, even an agent scan that duplicates one already pending.
+    """
+    scheduler._reactions_this_tick += 1
+    if scheduler._reactions_this_tick > scheduler.cascade_cap:
+        if rule_id is None:
+            cause = f"an engine follow-up {kind.value}"
+        else:
+            cause = f"fired by watcher rule {rule_id} on {watchee[0].value} {watchee[1]}"
+        raise CascadeOverflowError(
+            f"more than {scheduler.cascade_cap} reactions (the cascade cap) in tick "
+            f"{scheduler.now}; the reaction over the cap was {cause}"
+        )
+    action = ScheduledAction(kind=kind, target=target, start=start, priority=priority)
+    scheduler._push(action, start)
+    return action

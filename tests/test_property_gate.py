@@ -32,6 +32,7 @@ PROTOCOLS = ("mediated_single_text", "monotonic_concession", "elimination_biddin
 STRATEGIES = ("time_dependent", "trade_off", "top_bid")
 ADMISSIONS = ("conditions", "invitations")
 DISTRIBUTIONS = ("uniform", "truncated_normal")
+COMBINATIONS = list(itertools.product(PROTOCOLS, STRATEGIES, ADMISSIONS, DISTRIBUTIONS))
 
 # Priorities around the engine's bands (open 100, close 90, scan 80,
 # round 50), so configured reactions land in, above and below the scan band.
@@ -214,8 +215,7 @@ def scenario_docs(draw, protocol: str, strategy: str, admission: str, distributi
 
 
 @pytest.mark.parametrize(
-    ("protocol", "strategy", "admission", "distribution"),
-    list(itertools.product(PROTOCOLS, STRATEGIES, ADMISSIONS, DISTRIBUTIONS)),
+    ("protocol", "strategy", "admission", "distribution"), COMBINATIONS
 )
 def test_drawn_scenario_passes_independent_checks(
     protocol, strategy, admission, distribution, tmp_path

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import copy
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mnegoti.engine
@@ -26,10 +28,11 @@ from mnegoti.runner import (
 )
 from mnegoti.scenario import load_scenario, load_scenario_file
 from mnegoti.rooms import MeetingRoom
-from mnegoti.scheduler import ActionKind, ScheduledAction
+from mnegoti.scheduler import ActionKind, ScheduledAction, Scheduler
 
 from conftest import SCENARIO_DIR, benchmark_module
-from oracles import scan_every_room
+from oracles import queue_every_scan, scan_every_room
+from test_property_gate import COMBINATIONS, scenario_docs
 
 
 def events_of(sim: Simulation, kind: str) -> list[dict]:
@@ -381,6 +384,47 @@ class TestScanSkip:
         assert [(e.tick, e.data["room"]) for e in sim.events if e.kind == "agent_entered"
                 and e.data["agent"] == 2] == [(at, 2)]
         self.assert_same_as_scanning_every_room(scenario, tmp_path, monkeypatch)
+
+
+class TestScanCoalescing:
+    """Same-band duplicate scans are merged; no artifact byte changes."""
+
+    @staticmethod
+    def artifacts(scenario, out_dir, **kwargs) -> list[bytes]:
+        """Every replication's events.log, summary.csv and population.csv."""
+        run(scenario, out_dir=out_dir, **kwargs)
+        return [path.read_bytes() for path in sorted(out_dir.glob("rep_*/*"))]
+
+    def assert_same_as_queueing_every_scan(self, scenario, out_dir, **kwargs):
+        merging = self.artifacts(scenario, out_dir / "merging", **kwargs)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(Scheduler, "_react", queue_every_scan)
+            queueing = self.artifacts(scenario, out_dir / "queueing", **kwargs)
+        assert len(merging) == 3 * kwargs.get("replications", 1)
+        assert merging == queueing
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.yaml")))
+    def test_bundled_scenarios(self, name, seed, tmp_path):
+        scenario = load_scenario_file(SCENARIO_DIR / name)
+        self.assert_same_as_queueing_every_scan(scenario, tmp_path, seed=seed)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("workload", ["town_hall", "room_churn"])
+    def test_benchmark_workloads(self, workload, seed, tmp_path):
+        (path,) = benchmark_module("workloads").write_inputs(workload, seed, tmp_path / "inputs")
+        self.assert_same_as_queueing_every_scan(load_scenario_file(path), tmp_path)
+
+    @given(
+        doc=st.sampled_from(COMBINATIONS).flatmap(lambda combo: scenario_docs(*combo)),
+        reps=st.integers(1, 2),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_drawn_scenarios(self, doc, reps):
+        with tempfile.TemporaryDirectory() as out_dir:
+            self.assert_same_as_queueing_every_scan(
+                load_scenario(doc), Path(out_dir), replications=reps
+            )
 
 
 class TestInvitations:
