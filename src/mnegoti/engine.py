@@ -9,7 +9,10 @@ sequence of log records is a pure function of (scenario, seed).
 
 An agent scan walks only the open rooms, and a watching agent whose last
 scan found no room skips the walk until another room opens (see
-``_exec_agent_scan``).
+``_exec_agent_scan``). A scan that would only repeat one already queued
+in its band is never queued (see ``Scheduler._react``), but its
+``watcher_fired`` record is logged all the same. Log records are plain
+named tuples, built positionally.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .protocols import (
 )
 from .rooms import AdmissionKind, MeetingRoom, RoomState
 from .scenario import Scenario
-from .scheduler import ActionKind, ScheduledAction, Scheduler
+from .scheduler import ActionKind, FiredReaction, ScheduledAction, Scheduler
 
 # Default priority bands; larger runs earlier within a tick. Watcher
 # reactions land one band below the action that fired them.
@@ -48,8 +51,7 @@ ROUND_PRIORITY = 50
 build_same_group_projection = None
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     """One line of the run's event log."""
 
     tick: int
@@ -166,14 +168,8 @@ class Simulation:
     # -- logging / notification ------------------------------------------
 
     def _log(self, kind: str, **data: Any) -> None:
-        self.events.append(
-            EventRecord(
-                tick=self.scheduler.now,
-                priority=self.scheduler.current_band,
-                kind=kind,
-                data=data,
-            )
-        )
+        scheduler = self.scheduler
+        self.events.append(EventRecord(scheduler.now, scheduler.current_band, kind, data))
 
     def _notify_agent(self, agent: Agent, old_phase: AgentPhase) -> None:
         fired = self.scheduler.notify_state_change(
@@ -187,17 +183,24 @@ class Simulation:
         )
         self._log_fired(fired)
 
-    def _log_fired(self, fired) -> None:
+    def _log_fired(self, fired: list[FiredReaction]) -> None:
+        # Enum values are read once per call, not per fire: every reaction
+        # of one change has the same watchee, and few reaction kinds occur.
+        if not fired:
+            return
+        watchee_kind = fired[0].watchee_kind.value
+        reactions = {kind: kind.value for kind in {f.action.kind for f in fired}}
         for f in fired:
+            action = f.action
             self._log(
                 "watcher_fired",
                 rule=f.rule_id,
                 watcher=f.watcher_id,
-                watchee_kind=f.watchee_kind.value,
+                watchee_kind=watchee_kind,
                 watchee=f.watchee_id,
-                reaction=f.action.kind.value,
-                at=f.action.start,
-                band=f.action.priority,
+                reaction=reactions[action.kind],
+                at=action.start,
+                band=action.priority,
             )
 
     # -- action dispatch ---------------------------------------------------

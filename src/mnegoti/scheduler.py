@@ -14,6 +14,10 @@ candidate list per watcher query, built on first use from the parts of
 the query that never change (kind, id, group) and rebuilt only after the
 context's membership changes; a watcher's state is read only when the
 query or the trigger constrains it.
+
+An agent scan reaction that would only repeat a scan already queued for
+the same agent, tick and band, with nothing but scans queued there in
+between, is merged into that scan (see ``_react``).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .context import Context, Key, ObjectKind, Query, _state_name
 from .errors import CascadeOverflowError, SchedulingError
@@ -43,7 +47,7 @@ class ReactionOffset(str, Enum):
     NEXT_TICK = "next_tick"
 
 
-@dataclass
+@dataclass(slots=True)
 class ScheduledAction:
     """One queue entry; interval 0 means one-shot, > 0 re-enqueues after running."""
 
@@ -85,8 +89,9 @@ class WatcherRule:
     target_role: str = "watcher"  # "watcher" or "watchee"
 
 
-@dataclass(frozen=True)
-class FiredReaction:
+class FiredReaction(NamedTuple):
+    """One watcher's reaction to one state change; ``action`` is the queued action."""
+
     rule_id: int
     watcher_id: int
     watchee_kind: ObjectKind
@@ -116,6 +121,10 @@ class Scheduler:
         self._seq_counter = 0
         self._rules: list[WatcherRule] = []
         self._reactions_this_tick = 0
+        # Agent scan reactions not yet run, by target; and, per tick and band,
+        # the seq of the last push that is not an agent scan.
+        self._pending_scans: dict[Any, ScheduledAction] = {}
+        self._other_pushes: dict[int, dict[int, int]] = {}
         # Watcher query -> its candidates, valid for one context version.
         self._candidates: dict[Query, list[tuple[int, Any]]] = {}
         self._candidates_version: int | None = None
@@ -143,9 +152,11 @@ class Scheduler:
 
     def _push(self, action: ScheduledAction, tick: int) -> None:
         action.start = tick
-        action.seq = self._seq_counter
+        action.seq = seq = self._seq_counter
         self._seq_counter += 1
-        heapq.heappush(self._heap, (tick, -action.priority, action.seq, action))
+        if action.kind is not ActionKind.AGENT_SCAN:
+            self._other_pushes.setdefault(tick, {})[action.priority] = seq
+        heapq.heappush(self._heap, (tick, -action.priority, seq, action))
 
     # -- watchers ------------------------------------------------------
 
@@ -239,6 +250,21 @@ class Scheduler:
 
         ``rule_id`` and ``watchee`` are given for a watcher reaction and left
         out for an engine follow-up; they only name the cause on overflow.
+
+        An agent scan of agent x is merged into x's pending scan, which is
+        returned in place of a new action, when that scan is not cancelled,
+        has the same ``(start, priority)``, and every action pushed at that
+        tick and band since it is an agent scan. The merged scan would have
+        done nothing. Between the pending scan and the merged one only scans
+        of other agents run, and their reactions land below the band or on
+        the next tick. A scan changes only its own agent's phase and seat;
+        rooms have no capacity, and admission does not read attendees. So
+        when the merged scan would have run, x is either seated or busy, and
+        the scan returns at once, or x is watching and no room has opened
+        since its scan found none, and the scan is skipped. A merge never
+        spans a ``room_close``, ``negotiation_round``, ``room_invite`` or
+        ``report`` in the band, so the event log is unchanged. A merged
+        reaction still counts against the cap.
         """
         self._reactions_this_tick += 1
         if self._reactions_this_tick > self.cascade_cap:
@@ -250,8 +276,22 @@ class Scheduler:
                 f"more than {self.cascade_cap} reactions (the cascade cap) in tick "
                 f"{self.now}; the reaction over the cap was {cause}"
             )
+        scan = kind is ActionKind.AGENT_SCAN
+        if scan:
+            pending = self._pending_scans.get(target)
+            if (
+                pending is not None
+                and not pending.cancelled
+                and pending.start == start
+                and pending.priority == priority
+            ):
+                others = self._other_pushes.get(start)
+                if others is None or others.get(priority, -1) < pending.seq:
+                    return pending
         action = ScheduledAction(kind=kind, target=target, start=start, priority=priority)
         self._push(action, start)
+        if scan:
+            self._pending_scans[target] = action
         return action
 
     def _same_tick_band(self, configured: int | None) -> int:
@@ -270,8 +310,11 @@ class Scheduler:
         """Run every action of the current tick, then advance ``now``."""
         tick = self.now
         self._reactions_this_tick = 0
+        pending_scans = self._pending_scans
         while self._heap and self._heap[0][0] == tick:
             _, _, _, action = heapq.heappop(self._heap)
+            if action.kind is ActionKind.AGENT_SCAN and pending_scans.get(action.target) is action:
+                del pending_scans[action.target]
             if action.cancelled:
                 continue
             self.current_band = action.priority
@@ -280,4 +323,5 @@ class Scheduler:
             self.current_band = None
             if action.interval > 0 and not action.cancelled:
                 self._push(action, tick + action.interval)
+        self._other_pushes.pop(tick, None)
         self.now += 1

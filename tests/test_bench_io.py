@@ -1,6 +1,7 @@
 """Micro-benchmarks of the I/O at both ends of a run.
 
 They time ``event_line`` per templated kind and for one generic kind,
+``Simulation._log`` for 1 000 records of one templated kind,
 ``write_artifacts`` for a bundled scenario's run, and ``parse_scenario_text``
 on ``scenarios/concurrent_rooms.yaml`` with each available YAML loader.
 The ``bench`` marker keeps them out of the default test run:
@@ -15,6 +16,7 @@ import pytest
 import yaml
 
 from mnegoti import runner, scenario as scenario_module
+from mnegoti.engine import Simulation
 from mnegoti.runner import event_line, run, write_artifacts
 from mnegoti.scenario import load_scenario_file, parse_scenario_text
 
@@ -36,6 +38,19 @@ def artifacts():
 def test_event_line(benchmark, artifacts, kind):
     record = next(e for e in artifacts.events if e.kind == kind)
     assert benchmark(event_line, record).startswith('{"data":')
+
+
+def test_log_records(benchmark):
+    sim = Simulation(load_scenario_file(SCENARIO_DIR / "concurrent_rooms.yaml"))
+    log = sim._log
+
+    def log_thousand():
+        sim.events.clear()
+        for agent in range(1_000):
+            log("agent_watching", agent=agent)
+
+    benchmark(log_thousand)
+    assert len(sim.events) == 1_000
 
 
 def test_write_artifacts(benchmark, artifacts, tmp_path):

@@ -1,12 +1,15 @@
-"""Micro-benchmark of watcher dispatch: one room opening through ``notify_state_change``.
+"""Micro-benchmarks of watcher dispatch: room openings through ``notify_state_change``.
 
-It times the notification of one room opening to 1 000 and 10 000 agents,
-half of them idle and half negotiating, under two rules: the bundled
-open-scan rule (every agent scans when a room opens) and the same rule
-for idle watchers only (``watcher.state: idle``). The candidate list is
-built before timing and each timed call starts from an empty queue, so
-the figure is the dispatch itself, the queued reactions included. The
-``bench`` marker keeps it out of the default test run:
+The first times the notification of one room opening to 1 000 and 10 000
+agents, half of them idle and half negotiating, under two rules: the
+bundled open-scan rule (every agent scans when a room opens) and the same
+rule for idle watchers only (``watcher.state: idle``). The second times
+four openings in one band to 10 000 such agents under the open-scan rule,
+so the scans the last three openings fire are merged into the first's.
+The candidate list is built before timing and each timed call starts
+from an empty queue, so the figure is the dispatch itself, the queued
+reactions included. The ``bench`` marker keeps them out of the default
+test run:
 
     PYTHONPATH=src python -m pytest -m bench tests/test_bench_scheduler.py
     PYTHONPATH=src python -m pytest -m bench --benchmark-disable
@@ -31,15 +34,18 @@ TRIGGERS = {
 }
 
 
-def watched_room(agents: int, trigger: Trigger) -> tuple[Scheduler, MeetingRoom]:
+def watched_rooms(
+    agents: int, trigger: Trigger, rooms: int = 1
+) -> tuple[Scheduler, list[MeetingRoom]]:
     context = Context()
     for i in range(agents):
         agent = Agent(id=i, group_id=0, raw_prefs=(1.0,), weights=(1.0,))
         if i % 2:
             agent.phase = AgentPhase.NEGOTIATING
         context.add(ObjectKind.AGENT, i, agent)
-    room = MeetingRoom(0)
-    context.add(ObjectKind.MEETING_ROOM, 0, room)
+    opened = [MeetingRoom(i) for i in range(rooms)]
+    for room in opened:
+        context.add(ObjectKind.MEETING_ROOM, room.id, room)
     scheduler = Scheduler(context=context)
     scheduler.register_watcher(
         WatcherRule(
@@ -48,13 +54,13 @@ def watched_room(agents: int, trigger: Trigger) -> tuple[Scheduler, MeetingRoom]
             trigger=trigger,
         )
     )
-    return scheduler, room
+    return scheduler, opened
 
 
 @pytest.mark.parametrize("agents", [1_000, 10_000])
 @pytest.mark.parametrize("rule", sorted(TRIGGERS))
 def test_notify_room_opening(benchmark, rule, agents):
-    scheduler, room = watched_room(agents, TRIGGERS[rule])
+    scheduler, (room,) = watched_rooms(agents, TRIGGERS[rule])
     notify = functools.partial(
         scheduler.notify_state_change, ObjectKind.MEETING_ROOM, 0, "closed", "open", room
     )
@@ -62,3 +68,27 @@ def test_notify_room_opening(benchmark, rule, agents):
     # Each step drains the queued reactions and restarts the tick's cascade count.
     fired = benchmark.pedantic(notify, setup=scheduler.step, rounds=20)
     assert len(fired) == (agents if rule == "open_scan" else agents // 2)
+
+
+def test_notify_four_same_band_openings(benchmark):
+    agents = 10_000
+    scheduler, rooms = watched_rooms(agents, TRIGGERS["open_scan"], rooms=4)
+    scheduler.cascade_cap = 4 * agents  # every merged fire still counts
+
+    def open_all():
+        # As if four room_open actions of band 100 ran one after another.
+        scheduler.current_band = 100
+        fired = [
+            f
+            for room in rooms
+            for f in scheduler.notify_state_change(
+                ObjectKind.MEETING_ROOM, room.id, "closed", "open", room
+            )
+        ]
+        scheduler.current_band = None
+        return fired
+
+    open_all()  # builds the candidate list
+    fired = benchmark.pedantic(open_all, setup=scheduler.step, rounds=10)
+    assert len(fired) == 4 * agents
+    assert len({id(f.action) for f in fired}) == agents

@@ -415,6 +415,57 @@ class TestScanCoalescing:
         (path,) = benchmark_module("workloads").write_inputs(workload, seed, tmp_path / "inputs")
         self.assert_same_as_queueing_every_scan(load_scenario_file(path), tmp_path)
 
+    @staticmethod
+    def executed_scans(sim: Simulation) -> list[tuple[int, int]]:
+        """Run ``sim``; the (tick, agent) of every agent scan executed."""
+        scans = []
+        execute = sim.scheduler.executor
+
+        def counting(action):
+            if action.kind is ActionKind.AGENT_SCAN:
+                scans.append((sim.now, action.target))
+            execute(action)
+
+        sim.scheduler.executor = counting
+        sim.run()
+        return scans
+
+    def test_two_openings_log_both_fires_and_scan_once(self, minimal_doc):
+        minimal_doc["rooms"] = [room_opening(0, 1, [0]), room_opening(1, 1, [0])]
+        sim = Simulation(load_scenario(minimal_doc))
+        assert self.executed_scans(sim) == [(1, 0), (1, 1)]
+        fired = [(e.tick, e.data["watcher"], e.data["watchee"]) for e in sim.events
+                 if e.kind == "watcher_fired"]
+        assert fired == [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
+
+    def test_close_in_the_band_between_openings(self, minimal_doc, tmp_path):
+        # Both agents enter room 0, a same-band room_close between the two
+        # openings' scans releases them, and the second scans seat them in
+        # room 1; merging across the close would leave them idle.
+        minimal_doc["rooms"] = [room_opening(0, 1, [0]), room_opening(1, 1, [0])]
+        minimal_doc["watchers"].append(
+            {
+                "watcher": {"kind": "meeting_room", "id": 0},
+                "watchee": {"kind": "meeting_room", "id": 0},
+                "trigger": {"watchee.state": "open"},
+                "reaction": {"kind": "room_close", "target": "watchee", "when": "same_tick"},
+            }
+        )
+        scenario = load_scenario(minimal_doc)
+        sim = Simulation(scenario)
+        assert self.executed_scans(sim) == [(1, 0), (1, 1), (1, 0), (1, 1)]
+        assert [(e.data["agent"], e.data["room"]) for e in sim.events
+                if e.kind == "agent_entered"] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        self.assert_same_as_queueing_every_scan(scenario, tmp_path)
+
+    def test_town_hall_scans_each_agent_once(self, tmp_path):
+        # Four same-band openings fire 8 000 scans; each agent's first one runs.
+        (path,) = benchmark_module("workloads").write_inputs("town_hall", 1, tmp_path)
+        sim = Simulation(load_scenario_file(path))
+        scans = self.executed_scans(sim)
+        assert len(scans) == 2_000
+        assert sum(e.kind == "watcher_fired" for e in sim.events) == 8_000
+
     @given(
         doc=st.sampled_from(COMBINATIONS).flatmap(lambda combo: scenario_docs(*combo)),
         reps=st.integers(1, 2),

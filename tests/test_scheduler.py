@@ -443,6 +443,115 @@ class TestNotifyOracle:
                 assert all((f.watchee_kind, f.watchee_id) == (kind, ident) for f in fired)
 
 
+class TestScanMerging:
+    """A same-band duplicate agent scan shares the scan already queued."""
+
+    OPENING_BAND = 100
+
+    @staticmethod
+    def watched_rooms(agents=3, rooms=2, cascade_cap=10_000, priorities=(None,)):
+        """Agents scanning whenever a room opens, one rule per priority."""
+        ctx = Context()
+        for i in range(agents):
+            ctx.add(ObjectKind.AGENT, i, make_agent(i))
+        opened = []
+        for i in range(rooms):
+            room = MeetingRoom(i)
+            ctx.add(ObjectKind.MEETING_ROOM, i, room)
+            opened.append(room)
+        scheduler, executed = recording_scheduler(ctx)
+        scheduler.cascade_cap = cascade_cap
+        for priority in priorities:
+            scheduler.register_watcher(TestWatchers.room_open_rule(priority=priority))
+        return scheduler, executed, opened
+
+    def open_room(self, scheduler, room):
+        """Notify one room opening as if an action of the opening band ran it."""
+        scheduler.current_band = self.OPENING_BAND
+        try:
+            return scheduler.notify_state_change(ObjectKind.MEETING_ROOM, room.id, "closed", "open", room)
+        finally:
+            scheduler.current_band = None
+
+    @staticmethod
+    def scans(executed):
+        return [(tick, a.target, a.priority) for tick, a in executed if a.kind is ActionKind.AGENT_SCAN]
+
+    def test_two_openings_queue_one_scan_per_agent(self):
+        scheduler, executed, (first, second) = self.watched_rooms()
+        fired_first = self.open_room(scheduler, first)
+        fired_second = self.open_room(scheduler, second)
+        assert [(f.watcher_id, f.watchee_id) for f in fired_first + fired_second] == [
+            (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)
+        ]
+        assert all(a.action is b.action for a, b in zip(fired_first, fired_second))
+        assert {(f.action.start, f.action.priority) for f in fired_second} == {(0, 99)}
+        scheduler.step()
+        assert self.scans(executed) == [(0, 0, 99), (0, 1, 99), (0, 2, 99)]
+
+    @pytest.mark.parametrize(
+        "kind",
+        [ActionKind.ROOM_INVITE, ActionKind.REPORT, ActionKind.ROOM_CLOSE, ActionKind.NEGOTIATION_ROUND],
+    )
+    def test_other_action_in_the_band_between_fires_queues_again(self, kind):
+        scheduler, executed, (first, second) = self.watched_rooms()
+        fired_first = self.open_room(scheduler, first)
+        scheduler.current_band = self.OPENING_BAND
+        scheduler.enqueue_reaction(kind, 0)
+        scheduler.current_band = None
+        fired_second = self.open_room(scheduler, second)
+        assert all(a.action is not b.action for a, b in zip(fired_first, fired_second))
+        scheduler.step()
+        assert [a.kind for _, a in executed] == [ActionKind.AGENT_SCAN] * 3 + [kind] + [
+            ActionKind.AGENT_SCAN
+        ] * 3
+        assert self.scans(executed) == [(0, i, 99) for i in (0, 1, 2, 0, 1, 2)]
+
+    def test_other_action_in_another_band_does_not_stop_the_merge(self):
+        scheduler, executed, (first, second) = self.watched_rooms()
+        fired_first = self.open_room(scheduler, first)
+        scheduler.current_band = self.OPENING_BAND
+        scheduler.enqueue_reaction(ActionKind.REPORT, 0, priority=50)
+        scheduler.current_band = None
+        fired_second = self.open_room(scheduler, second)
+        assert all(a.action is b.action for a, b in zip(fired_first, fired_second))
+
+    def test_different_band_queues_a_second_scan(self):
+        scheduler, executed, (room, _) = self.watched_rooms(agents=1, priorities=(None, 50))
+        fired = self.open_room(scheduler, room)
+        assert [(f.rule_id, f.action.priority) for f in fired] == [(0, 99), (1, 50)]
+        scheduler.step()
+        assert self.scans(executed) == [(0, 0, 99), (0, 0, 50)]
+
+    def test_cancelled_scan_never_absorbs_a_later_one(self):
+        scheduler, executed, (first, second) = self.watched_rooms(agents=1)
+        (cancelled,) = self.open_room(scheduler, first)
+        scheduler.cancel(cancelled.action)
+        (kept,) = self.open_room(scheduler, second)
+        assert kept.action is not cancelled.action
+        scheduler.step()
+        assert [a for _, a in executed] == [kept.action]
+
+    def test_scan_fired_after_the_kept_scan_ran_is_queued_again(self):
+        scheduler, executed, (first, second) = self.watched_rooms(agents=1)
+        (kept,) = self.open_room(scheduler, first)
+        scheduler.step()
+        (later,) = self.open_room(scheduler, second)
+        assert later.action is not kept.action
+        scheduler.step()
+        assert self.scans(executed) == [(0, 0, 99), (1, 0, 99)]
+
+    def test_merged_fires_still_count_against_the_cascade_cap(self):
+        scheduler, executed, rooms = self.watched_rooms(agents=1, rooms=11, cascade_cap=10)
+        fired = [f for room in rooms[:10] for f in self.open_room(scheduler, room)]
+        assert len(fired) == 10
+        assert len({id(f.action) for f in fired}) == 1
+        with pytest.raises(CascadeOverflowError, match="more than 10 reactions"):
+            self.open_room(scheduler, rooms[10])
+        scheduler.step()
+        assert self.scans(executed) == [(0, 0, 99)]
+
+
 class TestSameTickReactions:
     def test_reaction_band_zero_runs_after_all_positive_bands(self):
         # Hand-traced oracle for the two-action schedule: the priority-10
