@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 
 from mnegoti.errors import CascadeOverflowError
-from mnegoti.model import AgentPhase
+from mnegoti.model import TRUNCNORM_MAX_REJECTIONS, AgentPhase, DistributionKind
 from mnegoti.rooms import RoomState
 from mnegoti.scheduler import ScheduledAction
 
@@ -403,3 +403,30 @@ def queue_every_scan(scheduler, kind, target, start, priority, rule_id=None, wat
     action = ScheduledAction(kind=kind, target=target, start=start, priority=priority)
     scheduler._push(action, start)
     return action
+
+
+def sample_one_draw_at_a_time(group, rng) -> tuple[float, ...]:
+    """One member's raw preferences, one generator call per uniform criterion.
+
+    The per-criterion loop that ``model.spawn_members`` replaced with one
+    uniform draw per group; a truncated-normal criterion rejection-samples
+    and falls back to the interval midpoint as the model does.
+    """
+    out = []
+    for lo, hi in group.bounds.rows:
+        if group.distribution.kind is DistributionKind.UNIFORM:
+            out.append(float(rng.uniform(lo, hi)))
+        else:
+            width = hi - lo
+            loc = lo + group.distribution.mean * width
+            scale = group.distribution.sd * width
+            value = None
+            for _ in range(TRUNCNORM_MAX_REJECTIONS):
+                draw = float(rng.normal(loc, scale))
+                if lo <= draw <= hi:
+                    value = draw
+                    break
+            if value is None:
+                value = lo + width / 2.0
+            out.append(value)
+    return tuple(out)

@@ -24,6 +24,8 @@ from mnegoti.model import (
     spawn_members,
 )
 
+from oracles import sample_one_draw_at_a_time
+
 
 def make_group(rows, kind=DistributionKind.UNIFORM, member_count=1, mean=0.5, sd=0.25):
     return AgentGroup(
@@ -46,6 +48,32 @@ bounds_rows = st.lists(
     min_size=1,
     max_size=6,
 )
+
+# Groups drawn in turn from one generator: criteria rows (zero-width ones
+# included), distribution, member count and truncated-normal sd.
+group_runs = st.lists(
+    st.tuples(
+        st.lists(
+            st.one_of(
+                bounds_rows.map(lambda rows: rows[0]),
+                st.floats(0.0, 1.0, allow_nan=False).map(lambda x: (x, x)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from(list(DistributionKind)),
+        st.integers(1, 50),
+        st.sampled_from([0.1, 0.25, 3.0, 200.0]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def bits(values):
+    """Each value's exact bits, and that it is a Python float."""
+    assert all(type(v) is float for v in values)
+    return [v.hex() for v in values]
 
 
 class TestSamplePreferences:
@@ -171,6 +199,34 @@ class TestSpawnMembers:
             for value, (lo, hi) in zip(agent.raw_prefs, rows):
                 assert lo <= value <= hi
             assert abs(sum(agent.weights) - 1.0) <= 1e-9
+
+
+    @given(runs=group_runs, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_one_draw_at_a_time(self, runs, seed):
+        rng = np.random.default_rng(seed)
+        oracle_rng = np.random.default_rng(seed)
+        next_id = 0
+        for group_id, (rows, kind, member_count, sd) in enumerate(runs):
+            group = AgentGroup(
+                id=group_id,
+                name=f"g{group_id}",
+                bounds=PreferenceBounds(rows=tuple(rows)),
+                distribution=DistributionSpec(kind=kind, sd=sd),
+                member_count=member_count,
+            )
+            agents = spawn_members(group, rng, next_id)
+            assert [a.id for a in agents] == list(range(next_id, next_id + member_count))
+            next_id += member_count
+            for agent in agents:
+                raw = sample_one_draw_at_a_time(group, oracle_rng)
+                assert agent.group_id == group_id
+                assert bits(agent.raw_prefs) == bits(raw)
+                assert bits(agent.weights) == bits(normalize_weights(raw))
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        single = sample_preferences(group, rng)
+        assert bits(single) == bits(sample_one_draw_at_a_time(group, oracle_rng))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestEvaluate:
