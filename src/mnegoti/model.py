@@ -10,6 +10,7 @@ issue's normalized criterion scores.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -176,27 +177,49 @@ class Agent:
 def sample_preferences(group: AgentGroup, rng: np.random.Generator) -> tuple[float, ...]:
     """Sample one raw preference vector inside the group's bounds.
 
-    Uniform mode consumes exactly one draw per criterion. Truncated-normal
-    mode rejection-samples and falls back to the interval midpoint after
+    The one-member case of the sampling ``spawn_members`` does: uniform mode
+    consumes exactly one draw per criterion. Truncated-normal mode
+    rejection-samples and falls back to the interval midpoint after
     TRUNCNORM_MAX_REJECTIONS failed draws.
     """
+    return _sample_members(group, rng, 1)[0]
+
+
+def _sample_members(
+    group: AgentGroup, rng: np.random.Generator, count: int
+) -> list[tuple[float, ...]]:
+    """``count`` raw preference vectors, drawn member after member.
+
+    A uniform group draws its whole count x K block in one call, row by row,
+    which walks the stream exactly as one ``rng.uniform(lo, hi)`` per
+    criterion would: NumPy computes every element as lo + (hi - lo) * next
+    double in both cases.
+    """
+    rows = group.bounds.rows
+    if group.distribution.kind is DistributionKind.UNIFORM:
+        lows = [lo for lo, _ in rows]
+        highs = [hi for _, hi in rows]
+        block = rng.uniform(lows, highs, size=(count, len(rows)))
+        return [tuple(row) for row in block.tolist()]
+    return [_truncated_normal(group, rng) for _ in range(count)]
+
+
+def _truncated_normal(group: AgentGroup, rng: np.random.Generator) -> tuple[float, ...]:
+    """One member's truncated-normal sample; the draws per value vary."""
     out = []
     for lo, hi in group.bounds.rows:
-        if group.distribution.kind is DistributionKind.UNIFORM:
-            out.append(float(rng.uniform(lo, hi)))
-        else:
-            width = hi - lo
-            loc = lo + group.distribution.mean * width
-            scale = group.distribution.sd * width
-            value = None
-            for _ in range(TRUNCNORM_MAX_REJECTIONS):
-                draw = float(rng.normal(loc, scale))
-                if lo <= draw <= hi:
-                    value = draw
-                    break
-            if value is None:
-                value = lo + width / 2.0
-            out.append(value)
+        width = hi - lo
+        loc = lo + group.distribution.mean * width
+        scale = group.distribution.sd * width
+        value = None
+        for _ in range(TRUNCNORM_MAX_REJECTIONS):
+            draw = float(rng.normal(loc, scale))
+            if lo <= draw <= hi:
+                value = draw
+                break
+        if value is None:
+            value = lo + width / 2.0
+        out.append(value)
     return tuple(out)
 
 
@@ -215,19 +238,20 @@ def normalize_weights(raw_prefs: tuple[float, ...]) -> tuple[float, ...]:
 def spawn_members(
     group: AgentGroup, rng: np.random.Generator, starting_id: int
 ) -> list[Agent]:
-    """Create the group's members with consecutive ids, sampled in id order."""
-    agents = []
-    for offset in range(group.member_count):
-        raw = sample_preferences(group, rng)
-        agents.append(
-            Agent(
-                id=starting_id + offset,
-                group_id=group.id,
-                raw_prefs=raw,
-                weights=normalize_weights(raw),
-            )
+    """Create the group's members with consecutive ids, sampled in id order.
+
+    A uniform group draws its members x criteria block in one generator
+    call, the same stream as one draw per criterion per member.
+    """
+    return [
+        Agent(
+            id=starting_id + offset,
+            group_id=group.id,
+            raw_prefs=raw,
+            weights=normalize_weights(raw),
         )
-    return agents
+        for offset, raw in enumerate(_sample_members(group, rng, group.member_count))
+    ]
 
 
 def evaluate(agent: Agent, issue: Issue) -> float:
@@ -237,6 +261,6 @@ def evaluate(agent: Agent, issue: Issue) -> float:
             f"agent {agent.id} has {len(agent.weights)} weights but issue "
             f"{issue.id} has {len(issue.scores)} scores"
         )
-    u = math.fsum(w * s for w, s in zip(agent.weights, issue.scores))
+    u = math.fsum(map(operator.mul, agent.weights, issue.scores))
     # Guard against float drift just past the unit interval.
     return min(1.0, max(0.0, u))

@@ -198,17 +198,15 @@ def propose(session: NegotiationSession, participant: int) -> Offer:
     utils = session.utilities[participant]
     pool = session.candidates
 
-    if strategy.kind is StrategyKind.TOP_BID:
-        choice = _argmax_issue(utils, pool)
-        return Offer(proposer=participant, issue_id=choice)
+    # Top-bid, time-dependent and round-1 trade-off offers are the pool's best
+    # issue. A threshold would not change them: the best issue clears it
+    # whenever any issue does.
+    if strategy.kind is not StrategyKind.TRADE_OFF or t == 1 or not session.transcript:
+        return Offer(proposer=participant, issue_id=_argmax_issue(utils, pool))
 
     theta = session.threshold(participant, min(t, session.deadline_rounds))
     acceptable = [i for i in pool if utils[i] >= theta]
-    candidates = acceptable if acceptable else list(pool)
-
-    if strategy.kind is StrategyKind.TIME_DEPENDENT or t == 1 or not session.transcript:
-        choice = _argmax_issue(utils, candidates)
-        return Offer(proposer=participant, issue_id=choice)
+    candidates = acceptable if acceptable else pool
 
     # Trade-off: follow what the others proposed most often last round,
     # that is every participant's offers but this participant's own.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -54,6 +55,11 @@ class AdmissionPolicy:
             raise ConfigurationError("invitation admission needs a non-empty agent list")
         if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
             raise ConfigurationError(f"admission threshold {self.threshold} outside [0, 1]")
+
+    @cached_property
+    def invited(self) -> frozenset[int]:
+        """``agents`` as a set, built on the first admission check."""
+        return frozenset(self.agents)
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,7 @@ class MeetingRoom:
             raise RoomClosedError(f"room {self.id} is not open")
         policy = self.agenda.admission
         if policy.kind is AdmissionKind.INVITATIONS:
-            return agent.id in policy.agents
+            return agent.id in policy.invited
         if policy.groups and agent.group_id not in policy.groups:
             return False
         threshold = (

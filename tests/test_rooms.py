@@ -109,6 +109,16 @@ class TestAdmission:
         assert room.check_admission(make_agent(7), ISSUES) is True
         assert room.check_admission(make_agent(4), ISSUES) is False
 
+    @pytest.mark.parametrize("invited", [[5], [9, 2, 40]], ids=["single", "unsorted"])
+    def test_only_the_list_decides(self, invited):
+        # Weights (1, 0) give utility 0.2 on issue 1, the whole agenda, so
+        # neither the group nor the interest threshold would admit anyone.
+        room = MeetingRoom(0)
+        room.open(invitations_agenda(invited, issue_ids=(1,)))
+        for ident in range(max(invited) + 2):
+            agent = make_agent(ident, (1.0, 0.0), group=3)
+            assert room.check_admission(agent, ISSUES, 0.9) is (ident in invited)
+
     def test_zero_threshold_admits_every_group_eligible_agent(self):
         room = MeetingRoom(0)
         room.open(conditions_agenda(groups=(0,), threshold=0.0))

@@ -493,6 +493,17 @@ class TestInvitations:
         entered = [e["agent"] for e in events_of(sim, "agent_entered")]
         assert entered == [1, 3]
 
+    def test_invitations_are_sent_in_id_order(self, minimal_doc):
+        minimal_doc["groups"][0]["member_count"] = 5
+        minimal_doc["rooms"][0]["schedule"][0]["agenda"]["admission"] = {
+            "kind": "invitations",
+            "agents": [4, 0, 2],
+        }
+        sim = Simulation(load_scenario(minimal_doc), seed=5)
+        sim.run()
+        assert [e["agent"] for e in events_of(sim, "invitation_sent")] == [0, 2, 4]
+        assert [e["agent"] for e in events_of(sim, "agent_entered")] == [0, 2, 4]
+
     def test_uninvited_agent_never_enters(self, minimal_doc):
         minimal_doc["rooms"][0]["schedule"][0]["agenda"]["admission"] = {
             "kind": "invitations",
