@@ -41,23 +41,17 @@ def make_agent(weights, agent_id=0):
     return Agent(id=agent_id, group_id=0, raw_prefs=tuple(weights), weights=tuple(weights))
 
 
-bounds_rows = st.lists(
-    st.tuples(
-        st.floats(0.0, 1.0, allow_nan=False), st.floats(0.0, 1.0, allow_nan=False)
-    ).map(lambda pair: (min(pair), max(pair))),
-    min_size=1,
-    max_size=6,
-)
+bounds_row = st.tuples(
+    st.floats(0.0, 1.0, allow_nan=False), st.floats(0.0, 1.0, allow_nan=False)
+).map(lambda pair: (min(pair), max(pair)))
+bounds_rows = st.lists(bounds_row, min_size=1, max_size=6)
 
 # Groups drawn in turn from one generator: criteria rows (zero-width ones
 # included), distribution, member count and truncated-normal sd.
 group_runs = st.lists(
     st.tuples(
         st.lists(
-            st.one_of(
-                bounds_rows.map(lambda rows: rows[0]),
-                st.floats(0.0, 1.0, allow_nan=False).map(lambda x: (x, x)),
-            ),
+            st.one_of(bounds_row, st.floats(0.0, 1.0, allow_nan=False).map(lambda x: (x, x))),
             min_size=1,
             max_size=6,
         ),
@@ -199,7 +193,6 @@ class TestSpawnMembers:
             for value, (lo, hi) in zip(agent.raw_prefs, rows):
                 assert lo <= value <= hi
             assert abs(sum(agent.weights) - 1.0) <= 1e-9
-
 
     @given(runs=group_runs, seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
