@@ -23,7 +23,6 @@ from .model import (
     StrategyKind,
     evaluate,
     normalize_weights,
-    sample_preferences,
     spawn_members,
 )
 from .protocols import (
@@ -36,7 +35,6 @@ from .protocols import (
     SessionStatus,
     acceptable_set,
     build_session,
-    concession_threshold,
     propose,
     run_round,
     session_outcome,

@@ -18,15 +18,14 @@ class ValidationError(MnegotiError):
 
 
 class ConfigurationError(MnegotiError):
-    """Inconsistent model configuration (dimension mismatch, malformed query)."""
+    """Inconsistent model configuration.
+
+    A value out of range, an empty list, or a dimension mismatch.
+    """
 
 
 class DuplicateMemberError(MnegotiError):
     """An object with the same (kind, id) is already in the context."""
-
-
-class NotFoundError(MnegotiError):
-    """Referenced member does not exist."""
 
 
 class SchedulingError(MnegotiError):
@@ -43,14 +42,6 @@ class InvalidTransitionError(MnegotiError):
 
 class RoomClosedError(MnegotiError):
     """Operation requires an open meeting room."""
-
-
-class AdmissionDeniedError(MnegotiError):
-    """Agent does not satisfy the room's admission policy."""
-
-
-class BusyError(MnegotiError):
-    """Agent is already attending another room."""
 
 
 class ProtocolError(MnegotiError):

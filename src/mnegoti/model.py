@@ -83,9 +83,6 @@ class PreferenceBounds:
                     f"bounds row {k}: need 0 <= lower <= upper <= 1, got ({lo}, {hi})"
                 )
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 @dataclass(frozen=True)
 class DistributionSpec:
@@ -174,23 +171,10 @@ class Agent:
     utilities: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
 
 
-def sample_preferences(group: AgentGroup, rng: np.random.Generator) -> tuple[float, ...]:
-    """Sample one raw preference vector inside the group's bounds.
+def _sample_members(group: AgentGroup, rng: np.random.Generator) -> list[tuple[float, ...]]:
+    """The group's raw preference vectors, drawn member after member.
 
-    The one-member case of the sampling ``spawn_members`` does: uniform mode
-    consumes exactly one draw per criterion. Truncated-normal mode
-    rejection-samples and falls back to the interval midpoint after
-    TRUNCNORM_MAX_REJECTIONS failed draws.
-    """
-    return _sample_members(group, rng, 1)[0]
-
-
-def _sample_members(
-    group: AgentGroup, rng: np.random.Generator, count: int
-) -> list[tuple[float, ...]]:
-    """``count`` raw preference vectors, drawn member after member.
-
-    A uniform group draws its whole count x K block in one call, row by row,
+    A uniform group draws its whole members x K block in one call, row by row,
     which walks the stream exactly as one ``rng.uniform(lo, hi)`` per
     criterion would: NumPy computes every element as lo + (hi - lo) * next
     double in both cases.
@@ -199,13 +183,17 @@ def _sample_members(
     if group.distribution.kind is DistributionKind.UNIFORM:
         lows = [lo for lo, _ in rows]
         highs = [hi for _, hi in rows]
-        block = rng.uniform(lows, highs, size=(count, len(rows)))
+        block = rng.uniform(lows, highs, size=(group.member_count, len(rows)))
         return [tuple(row) for row in block.tolist()]
-    return [_truncated_normal(group, rng) for _ in range(count)]
+    return [_truncated_normal(group, rng) for _ in range(group.member_count)]
 
 
 def _truncated_normal(group: AgentGroup, rng: np.random.Generator) -> tuple[float, ...]:
-    """One member's truncated-normal sample; the draws per value vary."""
+    """One member's truncated-normal sample; the draws per value vary.
+
+    Each value is rejection-sampled inside its bounds row and falls back to
+    the row's midpoint after TRUNCNORM_MAX_REJECTIONS failed draws.
+    """
     out = []
     for lo, hi in group.bounds.rows:
         width = hi - lo
@@ -250,7 +238,7 @@ def spawn_members(
             raw_prefs=raw,
             weights=normalize_weights(raw),
         )
-        for offset, raw in enumerate(_sample_members(group, rng, group.member_count))
+        for offset, raw in enumerate(_sample_members(group, rng))
     ]
 
 

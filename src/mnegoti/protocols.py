@@ -144,24 +144,17 @@ class NegotiationSession:
         self.failure_reason = reason
 
 
-def concession_threshold(
-    utilities: Sequence[float], t: int, max_rounds: int, beta: float
-) -> float:
+def _conceded(u_max: float, u_min: float, t: int, max_rounds: int, beta: float) -> float:
     """Minimum acceptable utility at round t of max_rounds.
 
     This is the polynomial time-dependent tactic of Faratin, Sierra &
     Jennings (1998), "Negotiation decision functions for autonomous
-    agents": the threshold starts at the best agenda utility and concedes
-    toward the worst by ((t - 1) / (max_rounds - 1)) ** (1 / beta),
-    reaching it exactly at the deadline; beta > 1 concedes early (a
-    conceder), beta < 1 holds out (boulware). Endpoints are exact by
-    construction.
+    agents": the threshold starts at the best agenda utility ``u_max`` and
+    concedes toward the worst, ``u_min``, by
+    ((t - 1) / (max_rounds - 1)) ** (1 / beta), reaching it exactly at the
+    deadline; beta > 1 concedes early (a conceder), beta < 1 holds out
+    (boulware). Endpoints are exact by construction.
     """
-    return _conceded(max(utilities), min(utilities), t, max_rounds, beta)
-
-
-def _conceded(u_max: float, u_min: float, t: int, max_rounds: int, beta: float) -> float:
-    """``concession_threshold`` from the best and worst agenda utility."""
     if beta <= 0.0:
         raise ProtocolError(f"beta must be > 0, got {beta}")
     if t < 1 or t > max_rounds:

@@ -1,10 +1,11 @@
 """Meeting room lifecycle: open, admission, attendance, sessions.
 
 A room cycles Closed -> Open -> InSession -> Closed (or Open -> Closed when
-no session starts). Attendees are kept by id in entry order; ``enter``
-admits an agent only while it is idle or watching, so no agent attends
-twice. A room counts its completed openings in ``sessions``; what each one
-ended with is in the run's ``session_end`` records.
+no session starts). Attendees are kept by id in entry order. ``seat`` makes
+an agent an attendee; the engine seats an agent only after finding it idle
+or watching and ``check_admission`` true, so no agent attends twice. A room
+counts its completed openings in ``sessions``; what each one ended with is
+in the run's ``session_end`` records.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .errors import (
-    AdmissionDeniedError,
-    BusyError,
-    ConfigurationError,
-    InvalidTransitionError,
-    RoomClosedError,
-)
+from .errors import ConfigurationError, InvalidTransitionError, RoomClosedError
 from .model import Agent, AgentPhase, Issue, StrategyConfig
 from .model import evaluate  # noqa: F401  (kept importable: benchmark/tracing.py patches it)
 from .protocols import NegotiationSession, ProtocolConfig, build_session, utility
@@ -124,26 +119,8 @@ class MeetingRoom:
         )
         return self.agenda_utility(agent, issues_by_id) >= threshold
 
-    def enter(
-        self,
-        agent: Agent,
-        issues_by_id: Mapping[int, Issue],
-        default_threshold: float = 0.0,
-    ) -> bool:
-        """Admit the agent; returns False on idempotent re-entry."""
-        if self.room_state is not RoomState.OPEN:
-            raise RoomClosedError(f"room {self.id} is not open")
-        if agent.room_id == self.id:
-            return False
-        if agent.phase not in (AgentPhase.IDLE, AgentPhase.WATCHING):
-            raise BusyError(f"agent {agent.id} is already in room {agent.room_id}")
-        if not self.check_admission(agent, issues_by_id, default_threshold):
-            raise AdmissionDeniedError(f"agent {agent.id} not admitted to room {self.id}")
-        self.seat(agent)
-        return True
-
     def seat(self, agent: Agent) -> None:
-        """Make the agent an attendee, with none of ``enter``'s checks.
+        """Make the agent an attendee, with no checks.
 
         For a caller that has already found the room open, the agent idle or
         watching, and ``check_admission`` true.

@@ -11,9 +11,9 @@ cap bounds reaction cascades. The scheduler has no run bound of its own:
 A state change costs each rule one test of its watchee side, and only a
 rule whose trigger flips goes on to its watchers. Those come from a
 candidate list per watcher query, built on first use from the parts of
-the query that never change (kind, id, group) and rebuilt only after the
-context's membership changes; a watcher's state is read only when the
-query or the trigger constrains it.
+the query that never change (kind, id, group) and never rebuilt: the
+context's membership is fixed once ``Simulation`` is constructed. A
+watcher's state is read only when the query or the trigger constrains it.
 
 An agent scan reaction that would only repeat a scan already queued for
 the same agent, tick and band, with nothing but scans queued there in
@@ -125,9 +125,8 @@ class Scheduler:
         # the seq of the last push that is not an agent scan.
         self._pending_scans: dict[Any, ScheduledAction] = {}
         self._other_pushes: dict[int, dict[int, int]] = {}
-        # Watcher query -> its candidates, valid for one context version.
+        # Watcher query -> its candidates, built on first use.
         self._candidates: dict[Query, list[tuple[int, Any]]] = {}
-        self._candidates_version: int | None = None
 
     # -- queue ---------------------------------------------------------
 
@@ -217,14 +216,11 @@ class Scheduler:
         """Members matching ``query`` but for its state, by ascending id.
 
         Ties between kinds keep the context's insertion order. The list is
-        built on first use and kept until the context's membership changes:
-        kind, id and group never change while a member is in the context.
+        built on first use and kept for the run: no member joins or leaves
+        the context after set-up, and kind, id and group never change.
         """
         if self.context is None:
             return []
-        if self._candidates_version != self.context.version:
-            self._candidates = {}
-            self._candidates_version = self.context.version
         candidates = self._candidates.get(query)
         if candidates is None:
             found = [(i, o) for _, i, o in self.context.query(replace(query, state=None))]

@@ -356,8 +356,7 @@ def scan_every_room(sim, action) -> None:
     """``Simulation._exec_agent_scan`` without its shortcuts, to patch in its place.
 
     Every scan of an idle or watching agent sorts all rooms, tests each
-    open one for admission, and enters the best one through
-    ``MeetingRoom.enter``, which checks admission again.
+    open one for admission, and seats the agent in the best one.
     """
     agent = sim.agents[action.target]
     if agent.phase not in (AgentPhase.IDLE, AgentPhase.WATCHING):
@@ -379,9 +378,9 @@ def scan_every_room(sim, action) -> None:
             sim._notify_agent(agent, AgentPhase.IDLE)
         return
     old_phase = agent.phase
-    if best.enter(agent, sim.issues_by_id, sim.scenario.theta_in):
-        sim._log("agent_entered", agent=agent.id, room=best.id, utility=best_utility)
-        sim._notify_agent(agent, old_phase)
+    best.seat(agent)
+    sim._log("agent_entered", agent=agent.id, room=best.id, utility=best_utility)
+    sim._notify_agent(agent, old_phase)
 
 
 def queue_every_scan(scheduler, kind, target, start, priority, rule_id=None, watchee=None):

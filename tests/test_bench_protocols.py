@@ -1,8 +1,9 @@
 """Micro-benchmarks of utilities, thresholds and protocol rounds.
 
-They time ``evaluate``, ``concession_threshold`` over a 30-issue agenda,
-and one ``run_round`` of each protocol for each proposal strategy with
-P = 100 and 1 000 participants over I = 30 issues. The timed round is
+They time ``evaluate``, the concession threshold ``_conceded`` of a
+30-issue agenda's best and worst utility, and one ``run_round`` of each
+protocol for each proposal strategy with P = 100 and 1 000 participants
+over I = 30 issues. The timed round is
 round 2, so ``trade_off`` proposals follow the round-1 offers. The
 ``bench`` marker keeps them out of the default test run:
 
@@ -22,7 +23,7 @@ from mnegoti.protocols import (
     ProtocolConfig,
     ProtocolKind,
     SessionStatus,
-    concession_threshold,
+    _conceded,
     run_round,
 )
 
@@ -41,7 +42,8 @@ def test_evaluate(benchmark):
 def test_concession_threshold(benchmark):
     rng = random.Random(1)
     utilities = [rng.random() for _ in range(ISSUES)]
-    assert benchmark(concession_threshold, utilities, 7, DEADLINE, 0.5) <= max(utilities)
+    u_max, u_min = max(utilities), min(utilities)
+    assert benchmark(_conceded, u_max, u_min, 7, DEADLINE, 0.5) <= u_max
 
 
 def session_after_round_one(

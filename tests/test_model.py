@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from mnegoti.model import (
     PreferenceBounds,
     evaluate,
     normalize_weights,
-    sample_preferences,
     spawn_members,
 )
 
@@ -35,6 +35,12 @@ def make_group(rows, kind=DistributionKind.UNIFORM, member_count=1, mean=0.5, sd
         distribution=DistributionSpec(kind=kind, mean=mean, sd=sd),
         member_count=member_count,
     )
+
+
+def one_member_prefs(group, rng):
+    """One member's raw preferences: ``spawn_members`` on a one-member group."""
+    (agent,) = spawn_members(replace(group, member_count=1), rng, 0)
+    return agent.raw_prefs
 
 
 def make_agent(weights, agent_id=0):
@@ -73,16 +79,16 @@ def bits(values):
 class TestSamplePreferences:
     def test_degenerate_interval_uniform(self):
         group = make_group([(0.3, 0.3)])
-        assert sample_preferences(group, np.random.default_rng(0)) == (0.3,)
+        assert one_member_prefs(group, np.random.default_rng(0)) == (0.3,)
 
     def test_degenerate_interval_truncated_normal(self):
         group = make_group([(0.3, 0.3)], kind=DistributionKind.TRUNCATED_NORMAL)
-        assert sample_preferences(group, np.random.default_rng(0)) == (0.3,)
+        assert one_member_prefs(group, np.random.default_rng(0)) == (0.3,)
 
     def test_same_seed_reproducible_bitwise(self):
         group = make_group([(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)])
-        first = sample_preferences(group, np.random.default_rng(99))
-        second = sample_preferences(group, np.random.default_rng(99))
+        first = one_member_prefs(group, np.random.default_rng(99))
+        second = one_member_prefs(group, np.random.default_rng(99))
         assert first == second
 
     def test_uniform_empirical_mean_matches_monte_carlo_oracle(self):
@@ -93,21 +99,21 @@ class TestSamplePreferences:
 
         group = make_group([(0.2, 0.4)])
         rng = np.random.default_rng(5)
-        samples = [sample_preferences(group, rng)[0] for _ in range(10_000)]
+        samples = [one_member_prefs(group, rng)[0] for _ in range(10_000)]
         assert 0.29 <= sum(samples) / len(samples) <= 0.31
 
     def test_truncated_normal_stays_in_bounds(self):
         group = make_group([(0.4, 0.6)], kind=DistributionKind.TRUNCATED_NORMAL, sd=2.0)
         rng = np.random.default_rng(1)
         for _ in range(500):
-            (value,) = sample_preferences(group, rng)
+            (value,) = one_member_prefs(group, rng)
             assert 0.4 <= value <= 0.6
 
     def test_uniform_mode_consumes_exactly_one_draw_per_criterion(self):
         rows = [(0.1, 0.4), (0.0, 1.0), (0.3, 0.3)]
         group = make_group(rows)
         used = np.random.default_rng(77)
-        sample_preferences(group, used)
+        one_member_prefs(group, used)
         reference = np.random.default_rng(77)
         for lo, hi in rows:
             reference.uniform(lo, hi)
@@ -118,7 +124,7 @@ class TestSamplePreferences:
         # seeds exhaust all rejection attempts.
         group = make_group([(0.2, 0.4)], kind=DistributionKind.TRUNCATED_NORMAL, sd=200.0)
         values = {
-            sample_preferences(group, np.random.default_rng(seed))[0]
+            one_member_prefs(group, np.random.default_rng(seed))[0]
             for seed in range(40)
         }
         midpoint = 0.2 + (0.4 - 0.2) / 2.0
@@ -129,7 +135,7 @@ class TestSamplePreferences:
     @settings(max_examples=150)
     def test_bounds_containment_uniform(self, rows, seed):
         group = make_group(rows)
-        sample = sample_preferences(group, np.random.default_rng(seed))
+        sample = one_member_prefs(group, np.random.default_rng(seed))
         for value, (lo, hi) in zip(sample, rows):
             assert lo <= value <= hi
 
@@ -137,7 +143,7 @@ class TestSamplePreferences:
     @settings(max_examples=150)
     def test_bounds_containment_truncated_normal(self, rows, seed):
         group = make_group(rows, kind=DistributionKind.TRUNCATED_NORMAL, sd=0.5)
-        sample = sample_preferences(group, np.random.default_rng(seed))
+        sample = one_member_prefs(group, np.random.default_rng(seed))
         for value, (lo, hi) in zip(sample, rows):
             assert lo <= value <= hi
 
@@ -217,7 +223,7 @@ class TestSpawnMembers:
                 assert bits(agent.raw_prefs) == bits(raw)
                 assert bits(agent.weights) == bits(normalize_weights(raw))
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
-        single = sample_preferences(group, rng)
+        single = one_member_prefs(group, rng)
         assert bits(single) == bits(sample_one_draw_at_a_time(group, oracle_rng))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 

@@ -16,8 +16,8 @@ from mnegoti.protocols import (
     ProtocolConfig,
     ProtocolKind,
     SessionStatus,
+    _conceded,
     acceptable_set,
-    concession_threshold,
     failed_outcome,
     propose,
     run_round,
@@ -64,24 +64,29 @@ def run_to_completion(session: NegotiationSession) -> tuple[str, int | None, int
     return (session.status.value, session.agreed_issue, session.round)
 
 
+def threshold(utilities, t, max_rounds, beta):
+    """The concession threshold over an agenda with these utilities."""
+    return _conceded(max(utilities), min(utilities), t, max_rounds, beta)
+
+
 class TestConcessionThreshold:
     def test_first_round_is_best_utility(self):
-        assert concession_threshold([0.3, 0.8, 0.5], 1, 7, 2.0) == 0.8
+        assert threshold([0.3, 0.8, 0.5], 1, 7, 2.0) == 0.8
 
     def test_deadline_round_is_worst_utility(self):
-        assert concession_threshold([0.3, 0.8, 0.5], 7, 7, 2.0) == 0.3
+        assert threshold([0.3, 0.8, 0.5], 7, 7, 2.0) == 0.3
 
     def test_single_round_deadline_starts_at_worst(self):
-        assert concession_threshold([0.3, 0.8], 1, 1, 1.0) == 0.3
+        assert threshold([0.3, 0.8], 1, 1, 1.0) == 0.3
 
     def test_linear_midpoint(self):
-        assert concession_threshold([1.0, 0.0], 6, 11, 1.0) == pytest.approx(0.5)
+        assert threshold([1.0, 0.0], 6, 11, 1.0) == pytest.approx(0.5)
 
     def test_round_out_of_range_rejected(self):
         with pytest.raises(ProtocolError):
-            concession_threshold([0.5], 0, 5, 1.0)
+            threshold([0.5], 0, 5, 1.0)
         with pytest.raises(ProtocolError):
-            concession_threshold([0.5], 6, 5, 1.0)
+            threshold([0.5], 6, 5, 1.0)
 
     @given(
         utilities=st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=6),
@@ -90,10 +95,7 @@ class TestConcessionThreshold:
     )
     @settings(max_examples=300)
     def test_non_increasing_with_exact_endpoints(self, utilities, beta, max_rounds):
-        values = [
-            concession_threshold(utilities, t, max_rounds, beta)
-            for t in range(1, max_rounds + 1)
-        ]
+        values = [threshold(utilities, t, max_rounds, beta) for t in range(1, max_rounds + 1)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[-1] == min(utilities)
         if max_rounds > 1:

@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mnegoti.errors import (
-    AdmissionDeniedError,
-    BusyError,
-    ConfigurationError,
-    InvalidTransitionError,
-    RoomClosedError,
-)
+from mnegoti.errors import ConfigurationError, InvalidTransitionError, RoomClosedError
 from mnegoti.model import Agent, AgentPhase, Issue
 from mnegoti.protocols import (
     ProtocolConfig,
@@ -62,6 +56,12 @@ def make_agent(ident, weights=(0.5, 0.5), group=0):
     return Agent(id=ident, group_id=group, raw_prefs=tuple(weights), weights=tuple(weights))
 
 
+def admit(room, agent):
+    """Seat the agent as the engine's scan does, once ``check_admission`` holds."""
+    assert room.check_admission(agent, ISSUES)
+    room.seat(agent)
+
+
 class TestLifecycle:
     def test_open_closed_room(self):
         room = MeetingRoom(0)
@@ -84,8 +84,8 @@ class TestLifecycle:
         room = MeetingRoom(0)
         room.open(conditions_agenda())
         a, b = make_agent(1), make_agent(2)
-        room.enter(b, ISSUES)
-        room.enter(a, ISSUES)
+        admit(room, b)
+        admit(room, a)
         released = room.close()
         assert released == [1, 2]
         assert a.phase is AgentPhase.IDLE and a.room_id is None
@@ -151,38 +151,23 @@ class TestAdmission:
             MeetingRoom(0).check_admission(make_agent(1), ISSUES)
 
 
-class TestEnter:
+class TestSeat:
     def test_admitted_idle_agent_becomes_attendee(self):
         room = MeetingRoom(0)
         room.open(conditions_agenda())
         agent = make_agent(1)
-        assert room.enter(agent, ISSUES) is True
+        admit(room, agent)
         assert room.attendee_ids() == [1]
         assert agent.phase is AgentPhase.IN_ROOM
         assert agent.room_id == 0
 
-    def test_reentry_is_idempotent(self):
+    def test_seating_twice_keeps_one_attendee(self):
         room = MeetingRoom(0)
         room.open(conditions_agenda())
         agent = make_agent(1)
-        room.enter(agent, ISSUES)
-        assert room.enter(agent, ISSUES) is False
+        admit(room, agent)
+        room.seat(agent)
         assert room.attendee_ids() == [1]
-
-    def test_agent_in_another_room_is_busy(self):
-        first, second = MeetingRoom(0), MeetingRoom(1)
-        first.open(conditions_agenda())
-        second.open(conditions_agenda())
-        agent = make_agent(1)
-        first.enter(agent, ISSUES)
-        with pytest.raises(BusyError):
-            second.enter(agent, ISSUES)
-
-    def test_unadmitted_agent_is_denied(self):
-        room = MeetingRoom(0)
-        room.open(invitations_agenda([9]))
-        with pytest.raises(AdmissionDeniedError):
-            room.enter(make_agent(1), ISSUES)
 
 
 class TestStartSession:
@@ -190,7 +175,7 @@ class TestStartSession:
         room = MeetingRoom(0)
         room.open(conditions_agenda(deadline=3))
         for agent in agents:
-            room.enter(agent, ISSUES)
+            admit(room, agent)
         return room
 
     def test_two_attendees_start_a_session(self):
@@ -271,7 +256,7 @@ class TestStateMachineProperty:
                 elif op == "enter":
                     for agent in agents:
                         if agent.room_id is None and room.room_state is RoomState.OPEN:
-                            room.enter(agent, ISSUES)
+                            admit(room, agent)
                 elif op == "start":
                     room.start_session(list(ISSUES.values()), PROTOCOL, {}, tick=0)
                 else:

@@ -762,3 +762,19 @@ class TestTracerNames:
         with tracing.Trace().installed():
             assert runner.write_artifacts is not patched[1]
         assert (runner.Simulation, runner.write_artifacts, mnegoti.engine.run_round) == patched
+
+    def test_traced_run_gives_layer_metrics(self, tmp_path):
+        # A traced run patches ``Simulation.context.query`` on every
+        # simulation, and ``engine.build_same_group_projection`` and
+        # ``rooms.evaluate`` on install; losing any of them fails here.
+        tracing = benchmark_module("tracing")
+        scenario = load_scenario_file(SCENARIO_DIR / "concurrent_rooms.yaml")
+        trace = tracing.Trace()
+        with trace.installed():
+            (artifacts,) = run(scenario, out_dir=tmp_path)
+        log_bytes = (artifacts.out_dir / "events.log").stat().st_size
+        layers = tracing.layer_metrics(trace, len(artifacts.events), log_bytes, 1)
+        assert set(layers) == set(tracing.LAYER_METRICS) - {"trace.wall_s", "trace.overhead"}
+        assert layers["context.query_calls"] > 0
+        assert layers["model.evaluate_calls"] > 0
+        assert layers["engine.actions.agent_scan"] > 0

@@ -166,7 +166,8 @@ class TestWatchers:
 
     def test_watcher_state_constraint_filters_watchers(self):
         ctx, room = self.population(2)
-        ctx.get(ObjectKind.AGENT, 1).phase = AgentPhase.NEGOTIATING
+        members = {(kind, ident): obj for kind, ident, obj in ctx.items()}
+        members[ObjectKind.AGENT, 1].phase = AgentPhase.NEGOTIATING
         scheduler = Scheduler(context=ctx)
         scheduler.register_watcher(
             self.room_open_rule(trigger=Trigger(watcher_state="idle", watchee_state="open"))
@@ -345,10 +346,32 @@ STATES_OF = {
     ObjectKind.AGENT: (list(AgentPhase), "phase"),
     ObjectKind.MEETING_ROOM: (list(RoomState), "room_state"),
 }
-# (operation, member or kind draw, state or group draw, band while notifying)
+
+
+@st.composite
+def join_orders(draw):
+    """Agents (group, phase) and rooms (state), in a drawn interleaved join order.
+
+    Agent and room ids both count from 0, so an agent and a room sharing an
+    id join in either order.
+    """
+    agents = draw(
+        st.lists(
+            st.tuples(st.integers(0, 2), st.sampled_from(list(AgentPhase))),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    rooms = draw(st.lists(st.sampled_from(list(RoomState)), min_size=1, max_size=3))
+    members = [(ObjectKind.AGENT, i, drawn) for i, drawn in enumerate(agents)]
+    members += [(ObjectKind.MEETING_ROOM, i, state) for i, state in enumerate(rooms)]
+    return draw(st.permutations(members))
+
+
+# (operation, member draw, state draw, band while notifying)
 operations = st.lists(
     st.tuples(
-        st.sampled_from(["change", "change", "change", "add", "remove", "step"]),
+        st.sampled_from(["change", "change", "change", "step"]),
         st.integers(0, 63),
         st.integers(0, 63),
         st.none() | st.integers(-5, 120),
@@ -362,85 +385,65 @@ class TestNotifyOracle:
     """``notify_state_change`` against ``brute_force_notify``, reaction for reaction."""
 
     @given(
-        agents=st.lists(
-            st.tuples(st.integers(0, 2), st.sampled_from(list(AgentPhase))),
-            min_size=1,
-            max_size=8,
-        ),
-        rooms=st.lists(st.sampled_from(list(RoomState)), min_size=1, max_size=3),
+        joins=join_orders(),
         rules=st.lists(room_watch_rules | self_watch_rules | any_rules, min_size=1, max_size=3),
         ops=operations,
     )
     @settings(max_examples=400, deadline=None)
-    def test_reactions_match_brute_force(self, agents, rooms, rules, ops):
+    def test_reactions_match_brute_force(self, joins, rules, ops):
         ctx = Context()
-        for i, (group, phase) in enumerate(agents):
-            ctx.add(ObjectKind.AGENT, i, make_agent(i, phase, group))
-        for i, state in enumerate(rooms):
-            room = MeetingRoom(i)
-            room.room_state = state
-            ctx.add(ObjectKind.MEETING_ROOM, i, room)
+        for kind, ident, drawn in joins:
+            if kind is ObjectKind.AGENT:
+                group, phase = drawn
+                ctx.add(kind, ident, make_agent(ident, phase, group))
+            else:
+                room = MeetingRoom(ident)
+                room.room_state = drawn
+                ctx.add(kind, ident, room)
         scheduler = Scheduler(context=ctx, cascade_cap=10**9)
         for rule in rules:
             scheduler.register_watcher(rule)
         # Changes favour members some watchee query can match and states the
         # triggers name, so that many of them fire.
         named = {r.trigger.watchee_state for r in rules}
+        members = list(ctx.items())
+        watched = [
+            (k, i, o)
+            for k, i, o in members
+            if any(replace(r.watchee_query, state=None).matches(k, i, o) for r in rules)
+        ]
+        pool = watched * 3 + members
 
         for op, a, b, band in ops:
-            members = list(ctx.items())
             if op == "step":
                 scheduler.step()
-            elif op == "add":
-                # Ids are reused, so agents and rooms sharing an id join in
-                # either order.
-                kind = list(ObjectKind)[a % 2]
-                ident = b % 8
-                if (kind, ident) in ctx:
-                    continue
-                states, attr = STATES_OF[kind]
-                if kind is ObjectKind.AGENT:
-                    obj = make_agent(ident, group=(a // 2) % 3)
-                else:
-                    obj = MeetingRoom(ident)
-                setattr(obj, attr, states[(b // 8) % len(states)])
-                ctx.add(kind, ident, obj)
-            elif members and op == "remove":
-                kind, ident, _ = members[a % len(members)]
-                ctx.remove(kind, ident)
-            elif members:
-                watched = [
-                    (k, i, o)
-                    for k, i, o in members
-                    if any(replace(r.watchee_query, state=None).matches(k, i, o) for r in rules)
-                ]
-                pool = watched * 3 + members
-                kind, ident, obj = pool[a % len(pool)]
-                states, attr = STATES_OF[kind]
-                current = getattr(obj, attr)
-                old = current.value
-                others = [s for s in states if s is not current]
-                choices = [s for s in others if s.value in named] + others
-                new = choices[b % len(choices)]
-                setattr(obj, attr, new)
-                expected = brute_force_notify(
-                    list(ctx.items()), rules, scheduler.now, band, kind, ident, old, new.value, obj
+                continue
+            kind, ident, obj = pool[a % len(pool)]
+            states, attr = STATES_OF[kind]
+            current = getattr(obj, attr)
+            old = current.value
+            others = [s for s in states if s is not current]
+            choices = [s for s in others if s.value in named] + others
+            new = choices[b % len(choices)]
+            setattr(obj, attr, new)
+            expected = brute_force_notify(
+                members, rules, scheduler.now, band, kind, ident, old, new.value, obj
+            )
+            scheduler.current_band = band
+            fired = scheduler.notify_state_change(kind, ident, old, new.value, obj)
+            scheduler.current_band = None
+            assert [
+                (
+                    f.rule_id,
+                    f.watcher_id,
+                    f.action.kind,
+                    f.action.target,
+                    f.action.start,
+                    f.action.priority,
                 )
-                scheduler.current_band = band
-                fired = scheduler.notify_state_change(kind, ident, old, new.value, obj)
-                scheduler.current_band = None
-                assert [
-                    (
-                        f.rule_id,
-                        f.watcher_id,
-                        f.action.kind,
-                        f.action.target,
-                        f.action.start,
-                        f.action.priority,
-                    )
-                    for f in fired
-                ] == expected
-                assert all((f.watchee_kind, f.watchee_id) == (kind, ident) for f in fired)
+                for f in fired
+            ] == expected
+            assert all((f.watchee_kind, f.watchee_id) == (kind, ident) for f in fired)
 
 
 class TestScanMerging:
