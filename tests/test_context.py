@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mnegoti.context import Context, ObjectKind, Query
 from mnegoti.engine import Simulation
 from mnegoti.errors import DuplicateMemberError
-from mnegoti.model import Agent
+from mnegoti.model import Agent, AgentPhase
 from mnegoti.rooms import MeetingRoom, Agenda, AdmissionPolicy, AdmissionKind
 from mnegoti.scenario import load_scenario
 
@@ -82,6 +82,22 @@ class TestQuery:
         ctx.add(ObjectKind.AGENT, 1, agent(1, group=1))
         hits = ctx.query(Query(kind=ObjectKind.AGENT, group_id=1))
         assert [ident for _, ident, _ in hits] == [1]
+
+    def test_group_filter_never_matches_rooms(self):
+        ctx = Context()
+        ctx.add(ObjectKind.MEETING_ROOM, 0, MeetingRoom(0))
+        ctx.add(ObjectKind.AGENT, 1, agent(1, group=0))
+        hits = ctx.query(Query(group_id=0))
+        assert [(kind, ident) for kind, ident, _ in hits] == [(ObjectKind.AGENT, 1)]
+
+    def test_agent_state_filter_reads_current_phase(self):
+        ctx = filled_context(3)
+        members = {ident: obj for _, ident, obj in ctx.items()}
+        members[2].phase = AgentPhase.WATCHING
+        hits = ctx.query(Query(kind=ObjectKind.AGENT, state="watching"))
+        assert [ident for _, ident, _ in hits] == [2]
+        members[2].phase = AgentPhase.IDLE
+        assert ctx.query(Query(kind=ObjectKind.AGENT, state="watching")) == []
 
 
 class TestSetupMemory:

@@ -169,6 +169,16 @@ class TestSeat:
         room.seat(agent)
         assert room.attendee_ids() == [1]
 
+    def test_watching_agent_becomes_attendee(self):
+        room = MeetingRoom(0)
+        room.open(conditions_agenda())
+        watcher, idle = make_agent(2), make_agent(1)
+        watcher.phase = AgentPhase.WATCHING
+        admit(room, watcher)
+        admit(room, idle)
+        assert room.attendee_ids() == [1, 2]
+        assert (watcher.phase, watcher.room_id) == (AgentPhase.IN_ROOM, 0)
+
 
 class TestStartSession:
     def open_with(self, *agents):

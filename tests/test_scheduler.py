@@ -197,6 +197,40 @@ class TestWatchers:
         with pytest.raises(AssertionError, match="watcher state read"):
             scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
 
+    def test_candidate_list_is_built_once_per_watcher_query(self, monkeypatch):
+        ctx, room = self.population(3)
+        queries = []
+        query = Context.query
+
+        def counted(context, q):
+            queries.append(q)
+            return query(context, q)
+
+        monkeypatch.setattr(Context, "query", counted)
+        scheduler = Scheduler(context=ctx)
+        scheduler.register_watcher(self.room_open_rule())
+        scheduler.register_watcher(self.room_open_rule())
+        grouped = Query(kind=ObjectKind.AGENT, group_id=0)
+        scheduler.register_watcher(self.room_open_rule(watcher_query=grouped))
+        for old, new in [("closed", "open"), ("open", "closed"), ("closed", "open")]:
+            scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, old, new, room)
+        assert queries == [Query(kind=ObjectKind.AGENT), grouped]
+
+    def test_kept_candidates_are_tested_on_their_current_state(self):
+        # The kept list holds members, not states: a phase change between
+        # two openings still decides which watchers fire.
+        ctx, room = self.population(2)
+        members = {(kind, ident): obj for kind, ident, obj in ctx.items()}
+        scheduler = Scheduler(context=ctx)
+        scheduler.register_watcher(
+            self.room_open_rule(trigger=Trigger(watcher_state="idle", watchee_state="open"))
+        )
+        fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
+        assert [f.watcher_id for f in fired] == [0, 1]
+        members[ObjectKind.AGENT, 0].phase = AgentPhase.IN_ROOM
+        fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
+        assert [f.watcher_id for f in fired] == [1]
+
     def test_two_rules_fire_in_rule_id_order(self):
         ctx, room = self.population(1)
         scheduler = Scheduler(context=ctx)
