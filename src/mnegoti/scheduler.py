@@ -215,9 +215,13 @@ class Scheduler:
     def _watcher_candidates(self, query: Query) -> list[tuple[int, Any]]:
         """Members matching ``query`` but for its state, by ascending id.
 
-        Ties between kinds keep the context's insertion order. The list is
-        built on first use and kept for the run: no member joins or leaves
-        the context after set-up, and kind, id and group never change.
+        A query with no kind can match an agent and a room of the same id.
+        Their order is not observable: both fires log the same
+        ``watcher_fired`` record, which names the watcher's id but not its
+        kind, and queue the same reaction on the same target id. The list
+        is built on first use and kept for the run: no member joins or
+        leaves the context after set-up, and kind, id and group never
+        change.
         """
         if self.context is None:
             return []

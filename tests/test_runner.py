@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import tempfile
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from mnegoti import protocols, rooms, runner
 
 from mnegoti.context import ObjectKind
 from mnegoti.engine import EventRecord, Simulation
+from mnegoti.errors import OutputError
 from mnegoti.model import AgentPhase
 from mnegoti.runner import (
     SummaryRow,
@@ -637,14 +641,40 @@ class TestPhaseNotifications:
 
 class TestArtifacts:
     def test_written_files_roundtrip(self, minimal_doc, tmp_path):
+        # The streamed log is checked against the records of a run held in
+        # memory, not against itself read back.
         scenario = load_scenario(minimal_doc)
         artifacts = run(scenario, out_dir=tmp_path)[0]
+        (in_memory,) = run(scenario)
         rep = tmp_path / "rep_000"
-        assert (rep / "events.log").exists()
+        assert artifacts.out_dir == rep
         assert (rep / "summary.csv").exists()
         assert (rep / "population.csv").exists()
+        assert (rep / "events.log").read_bytes() == log_bytes(in_memory.events)
         reread = read_event_log(rep / "events.log")
-        assert log_bytes(reread) == log_bytes(artifacts.events)
+        assert log_bytes(reread) == log_bytes(in_memory.events)
+
+    def test_on_disk_result_keeps_counts_and_summary(self, scenario_dir, tmp_path):
+        scenario = load_scenario_file(scenario_dir / "protection_strategies.yaml")
+        (on_disk,) = run(scenario, out_dir=tmp_path)
+        (in_memory,) = run(scenario)
+        assert isinstance(on_disk.events, runner.EventLog)
+        assert len(on_disk.events) == len(in_memory.events)
+        assert log_bytes(on_disk.events) == log_bytes(in_memory.events)
+        assert on_disk.summary == in_memory.summary
+        assert on_disk.population == []
+
+    def test_write_artifacts_of_a_run_in_memory_equals_streamed_files(
+        self, scenario_dir, tmp_path
+    ):
+        scenario = load_scenario_file(scenario_dir / "protection_strategies.yaml")
+        run(scenario, out_dir=tmp_path / "streamed")
+        (in_memory,) = run(scenario)
+        written = runner.write_artifacts(in_memory, tmp_path / "written")
+        for name in ("events.log", "summary.csv", "population.csv"):
+            assert (written / name).read_bytes() == (
+                tmp_path / "streamed" / "rep_000" / name
+            ).read_bytes()
 
     def test_population_csv_lists_all_agents(self, minimal_doc, tmp_path):
         scenario = load_scenario(minimal_doc)
@@ -678,10 +708,131 @@ class TestArtifacts:
 
     def test_written_log_equals_reference_encoding(self, scenario_dir, tmp_path):
         scenario = load_scenario_file(scenario_dir / "protection_strategies.yaml")
-        artifacts = run(scenario, out_dir=tmp_path)[0]
-        assert set(runner._TEMPLATES) <= {e.kind for e in artifacts.events}
-        expected = "".join(reference_line(e) + "\n" for e in artifacts.events)
+        run(scenario, out_dir=tmp_path)
+        (in_memory,) = run(scenario)
+        assert set(runner._TEMPLATES) <= {e.kind for e in in_memory.events}
+        expected = "".join(reference_line(e) + "\n" for e in in_memory.events)
         assert (tmp_path / "rep_000" / "events.log").read_bytes() == expected.encode("ascii")
+
+
+class StopReplication(Exception):
+    """Raised by a patched ``Simulation.step`` to fail one replication midway."""
+
+
+class TestRewriteInPlace:
+    """A run into an out dir that holds files rewrites them in place, or leaves no trace."""
+
+    @staticmethod
+    def files(directory: Path) -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+    def test_shorter_run_leaves_no_stale_tail(self, minimal_doc, tmp_path):
+        scenario = load_scenario(minimal_doc)
+        out = tmp_path / "out"
+        run(scenario, replications=3, out_dir=out)
+        longer = self.files(out / "rep_000")
+        run(scenario, out_dir=out, ticks=1)
+        run(scenario, out_dir=tmp_path / "fresh", ticks=1)
+        rewritten = self.files(out / "rep_000")
+        assert rewritten == self.files(tmp_path / "fresh" / "rep_000")
+        assert len(rewritten["events.log"]) < len(longer["events.log"])
+        assert len(rewritten["summary.csv"]) < len(longer["summary.csv"])
+        assert sorted(p.name for p in out.iterdir()) == ["rep_000", "rep_001", "rep_002"]
+
+    @staticmethod
+    def fail_at(monkeypatch, seed: int, tick: int) -> None:
+        """Make the replication of ``seed`` raise once ``tick`` has run."""
+        step = Simulation.step
+
+        def failing(sim):
+            step(sim)
+            if sim.seed == seed and sim.now > tick:
+                raise StopReplication(seed)
+
+        monkeypatch.setattr(Simulation, "step", failing)
+
+    def test_failed_run_removes_only_the_directories_it_wrote(
+        self, minimal_doc, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        for name in ("rep_000", "rep_001", "rep_003"):
+            (out / name).mkdir(parents=True)
+            (out / name / "events.log").write_text(f"{name}\n")
+        (out / "notes.txt").write_text("kept\n")
+        self.fail_at(monkeypatch, seed=12, tick=2)
+        with pytest.raises(StopReplication):
+            run(load_scenario(minimal_doc), seed=10, replications=3, out_dir=out)
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "rep_003"]
+        assert (out / "notes.txt").read_text() == "kept\n"
+        assert self.files(out / "rep_003") == {"events.log": b"rep_003\n"}
+
+    def test_unwritable_log_raises_output_error(self, minimal_doc, tmp_path):
+        out = tmp_path / "out"
+        (out / "rep_001" / "events.log").mkdir(parents=True)
+        (out / "notes.txt").write_text("kept\n")
+        with pytest.raises(OutputError, match="rep_001"):
+            run(load_scenario(minimal_doc), replications=2, out_dir=out)
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+
+    def test_failed_run_removes_the_parents_it_created(self, minimal_doc, tmp_path, monkeypatch):
+        self.fail_at(monkeypatch, seed=11, tick=2)
+        with pytest.raises(StopReplication):
+            run(load_scenario(minimal_doc), seed=10, replications=2,
+                out_dir=tmp_path / "new" / "nested" / "out")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestReplicationMemory:
+    """A finished on-disk replication leaves only counts and summary rows behind."""
+
+    @staticmethod
+    def rooms_of_300_agents():
+        # concurrent_rooms.yaml with 100 agents in each of its three groups.
+        doc = yaml.safe_load((SCENARIO_DIR / "concurrent_rooms.yaml").read_text())
+        for group in doc["groups"]:
+            group["member_count"] = 100
+        return load_scenario(doc)
+
+    @staticmethod
+    def peak_bytes(scenario, replications: int, out_dir: Path) -> int:
+        """tracemalloc's peak over one run, with the cyclic collector off.
+
+        With the collector off, a replication is freed only if reference
+        counting frees it, so a kept ``Simulation`` or record list shows.
+        """
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            run(scenario, replications=replications, out_dir=out_dir)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+    def test_eight_replications_peak_as_one(self, tmp_path):
+        scenario = self.rooms_of_300_agents()
+        run(scenario, out_dir=tmp_path / "warm")  # first-use allocations
+        one = self.peak_bytes(scenario, 1, tmp_path / "one")
+        eight = self.peak_bytes(scenario, 8, tmp_path / "eight")
+        assert eight <= 1.1 * one, (one, eight)
+
+    def test_finished_simulation_is_freed_without_a_collection(self, minimal_doc, tmp_path,
+                                                               monkeypatch):
+        built = []
+
+        def construct(*args, **kwargs):
+            sim = Simulation(*args, **kwargs)
+            built.append(weakref.ref(sim))
+            return sim
+
+        monkeypatch.setattr(runner, "Simulation", construct)
+        gc.disable()
+        try:
+            run(load_scenario(minimal_doc), replications=2, out_dir=tmp_path)
+            assert [ref() for ref in built] == [None, None]
+        finally:
+            gc.enable()
 
 
 INTS = st.integers(min_value=-(2**63), max_value=2**63)
