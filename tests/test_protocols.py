@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import fsum
 
 import pytest
 from hypothesis import given, settings
@@ -351,6 +352,116 @@ class TestTranscriptOracle:
             # At the deadline every threshold is the participant's worst
             # agenda utility, so every agenda issue is acceptable to all.
             assert outcome[0] == "agreed" and outcome[2] <= deadline
+
+
+def transcript_rounds(session: NegotiationSession) -> list[dict]:
+    """The session's transcript in the shape ``session_oracle`` returns."""
+    return [
+        {
+            "offers": [(o.proposer, o.issue_id) for o in block.offers],
+            "votes": block.votes,
+            "published": block.published,
+            "rejected": block.rejected,
+            "eliminated": block.eliminated,
+            "agreed": block.agreed,
+        }
+        for block in session.transcript
+    ]
+
+
+def assert_matches_oracle(
+    utils: list[list[float]],
+    strategies: list[tuple[StrategyKind, float]],
+    kind: ProtocolKind,
+    deadline: int,
+) -> NegotiationSession:
+    """Run a session of participants 0..P-1 to its end and compare every round."""
+    n, m = len(utils), len(utils[0])
+    session = NegotiationSession(
+        room_id=0,
+        issue_ids=tuple(range(m)),
+        participants=tuple(range(n)),
+        utilities={a: {i: utils[a][i] for i in range(m)} for a in range(n)},
+        strategies={a: StrategyConfig(kind=k, beta=b) for a, (k, b) in enumerate(strategies)},
+        protocol=ProtocolConfig(id="p", kind=kind, max_rounds=deadline),
+        deadline_rounds=deadline,
+    )
+    outcome = run_to_completion(session)
+    expected_rounds, expected_outcome = session_oracle(
+        [dict(enumerate(u)) for u in utils],
+        [(k.value, b) for k, b in strategies],
+        kind.value,
+        deadline,
+    )
+    assert transcript_rounds(session) == expected_rounds
+    assert outcome == expected_outcome
+    return session
+
+
+def best_issue_eliminated(session: NegotiationSession) -> bool:
+    """Whether some participant's round-1 offer was eliminated before the last round."""
+    first = {o.issue_id for o in session.transcript[0].offers}
+    return any(block.eliminated in first for block in session.transcript[:-1])
+
+
+@st.composite
+def long_sessions(draw):
+    """P 2-40 participants over I 2-30 issues with deadlines up to 30 rounds.
+
+    Utilities come mostly from the coarse grid, so ties are frequent.
+    Elimination runs up to I - 1 rounds, and once the issues nobody bids on
+    are gone, each elimination removes some participant's best issue while
+    the session goes on.
+    """
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(2, 30))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    utils = [
+        [rng.choice(UTILITY_GRID) if rng.random() < 0.8 else rng.random() for _ in range(m)]
+        for _ in range(n)
+    ]
+    strategies = [(rng.choice(list(StrategyKind)), rng.choice(BETAS)) for _ in range(n)]
+    kind = draw(st.sampled_from(list(ProtocolKind)))
+    deadline = draw(st.integers(1, 30))
+    return utils, strategies, kind, deadline
+
+
+def summit_utilities(participants: int, issues: int, seed: int) -> list[list[float]]:
+    """Weighted sums of four criterion scores over issues near a Pareto front."""
+    rng = random.Random(seed)
+    scores = []
+    for _ in range(issues):
+        draws = [rng.random() + 0.05 for _ in range(4)]
+        scores.append([2.0 * d / sum(draws) for d in draws])
+    utils = []
+    for _ in range(participants):
+        raw = [rng.random() for _ in range(4)]
+        weights = [w / sum(raw) for w in raw]
+        utils.append([min(1.0, fsum(w * s for w, s in zip(weights, row))) for row in scores])
+    return utils
+
+
+class TestLongSessionOracle:
+    """Whole sessions far longer than ``TestTranscriptOracle`` draws."""
+
+    @given(instance=long_sessions())
+    @settings(max_examples=100, deadline=None)
+    def test_every_round_matches_oracle(self, instance):
+        assert_matches_oracle(*instance)
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind), ids=lambda k: k.value)
+    def test_summit_shaped_session_matches_oracle(self, kind):
+        # Groups of ten share a strategy, as in the summit workload, and all
+        # hold out (beta 0.01), so concession runs to the deadline.
+        participants, issues, deadline = 60, 30, 30
+        kinds = list(StrategyKind)
+        strategies = [(kinds[(a // 10) % len(kinds)], 0.01) for a in range(participants)]
+        utils = summit_utilities(participants, issues, seed=18)
+        session = assert_matches_oracle(utils, strategies, kind, deadline)
+        if kind is ProtocolKind.MONOTONIC_CONCESSION:
+            assert session.round == deadline
+        if kind is ProtocolKind.ELIMINATION_BIDDING:
+            assert best_issue_eliminated(session)
 
 
 class TestUnanimity:
