@@ -1,10 +1,11 @@
 """Micro-benchmarks of utilities, thresholds and protocol rounds.
 
 They time ``evaluate``, the concession threshold ``_conceded`` of a
-30-issue agenda's best and worst utility, and one ``run_round`` of each
+30-issue agenda's best and worst utility, one ``run_round`` of each
 protocol for each proposal strategy with P = 100 and 1 000 participants
-over I = 30 issues. The timed round is
-round 2, so ``trade_off`` proposals follow the round-1 offers. The
+over I = 30 issues, and one whole session of each with P = 300. The timed
+round is round 2, so ``trade_off`` proposals follow the round-1 offers; the
+whole session also shows costs that build up over later rounds. The
 ``bench`` marker keeps them out of the default test run:
 
     PYTHONPATH=src python -m pytest -m bench                      # timed
@@ -46,7 +47,7 @@ def test_concession_threshold(benchmark):
     assert benchmark(_conceded, u_max, u_min, 7, DEADLINE, 0.5) <= u_max
 
 
-def session_after_round_one(
+def new_session(
     participants: int, protocol: ProtocolKind, strategy: StrategyKind
 ) -> NegotiationSession:
     rng = random.Random(participants)
@@ -59,6 +60,13 @@ def session_after_round_one(
         protocol=ProtocolConfig(id="p", kind=protocol, max_rounds=DEADLINE),
         deadline_rounds=DEADLINE,
     )
+    return session
+
+
+def session_after_round_one(
+    participants: int, protocol: ProtocolKind, strategy: StrategyKind
+) -> NegotiationSession:
+    session = new_session(participants, protocol, strategy)
     run_round(session)
     assert session.status is SessionStatus.ACTIVE
     return session
@@ -73,3 +81,19 @@ def test_run_round(benchmark, protocol, strategy, participants):
 
     block = benchmark.pedantic(run_round, setup=setup, rounds=5)
     assert block.round == 2
+
+
+def run_session(session: NegotiationSession) -> NegotiationSession:
+    while session.status is SessionStatus.ACTIVE:
+        run_round(session)
+    return session
+
+
+@pytest.mark.parametrize("strategy", list(StrategyKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("protocol", list(ProtocolKind), ids=lambda k: k.value)
+def test_run_session(benchmark, protocol, strategy):
+    def setup():
+        return (new_session(300, protocol, strategy),), {}
+
+    session = benchmark.pedantic(run_session, setup=setup, rounds=5)
+    assert session.status is not SessionStatus.ACTIVE
