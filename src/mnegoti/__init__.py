@@ -33,7 +33,6 @@ from .protocols import (
     ProtocolConfig,
     ProtocolKind,
     SessionStatus,
-    acceptable_set,
     build_session,
     propose,
     run_round,

@@ -2,19 +2,29 @@
 
 Sessions operate on a per-participant utility table over the agenda issues,
 so the protocol machinery is independent of how utilities were produced.
-A session fixes each participant's best and worst agenda utility when it
-is built and counts the previous round's offers once per round, so a
-round costs O(participants x issues).
+Participants and agenda are fixed for a session's life, so it computes what
+they determine once: each participant's best and worst agenda utility when
+it is built, each issue's welfare when a round first needs it, and each
+participant's ranking of the agenda in its first concession round. It keeps
+each participant's best issue in the pool until that issue leaves the pool,
+and counts the previous round's offers once per round. A round then costs
+a few lookups per participant, a bisection of the ranking per published
+set, and a scan of the issues offered last round per ``trade_off``
+proposal; only a best issue that left the pool is found again by a scan of
+the pool.
 All tie-breaks resolve to the lowest issue id (or ascending agent id), which
 makes every transcript a pure function of the session inputs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from functools import cached_property
+from math import inf
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import NotTerminatedError, ProtocolError
 from .model import Agent, Issue, StrategyConfig, StrategyKind, evaluate
@@ -52,8 +62,7 @@ class ProtocolConfig:
             raise ProtocolError(f"protocol {self.id!r}: rounds_per_tick must be >= 1")
 
 
-@dataclass(frozen=True)
-class Offer:
+class Offer(NamedTuple):
     """One proposal; proposer None means the mediator."""
 
     proposer: int | None
@@ -100,7 +109,7 @@ class NegotiationSession:
     failure_reason: FailureReason | None = None
     agreed_issue: int | None = None
     transcript: list[RoundBlock] = field(default_factory=list)
-    candidates: list[int] = field(default_factory=list)
+    candidates: list[int] = field(default_factory=list)  # shrinks only by drop_candidate
     started_tick: int = 0
     ended_tick: int = 0
     # participant -> (best, worst) utility over the agenda
@@ -109,6 +118,8 @@ class NegotiationSession:
     _last_offers: tuple[int, Counter, dict[int, int]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # participant -> offer of its best issue in the pool, until that issue leaves
+    _best: dict[int, Offer] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.candidates:
@@ -126,14 +137,46 @@ class NegotiationSession:
         beta = self.strategies[participant].beta
         return _conceded(u_max, u_min, t, self.deadline_rounds, beta)
 
+    @cached_property
+    def welfare(self) -> dict[int, float]:
+        """Each agenda issue's summed utility, added in participant order."""
+        return {
+            i: sum(self.utilities[p][i] for p in self.participants) for i in self.issue_ids
+        }
+
+    @cached_property
+    def rankings(self) -> dict[int, _Ranking]:
+        """Each participant's ranking of the agenda, for its published sets."""
+        return {p: _Ranking(self.utilities[p], self.issue_ids) for p in self.participants}
+
+    def best_offer(self, participant: int) -> Offer:
+        """The participant's offer of its best issue in the pool, lowest id on ties.
+
+        The pool only shrinks, so the best issue stays best while it is in the pool.
+        """
+        offer = self._best.get(participant)
+        if offer is None:
+            utils = self.utilities[participant]
+            issue = min(self.candidates, key=lambda i: (-utils[i], i))
+            offer = self._best[participant] = Offer(participant, issue)
+        return offer
+
+    def drop_candidate(self, issue_id: int) -> None:
+        """Take the issue out of the pool and forget the best offers that named it."""
+        self.candidates.remove(issue_id)
+        for p in [p for p, o in self._best.items() if o.issue_id == issue_id]:
+            del self._best[p]
+
     def last_round_offers(self) -> tuple[Counter, dict[int, int]]:
-        """The last round's participant offers: count per issue, and each proposer's issue.
+        """The last round's participant offers: count per issue still in the pool,
+        and each proposer's issue.
 
         Built once per round and shared by every trade-off proposal of the next.
         """
         if self._last_offers is None or self._last_offers[0] != self.round:
             offers = [o for o in self.transcript[-1].offers if o.proposer is not None]
-            counts = Counter(o.issue_id for o in offers)
+            pool = set(self.candidates)
+            counts = Counter(o.issue_id for o in offers if o.issue_id in pool)
             self._last_offers = (self.round, counts, {o.proposer: o.issue_id for o in offers})
         return self._last_offers[1], self._last_offers[2]
 
@@ -167,46 +210,63 @@ def _conceded(u_max: float, u_min: float, t: int, max_rounds: int, beta: float) 
     return u_max - (u_max - u_min) * frac
 
 
-def acceptable_set(utilities: Mapping[int, float], threshold: float) -> list[int]:
-    """Issue ids whose utility clears the threshold, ascending."""
-    return sorted(i for i, u in utilities.items() if u >= threshold)
+class _Ranking:
+    """One participant's agenda issues by descending utility, lowest id on ties.
+
+    The issues whose utility clears a threshold are a prefix of the ranking,
+    found by bisection; its ascending tuple and set are rebuilt only when
+    the prefix length changes.
+    """
+
+    __slots__ = ("issues", "keys", "k", "published", "members")
+
+    def __init__(self, utilities: Mapping[int, float], issue_ids: Sequence[int]) -> None:
+        self.issues = sorted(issue_ids, key=lambda i: (-utilities[i], i))
+        self.keys = [-utilities[i] for i in self.issues]
+        self.k = -1
+
+    def acceptable(self, threshold: float) -> tuple[tuple[int, ...], frozenset[int]]:
+        """Issue ids whose utility clears the threshold, ascending, and as a set."""
+        k = bisect_right(self.keys, -threshold)
+        if k != self.k:
+            self.k = k
+            self.published = tuple(sorted(self.issues[:k]))
+            self.members = frozenset(self.published)
+        return self.published, self.members
 
 
-def _argmax_issue(utilities: Mapping[int, float], pool: Sequence[int]) -> int:
-    """Highest-utility issue in the pool, lowest id on ties."""
-    return min(pool, key=lambda i: (-utilities[i], i))
-
-
-def _welfare_argmax(session: NegotiationSession, pool: Sequence[int]) -> int:
-    def welfare(i: int) -> float:
-        return sum(session.utilities[p][i] for p in session.participants)
-
-    return min(pool, key=lambda i: (-welfare(i), i))
+def _welfare_argmax(session: NegotiationSession, pool: Iterable[int]) -> int:
+    welfare = session.welfare
+    return min(pool, key=lambda i: (-welfare[i], i))
 
 
 def propose(session: NegotiationSession, participant: int) -> Offer:
     """The participant's next offer under its configured strategy."""
     t = session.round + 1
     strategy = session.strategies[participant]
-    utils = session.utilities[participant]
-    pool = session.candidates
+    best = session.best_offer(participant)
 
     # Top-bid, time-dependent and round-1 trade-off offers are the pool's best
     # issue. A threshold would not change them: the best issue clears it
     # whenever any issue does.
     if strategy.kind is not StrategyKind.TRADE_OFF or t == 1 or not session.transcript:
-        return Offer(proposer=participant, issue_id=_argmax_issue(utils, pool))
+        return best
 
+    # Trade-off: among the acceptable pool issues, or the whole pool if none
+    # is acceptable, follow what the others proposed most often last round,
+    # that is every participant's offers but this participant's own; then
+    # the higher own utility, then the lower id. The best issue is
+    # acceptable whenever any issue is, and it wins among the issues the
+    # others did not offer, so only it and the offered issues compete.
+    utils = session.utilities[participant]
     theta = session.threshold(participant, min(t, session.deadline_rounds))
-    acceptable = [i for i in pool if utils[i] >= theta]
-    candidates = acceptable if acceptable else pool
-
-    # Trade-off: follow what the others proposed most often last round,
-    # that is every participant's offers but this participant's own.
+    floor = theta if utils[best.issue_id] >= theta else -inf
     counts, offered = session.last_round_offers()
     own = offered.get(participant)
-    choice = min(candidates, key=lambda i: (-(counts[i] - (i == own)), -utils[i], i))
-    return Offer(proposer=participant, issue_id=choice)
+    keys = [((i == own) - n, -utils[i], i) for i, n in counts.items() if utils[i] >= floor]
+    keys.append((0, -utils[best.issue_id], best.issue_id))
+    choice = min(keys)[2]
+    return best if choice == best.issue_id else Offer(participant, choice)
 
 
 def run_round(session: NegotiationSession) -> RoundBlock:
@@ -233,7 +293,7 @@ def run_round(session: NegotiationSession) -> RoundBlock:
 def _mediated_round(session: NegotiationSession, t: int) -> RoundBlock:
     block = RoundBlock(round=t)
     candidate = _welfare_argmax(session, session.candidates)
-    block.offers.append(Offer(proposer=None, issue_id=candidate))
+    block.offers.append(Offer(None, candidate))
     unanimous = True
     for p in session.participants:
         accept = session.utility(p, candidate) >= session.threshold(p, t)
@@ -244,7 +304,7 @@ def _mediated_round(session: NegotiationSession, t: int) -> RoundBlock:
         session.agreed_issue = candidate
         block.agreed = candidate
         return block
-    session.candidates.remove(candidate)
+    session.drop_candidate(candidate)
     block.rejected = candidate
     if not session.candidates or t >= session.deadline_rounds:
         session.status = SessionStatus.FAILED
@@ -257,14 +317,14 @@ def _concession_round(session: NegotiationSession, t: int) -> RoundBlock:
     block = RoundBlock(round=t)
     for p in session.participants:
         block.offers.append(propose(session, p))
-    common: set[int] | None = None
+    rankings = session.rankings
+    common: frozenset[int] | None = None
     for p in session.participants:
-        theta = session.threshold(p, t)
-        accepted = acceptable_set(session.utilities[p], theta)
-        block.published.append((p, tuple(accepted)))
-        common = set(accepted) if common is None else common & set(accepted)
+        accepted, members = rankings[p].acceptable(session.threshold(p, t))
+        block.published.append((p, accepted))
+        common = members if common is None else common & members
     if common:
-        agreed = _welfare_argmax(session, sorted(common))
+        agreed = _welfare_argmax(session, common)
         session.status = SessionStatus.AGREED
         session.agreed_issue = agreed
         block.agreed = agreed
@@ -283,7 +343,7 @@ def _elimination_round(session: NegotiationSession, t: int) -> RoundBlock:
         return block
     counts = Counter(bids)
     loser = min(session.candidates, key=lambda i: (counts[i], i))
-    session.candidates.remove(loser)
+    session.drop_candidate(loser)
     block.eliminated = loser
     if len(session.candidates) == 1:
         remaining = session.candidates[0]

@@ -14,11 +14,12 @@ from mnegoti.model import StrategyConfig, StrategyKind
 from mnegoti.protocols import (
     FailureReason,
     NegotiationSession,
+    Offer,
     ProtocolConfig,
     ProtocolKind,
+    RoundBlock,
     SessionStatus,
     _conceded,
-    acceptable_set,
     failed_outcome,
     propose,
     run_round,
@@ -103,29 +104,69 @@ class TestConcessionThreshold:
             assert values[0] == max(utilities)
 
 
-class TestAcceptableSet:
-    def test_zero_threshold_admits_full_agenda(self):
-        utils = {0: 0.2, 1: 0.5, 2: 0.9}
-        assert acceptable_set(utils, 0.0) == [0, 1, 2]
+def published_by_round(session: NegotiationSession, participant: int) -> list[tuple[int, ...]]:
+    return [dict(block.published)[participant] for block in session.transcript]
 
-    def test_max_threshold_keeps_argmax(self):
-        utils = {0: 0.2, 1: 0.5, 2: 0.9}
-        assert acceptable_set(utils, 0.9) == [2]
 
-    def test_direct_filter(self):
-        utils = {0: 0.2, 1: 0.5, 2: 0.9}
-        assert acceptable_set(utils, 0.5) == [1, 2]
+class TestPublishedSets:
+    """A concession round publishes the issues clearing each threshold, ascending."""
+
+    # Opposed preferences hold agreement off until the deadline round.
+    OPPOSED = [[0.1, 0.5, 0.9], [0.9, 0.5, 0.1]]
+
+    def test_deadline_round_publishes_full_agenda(self):
+        utils = [[0.1, 0.9], [0.9, 0.1]]
+        session = make_session(utils, ProtocolKind.MONOTONIC_CONCESSION, max_rounds=3)
+        assert run_to_completion(session) == ("agreed", 0, 3)
+        assert published_by_round(session, 0) == [(1,), (1,), (0, 1)]
+
+    def test_first_round_publishes_only_the_best(self):
+        session = make_session(self.OPPOSED, ProtocolKind.MONOTONIC_CONCESSION, max_rounds=3)
+        block = run_round(session)
+        assert block.published == [(0, (2,)), (1, (0,))]
+
+    def test_publishes_issues_at_or_above_threshold(self):
+        session = make_session(self.OPPOSED, ProtocolKind.MONOTONIC_CONCESSION, max_rounds=3)
+        run_round(session)
+        assert session.threshold(0, 2) == 0.5
+        assert run_round(session).published == [(0, (1, 2)), (1, (0, 1))]
 
     @given(
         values=st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=8),
-        lo=st.floats(0.0, 1.0),
-        hi=st.floats(0.0, 1.0),
+        beta=st.sampled_from(BETAS),
+        max_rounds=st.integers(1, 8),
     )
     @settings(max_examples=200)
-    def test_monotone_as_threshold_decreases(self, values, lo, hi):
-        lo, hi = min(lo, hi), max(lo, hi)
-        utils = dict(enumerate(values))
-        assert set(acceptable_set(utils, hi)) <= set(acceptable_set(utils, lo))
+    def test_sets_filter_the_agenda_and_grow_as_thresholds_fall(self, values, beta, max_rounds):
+        session = make_session(
+            [values, values[::-1]], ProtocolKind.MONOTONIC_CONCESSION, max_rounds, [beta, beta]
+        )
+        run_to_completion(session)
+        for a in (0, 1):
+            sets = published_by_round(session, a)
+            for t, published in enumerate(sets, start=1):
+                theta = session.threshold(a, t)
+                assert published == tuple(i for i, u in session.utilities[a].items() if u >= theta)
+            assert all(set(x) <= set(y) for x, y in zip(sets, sets[1:]))
+
+
+class TestSessionCaches:
+    @pytest.mark.parametrize(
+        "kind", [ProtocolKind.MEDIATED_SINGLE_TEXT, ProtocolKind.ELIMINATION_BIDDING],
+        ids=lambda k: k.value,
+    )
+    def test_only_concession_ranks_the_agenda(self, kind):
+        utils = [[0.1, 0.5, 0.9], [0.9, 0.5, 0.1], [0.5, 0.9, 0.1]]
+        session = make_session(utils, kind, max_rounds=3)
+        run_to_completion(session)
+        assert "rankings" not in vars(session)
+
+    def test_best_offer_moves_on_when_its_issue_is_eliminated(self):
+        utils = [[0.9, 0.1, 0.5], [0.8, 0.2, 0.6], [0.1, 0.9, 0.5]]
+        session = make_session(utils, ProtocolKind.ELIMINATION_BIDDING)
+        assert run_round(session).eliminated == 2
+        assert run_round(session).eliminated == 1  # participant 2's best
+        assert propose(session, 2).issue_id == 0
 
 
 class TestPropose:
@@ -184,6 +225,25 @@ class TestPropose:
         prior = sorted(o.issue_id for o in session.transcript[0].offers if o.proposer != 0)
         assert prior == [0, 1]
         assert propose(session, 0).issue_id == 1
+
+
+    def test_trade_off_own_offer_alone_does_not_outweigh_its_best(self):
+        # Agent 0 offered issue 1 last round and nobody followed; the others'
+        # issue 2 is below its threshold. Issues 0 and 1 then both count 0
+        # offers by others, so the higher own utility, issue 0, wins.
+        utils = [[0.9, 0.8, 0.0], [0.0, 0.1, 0.9], [0.0, 0.1, 0.9]]
+        session = make_session(
+            utils,
+            ProtocolKind.MONOTONIC_CONCESSION,
+            max_rounds=3,
+            strategy_kind=StrategyKind.TRADE_OFF,
+        )
+        session.transcript.append(
+            RoundBlock(round=1, offers=[Offer(0, 1), Offer(1, 2), Offer(2, 2)])
+        )
+        session.round = 1
+        assert session.threshold(0, 2) == 0.45
+        assert propose(session, 0) == Offer(0, 0)
 
 
 class TestMediatedSingleText:
