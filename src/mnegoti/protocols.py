@@ -168,8 +168,7 @@ class NegotiationSession:
             del self._best[p]
 
     def last_round_offers(self) -> tuple[Counter, dict[int, int]]:
-        """The last round's participant offers: count per issue still in the pool,
-        and each proposer's issue.
+        """The last round's participant offers: count per pool issue, and each proposer's issue.
 
         Built once per round and shared by every trade-off proposal of the next.
         """

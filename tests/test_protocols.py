@@ -111,7 +111,7 @@ def published_by_round(session: NegotiationSession, participant: int) -> list[tu
 class TestPublishedSets:
     """A concession round publishes the issues clearing each threshold, ascending."""
 
-    # Opposed preferences hold agreement off until the deadline round.
+    # Opposed preferences: the first round publishes disjoint sets.
     OPPOSED = [[0.1, 0.5, 0.9], [0.9, 0.5, 0.1]]
 
     def test_deadline_round_publishes_full_agenda(self):
@@ -149,24 +149,15 @@ class TestPublishedSets:
                 assert published == tuple(i for i, u in session.utilities[a].items() if u >= theta)
             assert all(set(x) <= set(y) for x, y in zip(sets, sets[1:]))
 
-
-class TestSessionCaches:
     @pytest.mark.parametrize(
         "kind", [ProtocolKind.MEDIATED_SINGLE_TEXT, ProtocolKind.ELIMINATION_BIDDING],
         ids=lambda k: k.value,
     )
-    def test_only_concession_ranks_the_agenda(self, kind):
-        utils = [[0.1, 0.5, 0.9], [0.9, 0.5, 0.1], [0.5, 0.9, 0.1]]
-        session = make_session(utils, kind, max_rounds=3)
+    def test_other_protocols_rank_no_agenda(self, kind):
+        # Rankings exist only for published sets, so other sessions never hold them.
+        session = make_session(self.OPPOSED, kind, max_rounds=3)
         run_to_completion(session)
         assert "rankings" not in vars(session)
-
-    def test_best_offer_moves_on_when_its_issue_is_eliminated(self):
-        utils = [[0.9, 0.1, 0.5], [0.8, 0.2, 0.6], [0.1, 0.9, 0.5]]
-        session = make_session(utils, ProtocolKind.ELIMINATION_BIDDING)
-        assert run_round(session).eliminated == 2
-        assert run_round(session).eliminated == 1  # participant 2's best
-        assert propose(session, 2).issue_id == 0
 
 
 class TestPropose:
@@ -225,7 +216,6 @@ class TestPropose:
         prior = sorted(o.issue_id for o in session.transcript[0].offers if o.proposer != 0)
         assert prior == [0, 1]
         assert propose(session, 0).issue_id == 1
-
 
     def test_trade_off_own_offer_alone_does_not_outweigh_its_best(self):
         # Agent 0 offered issue 1 last round and nobody followed; the others'
