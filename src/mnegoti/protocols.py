@@ -255,8 +255,8 @@ def propose(session: NegotiationSession, participant: int) -> Offer:
     # is acceptable, follow what the others proposed most often last round,
     # that is every participant's offers but this participant's own; then
     # the higher own utility, then the lower id. The best issue is
-    # acceptable whenever any issue is, and it wins among the issues the
-    # others did not offer, so only it and the offered issues compete.
+    # acceptable whenever any issue is, and it wins among the issues that no
+    # other participant offered, so only it and the offered issues compete.
     utils = session.utilities[participant]
     theta = session.threshold(participant, min(t, session.deadline_rounds))
     floor = theta if utils[best.issue_id] >= theta else -inf
