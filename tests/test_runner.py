@@ -714,6 +714,60 @@ class TestArtifacts:
         expected = "".join(reference_line(e) + "\n" for e in in_memory.events)
         assert (tmp_path / "rep_000" / "events.log").read_bytes() == expected.encode("ascii")
 
+    def test_fan_out_of_several_rules_equals_reference_encoding(self, minimal_doc, tmp_path):
+        # One opening fires a same-tick scan, a next-tick scan in a set band,
+        # an invitation aimed at the watchee by one group only, and a
+        # room-watches-room rule; agents turning watching fire a fifth rule.
+        # Every bundled scenario has a single rule.
+        minimal_doc["groups"] = [
+            {"id": g, "name": f"g{g}", "member_count": 4, "bounds": [[0.1 * g, 0.1 * g + 0.5]]}
+            for g in range(3)
+        ]
+        minimal_doc["rooms"] = [
+            room_opening(0, 1, [0]),
+            room_opening(1, 1, [1], priority=120),
+            room_opening(3, 3, [0, 1, 2]),
+        ]
+        invited = room_opening(2, 2, [])
+        invited["schedule"][0]["agenda"]["admission"] = {"kind": "invitations", "agents": [8, 9]}
+        minimal_doc["rooms"].insert(2, invited)
+        opened = {"watchee": {"kind": "meeting_room"}, "trigger": {"watchee.state": "open"}}
+        minimal_doc["watchers"] += [
+            {
+                **opened,
+                "watcher": {"kind": "agent"},
+                "reaction": {"kind": "agent_scan", "when": "next_tick", "priority": 7},
+            },
+            {
+                **opened,
+                "watcher": {"kind": "agent", "group_id": 2},
+                "reaction": {"kind": "room_invite", "target": "watchee"},
+            },
+            {
+                **opened,
+                "watcher": {"kind": "meeting_room"},
+                "reaction": {"kind": "room_invite", "when": "next_tick"},
+            },
+            {
+                "watcher": {"kind": "agent", "group_id": 0},
+                "watchee": {"kind": "agent"},
+                "trigger": {"watchee.state": "watching"},
+                "reaction": {"kind": "agent_scan", "target": "watchee", "when": "next_tick"},
+            },
+        ]
+        scenario = load_scenario(minimal_doc)
+        (in_memory,) = run(scenario)
+        rules_by_change: dict[tuple, set[int]] = {}
+        for e in in_memory.events:
+            if e.kind == "watcher_fired":
+                change = (e.tick, e.priority, e.data["watchee_kind"], e.data["watchee"])
+                rules_by_change.setdefault(change, set()).add(e.data["rule"])
+        assert max(len(rules) for rules in rules_by_change.values()) == 4
+        assert {r for rules in rules_by_change.values() for r in rules} == set(range(5))
+        run(scenario, out_dir=tmp_path)
+        expected = "".join(reference_line(e) + "\n" for e in in_memory.events)
+        assert (tmp_path / "rep_000" / "events.log").read_bytes() == expected.encode("ascii")
+
 
 class StopReplication(Exception):
     """Raised by a patched ``Simulation.step`` to fail one replication midway."""
