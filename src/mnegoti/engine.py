@@ -13,6 +13,12 @@ scan found no room skips the walk until another room opens (see
 in its band is never queued (see ``Scheduler._react``), but its
 ``watcher_fired`` record is logged all the same. Log records are plain
 named tuples, built positionally.
+
+Records go to ``Simulation.events``, an ``EventSink``: one ``append`` per
+record, one ``extend`` per negotiation round's block, and one
+``log_fired`` per state change that fired watcher rules. In memory it is
+an ``EventList``; an on-disk run swaps in the runner's writer, which
+formats a fan-out without building its records.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -60,6 +66,42 @@ class EventRecord(NamedTuple):
     data: dict
 
 
+class EventSink(Protocol):
+    """Where a run's records go, in the order they are logged."""
+
+    def append(self, record: EventRecord) -> None: ...
+
+    def extend(self, records: Sequence[EventRecord]) -> None: ...
+
+    def log_fired(self, tick: int, priority: int | None, fired: Sequence[FiredReaction]) -> None:
+        """Log one ``watcher_fired`` record per fire of one state change, in order."""
+
+
+class EventList(list):
+    """The in-memory ``EventSink``: the list of the run's records."""
+
+    def log_fired(self, tick: int, priority: int | None, fired: Sequence[FiredReaction]) -> None:
+        self.extend(
+            [
+                EventRecord(
+                    tick,
+                    priority,
+                    "watcher_fired",
+                    {
+                        "rule": f.rule_id,
+                        "watcher": f.watcher_id,
+                        "watchee_kind": f.watchee_kind.value,
+                        "watchee": f.watchee_id,
+                        "reaction": f.action.kind.value,
+                        "at": f.action.start,
+                        "band": f.action.priority,
+                    },
+                )
+                for f in fired
+            ]
+        )
+
+
 @dataclass
 class Simulation:
     scenario: Scenario
@@ -70,7 +112,7 @@ class Simulation:
     scheduler: Scheduler = field(init=False)
     agents: dict[int, Agent] = field(init=False, default_factory=dict)
     rooms: dict[int, MeetingRoom] = field(init=False, default_factory=dict)
-    events: list[EventRecord] = field(init=False, default_factory=list)
+    events: EventSink = field(init=False, default_factory=EventList)
 
     def __post_init__(self) -> None:
         if self.seed is None:
@@ -151,7 +193,7 @@ class Simulation:
 
     # -- run loop --------------------------------------------------------
 
-    def run(self) -> list[EventRecord]:
+    def run(self) -> EventSink:
         while self.now <= self.ticks:
             self.step()
         return self.events
@@ -184,24 +226,9 @@ class Simulation:
         self._log_fired(fired)
 
     def _log_fired(self, fired: list[FiredReaction]) -> None:
-        # Enum values are read once per call, not per fire: every reaction
-        # of one change has the same watchee, and few reaction kinds occur.
-        if not fired:
-            return
-        watchee_kind = fired[0].watchee_kind.value
-        reactions = {kind: kind.value for kind in {f.action.kind for f in fired}}
-        for f in fired:
-            action = f.action
-            self._log(
-                "watcher_fired",
-                rule=f.rule_id,
-                watcher=f.watcher_id,
-                watchee_kind=watchee_kind,
-                watchee=f.watchee_id,
-                reaction=reactions[action.kind],
-                at=action.start,
-                band=action.priority,
-            )
+        if fired:
+            scheduler = self.scheduler
+            self.events.log_fired(scheduler.now, scheduler.current_band, fired)
 
     # -- action dispatch ---------------------------------------------------
 
@@ -394,27 +421,46 @@ class Simulation:
             self._notify_agent(self.agents[aid], old_phase)
 
     def _log_round(self, room_id: int, block: RoundBlock) -> None:
-        for offer in block.offers:
-            self._log(
+        scheduler = self.scheduler
+        tick, band, r = scheduler.now, scheduler.current_band, block.round
+        records = [
+            EventRecord(
+                tick,
+                band,
                 "offer",
-                room=room_id,
-                round=block.round,
-                proposer="mediator" if offer.proposer is None else offer.proposer,
-                issue=offer.issue_id,
+                {
+                    "room": room_id,
+                    "round": r,
+                    "proposer": "mediator" if offer.proposer is None else offer.proposer,
+                    "issue": offer.issue_id,
+                },
             )
-        for agent_id, accept in block.votes:
-            self._log("vote", room=room_id, round=block.round, agent=agent_id, accept=accept)
-        for agent_id, issues in block.published:
-            self._log(
+            for offer in block.offers
+        ]
+        records += [
+            EventRecord(
+                tick,
+                band,
+                "vote",
+                {"room": room_id, "round": r, "agent": agent_id, "accept": accept},
+            )
+            for agent_id, accept in block.votes
+        ]
+        records += [
+            EventRecord(
+                tick,
+                band,
                 "acceptable_published",
-                room=room_id,
-                round=block.round,
-                agent=agent_id,
-                issues=list(issues),
+                {"room": room_id, "round": r, "agent": agent_id, "issues": list(issues)},
             )
-        if block.rejected is not None:
-            self._log("candidate_rejected", room=room_id, round=block.round, issue=block.rejected)
-        if block.eliminated is not None:
-            self._log("issue_eliminated", room=room_id, round=block.round, issue=block.eliminated)
-        if block.agreed is not None:
-            self._log("agreement", room=room_id, round=block.round, issue=block.agreed)
+            for agent_id, issues in block.published
+        ]
+        for kind, issue in (
+            ("candidate_rejected", block.rejected),
+            ("issue_eliminated", block.eliminated),
+            ("agreement", block.agreed),
+        ):
+            if issue is not None:
+                data = {"room": room_id, "round": r, "issue": issue}
+                records.append(EventRecord(tick, band, kind, data))
+        self.events.extend(records)

@@ -7,6 +7,12 @@ order), summary.csv (one row per completed session, derived from the
 log's session_end records alone) and population.csv (sampled agent
 weights). An on-disk run streams events.log as the engine logs it and
 keeps nothing of a finished replication but its counts and summary rows.
+
+The engine hands its records to ``_LogWriter`` through three calls:
+``append`` for one record, ``extend`` for a negotiation round's block, and
+``log_fired`` for one state change's watcher fan-out, whose lines share
+one formatted prefix and differ only in the watcher id. Each line is
+written as it is formatted; a block is never joined into one string.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .engine import EventRecord, Simulation
 from .errors import OutputError
 from .protocols import SessionStatus
 from .scenario import Scenario
+from .scheduler import FiredReaction
 
 SUMMARY_HEADER = "room_id,session,status,issue_id,rounds,welfare,min_utility,nash_product"
 
@@ -119,14 +126,28 @@ def _priority(record: EventRecord) -> int | str:
     return "null" if record.priority is None else record.priority
 
 
+def _fired_head(
+    at: int, band: int, reaction: str, rule: int, watchee: int, watchee_kind: str
+) -> str:
+    """A ``watcher_fired`` line up to its watcher id."""
+    return (
+        f'{{"data":{{"at":{at},"band":{band},"reaction":"{reaction}","rule":{rule},'
+        f'"watchee":{watchee},"watchee_kind":"{watchee_kind}","watcher":'
+    )
+
+
+def _fired_tail(tick: int, priority: int | None) -> str:
+    """A ``watcher_fired`` line after its watcher id, without the newline."""
+    priority = "null" if priority is None else priority
+    return f'}},"kind":"watcher_fired","priority":{priority},"tick":{tick}}}'
+
+
 def _watcher_fired(r: EventRecord) -> str:
     d = r.data
-    return (
-        f'{{"data":{{"at":{d["at"]},"band":{d["band"]},"reaction":"{d["reaction"]}",'
-        f'"rule":{d["rule"]},"watchee":{d["watchee"]},"watchee_kind":"{d["watchee_kind"]}",'
-        f'"watcher":{d["watcher"]}}},"kind":"watcher_fired","priority":{_priority(r)},'
-        f'"tick":{r.tick}}}'
+    head = _fired_head(
+        d["at"], d["band"], d["reaction"], d["rule"], d["watchee"], d["watchee_kind"]
     )
+    return head + str(d["watcher"]) + _fired_tail(r.tick, r.priority)
 
 
 def _offer(r: EventRecord) -> str:
@@ -240,8 +261,13 @@ class EventLog:
 class _LogWriter:
     """Stands in for ``Simulation.events`` while an on-disk replication runs.
 
-    ``append`` writes each record's line at once and keeps only the count
-    and the session_end records, which summary.csv is made from.
+    It takes the engine's three sink calls and writes each line at once,
+    one write per line: ``append`` and ``extend`` format records with
+    ``event_line``, and ``log_fired`` formats each fire as a shared prefix,
+    the watcher id and a shared suffix, building no record. Nothing is
+    joined per block, so the only memory a run holds here is the count and
+    the session_end records, which summary.csv is made from and which come
+    only through ``append``.
     """
 
     def __init__(self, file: TextIO) -> None:
@@ -254,6 +280,33 @@ class _LogWriter:
         if record.kind == "session_end":
             self.session_ends.append(record)
         self._write(event_line(record) + "\n")
+
+    def extend(self, records: Sequence[EventRecord]) -> None:
+        """Write a negotiation round's records, which hold no session_end."""
+        self.count += len(records)
+        write = self._write
+        for record in records:
+            write(event_line(record) + "\n")
+
+    def log_fired(self, tick: int, priority: int | None, fired: Sequence[FiredReaction]) -> None:
+        """Write the fires of one state change; they share its watchee.
+
+        The prefix is formatted again only when the rule, reaction, ``at``
+        or ``band`` differs from the previous fire's.
+        """
+        self.count += len(fired)
+        write = self._write
+        tail = _fired_tail(tick, priority) + "\n"
+        key = head = None
+        for rule, watcher, watchee_kind, watchee, action in fired:
+            fire_key = (rule, action.kind, action.start, action.priority)
+            if fire_key != key:
+                key = fire_key
+                head = _fired_head(
+                    action.start, action.priority, action.kind.value, rule, watchee,
+                    watchee_kind.value
+                )
+            write(head + str(watcher) + tail)
 
 
 @contextlib.contextmanager

@@ -1,7 +1,8 @@
 """Micro-benchmarks of the I/O at both ends of a run.
 
 They time ``event_line`` per templated kind and for one generic kind,
-``Simulation._log`` for 1 000 records of one templated kind,
+``Simulation._log`` for 1 000 records of one templated kind, one
+2 000-watcher fan-out written to a file by ``runner._LogWriter.log_fired``,
 ``write_artifacts`` for a bundled scenario's run, and ``parse_scenario_text``
 on ``scenarios/concurrent_rooms.yaml`` with each available YAML loader.
 The ``bench`` marker keeps them out of the default test run:
@@ -16,9 +17,11 @@ import pytest
 import yaml
 
 from mnegoti import runner, scenario as scenario_module
+from mnegoti.context import ObjectKind
 from mnegoti.engine import Simulation
 from mnegoti.runner import event_line, run, write_artifacts
 from mnegoti.scenario import load_scenario_file, parse_scenario_text
+from mnegoti.scheduler import ActionKind, FiredReaction, ScheduledAction
 
 from conftest import SCENARIO_DIR
 
@@ -51,6 +54,26 @@ def test_log_records(benchmark):
 
     benchmark(log_thousand)
     assert len(sim.events) == 1_000
+
+
+def test_log_fan_out(benchmark, tmp_path):
+    # One room opening seen by 2 000 watching agents, each firing a scan.
+    fired = [
+        FiredReaction(
+            0, agent, ObjectKind.MEETING_ROOM, 3,
+            ScheduledAction(kind=ActionKind.AGENT_SCAN, target=agent, start=12, priority=99),
+        )
+        for agent in range(2_000)
+    ]
+    with open(tmp_path / "events.log", "w", encoding="utf-8") as file:
+        writer = runner._LogWriter(file)
+
+        def log_fan_out():
+            file.seek(0)
+            writer.log_fired(12, 100, fired)
+
+        benchmark(log_fan_out)
+    assert (tmp_path / "events.log").read_text().count("\n") == 2_000
 
 
 def test_write_artifacts(benchmark, artifacts, tmp_path):

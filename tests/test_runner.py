@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import io
 import json
 import tempfile
 import tracemalloc
@@ -19,7 +20,7 @@ import mnegoti.engine
 from mnegoti import protocols, rooms, runner
 
 from mnegoti.context import ObjectKind
-from mnegoti.engine import EventRecord, Simulation
+from mnegoti.engine import EventList, EventRecord, Simulation
 from mnegoti.errors import OutputError
 from mnegoti.model import AgentPhase
 from mnegoti.runner import (
@@ -32,7 +33,7 @@ from mnegoti.runner import (
 )
 from mnegoti.scenario import load_scenario, load_scenario_file
 from mnegoti.rooms import MeetingRoom
-from mnegoti.scheduler import ActionKind, ScheduledAction, Scheduler
+from mnegoti.scheduler import ActionKind, FiredReaction, ScheduledAction, Scheduler
 
 from conftest import SCENARIO_DIR, benchmark_module
 from oracles import queue_every_scan, scan_every_room
@@ -930,8 +931,14 @@ TEMPLATED_DATA = {
 }
 
 
+# One rule's run of fires within a state change: rule, reaction, at, band, watchers.
+FIRED_RUNS = st.tuples(
+    IDS, st.sampled_from(list(ActionKind)), IDS, INTS, st.lists(IDS, min_size=1, max_size=5)
+)
+
+
 class TestEventLine:
-    """``event_line`` against the reference ``json.dumps`` encoding."""
+    """``event_line`` and the fan-out writer against the reference ``json.dumps`` encoding."""
 
     def test_every_template_is_generated(self):
         assert set(TEMPLATED_DATA) == set(runner._TEMPLATES)
@@ -942,6 +949,49 @@ class TestEventLine:
     def test_template_equals_reference(self, kind, draw, tick, priority):
         record = EventRecord(tick, priority, kind, draw.draw(TEMPLATED_DATA[kind]))
         assert event_line(record) == reference_line(record)
+
+    @given(
+        tick=IDS,
+        priority=st.one_of(st.none(), INTS),
+        watchee_kind=st.sampled_from(list(ObjectKind)),
+        watchee=IDS,
+        runs=st.lists(FIRED_RUNS, min_size=1, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fan_out_equals_reference(self, tick, priority, watchee_kind, watchee, runs):
+        fired = [
+            FiredReaction(
+                rule, watcher, watchee_kind, watchee,
+                ScheduledAction(kind=reaction, target=watcher, start=at, priority=band),
+            )
+            for rule, reaction, at, band, watchers in runs
+            for watcher in watchers
+        ]
+        expected = [
+            EventRecord(
+                tick,
+                priority,
+                "watcher_fired",
+                {
+                    "rule": f.rule_id,
+                    "watcher": f.watcher_id,
+                    "watchee_kind": watchee_kind.value,
+                    "watchee": watchee,
+                    "reaction": f.action.kind.value,
+                    "at": f.action.start,
+                    "band": f.action.priority,
+                },
+            )
+            for f in fired
+        ]
+        in_memory = EventList()
+        in_memory.log_fired(tick, priority, fired)
+        assert in_memory == expected
+        file = io.StringIO()
+        writer = runner._LogWriter(file)
+        writer.log_fired(tick, priority, fired)
+        assert writer.count == len(fired)
+        assert file.getvalue() == "".join(reference_line(e) + "\n" for e in expected)
 
     def test_long_issue_list(self):
         data = {"room": 3, "round": 7, "agent": 11, "issues": list(range(500))}
