@@ -707,11 +707,57 @@ class TestArtifacts:
         first_line = (tmp_path / "rep_000" / "summary.csv").read_text().splitlines()[0]
         assert first_line == "room_id,session,status,issue_id,rounds,welfare,min_utility,nash_product"
 
-    def test_written_log_equals_reference_encoding(self, scenario_dir, tmp_path):
-        scenario = load_scenario_file(scenario_dir / "protection_strategies.yaml")
+    @staticmethod
+    def two_rounds_per_tick(doc: dict) -> dict:
+        """Two rooms of one opposed pair each, running two rounds a tick.
+
+        Room 0's mediated session rejects both issues and ends on the second
+        round of tick 2; room 1's concession session is forced closed at
+        tick 3, after round 2 of its 8.
+        """
+        doc["protocols"] = [
+            {"id": "main", "kind": "mediated_single_text", "max_rounds": 4, "rounds_per_tick": 2},
+            {"id": "long", "kind": "monotonic_concession", "max_rounds": 8, "rounds_per_tick": 2},
+        ]
+        doc["criteria"] = [
+            {"id": 0, "name": "x", "direction": "benefit"},
+            {"id": 1, "name": "y", "direction": "benefit"},
+        ]
+        doc["issues"] = [
+            {"id": 0, "name": "mine", "scores": [1.0, 0.0]},
+            {"id": 1, "name": "yours", "scores": [0.0, 1.0]},
+        ]
+        doc["groups"] = [
+            {"id": g, "name": f"g{g}", "member_count": 1, "bounds": bounds}
+            for g, bounds in enumerate([[[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]]] * 2)
+        ]
+        doc["rooms"] = [room_opening(0, 1, [0, 1]), room_opening(1, 1, [2, 3])]
+        doc["rooms"][1]["schedule"][0]["agenda"]["protocol"] = "long"
+        doc["rooms"][1]["schedule"].append({"action": "close", "at": 3})
+        return doc
+
+    # The round-block kinds each case must log: protection_strategies logs
+    # every templated kind, supply_chain the only elimination rounds.
+    ENCODING_CASES = {
+        "concurrent_rooms": {"offer", "vote", "candidate_rejected", "agreement"},
+        "protection_strategies": set(runner._TEMPLATES) | {"candidate_rejected", "agreement"},
+        "supply_chain": {"offer", "issue_eliminated", "agreement"},
+        "two_rounds_per_tick": {"offer", "vote", "acceptable_published", "candidate_rejected"},
+    }
+
+    @pytest.mark.parametrize("case", sorted(ENCODING_CASES))
+    def test_written_log_equals_reference_encoding(self, case, minimal_doc, tmp_path):
+        if case == "two_rounds_per_tick":
+            scenario = load_scenario(self.two_rounds_per_tick(minimal_doc))
+        else:
+            scenario = load_scenario_file(SCENARIO_DIR / f"{case}.yaml")
         run(scenario, out_dir=tmp_path)
         (in_memory,) = run(scenario)
-        assert set(runner._TEMPLATES) <= {e.kind for e in in_memory.events}
+        assert self.ENCODING_CASES[case] <= {e.kind for e in in_memory.events}
+        if case == "two_rounds_per_tick":
+            ends = [(e.tick, e.data["reason"], e.data["rounds"])
+                    for e in in_memory.events if e.kind == "session_end"]
+            assert ends == [(2, "no_agreement", 2), (3, "forced_close", 2)]
         expected = "".join(reference_line(e) + "\n" for e in in_memory.events)
         assert (tmp_path / "rep_000" / "events.log").read_bytes() == expected.encode("ascii")
 
