@@ -15,10 +15,10 @@ in its band is never queued (see ``Scheduler._react``), but its
 named tuples, built positionally.
 
 Records go to ``Simulation.events``, an ``EventSink``: one ``append`` per
-record, one ``extend`` per negotiation round's block, and one
-``log_fired`` per state change that fired watcher rules. In memory it is
-an ``EventList``; an on-disk run swaps in the runner's writer, which
-formats a fan-out without building its records.
+record, one ``log_round`` per negotiation round, and one ``log_fired``
+per state change that fired watcher rules. In memory it is an
+``EventList``; an on-disk run swaps in the runner's writer, which formats
+a round's lines and a fan-out's without building their records.
 """
 
 from __future__ import annotations
@@ -66,19 +66,80 @@ class EventRecord(NamedTuple):
     data: dict
 
 
+def closing_records(
+    tick: int, band: int | None, room_id: int, block: RoundBlock
+) -> list[EventRecord]:
+    """The records of what closed a round, logged after its offers, votes and published sets."""
+    return [
+        EventRecord(tick, band, kind, {"room": room_id, "round": block.round, "issue": issue})
+        for kind, issue in (
+            ("candidate_rejected", block.rejected),
+            ("issue_eliminated", block.eliminated),
+            ("agreement", block.agreed),
+        )
+        if issue is not None
+    ]
+
+
 class EventSink(Protocol):
-    """Where a run's records go, in the order they are logged."""
+    """Where a run's records go, in the order they are logged.
+
+    The three calls are ``append`` for one record, ``log_round`` for one
+    negotiation round and ``log_fired`` for one state change's fires.
+    """
 
     def append(self, record: EventRecord) -> None: ...
 
-    def extend(self, records: Sequence[EventRecord]) -> None: ...
+    def log_round(self, tick: int, band: int | None, room_id: int, block: RoundBlock) -> None:
+        """Log a round's offers, votes and published sets, then what closed it, if anything."""
 
     def log_fired(self, tick: int, priority: int | None, fired: Sequence[FiredReaction]) -> None:
         """Log one ``watcher_fired`` record per fire of one state change, in order."""
 
 
 class EventList(list):
-    """The in-memory ``EventSink``: the list of the run's records."""
+    """The in-memory ``EventSink``: the list of the run's records.
+
+    ``append`` is the list's own; ``log_round`` and ``log_fired`` build the
+    records of a round and of a fan-out and add them in order.
+    """
+
+    def log_round(self, tick: int, band: int | None, room_id: int, block: RoundBlock) -> None:
+        r = block.round
+        records = [
+            EventRecord(
+                tick,
+                band,
+                "offer",
+                {
+                    "room": room_id,
+                    "round": r,
+                    "proposer": "mediator" if offer.proposer is None else offer.proposer,
+                    "issue": offer.issue_id,
+                },
+            )
+            for offer in block.offers
+        ]
+        records += [
+            EventRecord(
+                tick,
+                band,
+                "vote",
+                {"room": room_id, "round": r, "agent": agent_id, "accept": accept},
+            )
+            for agent_id, accept in block.votes
+        ]
+        records += [
+            EventRecord(
+                tick,
+                band,
+                "acceptable_published",
+                {"room": room_id, "round": r, "agent": agent_id, "issues": list(issues)},
+            )
+            for agent_id, issues in block.published
+        ]
+        records += closing_records(tick, band, room_id, block)
+        self.extend(records)
 
     def log_fired(self, tick: int, priority: int | None, fired: Sequence[FiredReaction]) -> None:
         self.extend(
@@ -422,45 +483,4 @@ class Simulation:
 
     def _log_round(self, room_id: int, block: RoundBlock) -> None:
         scheduler = self.scheduler
-        tick, band, r = scheduler.now, scheduler.current_band, block.round
-        records = [
-            EventRecord(
-                tick,
-                band,
-                "offer",
-                {
-                    "room": room_id,
-                    "round": r,
-                    "proposer": "mediator" if offer.proposer is None else offer.proposer,
-                    "issue": offer.issue_id,
-                },
-            )
-            for offer in block.offers
-        ]
-        records += [
-            EventRecord(
-                tick,
-                band,
-                "vote",
-                {"room": room_id, "round": r, "agent": agent_id, "accept": accept},
-            )
-            for agent_id, accept in block.votes
-        ]
-        records += [
-            EventRecord(
-                tick,
-                band,
-                "acceptable_published",
-                {"room": room_id, "round": r, "agent": agent_id, "issues": list(issues)},
-            )
-            for agent_id, issues in block.published
-        ]
-        for kind, issue in (
-            ("candidate_rejected", block.rejected),
-            ("issue_eliminated", block.eliminated),
-            ("agreement", block.agreed),
-        ):
-            if issue is not None:
-                data = {"room": room_id, "round": r, "issue": issue}
-                records.append(EventRecord(tick, band, kind, data))
-        self.events.extend(records)
+        self.events.log_round(scheduler.now, scheduler.current_band, room_id, block)

@@ -83,6 +83,8 @@ class MeetingRoom:
         self.attendees: dict[int, Agent] = {}
         self.session: NegotiationSession | None = None
         self.sessions = 0
+        # Each agent's agenda utility, for the current opening only.
+        self._agenda_utilities: dict[int, float] = {}
 
     def attendee_ids(self) -> list[int]:
         return sorted(self.attendees)
@@ -93,13 +95,18 @@ class MeetingRoom:
                 f"room {self.id} is {self.room_state.value}, cannot open"
             )
         self.agenda = agenda
+        self._agenda_utilities = {}
         self.room_state = RoomState.OPEN
 
     def agenda_utility(self, agent: Agent, issues_by_id: Mapping[int, Issue]) -> float:
-        """The agent's best utility over the current agenda."""
+        """The agent's best utility over the current agenda, computed once per opening."""
         if self.agenda is None:
             raise RoomClosedError(f"room {self.id} has no agenda")
-        return max(utility(agent, issues_by_id[i]) for i in self.agenda.issue_ids)
+        best = self._agenda_utilities.get(agent.id)
+        if best is None:
+            best = max(utility(agent, issues_by_id[i]) for i in self.agenda.issue_ids)
+            self._agenda_utilities[agent.id] = best
+        return best
 
     def check_admission(
         self,
@@ -172,6 +179,7 @@ class MeetingRoom:
             agent.room_id = None
         self.attendees = {}
         self.agenda = None
+        self._agenda_utilities = {}
         self.session = None
         self.room_state = RoomState.CLOSED
         return released

@@ -9,10 +9,12 @@ weights). An on-disk run streams events.log as the engine logs it and
 keeps nothing of a finished replication but its counts and summary rows.
 
 The engine hands its records to ``_LogWriter`` through three calls:
-``append`` for one record, ``extend`` for a negotiation round's block, and
-``log_fired`` for one state change's watcher fan-out, whose lines share
-one formatted prefix and differ only in the watcher id. Each line is
-written as it is formatted; a block is never joined into one string.
+``append`` for one record, ``log_round`` for a negotiation round, whose
+lines are formatted from its ``RoundBlock`` with one tail per kind shared
+by the round, and ``log_fired`` for one state change's watcher fan-out,
+whose lines share one formatted prefix and differ only in the watcher id.
+Each line is written as it is formatted; a round or a fan-out is never
+joined into one string.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
-from .engine import EventRecord, Simulation
+from .engine import EventRecord, Simulation, closing_records
 from .errors import OutputError
-from .protocols import SessionStatus
+from .protocols import RoundBlock, SessionStatus
 from .scenario import Scenario
 from .scheduler import FiredReaction
 
@@ -122,8 +124,10 @@ def population_rows(sim: Simulation) -> list[PopulationRow]:
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _priority(record: EventRecord) -> int | str:
-    return "null" if record.priority is None else record.priority
+def _line_end(tick: int, priority: int | None) -> str:
+    """A templated line after its kind, without the newline."""
+    priority = "null" if priority is None else priority
+    return f',"priority":{priority},"tick":{tick}}}'
 
 
 def _fired_head(
@@ -138,8 +142,7 @@ def _fired_head(
 
 def _fired_tail(tick: int, priority: int | None) -> str:
     """A ``watcher_fired`` line after its watcher id, without the newline."""
-    priority = "null" if priority is None else priority
-    return f'}},"kind":"watcher_fired","priority":{priority},"tick":{tick}}}'
+    return '},"kind":"watcher_fired"' + _line_end(tick, priority)
 
 
 def _watcher_fired(r: EventRecord) -> str:
@@ -150,50 +153,65 @@ def _watcher_fired(r: EventRecord) -> str:
     return head + str(d["watcher"]) + _fired_tail(r.tick, r.priority)
 
 
+# A round's lines: a head of the line's own data keys, then the keys the
+# round shares (``_round_middle``), the kind and ``_line_end``.
+
+
+def _offer_head(issue: int, proposer: int | None) -> str:
+    """An offer line up to its room; a proposer of None is the mediator."""
+    proposer = '"mediator"' if proposer is None else proposer
+    return f'{{"data":{{"issue":{issue},"proposer":{proposer},'
+
+
+# A vote line up to its agent id, by its accept value.
+_ACCEPT_HEAD = '{"data":{"accept":true,"agent":'
+_REJECT_HEAD = '{"data":{"accept":false,"agent":'
+
+
+def _published_head(agent: int, issues: Sequence[int]) -> str:
+    """An ``acceptable_published`` line up to its room."""
+    return f'{{"data":{{"agent":{agent},"issues":[{",".join(map(str, issues))}],'
+
+
+def _round_middle(room: int, round_: int) -> str:
+    """A round's lines after their heads, up to the kind."""
+    return f'"room":{room},"round":{round_}}},"kind":'
+
+
+def _round_tail(r: EventRecord) -> str:
+    """The line of a round's record after its head, without the newline."""
+    middle = _round_middle(r.data["room"], r.data["round"])
+    return f'{middle}"{r.kind}"' + _line_end(r.tick, r.priority)
+
+
 def _offer(r: EventRecord) -> str:
     d = r.data
-    proposer = d["proposer"]
-    if isinstance(proposer, str):
-        proposer = _ENCODER.encode(proposer)
-    return (
-        f'{{"data":{{"issue":{d["issue"]},"proposer":{proposer},"room":{d["room"]},'
-        f'"round":{d["round"]}}},"kind":"offer","priority":{_priority(r)},"tick":{r.tick}}}'
-    )
+    proposer = None if d["proposer"] == "mediator" else d["proposer"]
+    return _offer_head(d["issue"], proposer) + _round_tail(r)
 
 
 def _vote(r: EventRecord) -> str:
     d = r.data
-    accept = "true" if d["accept"] else "false"
-    return (
-        f'{{"data":{{"accept":{accept},"agent":{d["agent"]},"room":{d["room"]},'
-        f'"round":{d["round"]}}},"kind":"vote","priority":{_priority(r)},"tick":{r.tick}}}'
-    )
+    head = _ACCEPT_HEAD if d["accept"] else _REJECT_HEAD
+    return f"{head}{d['agent']}," + _round_tail(r)
 
 
 def _acceptable_published(r: EventRecord) -> str:
-    d = r.data
-    issues = ",".join(map(str, d["issues"]))
-    return (
-        f'{{"data":{{"agent":{d["agent"]},"issues":[{issues}],"room":{d["room"]},'
-        f'"round":{d["round"]}}},"kind":"acceptable_published","priority":{_priority(r)},'
-        f'"tick":{r.tick}}}'
-    )
+    return _published_head(r.data["agent"], r.data["issues"]) + _round_tail(r)
 
 
 def _agent_entered(r: EventRecord) -> str:
     d = r.data
     return (
         f'{{"data":{{"agent":{d["agent"]},"room":{d["room"]},'
-        f'"utility":{float.__repr__(d["utility"])}}},"kind":"agent_entered",'
-        f'"priority":{_priority(r)},"tick":{r.tick}}}'
+        f'"utility":{float.__repr__(d["utility"])}}},"kind":"agent_entered"'
+        + _line_end(r.tick, r.priority)
     )
 
 
 def _agent_watching(r: EventRecord) -> str:
-    return (
-        f'{{"data":{{"agent":{r.data["agent"]}}},"kind":"agent_watching",'
-        f'"priority":{_priority(r)},"tick":{r.tick}}}'
-    )
+    head = f'{{"data":{{"agent":{r.data["agent"]}}},"kind":"agent_watching"'
+    return head + _line_end(r.tick, r.priority)
 
 
 # One template per fixed-shape kind: the data of these kinds holds only
@@ -262,12 +280,14 @@ class _LogWriter:
     """Stands in for ``Simulation.events`` while an on-disk replication runs.
 
     It takes the engine's three sink calls and writes each line at once,
-    one write per line: ``append`` and ``extend`` format records with
-    ``event_line``, and ``log_fired`` formats each fire as a shared prefix,
-    the watcher id and a shared suffix, building no record. Nothing is
-    joined per block, so the only memory a run holds here is the count and
-    the session_end records, which summary.csv is made from and which come
-    only through ``append``.
+    one write per line: ``append`` formats a record with ``event_line``;
+    ``log_round`` formats each offer, vote and published set of a round as
+    its own head and the tail its kind shares in that round; and
+    ``log_fired`` formats each fire as a shared prefix, the watcher id and
+    a shared suffix. Neither of the last two builds a record, and nothing
+    is joined per round or fan-out, so the only memory a run holds here is
+    the count and the session_end records, which summary.csv is made from
+    and which come only through ``append``.
     """
 
     def __init__(self, file: TextIO) -> None:
@@ -281,12 +301,28 @@ class _LogWriter:
             self.session_ends.append(record)
         self._write(event_line(record) + "\n")
 
-    def extend(self, records: Sequence[EventRecord]) -> None:
-        """Write a negotiation round's records, which hold no session_end."""
-        self.count += len(records)
+    def log_round(self, tick: int, band: int | None, room_id: int, block: RoundBlock) -> None:
+        """Write a round's lines, then what closed it, if anything, through ``append``.
+
+        The round's middle and end are formatted once, and each kind's tail
+        from them once per round.
+        """
+        offers, votes, published = block.offers, block.votes, block.published
+        self.count += len(offers) + len(votes) + len(published)
         write = self._write
-        for record in records:
-            write(event_line(record) + "\n")
+        middle = _round_middle(room_id, block.round)
+        end = _line_end(tick, band) + "\n"
+        tail = middle + '"offer"' + end
+        for offer in offers:
+            write(_offer_head(offer.issue_id, offer.proposer) + tail)
+        tail = middle + '"vote"' + end
+        for agent, accept in votes:
+            write(f"{_ACCEPT_HEAD if accept else _REJECT_HEAD}{agent},{tail}")
+        tail = middle + '"acceptable_published"' + end
+        for agent, issues in published:
+            write(_published_head(agent, issues) + tail)
+        for record in closing_records(tick, band, room_id, block):
+            self.append(record)
 
     def log_fired(self, tick: int, priority: int | None, fired: Sequence[FiredReaction]) -> None:
         """Write the fires of one state change; they share its watchee.

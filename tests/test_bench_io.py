@@ -3,8 +3,10 @@
 They time ``event_line`` per templated kind and for one generic kind,
 ``Simulation._log`` for 1 000 records of one templated kind, one
 2 000-watcher fan-out written to a file by ``runner._LogWriter.log_fired``,
-``write_artifacts`` for a bundled scenario's run, and ``parse_scenario_text``
-on ``scenarios/concurrent_rooms.yaml`` with each available YAML loader.
+one 300-participant concession round written to a file by
+``runner._LogWriter.log_round``, ``write_artifacts`` for a bundled
+scenario's run, and ``parse_scenario_text`` on
+``scenarios/concurrent_rooms.yaml`` with each available YAML loader.
 The ``bench`` marker keeps them out of the default test run:
 
     PYTHONPATH=src python -m pytest -m bench                      # timed
@@ -19,6 +21,7 @@ import yaml
 from mnegoti import runner, scenario as scenario_module
 from mnegoti.context import ObjectKind
 from mnegoti.engine import Simulation
+from mnegoti.protocols import Offer, RoundBlock
 from mnegoti.runner import event_line, run, write_artifacts
 from mnegoti.scenario import load_scenario_file, parse_scenario_text
 from mnegoti.scheduler import ActionKind, FiredReaction, ScheduledAction
@@ -74,6 +77,27 @@ def test_log_fan_out(benchmark, tmp_path):
 
         benchmark(log_fan_out)
     assert (tmp_path / "events.log").read_text().count("\n") == 2_000
+
+
+def test_log_round(benchmark, tmp_path):
+    # A concession round of a summit-sized session: 300 participants, each
+    # offering one of 30 issues and publishing an acceptable set of 1-3.
+    block = RoundBlock(
+        round=4,
+        offers=[Offer(agent, agent % 30) for agent in range(300)],
+        published=[
+            (agent, tuple(range(agent % 28, agent % 28 + agent % 3 + 1))) for agent in range(300)
+        ],
+    )
+    with open(tmp_path / "events.log", "w", encoding="utf-8") as file:
+        writer = runner._LogWriter(file)
+
+        def log_round():
+            file.seek(0)
+            writer.log_round(12, 50, 7, block)
+
+        benchmark(log_round)
+    assert (tmp_path / "events.log").read_text().count("\n") == 600
 
 
 def test_write_artifacts(benchmark, artifacts, tmp_path):

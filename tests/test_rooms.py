@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mnegoti import protocols, rooms
 from mnegoti.errors import ConfigurationError, InvalidTransitionError, RoomClosedError
 from mnegoti.model import Agent, AgentPhase, Issue
 from mnegoti.protocols import (
@@ -138,6 +139,25 @@ class TestAdmission:
         room2.open(conditions_agenda(issue_ids=(0, 1, 2), threshold=0.55))
         assert room2.agenda_utility(agent, ISSUES) == pytest.approx(0.55)
         assert room2.check_admission(agent, ISSUES) is True
+
+    def test_agenda_utility_is_walked_once_per_agent_and_opening(self, monkeypatch):
+        reads = []
+
+        def counted(agent, issue):
+            reads.append(issue.id)
+            return protocols.utility(agent, issue)
+
+        monkeypatch.setattr(rooms, "utility", counted)
+        agent = make_agent(1)
+        room = MeetingRoom(0)
+        room.open(conditions_agenda(issue_ids=(0, 1), threshold=0.5))
+        assert room.check_admission(agent, ISSUES) is True
+        assert room.agenda_utility(agent, ISSUES) == pytest.approx(0.5)
+        assert reads == [0, 1]
+        room.close()
+        room.open(conditions_agenda(issue_ids=(0, 1, 2)))
+        assert room.agenda_utility(agent, ISSUES) == pytest.approx(0.55)
+        assert reads == [0, 1, 0, 1, 2]
 
     def test_default_threshold_falls_back_to_scenario_theta(self):
         agent = make_agent(1)

@@ -23,6 +23,7 @@ from mnegoti.context import ObjectKind
 from mnegoti.engine import EventList, EventRecord, Simulation
 from mnegoti.errors import OutputError
 from mnegoti.model import AgentPhase
+from mnegoti.protocols import Offer, RoundBlock
 from mnegoti.runner import (
     SummaryRow,
     event_line,
@@ -983,8 +984,28 @@ FIRED_RUNS = st.tuples(
 )
 
 
+OPTIONAL_ISSUE = st.one_of(st.none(), IDS)
+
+# A protocol round as the engine logs it. An elimination round can both
+# eliminate an issue and agree on the last one, so each of rejected,
+# eliminated and agreed is drawn on its own.
+ROUND_BLOCKS = st.builds(
+    RoundBlock,
+    round=IDS,
+    offers=st.lists(st.builds(Offer, st.one_of(st.none(), IDS), IDS), max_size=5),
+    votes=st.lists(st.tuples(IDS, st.booleans()), max_size=5),
+    published=st.lists(
+        st.tuples(IDS, st.one_of(st.just(()), st.lists(IDS, max_size=200).map(tuple))),
+        max_size=5,
+    ),
+    rejected=OPTIONAL_ISSUE,
+    eliminated=OPTIONAL_ISSUE,
+    agreed=OPTIONAL_ISSUE,
+)
+
+
 class TestEventLine:
-    """``event_line`` and the fan-out writer against the reference ``json.dumps`` encoding."""
+    """``event_line`` and the round and fan-out writers against the reference encoding."""
 
     def test_every_template_is_generated(self):
         assert set(TEMPLATED_DATA) == set(runner._TEMPLATES)
@@ -1037,6 +1058,39 @@ class TestEventLine:
         writer = runner._LogWriter(file)
         writer.log_fired(tick, priority, fired)
         assert writer.count == len(fired)
+        assert file.getvalue() == "".join(reference_line(e) + "\n" for e in expected)
+
+    @given(tick=IDS, band=st.one_of(st.none(), INTS), room=IDS, block=ROUND_BLOCKS)
+    @settings(max_examples=200, deadline=None)
+    def test_round_equals_reference(self, tick, band, room, block):
+        def record(kind, **data):
+            return EventRecord(tick, band, kind, {"room": room, "round": block.round, **data})
+
+        expected = [
+            record("offer", proposer="mediator" if p is None else p, issue=issue)
+            for p, issue in block.offers
+        ]
+        expected += [record("vote", agent=a, accept=accept) for a, accept in block.votes]
+        expected += [
+            record("acceptable_published", agent=a, issues=list(issues))
+            for a, issues in block.published
+        ]
+        expected += [
+            record(kind, issue=issue)
+            for kind, issue in (
+                ("candidate_rejected", block.rejected),
+                ("issue_eliminated", block.eliminated),
+                ("agreement", block.agreed),
+            )
+            if issue is not None
+        ]
+        in_memory = EventList()
+        in_memory.log_round(tick, band, room, block)
+        assert in_memory == expected
+        file = io.StringIO()
+        writer = runner._LogWriter(file)
+        writer.log_round(tick, band, room, block)
+        assert writer.count == len(expected)
         assert file.getvalue() == "".join(reference_line(e) + "\n" for e in expected)
 
     def test_long_issue_list(self):
