@@ -27,6 +27,7 @@ from mnegoti.protocols import Offer, RoundBlock
 from mnegoti.runner import (
     SummaryRow,
     event_line,
+    parse_event_line,
     population_rows,
     read_event_log,
     run,
@@ -38,6 +39,7 @@ from mnegoti.scheduler import ActionKind, FiredReaction, ScheduledAction, Schedu
 
 from conftest import SCENARIO_DIR, benchmark_module
 from oracles import queue_every_scan, scan_every_room
+from test_golden import GOLDEN, WORKLOAD_EVENTS_LOG
 from test_property_gate import COMBINATIONS, scenario_docs
 
 
@@ -815,6 +817,38 @@ class TestArtifacts:
         run(scenario, out_dir=tmp_path)
         expected = "".join(reference_line(e) + "\n" for e in in_memory.events)
         assert (tmp_path / "rep_000" / "events.log").read_bytes() == expected.encode("ascii")
+
+
+class TestPinnedLogLines:
+    """Every line of the pinned runs is the reference encoding of its own parse.
+
+    The golden digests pin the bytes of these logs; this pins the rule that
+    made them, line by line: each line equals
+    ``reference_line(parse_event_line(line))``.
+    """
+
+    @staticmethod
+    def assert_lines_are_reference(logs: list[Path]) -> None:
+        assert logs
+        for log in logs:
+            lines = log.read_text(encoding="utf-8").splitlines()
+            assert lines
+            for line in lines:
+                assert line == reference_line(parse_event_line(line)), line
+
+    @pytest.mark.parametrize(("name", "seed"), sorted(GOLDEN))
+    def test_golden_scenario(self, name, seed, tmp_path):
+        run(load_scenario_file(SCENARIO_DIR / name), seed=seed, out_dir=tmp_path)
+        self.assert_lines_are_reference([tmp_path / "rep_000" / "events.log"])
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_EVENTS_LOG))
+    def test_pinned_workload(self, workload, tmp_path):
+        workloads = benchmark_module("workloads")
+        replications = workloads.SWEEP_REPLICATIONS if workload == "sweep" else 1
+        for path in workloads.write_inputs(workload, 1, tmp_path / "inputs"):
+            run(load_scenario_file(path), replications=replications,
+                out_dir=tmp_path / "artifacts" / path.stem)
+        self.assert_lines_are_reference(sorted(tmp_path.glob("artifacts/*/rep_*/events.log")))
 
 
 class StopReplication(Exception):
