@@ -9,22 +9,27 @@ beta in a scenario template and averages outcomes over replications.
 from __future__ import annotations
 
 import argparse
+import copy
 from pathlib import Path
 
-from mnegoti import load_scenario, load_scenario_file, serialize_scenario
+import yaml
+
+from mnegoti import StrategyConfig, load_scenario
 from mnegoti.runner import run
+from mnegoti.scenario import YAML_LOADER
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def sweep(template_path: str, betas: list[float], replications: int) -> None:
-    template = serialize_scenario(load_scenario_file(template_path))
+    template = yaml.load(Path(template_path).read_text(encoding="utf-8"), Loader=YAML_LOADER)
+    default_kind = StrategyConfig().kind.value
     print(f"template: {template_path}")
     print(f"{'beta':>6} {'agreed':>7} {'avg_rounds':>10} {'avg_welfare':>11} {'avg_nash':>9}")
     for beta in betas:
-        document = serialize_scenario(load_scenario(template))  # deep, validated copy
+        document = copy.deepcopy(template)
         for group in document["groups"]:
-            group["strategy"]["beta"] = beta
+            group.setdefault("strategy", {"kind": default_kind})["beta"] = beta
         scenario = load_scenario(document)
         agreed = 0
         total = 0

@@ -45,7 +45,6 @@ from .scenario import (
     load_scenario,
     load_scenario_file,
     parse_scenario_text,
-    serialize_scenario,
 )
 from .scheduler import (
     ActionKind,

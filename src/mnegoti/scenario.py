@@ -1,10 +1,9 @@
-"""Scenario documents: schema, validation, and canonical serialization.
+"""Scenario documents: schema and validation.
 
 A scenario is one YAML (or JSON) document with the top-level keys
 version, seed, ticks, theta_in, criteria, issues, groups, social_edges,
 protocols, rooms and watchers. Loading validates every cross-reference
-and bound, naming the offending path on failure; ``serialize_scenario``
-emits the fully explicit canonical form, which reloads to an equal value.
+and bound, naming the offending path on failure.
 """
 
 from __future__ import annotations
@@ -666,105 +665,3 @@ def open_fanout(scenario: Scenario) -> list[tuple[int, int, int]]:
             bounds.append((tick, rule_id, matching * watchers))
     return sorted(bounds)
 
-
-def serialize_scenario(scenario: Scenario) -> dict:
-    """Canonical, fully explicit document form of a scenario."""
-    return {
-        "version": scenario.version,
-        "seed": scenario.seed,
-        "ticks": scenario.ticks,
-        "theta_in": scenario.theta_in,
-        "criteria": [
-            {"id": c.id, "name": c.name, "direction": c.direction.value}
-            for c in scenario.criteria
-        ],
-        "issues": [
-            {"id": i.id, "name": i.name, "scores": list(i.raw_scores)}
-            for i in scenario.issues
-        ],
-        "groups": [
-            {
-                "id": g.id,
-                "name": g.name,
-                "bounds": [[lo, hi] for lo, hi in g.bounds.rows],
-                "distribution": _distribution_doc(g.distribution),
-                "member_count": g.member_count,
-                "strategy": {"kind": g.strategy.kind.value, "beta": g.strategy.beta},
-            }
-            for g in scenario.groups
-        ],
-        "social_edges": [[a, b] for a, b in scenario.social_edges],
-        "protocols": [
-            {
-                "id": p.id,
-                "kind": p.kind.value,
-                "max_rounds": p.max_rounds,
-                "rounds_per_tick": p.rounds_per_tick,
-            }
-            for p in scenario.protocols
-        ],
-        "rooms": [
-            {"id": r.id, "schedule": [_entry_doc(e) for e in r.schedule]}
-            for r in scenario.rooms
-        ],
-        "watchers": [_watcher_doc(w) for w in scenario.watchers],
-    }
-
-
-def _distribution_doc(d: DistributionSpec) -> dict:
-    if d.kind is DistributionKind.UNIFORM:
-        return {"kind": d.kind.value}
-    return {"kind": d.kind.value, "mean": d.mean, "sd": d.sd}
-
-
-def _entry_doc(entry: ScheduleEntry) -> dict:
-    doc: dict = {"action": entry.action, "at": entry.at}
-    if entry.priority is not None:
-        doc["priority"] = entry.priority
-    if entry.agenda is not None:
-        admission = entry.agenda.admission
-        if admission.kind is AdmissionKind.INVITATIONS:
-            admission_doc: dict = {"kind": admission.kind.value, "agents": list(admission.agents)}
-        else:
-            admission_doc = {"kind": admission.kind.value, "groups": list(admission.groups)}
-            if admission.threshold is not None:
-                admission_doc["threshold"] = admission.threshold
-        doc["agenda"] = {
-            "issues": list(entry.agenda.issue_ids),
-            "admission": admission_doc,
-            "protocol": entry.agenda.protocol_id,
-            "deadline_rounds": entry.agenda.deadline_rounds,
-        }
-    return doc
-
-
-def _watcher_doc(w: WatcherRule) -> dict:
-    trigger: dict = {}
-    if w.trigger.watcher_state is not None:
-        trigger["watcher.state"] = w.trigger.watcher_state
-    if w.trigger.watchee_state is not None:
-        trigger["watchee.state"] = w.trigger.watchee_state
-    reaction: dict = {"kind": w.reaction_kind.value, "when": w.when.value}
-    if w.priority is not None:
-        reaction["priority"] = w.priority
-    if w.target_role != "watcher":
-        reaction["target"] = w.target_role
-    return {
-        "watcher": _query_doc(w.watcher_query),
-        "watchee": _query_doc(w.watchee_query),
-        "trigger": trigger,
-        "reaction": reaction,
-    }
-
-
-def _query_doc(query: Query) -> dict:
-    doc: dict = {}
-    if query.kind is not None:
-        doc["kind"] = query.kind.value
-    if query.ident is not None:
-        doc["id"] = query.ident
-    if query.state is not None:
-        doc["state"] = query.state
-    if query.group_id is not None:
-        doc["group_id"] = query.group_id
-    return doc

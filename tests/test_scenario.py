@@ -1,4 +1,4 @@
-"""Scenario validation, normalization, and canonical round-tripping."""
+"""Scenario validation and normalization."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from mnegoti.scenario import (
     load_scenario_file,
     open_fanout,
     parse_scenario_text,
-    serialize_scenario,
 )
 
 from conftest import MINIMAL_DOC
@@ -805,28 +804,3 @@ class TestOpenFanout:
             ]
             assert 0 < len(fired) <= bound
 
-
-class TestRoundTrip:
-    def test_minimal_roundtrip_is_identity(self, minimal_doc):
-        first = load_scenario(minimal_doc)
-        second = load_scenario(serialize_scenario(first))
-        assert first == second
-
-    def test_bundled_files_roundtrip(self, scenario_dir):
-        for name in SCENARIO_FILES:
-            first = load_scenario_file(scenario_dir / name)
-            second = load_scenario(serialize_scenario(first))
-            assert first == second, name
-
-    def test_serialized_form_is_plain_data(self, minimal_doc):
-        document = serialize_scenario(load_scenario(minimal_doc))
-        import json
-
-        json.dumps(document)  # all values are JSON-serializable scalars
-
-    def test_strategy_and_distribution_survive(self, scenario_dir):
-        scenario = load_scenario_file(scenario_dir / "protection_strategies.yaml")
-        assert scenario.groups[0].strategy.kind is StrategyKind.TIME_DEPENDENT
-        assert scenario.groups[1].distribution.kind is DistributionKind.TRUNCATED_NORMAL
-        again = load_scenario(serialize_scenario(scenario))
-        assert again.groups == scenario.groups
