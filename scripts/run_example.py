@@ -37,7 +37,7 @@ def main() -> None:
             print(f"tick {event.tick:>3}  {event.kind:<16} {details}")
     print()
     print("summary:")
-    for row in summarize(sim.events):
+    for row in summarize(sim.events.session_ends):
         print(
             f"  room {row.room_id} session {row.session}: {row.status}"
             f" issue={row.issue_id} rounds={row.rounds}"

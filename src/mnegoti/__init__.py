@@ -7,8 +7,9 @@ pure function of (scenario, seed).
 """
 
 from .context import Context, ObjectKind, Query
-from .engine import EventRecord, Simulation
+from .engine import Simulation
 from .errors import MnegotiError, ValidationError
+from .eventlog import EventRecord
 from .model import (
     Agent,
     AgentGroup,

@@ -8,7 +8,8 @@ import sys
 from pathlib import Path
 
 from .errors import MnegotiError, ValidationError
-from .runner import RunArtifacts, read_event_log, run
+from .eventlog import read_event_log
+from .runner import RunArtifacts, run
 from .scenario import Scenario, load_scenario_file, open_fanout
 from .scheduler import REACTION_CASCADE_CAP
 

@@ -14,11 +14,11 @@ in its band is never queued (see ``Scheduler._react``), but its
 ``watcher_fired`` record is logged all the same. Log records are plain
 named tuples, built positionally.
 
-Records go to ``Simulation.events``, an ``EventSink``: one ``append`` per
-record, one ``log_round`` per negotiation round, and one ``log_fired``
-per state change that fired watcher rules. In memory it is an
-``EventList``; an on-disk run swaps in the runner's writer, which formats
-a round's lines and a fan-out's without building their records.
+Records go to ``Simulation.events``, an ``EventLog``, which writes each
+as its events.log line: to a buffer in memory, or to the file an on-disk
+run attaches before the first tick. The set-up records are logged when
+the first tick runs, at tick 0 with no band, so building a simulation
+formats no line.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, NamedTuple, Protocol, Sequence
+from typing import Any
 
 import numpy as np
 
 from .context import Context, ObjectKind
+from .eventlog import EventLog, EventRecord
 from .model import Agent, AgentPhase, StrategyConfig, spawn_members
 from .protocols import (
     FailureReason,
@@ -57,112 +58,6 @@ ROUND_PRIORITY = 50
 build_same_group_projection = None
 
 
-class EventRecord(NamedTuple):
-    """One line of the run's event log."""
-
-    tick: int
-    priority: int | None
-    kind: str
-    data: dict
-
-
-def closing_records(
-    tick: int, band: int | None, room_id: int, block: RoundBlock
-) -> list[EventRecord]:
-    """The records of what closed a round, logged after its offers, votes and published sets."""
-    return [
-        EventRecord(tick, band, kind, {"room": room_id, "round": block.round, "issue": issue})
-        for kind, issue in (
-            ("candidate_rejected", block.rejected),
-            ("issue_eliminated", block.eliminated),
-            ("agreement", block.agreed),
-        )
-        if issue is not None
-    ]
-
-
-class EventSink(Protocol):
-    """Where a run's records go, in the order they are logged.
-
-    The three calls are ``append`` for one record, ``log_round`` for one
-    negotiation round and ``log_fired`` for one state change's fires.
-    """
-
-    def append(self, record: EventRecord) -> None: ...
-
-    def log_round(self, tick: int, band: int | None, room_id: int, block: RoundBlock) -> None:
-        """Log a round's offers, votes and published sets, then what closed it, if anything."""
-
-    def log_fired(self, tick: int, priority: int | None, fired: Sequence[FiredReaction]) -> None:
-        """Log one ``watcher_fired`` record per fire of one state change, in order."""
-
-
-class EventList(list):
-    """The in-memory ``EventSink``: the list of the run's records.
-
-    ``append`` is the list's own; ``log_round`` and ``log_fired`` build the
-    records of a round and of a fan-out and add them in order.
-    """
-
-    def log_round(self, tick: int, band: int | None, room_id: int, block: RoundBlock) -> None:
-        r = block.round
-        records = [
-            EventRecord(
-                tick,
-                band,
-                "offer",
-                {
-                    "room": room_id,
-                    "round": r,
-                    "proposer": "mediator" if offer.proposer is None else offer.proposer,
-                    "issue": offer.issue_id,
-                },
-            )
-            for offer in block.offers
-        ]
-        records += [
-            EventRecord(
-                tick,
-                band,
-                "vote",
-                {"room": room_id, "round": r, "agent": agent_id, "accept": accept},
-            )
-            for agent_id, accept in block.votes
-        ]
-        records += [
-            EventRecord(
-                tick,
-                band,
-                "acceptable_published",
-                {"room": room_id, "round": r, "agent": agent_id, "issues": list(issues)},
-            )
-            for agent_id, issues in block.published
-        ]
-        records += closing_records(tick, band, room_id, block)
-        self.extend(records)
-
-    def log_fired(self, tick: int, priority: int | None, fired: Sequence[FiredReaction]) -> None:
-        self.extend(
-            [
-                EventRecord(
-                    tick,
-                    priority,
-                    "watcher_fired",
-                    {
-                        "rule": f.rule_id,
-                        "watcher": f.watcher_id,
-                        "watchee_kind": f.watchee_kind.value,
-                        "watchee": f.watchee_id,
-                        "reaction": f.action.kind.value,
-                        "at": f.action.start,
-                        "band": f.action.priority,
-                    },
-                )
-                for f in fired
-            ]
-        )
-
-
 @dataclass
 class Simulation:
     scenario: Scenario
@@ -173,7 +68,7 @@ class Simulation:
     scheduler: Scheduler = field(init=False)
     agents: dict[int, Agent] = field(init=False, default_factory=dict)
     rooms: dict[int, MeetingRoom] = field(init=False, default_factory=dict)
-    events: EventSink = field(init=False, default_factory=EventList)
+    events: EventLog = field(init=False, default_factory=EventLog)
 
     def __post_init__(self) -> None:
         if self.seed is None:
@@ -197,16 +92,18 @@ class Simulation:
     # -- setup -----------------------------------------------------------
 
     def _setup(self) -> None:
-        self._log(
-            "scenario_loaded",
-            seed=self.seed,
-            ticks=self.ticks,
-            criteria=len(self.scenario.criteria),
-            issues=len(self.issues),
-            groups=len(self.scenario.groups),
-            agents=self.scenario.total_agents,
-            rooms=len(self.scenario.rooms),
-        )
+        # The set-up records, logged when the first tick runs (see ``step``).
+        self._setup_records = [
+            EventRecord(0, None, "scenario_loaded", dict(
+                seed=self.seed,
+                ticks=self.ticks,
+                criteria=len(self.scenario.criteria),
+                issues=len(self.issues),
+                groups=len(self.scenario.groups),
+                agents=self.scenario.total_agents,
+                rooms=len(self.scenario.rooms),
+            ))
+        ]
         next_id = 0
         for group in self.scenario.groups:
             members = spawn_members(group, self.rng, next_id)
@@ -215,12 +112,11 @@ class Simulation:
                 self.agents[agent.id] = agent
                 self.strategies[agent.id] = group.strategy
                 self.context.add(ObjectKind.AGENT, agent.id, agent)
-            self._log(
-                "population_spawned",
+            self._setup_records.append(EventRecord(0, None, "population_spawned", dict(
                 group=group.id,
                 name=group.name,
                 members=[a.id for a in members],
-            )
+            )))
 
         for spec in sorted(self.scenario.rooms, key=lambda r: r.id):
             room = MeetingRoom(spec.id)
@@ -254,14 +150,21 @@ class Simulation:
 
     # -- run loop --------------------------------------------------------
 
-    def run(self) -> EventSink:
+    def run(self) -> EventLog:
         while self.now <= self.ticks:
             self.step()
         return self.events
 
     def step(self) -> None:
-        """Run the current tick, unless the last tick has already run."""
+        """Run the current tick, unless the last tick has already run.
+
+        The first tick logs the set-up records before it runs any action.
+        """
         if self.now <= self.ticks:
+            if self._setup_records:
+                for record in self._setup_records:
+                    self.events.append(record)
+                self._setup_records = []
             self.scheduler.step()
 
     @property

@@ -1,0 +1,230 @@
+"""The event log of a run: the one encoder of events.log lines, and the log that holds them.
+
+A line is ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` of
+``{"tick", "priority", "kind", "data"}``: keys sorted at both levels,
+ASCII only, floats as ``float.__repr__``.
+
+``EventLog`` writes every line of a run, to an in-memory buffer or to an
+open events.log, through three calls: ``append`` for one record,
+``log_round`` for a negotiation round, whose lines are formatted from its
+``RoundBlock`` with one tail per kind shared by the round, and
+``log_fired`` for one state change's watcher fan-out, whose lines share
+one formatted prefix and differ only in the watcher id. Each line is
+written as it is formatted; a round or a fan-out is never joined into one
+string, and no record of either is built.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+from pathlib import Path
+from typing import Iterator, NamedTuple, Sequence, TextIO
+
+from .protocols import RoundBlock
+from .scheduler import FiredReaction
+
+
+class EventRecord(NamedTuple):
+    """One line of the run's event log."""
+
+    tick: int
+    priority: int | None
+    kind: str
+    data: dict
+
+
+# The reference encoding of one record, and the encoder of every kind that
+# has no template below.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _line_end(tick: int, priority: int | None) -> str:
+    """A templated line after its kind, without the newline."""
+    priority = "null" if priority is None else priority
+    return f',"priority":{priority},"tick":{tick}}}'
+
+
+def _fired_head(
+    at: int, band: int, reaction: str, rule: int, watchee: int, watchee_kind: str
+) -> str:
+    """A ``watcher_fired`` line up to its watcher id."""
+    return (
+        f'{{"data":{{"at":{at},"band":{band},"reaction":"{reaction}","rule":{rule},'
+        f'"watchee":{watchee},"watchee_kind":"{watchee_kind}","watcher":'
+    )
+
+
+def _fired_tail(tick: int, priority: int | None) -> str:
+    """A ``watcher_fired`` line after its watcher id, without the newline."""
+    return '},"kind":"watcher_fired"' + _line_end(tick, priority)
+
+
+# A round's lines: a head of the line's own data keys, then the keys the
+# round shares (``_round_middle``), the kind and ``_line_end``.
+
+
+def _offer_head(issue: int, proposer: int | None) -> str:
+    """An offer line up to its room; a proposer of None is the mediator."""
+    proposer = '"mediator"' if proposer is None else proposer
+    return f'{{"data":{{"issue":{issue},"proposer":{proposer},'
+
+
+# A vote line up to its agent id, by its accept value.
+_ACCEPT_HEAD = '{"data":{"accept":true,"agent":'
+_REJECT_HEAD = '{"data":{"accept":false,"agent":'
+
+
+def _published_head(agent: int, issues: Sequence[int]) -> str:
+    """An ``acceptable_published`` line up to its room."""
+    return f'{{"data":{{"agent":{agent},"issues":[{",".join(map(str, issues))}],'
+
+
+def _round_middle(room: int, round_: int) -> str:
+    """A round's lines after their heads, up to the kind."""
+    return f'"room":{room},"round":{round_}}},"kind":'
+
+
+def _agent_entered(r: EventRecord) -> str:
+    d = r.data
+    return (
+        f'{{"data":{{"agent":{d["agent"]},"room":{d["room"]},'
+        f'"utility":{float.__repr__(d["utility"])}}},"kind":"agent_entered"'
+        + _line_end(r.tick, r.priority)
+    )
+
+
+def _agent_watching(r: EventRecord) -> str:
+    head = f'{{"data":{{"agent":{r.data["agent"]}}},"kind":"agent_watching"'
+    return head + _line_end(r.tick, r.priority)
+
+
+# A template for each fixed-shape kind that comes through ``append`` once per
+# agent scan: its data holds only ints and finite floats.
+_TEMPLATES = {
+    "agent_entered": _agent_entered,
+    "agent_watching": _agent_watching,
+}
+
+
+def event_line(record: EventRecord) -> str:
+    """One events.log line, without its newline.
+
+    ``tests/test_runner.py::TestEventLine`` checks each template against
+    the reference encoding.
+    """
+    template = _TEMPLATES.get(record.kind)
+    if template is not None:
+        return template(record)
+    return _ENCODER.encode(
+        {"tick": record.tick, "priority": record.priority, "kind": record.kind, "data": record.data}
+    )
+
+
+def parse_event_line(line: str) -> EventRecord:
+    doc = json.loads(line)
+    if not isinstance(doc, dict) or not isinstance(doc.get("data"), dict):
+        raise ValueError(f"not an event record: {line[:80]!r}")
+    return EventRecord(
+        tick=doc["tick"], priority=doc["priority"], kind=doc["kind"], data=doc["data"]
+    )
+
+
+def read_event_log(path: str | Path) -> list[EventRecord]:
+    lines = Path(path).read_text().splitlines()
+    return [parse_event_line(line) for line in lines if line.strip()]
+
+
+class EventLog:
+    """A run's event log: each line is written at once, one write per line.
+
+    The lines go to ``file``, an on-disk run's open events.log at ``path``,
+    or, with no file, to an in-memory buffer. ``len`` is the number of lines
+    written; iterating parses them back, a record per line as the iteration
+    reaches it, from the buffer or from ``path``. The only records kept are
+    the session_end ones, which summary.csv is made from and which come
+    only through ``append``.
+    """
+
+    def __init__(self, file: TextIO | None = None, path: Path | None = None) -> None:
+        self._file = io.StringIO() if file is None else file
+        self._write = self._file.write
+        self.path = path
+        self.count = 0
+        self.session_ends: list[EventRecord] = []
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[EventRecord]:
+        return map(parse_event_line, io.StringIO(self.text()))
+
+    def detach(self) -> None:
+        """Let go of the file and the session_end records of a finished on-disk run.
+
+        The log keeps its count and reads its lines back from ``path``.
+        """
+        self._file = self._write = None
+        self.session_ends = []
+
+    def text(self) -> str:
+        """Every line written, each ending in a newline."""
+        if self.path is None:
+            return self._file.getvalue()
+        return self.path.read_text(encoding="utf-8")
+
+    def append(self, record: EventRecord) -> None:
+        self.count += 1
+        if record.kind == "session_end":
+            self.session_ends.append(record)
+        self._write(event_line(record) + "\n")
+
+    def log_round(self, tick: int, band: int | None, room_id: int, block: RoundBlock) -> None:
+        """Write a round's offers, votes and published sets, then what closed it, if anything.
+
+        The round's middle and end are formatted once, and each kind's tail
+        from them once per round. An elimination round can both eliminate
+        an issue and agree on the last one, so each closing record is sent.
+        """
+        offers, votes, published = block.offers, block.votes, block.published
+        self.count += len(offers) + len(votes) + len(published)
+        write = self._write
+        middle = _round_middle(room_id, block.round)
+        end = _line_end(tick, band) + "\n"
+        tail = middle + '"offer"' + end
+        for offer in offers:
+            write(_offer_head(offer.issue_id, offer.proposer) + tail)
+        tail = middle + '"vote"' + end
+        for agent, accept in votes:
+            write(f"{_ACCEPT_HEAD if accept else _REJECT_HEAD}{agent},{tail}")
+        tail = middle + '"acceptable_published"' + end
+        for agent, issues in published:
+            write(_published_head(agent, issues) + tail)
+        for kind, issue in (
+            ("candidate_rejected", block.rejected),
+            ("issue_eliminated", block.eliminated),
+            ("agreement", block.agreed),
+        ):
+            if issue is not None:
+                data = {"room": room_id, "round": block.round, "issue": issue}
+                self.append(EventRecord(tick, band, kind, data))
+
+    def log_fired(self, tick: int, priority: int | None, fired: Sequence[FiredReaction]) -> None:
+        """Write one ``watcher_fired`` line per fire of one state change; they share its watchee.
+
+        The prefix is formatted again only when the rule, reaction, ``at``
+        or ``band`` differs from the previous fire's.
+        """
+        self.count += len(fired)
+        write = self._write
+        tail = _fired_tail(tick, priority) + "\n"
+        key = head = None
+        for rule, watcher, watchee_kind, watchee, action in fired:
+            fire_key = (rule, action.kind, action.start, action.priority)
+            if fire_key != key:
+                key = fire_key
+                head = _fired_head(
+                    action.start, action.priority, action.kind.value, rule, watchee,
+                    watchee_kind.value
+                )
+            write(head + str(watcher) + tail)

@@ -2,9 +2,9 @@
 
 They time ``event_line`` per templated kind and for one generic kind,
 ``Simulation._log`` for 1 000 records of one templated kind, one
-2 000-watcher fan-out written to a file by ``runner._LogWriter.log_fired``,
-one 300-participant concession round written to a file by
-``runner._LogWriter.log_round``, ``write_artifacts`` for a bundled
+2 000-watcher fan-out written to a file by ``EventLog.log_fired``, one
+300-participant concession round written to a file by
+``EventLog.log_round``, ``write_artifacts`` for a bundled
 scenario's run, and ``parse_scenario_text`` on
 ``scenarios/concurrent_rooms.yaml`` with each available YAML loader.
 The ``bench`` marker keeps them out of the default test run:
@@ -18,11 +18,12 @@ from __future__ import annotations
 import pytest
 import yaml
 
-from mnegoti import runner, scenario as scenario_module
+from mnegoti import eventlog, scenario as scenario_module
 from mnegoti.context import ObjectKind
 from mnegoti.engine import Simulation
+from mnegoti.eventlog import EventLog, event_line
 from mnegoti.protocols import Offer, RoundBlock
-from mnegoti.runner import event_line, run, write_artifacts
+from mnegoti.runner import run, write_artifacts
 from mnegoti.scenario import load_scenario_file, parse_scenario_text
 from mnegoti.scheduler import ActionKind, FiredReaction, ScheduledAction
 
@@ -40,7 +41,7 @@ def artifacts():
     return run(load_scenario_file(SCENARIO_DIR / "protection_strategies.yaml"))[0]
 
 
-@pytest.mark.parametrize("kind", sorted(runner._TEMPLATES) + [GENERIC_KIND])
+@pytest.mark.parametrize("kind", sorted(eventlog._TEMPLATES) + [GENERIC_KIND])
 def test_event_line(benchmark, artifacts, kind):
     record = next(e for e in artifacts.events if e.kind == kind)
     assert benchmark(event_line, record).startswith('{"data":')
@@ -51,7 +52,7 @@ def test_log_records(benchmark):
     log = sim._log
 
     def log_thousand():
-        sim.events.clear()
+        sim.events = EventLog()
         for agent in range(1_000):
             log("agent_watching", agent=agent)
 
@@ -69,7 +70,7 @@ def test_log_fan_out(benchmark, tmp_path):
         for agent in range(2_000)
     ]
     with open(tmp_path / "events.log", "w", encoding="utf-8") as file:
-        writer = runner._LogWriter(file)
+        writer = EventLog(file)
 
         def log_fan_out():
             file.seek(0)
@@ -90,7 +91,7 @@ def test_log_round(benchmark, tmp_path):
         ],
     )
     with open(tmp_path / "events.log", "w", encoding="utf-8") as file:
-        writer = runner._LogWriter(file)
+        writer = EventLog(file)
 
         def log_round():
             file.seek(0)

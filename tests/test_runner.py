@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import gc
-import io
 import json
 import tempfile
 import tracemalloc
@@ -17,22 +16,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mnegoti.engine
-from mnegoti import protocols, rooms, runner
+from mnegoti import eventlog, protocols, rooms, runner
 
 from mnegoti.context import ObjectKind
-from mnegoti.engine import EventList, EventRecord, Simulation
+from mnegoti.engine import Simulation
 from mnegoti.errors import OutputError
-from mnegoti.model import AgentPhase
-from mnegoti.protocols import Offer, RoundBlock
-from mnegoti.runner import (
-    SummaryRow,
+from mnegoti.eventlog import (
+    EventLog,
+    EventRecord,
     event_line,
     parse_event_line,
-    population_rows,
     read_event_log,
-    run,
-    summarize,
 )
+from mnegoti.model import AgentPhase
+from mnegoti.protocols import Offer, RoundBlock
+from mnegoti.runner import SummaryRow, population_rows, run, summarize
 from mnegoti.scenario import load_scenario, load_scenario_file
 from mnegoti.rooms import MeetingRoom
 from mnegoti.scheduler import ActionKind, FiredReaction, ScheduledAction, Scheduler
@@ -47,14 +45,18 @@ def events_of(sim: Simulation, kind: str) -> list[dict]:
     return [e.data for e in sim.events if e.kind == kind]
 
 
-def log_bytes(events) -> bytes:
-    return "".join(event_line(e) + "\n" for e in events).encode()
-
-
 def reference_line(record: EventRecord) -> str:
     """The events.log encoding that ``event_line`` must reproduce byte for byte."""
     doc = {"tick": record.tick, "priority": record.priority, "kind": record.kind, "data": record.data}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def assert_reference_log(in_memory: EventLog, streamed: Path) -> None:
+    """The streamed events.log holds the in-memory run's bytes, each line its reference encoding."""
+    text = in_memory.text()
+    assert streamed.read_bytes() == text.encode("ascii")
+    for line in text.splitlines():
+        assert line == reference_line(parse_event_line(line))
 
 
 def session_end(utilities, agreed=True, room=0, session=0):
@@ -116,7 +118,7 @@ class TestDeterminism:
         second = Simulation(scenario, seed=42)
         first.run()
         second.run()
-        assert log_bytes(first.events) == log_bytes(second.events)
+        assert first.events.text() == second.events.text()
 
     def test_different_seed_differs(self, scenario_dir):
         scenario = load_scenario_file(scenario_dir / "protection_strategies.yaml")
@@ -124,7 +126,7 @@ class TestDeterminism:
         second = Simulation(scenario, seed=43)
         first.run()
         second.run()
-        assert log_bytes(first.events) != log_bytes(second.events)
+        assert first.events.text() != second.events.text()
 
     def test_replication_seeds_are_base_plus_offset(self, minimal_doc):
         scenario = load_scenario(minimal_doc)
@@ -135,7 +137,7 @@ class TestDeterminism:
         scenario = load_scenario(minimal_doc)
         alone = run(scenario, seed=101, replications=1)[0]
         batched = run(scenario, seed=100, replications=3)[1]
-        assert log_bytes(alone.events) == log_bytes(batched.events)
+        assert alone.events.text() == batched.events.text()
 
     def test_degenerate_bounds_make_replications_identical(self, minimal_doc):
         # Oracle: a single run; pinned sampling cannot vary across seeds.
@@ -645,7 +647,7 @@ class TestPhaseNotifications:
 
 class TestArtifacts:
     def test_written_files_roundtrip(self, minimal_doc, tmp_path):
-        # The streamed log is checked against the records of a run held in
+        # The streamed log is checked against the buffer of a run held in
         # memory, not against itself read back.
         scenario = load_scenario(minimal_doc)
         artifacts = run(scenario, out_dir=tmp_path)[0]
@@ -654,17 +656,16 @@ class TestArtifacts:
         assert artifacts.out_dir == rep
         assert (rep / "summary.csv").exists()
         assert (rep / "population.csv").exists()
-        assert (rep / "events.log").read_bytes() == log_bytes(in_memory.events)
-        reread = read_event_log(rep / "events.log")
-        assert log_bytes(reread) == log_bytes(in_memory.events)
+        assert (rep / "events.log").read_bytes() == in_memory.events.text().encode("ascii")
+        assert read_event_log(rep / "events.log") == list(in_memory.events)
 
     def test_on_disk_result_keeps_counts_and_summary(self, scenario_dir, tmp_path):
         scenario = load_scenario_file(scenario_dir / "protection_strategies.yaml")
         (on_disk,) = run(scenario, out_dir=tmp_path)
         (in_memory,) = run(scenario)
-        assert isinstance(on_disk.events, runner.EventLog)
+        assert on_disk.events.path == tmp_path / "rep_000" / "events.log"
         assert len(on_disk.events) == len(in_memory.events)
-        assert log_bytes(on_disk.events) == log_bytes(in_memory.events)
+        assert list(on_disk.events) == list(in_memory.events)
         assert on_disk.summary == in_memory.summary
         assert on_disk.population == []
 
@@ -740,10 +741,14 @@ class TestArtifacts:
         return doc
 
     # The round-block kinds each case must log: protection_strategies logs
-    # every templated kind, supply_chain the only elimination rounds.
+    # every kind of a round and of an agent scan, supply_chain the only
+    # elimination rounds.
     ENCODING_CASES = {
         "concurrent_rooms": {"offer", "vote", "candidate_rejected", "agreement"},
-        "protection_strategies": set(runner._TEMPLATES) | {"candidate_rejected", "agreement"},
+        "protection_strategies": {
+            "watcher_fired", "offer", "vote", "acceptable_published", "agent_entered",
+            "agent_watching", "candidate_rejected", "agreement",
+        },
         "supply_chain": {"offer", "issue_eliminated", "agreement"},
         "two_rounds_per_tick": {"offer", "vote", "acceptable_published", "candidate_rejected"},
     }
@@ -761,8 +766,7 @@ class TestArtifacts:
             ends = [(e.tick, e.data["reason"], e.data["rounds"])
                     for e in in_memory.events if e.kind == "session_end"]
             assert ends == [(2, "no_agreement", 2), (3, "forced_close", 2)]
-        expected = "".join(reference_line(e) + "\n" for e in in_memory.events)
-        assert (tmp_path / "rep_000" / "events.log").read_bytes() == expected.encode("ascii")
+        assert_reference_log(in_memory.events, tmp_path / "rep_000" / "events.log")
 
     def test_fan_out_of_several_rules_equals_reference_encoding(self, minimal_doc, tmp_path):
         # One opening fires a same-tick scan, a next-tick scan in a set band,
@@ -815,8 +819,7 @@ class TestArtifacts:
         assert max(len(rules) for rules in rules_by_change.values()) == 4
         assert {r for rules in rules_by_change.values() for r in rules} == set(range(5))
         run(scenario, out_dir=tmp_path)
-        expected = "".join(reference_line(e) + "\n" for e in in_memory.events)
-        assert (tmp_path / "rep_000" / "events.log").read_bytes() == expected.encode("ascii")
+        assert_reference_log(in_memory.events, tmp_path / "rep_000" / "events.log")
 
 
 class TestPinnedLogLines:
@@ -977,36 +980,6 @@ UTILITIES = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 0.1 + 0.2]), st.floats(
 
 # The data each templated kind carries, as the engine logs it.
 TEMPLATED_DATA = {
-    "watcher_fired": st.fixed_dictionaries(
-        {
-            "rule": IDS,
-            "watcher": IDS,
-            "watchee_kind": st.sampled_from([k.value for k in ObjectKind]),
-            "watchee": IDS,
-            "reaction": st.sampled_from([k.value for k in ActionKind]),
-            "at": IDS,
-            "band": INTS,
-        }
-    ),
-    "offer": st.fixed_dictionaries(
-        {
-            "room": IDS,
-            "round": IDS,
-            "proposer": st.one_of(st.just("mediator"), IDS),
-            "issue": IDS,
-        }
-    ),
-    "vote": st.fixed_dictionaries(
-        {"room": IDS, "round": IDS, "agent": IDS, "accept": st.booleans()}
-    ),
-    "acceptable_published": st.fixed_dictionaries(
-        {
-            "room": IDS,
-            "round": IDS,
-            "agent": IDS,
-            "issues": st.one_of(st.just([]), st.lists(IDS, max_size=200)),
-        }
-    ),
     "agent_entered": st.fixed_dictionaries({"agent": IDS, "room": IDS, "utility": UTILITIES}),
     "agent_watching": st.fixed_dictionaries({"agent": IDS}),
 }
@@ -1042,7 +1015,7 @@ class TestEventLine:
     """``event_line`` and the round and fan-out writers against the reference encoding."""
 
     def test_every_template_is_generated(self):
-        assert set(TEMPLATED_DATA) == set(runner._TEMPLATES)
+        assert set(TEMPLATED_DATA) == set(eventlog._TEMPLATES)
 
     @pytest.mark.parametrize("kind", sorted(TEMPLATED_DATA))
     @given(draw=st.data(), tick=IDS, priority=st.one_of(st.none(), INTS))
@@ -1085,14 +1058,10 @@ class TestEventLine:
             )
             for f in fired
         ]
-        in_memory = EventList()
-        in_memory.log_fired(tick, priority, fired)
-        assert in_memory == expected
-        file = io.StringIO()
-        writer = runner._LogWriter(file)
-        writer.log_fired(tick, priority, fired)
-        assert writer.count == len(fired)
-        assert file.getvalue() == "".join(reference_line(e) + "\n" for e in expected)
+        log = EventLog()
+        log.log_fired(tick, priority, fired)
+        assert len(log) == len(fired)
+        assert log.text() == "".join(reference_line(e) + "\n" for e in expected)
 
     @given(tick=IDS, band=st.one_of(st.none(), INTS), room=IDS, block=ROUND_BLOCKS)
     @settings(max_examples=200, deadline=None)
@@ -1118,19 +1087,16 @@ class TestEventLine:
             )
             if issue is not None
         ]
-        in_memory = EventList()
-        in_memory.log_round(tick, band, room, block)
-        assert in_memory == expected
-        file = io.StringIO()
-        writer = runner._LogWriter(file)
-        writer.log_round(tick, band, room, block)
-        assert writer.count == len(expected)
-        assert file.getvalue() == "".join(reference_line(e) + "\n" for e in expected)
+        log = EventLog()
+        log.log_round(tick, band, room, block)
+        assert len(log) == len(expected)
+        assert log.text() == "".join(reference_line(e) + "\n" for e in expected)
 
     def test_long_issue_list(self):
+        log = EventLog()
+        log.log_round(2, 50, 3, RoundBlock(round=7, published=[(11, tuple(range(500)))]))
         data = {"room": 3, "round": 7, "agent": 11, "issues": list(range(500))}
-        record = EventRecord(2, 50, "acceptable_published", data)
-        assert event_line(record) == reference_line(record)
+        assert log.text() == reference_line(EventRecord(2, 50, "acceptable_published", data)) + "\n"
 
     def test_generic_kind_escapes_scenario_text(self):
         data = {"group": 0, "name": 'Zürich "x"\n', "members": [0, 1]}
