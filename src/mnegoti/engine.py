@@ -87,23 +87,22 @@ class Simulation:
         self._open_rooms: list[MeetingRoom] = []
         self._openings = 0
         self._empty_scan_at: dict[int, int] = {}
+        self._setup_records: list[EventRecord] = []
         self._setup()
 
     # -- setup -----------------------------------------------------------
 
     def _setup(self) -> None:
-        # The set-up records, logged when the first tick runs (see ``step``).
-        self._setup_records = [
-            EventRecord(0, None, "scenario_loaded", dict(
-                seed=self.seed,
-                ticks=self.ticks,
-                criteria=len(self.scenario.criteria),
-                issues=len(self.issues),
-                groups=len(self.scenario.groups),
-                agents=self.scenario.total_agents,
-                rooms=len(self.scenario.rooms),
-            ))
-        ]
+        self._log_at_setup(
+            "scenario_loaded",
+            seed=self.seed,
+            ticks=self.ticks,
+            criteria=len(self.scenario.criteria),
+            issues=len(self.issues),
+            groups=len(self.scenario.groups),
+            agents=self.scenario.total_agents,
+            rooms=len(self.scenario.rooms),
+        )
         next_id = 0
         for group in self.scenario.groups:
             members = spawn_members(group, self.rng, next_id)
@@ -112,11 +111,12 @@ class Simulation:
                 self.agents[agent.id] = agent
                 self.strategies[agent.id] = group.strategy
                 self.context.add(ObjectKind.AGENT, agent.id, agent)
-            self._setup_records.append(EventRecord(0, None, "population_spawned", dict(
+            self._log_at_setup(
+                "population_spawned",
                 group=group.id,
                 name=group.name,
                 members=[a.id for a in members],
-            )))
+            )
 
         for spec in sorted(self.scenario.rooms, key=lambda r: r.id):
             room = MeetingRoom(spec.id)
@@ -176,6 +176,10 @@ class Simulation:
     def _log(self, kind: str, **data: Any) -> None:
         scheduler = self.scheduler
         self.events.append(EventRecord(scheduler.now, scheduler.current_band, kind, data))
+
+    def _log_at_setup(self, kind: str, **data: Any) -> None:
+        """Keep a set-up record, at tick 0 with no band, for the first tick to log."""
+        self._setup_records.append(EventRecord(0, None, kind, data))
 
     def _notify_agent(self, agent: Agent, old_phase: AgentPhase) -> None:
         fired = self.scheduler.notify_state_change(
