@@ -60,10 +60,22 @@ def make_session(
     )
 
 
-def run_to_completion(session: NegotiationSession) -> tuple[str, int | None, int]:
-    while session.status is SessionStatus.ACTIVE:
-        run_round(session)
+def ending(session: NegotiationSession) -> tuple[str, int | None, int]:
+    """A finished session's (status, agreed issue, rounds used)."""
     return (session.status.value, session.agreed_issue, session.round)
+
+
+def run_rounds(session: NegotiationSession) -> list[RoundBlock]:
+    """Run the session to its end and return every round's block, in order."""
+    blocks = []
+    while session.status is SessionStatus.ACTIVE:
+        blocks.append(run_round(session))
+    return blocks
+
+
+def run_to_completion(session: NegotiationSession) -> tuple[str, int | None, int]:
+    run_rounds(session)
+    return ending(session)
 
 
 def threshold(utilities, t, max_rounds, beta):
@@ -104,8 +116,8 @@ class TestConcessionThreshold:
             assert values[0] == max(utilities)
 
 
-def published_by_round(session: NegotiationSession, participant: int) -> list[tuple[int, ...]]:
-    return [dict(block.published)[participant] for block in session.transcript]
+def published_by_round(blocks: list[RoundBlock], participant: int) -> list[tuple[int, ...]]:
+    return [dict(block.published)[participant] for block in blocks]
 
 
 class TestPublishedSets:
@@ -117,8 +129,9 @@ class TestPublishedSets:
     def test_deadline_round_publishes_full_agenda(self):
         utils = [[0.1, 0.9], [0.9, 0.1]]
         session = make_session(utils, ProtocolKind.MONOTONIC_CONCESSION, max_rounds=3)
-        assert run_to_completion(session) == ("agreed", 0, 3)
-        assert published_by_round(session, 0) == [(1,), (1,), (0, 1)]
+        blocks = run_rounds(session)
+        assert ending(session) == ("agreed", 0, 3)
+        assert published_by_round(blocks, 0) == [(1,), (1,), (0, 1)]
 
     def test_first_round_publishes_only_the_best(self):
         session = make_session(self.OPPOSED, ProtocolKind.MONOTONIC_CONCESSION, max_rounds=3)
@@ -141,9 +154,9 @@ class TestPublishedSets:
         session = make_session(
             [values, values[::-1]], ProtocolKind.MONOTONIC_CONCESSION, max_rounds, [beta, beta]
         )
-        run_to_completion(session)
+        blocks = run_rounds(session)
         for a in (0, 1):
-            sets = published_by_round(session, a)
+            sets = published_by_round(blocks, a)
             for t, published in enumerate(sets, start=1):
                 theta = session.threshold(a, t)
                 assert published == tuple(i for i, u in session.utilities[a].items() if u >= theta)
@@ -190,8 +203,8 @@ class TestPropose:
             max_rounds=9,
             strategy_kind=StrategyKind.TRADE_OFF,
         )
-        run_round(session)  # round 1: everyone falls back to own argmax
-        prior = [o.issue_id for o in session.transcript[0].offers if o.proposer != 0]
+        block = run_round(session)  # round 1: everyone falls back to own argmax
+        prior = [o.issue_id for o in block.offers if o.proposer != 0]
         assert sorted(prior) == [1, 2, 2]
         theta = session.threshold(0, 2)
         acceptable = [i for i in session.candidates if session.utilities[0][i] >= theta]
@@ -210,10 +223,10 @@ class TestPropose:
             max_rounds=9,
             strategy_kind=StrategyKind.TRADE_OFF,
         )
-        run_round(session)
+        block = run_round(session)
         # Others proposed issues 1 (agent 1) and 0 (agent 2): one vote each;
         # agent 0 prefers issue 1 (0.9 > 0.5).
-        prior = sorted(o.issue_id for o in session.transcript[0].offers if o.proposer != 0)
+        prior = sorted(o.issue_id for o in block.offers if o.proposer != 0)
         assert prior == [0, 1]
         assert propose(session, 0).issue_id == 1
 
@@ -377,7 +390,8 @@ class TestTranscriptOracle:
             protocol=ProtocolConfig(id="p", kind=kind, max_rounds=deadline),
             deadline_rounds=deadline,
         )
-        outcome = run_to_completion(session)
+        blocks = run_rounds(session)
+        outcome = ending(session)
         got = [
             {
                 "offers": [(o.proposer, o.issue_id) for o in block.offers],
@@ -387,7 +401,7 @@ class TestTranscriptOracle:
                 "eliminated": block.eliminated,
                 "agreed": block.agreed,
             }
-            for block in session.transcript
+            for block in blocks
         ]
         expected_rounds, expected_outcome = session_oracle(
             [dict(enumerate(u)) for u in utils],
@@ -397,15 +411,51 @@ class TestTranscriptOracle:
         )
         assert got == expected_rounds
         assert outcome == expected_outcome
-        assert [b.round for b in session.transcript] == list(range(1, len(got) + 1))
+        assert [b.round for b in blocks] == list(range(1, len(got) + 1))
         if kind is ProtocolKind.MONOTONIC_CONCESSION:
             # At the deadline every threshold is the participant's worst
             # agenda utility, so every agenda issue is acceptable to all.
             assert outcome[0] == "agreed" and outcome[2] <= deadline
 
+    @given(instance=mixed_sessions(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_holding_other_issues_match_oracle_on_the_agenda(self, instance, data):
+        """A participant's row may hold issues off the agenda; no round reads them.
 
-def transcript_rounds(session: NegotiationSession) -> list[dict]:
-    """The session's transcript in the shape ``session_oracle`` returns."""
+        The agenda takes the odd ids and the other issues the even ids
+        around them, each above every agenda utility of its row or below it.
+        """
+        utils, strategies, kind, deadline = instance
+        n, m = len(utils), len(utils[0])
+        agenda = tuple(range(1, 2 * m, 2))
+        rows = {}
+        for a in range(n):
+            other = st.sampled_from([max(utils[a]) + 1.0, min(utils[a]) - 1.0])
+            rows[a] = {
+                i: utils[a][i // 2] if i % 2 else data.draw(other) for i in range(2 * m + 1)
+            }
+        session = NegotiationSession(
+            room_id=0,
+            issue_ids=agenda,
+            participants=tuple(range(n)),
+            utilities=rows,
+            strategies={a: StrategyConfig(kind=k, beta=b) for a, (k, b) in enumerate(strategies)},
+            protocol=ProtocolConfig(id="p", kind=kind, max_rounds=deadline),
+            deadline_rounds=deadline,
+        )
+        blocks = run_rounds(session)
+        expected_rounds, expected_outcome = session_oracle(
+            [dict(zip(agenda, u)) for u in utils],
+            [(k.value, b) for k, b in strategies],
+            kind.value,
+            deadline,
+        )
+        assert transcript_rounds(blocks) == expected_rounds
+        assert ending(session) == expected_outcome
+
+
+def transcript_rounds(blocks: list[RoundBlock]) -> list[dict]:
+    """A session's round blocks in the shape ``session_oracle`` returns."""
     return [
         {
             "offers": [(o.proposer, o.issue_id) for o in block.offers],
@@ -415,7 +465,7 @@ def transcript_rounds(session: NegotiationSession) -> list[dict]:
             "eliminated": block.eliminated,
             "agreed": block.agreed,
         }
-        for block in session.transcript
+        for block in blocks
     ]
 
 
@@ -424,7 +474,7 @@ def assert_matches_oracle(
     strategies: list[tuple[StrategyKind, float]],
     kind: ProtocolKind,
     deadline: int,
-) -> NegotiationSession:
+) -> tuple[NegotiationSession, list[RoundBlock]]:
     """Run a session of participants 0..P-1 to its end and compare every round."""
     n, m = len(utils), len(utils[0])
     session = NegotiationSession(
@@ -436,22 +486,22 @@ def assert_matches_oracle(
         protocol=ProtocolConfig(id="p", kind=kind, max_rounds=deadline),
         deadline_rounds=deadline,
     )
-    outcome = run_to_completion(session)
+    blocks = run_rounds(session)
     expected_rounds, expected_outcome = session_oracle(
         [dict(enumerate(u)) for u in utils],
         [(k.value, b) for k, b in strategies],
         kind.value,
         deadline,
     )
-    assert transcript_rounds(session) == expected_rounds
-    assert outcome == expected_outcome
-    return session
+    assert transcript_rounds(blocks) == expected_rounds
+    assert ending(session) == expected_outcome
+    return session, blocks
 
 
-def best_issue_eliminated(session: NegotiationSession) -> bool:
+def best_issue_eliminated(blocks: list[RoundBlock]) -> bool:
     """Whether some participant's round-1 offer was eliminated before the last round."""
-    first = {o.issue_id for o in session.transcript[0].offers}
-    return any(block.eliminated in first for block in session.transcript[:-1])
+    first = {o.issue_id for o in blocks[0].offers}
+    return any(block.eliminated in first for block in blocks[:-1])
 
 
 @st.composite
@@ -507,11 +557,11 @@ class TestLongSessionOracle:
         kinds = list(StrategyKind)
         strategies = [(kinds[(a // 10) % len(kinds)], 0.01) for a in range(participants)]
         utils = summit_utilities(participants, issues, seed=18)
-        session = assert_matches_oracle(utils, strategies, kind, deadline)
+        session, blocks = assert_matches_oracle(utils, strategies, kind, deadline)
         if kind is ProtocolKind.MONOTONIC_CONCESSION:
             assert session.round == deadline
         if kind is ProtocolKind.ELIMINATION_BIDDING:
-            assert best_issue_eliminated(session)
+            assert best_issue_eliminated(blocks)
 
 
 class TestUnanimity:
@@ -537,9 +587,7 @@ class TestTranscriptDeterminism:
         utils, betas, max_rounds = TestOracleEquivalence.random_instance(rng)
         first = make_session(utils, kind, max_rounds, betas)
         second = make_session(utils, kind, max_rounds, betas)
-        run_to_completion(first)
-        run_to_completion(second)
-        assert first.transcript == second.transcript
+        assert run_rounds(first) == run_rounds(second)
         assert first.status == second.status
 
 

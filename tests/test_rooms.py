@@ -218,6 +218,28 @@ class TestStartSession:
         assert first.phase is AgentPhase.NEGOTIATING
         assert second.phase is AgentPhase.NEGOTIATING
 
+    def test_invitation_session_fills_each_agenda_cell_once(self, monkeypatch):
+        # Invitation admission reads no utility, so starting the session
+        # evaluates every participant's agenda issues, and nothing else.
+        evaluated = []
+        evaluate = protocols.evaluate
+
+        def counted(agent, issue):
+            evaluated.append((agent.id, issue.id))
+            return evaluate(agent, issue)
+
+        monkeypatch.setattr(protocols, "evaluate", counted)
+        invited, outsider = [make_agent(2), make_agent(1, weights=(0.9, 0.1))], make_agent(3)
+        room = MeetingRoom(0)
+        room.open(invitations_agenda([1, 2], issue_ids=(0, 2)))
+        for agent in invited:
+            admit(room, agent)
+        assert evaluated == []
+        room.start_session(list(ISSUES.values()), PROTOCOL, {}, tick=1)
+        assert evaluated == [(1, 0), (1, 2), (2, 0), (2, 2)]
+        cells = {(a.id, i) for a in (*invited, outsider) for i in a.utilities}
+        assert cells == {(1, 0), (1, 2), (2, 0), (2, 2)}
+
     def test_single_attendee_cannot_start(self):
         room = self.open_with(make_agent(1))
         with pytest.raises(InvalidTransitionError):
