@@ -310,7 +310,7 @@ class Simulation:
                 self._close_room(room, failed_outcome(attendees, FailureReason.NO_QUORUM))
                 return
             protocol = self.scenario.protocol(room.agenda.protocol_id)
-            session = room.start_session(self.issues, protocol, self.strategies, self.now)
+            session = room.start_session(self.issues_by_id, protocol, self.strategies, self.now)
             self._open_rooms.remove(room)
             self._log(
                 "session_started",

@@ -1,10 +1,10 @@
 """Criteria, issues, agent groups and agents.
 
 Agent groups act as factories: each group carries per-criterion preference
-bounds and a sampling distribution, and spawns agents whose raw preferences
-fall inside the bounds. Raw preferences are normalized into criterion
-weights, and an agent's utility for an issue is the weighted sum of the
-issue's normalized criterion scores.
+bounds and a sampling distribution, samples one raw preference vector per
+member inside the bounds, and spawns agents whose criterion weights are
+those vectors normalized. An agent's utility for an issue is the weighted
+sum of the issue's normalized criterion scores.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class AgentGroup:
 class Agent:
     """One negotiating agent; belongs to exactly one group.
 
-    ``raw_prefs`` is the bounds-checked sample, ``weights`` its normalization
+    ``weights`` is the group's bounds-checked sample, normalized
     (non-negative, summing to 1). ``phase``/``room_id`` form the mutable state
     the watcher machinery observes. ``utilities`` is the agent's utility
     table, issue id -> ``evaluate`` value, filled on first read by
@@ -164,7 +164,6 @@ class Agent:
 
     id: int
     group_id: int
-    raw_prefs: tuple[float, ...]
     weights: tuple[float, ...]
     phase: AgentPhase = AgentPhase.IDLE
     room_id: int | None = None
@@ -233,12 +232,7 @@ def spawn_members(
     call, the same stream as one draw per criterion per member.
     """
     return [
-        Agent(
-            id=starting_id + offset,
-            group_id=group.id,
-            raw_prefs=raw,
-            weights=normalize_weights(raw),
-        )
+        Agent(id=starting_id + offset, group_id=group.id, weights=normalize_weights(raw))
         for offset, raw in enumerate(_sample_members(group, rng))
     ]
 

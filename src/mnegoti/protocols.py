@@ -1,7 +1,9 @@
 """Multilateral negotiation protocols, strategies, and outcomes.
 
-Sessions operate on a per-participant utility table over the agenda issues,
-so the protocol machinery is independent of how utilities were produced.
+A session reads each participant's own utility table in place, always
+through the agenda's issue ids, so a table may hold other issues too and
+the protocol machinery is independent of how utilities were produced.
+It keeps only the last round's block, the one that ``trade_off`` reads.
 Participants and agenda are fixed for a session's life, so it computes what
 they determine once: each participant's best and worst agenda utility when
 it is built, each issue's welfare when a round first needs it, and each
@@ -13,7 +15,7 @@ set, and a scan of the issues offered last round per ``trade_off``
 proposal; only a best issue that left the pool is found again by a scan of
 the pool.
 All tie-breaks resolve to the lowest issue id (or ascending agent id), which
-makes every transcript a pure function of the session inputs.
+makes every round a pure function of the session inputs.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ class NegotiationSession:
     room_id: int
     issue_ids: tuple[int, ...]
     participants: tuple[int, ...]
-    utilities: dict[int, dict[int, float]]  # participant -> issue -> utility
+    utilities: dict[int, dict[int, float]]  # participant -> its agent's utility table
     strategies: dict[int, StrategyConfig]
     protocol: ProtocolConfig
     deadline_rounds: int
@@ -108,14 +110,14 @@ class NegotiationSession:
     status: SessionStatus = SessionStatus.ACTIVE
     failure_reason: FailureReason | None = None
     agreed_issue: int | None = None
-    transcript: list[RoundBlock] = field(default_factory=list)
+    last_block: RoundBlock | None = None
     candidates: list[int] = field(default_factory=list)  # shrinks only by drop_candidate
     started_tick: int = 0
     ended_tick: int = 0
     # participant -> (best, worst) utility over the agenda
     extremes: dict[int, tuple[float, float]] = field(init=False, repr=False, compare=False)
-    # (round, issue -> count, proposer -> issue) of that round's participant offers
-    _last_offers: tuple[int, Counter, dict[int, int]] | None = field(
+    # (issue -> count, proposer -> issue) of the last round's participant offers
+    _last_offers: tuple[Counter, dict[int, int]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
     # participant -> offer of its best issue in the pool, until that issue leaves
@@ -172,12 +174,12 @@ class NegotiationSession:
 
         Built once per round and shared by every trade-off proposal of the next.
         """
-        if self._last_offers is None or self._last_offers[0] != self.round:
-            offers = [o for o in self.transcript[-1].offers if o.proposer is not None]
+        if self._last_offers is None:
+            offers = [o for o in self.last_block.offers if o.proposer is not None]
             pool = set(self.candidates)
             counts = Counter(o.issue_id for o in offers if o.issue_id in pool)
-            self._last_offers = (self.round, counts, {o.proposer: o.issue_id for o in offers})
-        return self._last_offers[1], self._last_offers[2]
+            self._last_offers = (counts, {o.proposer: o.issue_id for o in offers})
+        return self._last_offers
 
     def force_fail(self, reason: FailureReason) -> None:
         if self.status is not SessionStatus.ACTIVE:
@@ -248,7 +250,7 @@ def propose(session: NegotiationSession, participant: int) -> Offer:
     # Top-bid, time-dependent and round-1 trade-off offers are the pool's best
     # issue. A threshold would not change them: the best issue clears it
     # whenever any issue does.
-    if strategy.kind is not StrategyKind.TRADE_OFF or t == 1 or not session.transcript:
+    if strategy.kind is not StrategyKind.TRADE_OFF or session.last_block is None:
         return best
 
     # Trade-off: among the acceptable pool issues, or the whole pool if none
@@ -285,7 +287,8 @@ def run_round(session: NegotiationSession) -> RoundBlock:
         block = _elimination_round(session, t)
 
     session.round = t
-    session.transcript.append(block)
+    session.last_block = block
+    session._last_offers = None
     return block
 
 
@@ -405,19 +408,22 @@ def build_session(
     deadline_rounds: int | None = None,
     started_tick: int = 0,
 ) -> NegotiationSession:
-    """Create a session from live agents, fixing participants in ascending id order."""
+    """Create a session from live agents, fixing participants in ascending id order.
+
+    The session reads each agent's utility table in place; every agenda cell
+    still empty is filled first, agent by agent and issue by issue.
+    """
     ordered = sorted(agents, key=lambda a: a.id)
-    issue_ids = tuple(sorted(i.id for i in issues))
-    by_id = {i.id: i for i in issues}
-    utilities = {
-        a.id: {iid: utility(a, by_id[iid]) for iid in issue_ids} for a in ordered
-    }
+    agenda = sorted(issues, key=lambda i: i.id)
+    for a in ordered:
+        for issue in agenda:
+            utility(a, issue)
     strategies = strategies or {}
     return NegotiationSession(
         room_id=room_id,
-        issue_ids=issue_ids,
+        issue_ids=tuple(i.id for i in agenda),
         participants=tuple(a.id for a in ordered),
-        utilities=utilities,
+        utilities={a.id: a.utilities for a in ordered},
         strategies={a.id: strategies.get(a.id, StrategyConfig()) for a in ordered},
         protocol=protocol,
         deadline_rounds=deadline_rounds if deadline_rounds is not None else protocol.max_rounds,

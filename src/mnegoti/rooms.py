@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import ConfigurationError, InvalidTransitionError, RoomClosedError
 from .model import Agent, AgentPhase, Issue, StrategyConfig
@@ -138,7 +138,7 @@ class MeetingRoom:
 
     def start_session(
         self,
-        issues: Sequence[Issue],
+        issues_by_id: Mapping[int, Issue],
         protocol: ProtocolConfig,
         strategies: Mapping[int, StrategyConfig],
         tick: int,
@@ -152,11 +152,10 @@ class MeetingRoom:
             raise InvalidTransitionError(
                 f"room {self.id} needs at least 2 attendees, has {len(attendees)}"
             )
-        agenda_issues = [i for i in issues if i.id in self.agenda.issue_ids]
         session = build_session(
             room_id=self.id,
             agents=attendees,
-            issues=agenda_issues,
+            issues=[issues_by_id[i] for i in self.agenda.issue_ids],
             protocol=protocol,
             strategies=strategies,
             deadline_rounds=self.agenda.deadline_rounds,

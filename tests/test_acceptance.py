@@ -21,8 +21,8 @@ from mnegoti.model import (
     DistributionSpec,
     PreferenceBounds,
     StrategyConfig,
+    _sample_members,
     normalize_weights,
-    spawn_members,
 )
 from mnegoti.protocols import ProtocolKind, _conceded
 from mnegoti.runner import run
@@ -75,10 +75,10 @@ def test_criterion_01_bounds_containment():
                 member_count=100,
                 strategy=StrategyConfig(),
             )
-            agents = spawn_members(group, np.random.default_rng(index), starting_id=0)
-            assert len(agents) == 100
-            for agent in agents:
-                for value, (lo, hi) in zip(agent.raw_prefs, rows):
+            samples = _sample_members(group, np.random.default_rng(index))
+            assert len(samples) == 100
+            for raw in samples:
+                for value, (lo, hi) in zip(raw, rows):
                     if not lo <= value <= hi:
                         violations += 1
         assert violations == 0

@@ -35,7 +35,7 @@ DEADLINE = 30
 
 
 def test_evaluate(benchmark):
-    agent = Agent(id=0, group_id=0, raw_prefs=(0.2, 0.3, 0.5), weights=(0.2, 0.3, 0.5))
+    agent = Agent(id=0, group_id=0, weights=(0.2, 0.3, 0.5))
     issue = Issue(id=0, name="i", scores=(0.9, 0.1, 0.4))
     assert 0.0 <= benchmark(evaluate, agent, issue) <= 1.0
 

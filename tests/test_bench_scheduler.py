@@ -39,7 +39,7 @@ def watched_rooms(
 ) -> tuple[Scheduler, list[MeetingRoom]]:
     context = Context()
     for i in range(agents):
-        agent = Agent(id=i, group_id=0, raw_prefs=(1.0,), weights=(1.0,))
+        agent = Agent(id=i, group_id=0, weights=(1.0,))
         if i % 2:
             agent.phase = AgentPhase.NEGOTIATING
         context.add(ObjectKind.AGENT, i, agent)

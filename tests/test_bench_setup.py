@@ -59,5 +59,5 @@ def test_invitation_admission(benchmark):
         )
     )
     # The last agent of a descending list: a linear search would scan it all.
-    agent = Agent(id=0, group_id=0, raw_prefs=(1.0,), weights=(1.0,))
+    agent = Agent(id=0, group_id=0, weights=(1.0,))
     assert benchmark(room.check_admission, agent, {}) is True

@@ -17,7 +17,7 @@ from mnegoti.scenario import load_scenario
 
 
 def agent(ident, group=0):
-    return Agent(id=ident, group_id=group, raw_prefs=(1.0,), weights=(1.0,))
+    return Agent(id=ident, group_id=group, weights=(1.0,))
 
 
 def filled_context(n_agents=3):

@@ -19,6 +19,7 @@ from mnegoti.model import (
     DistributionSpec,
     Issue,
     PreferenceBounds,
+    _sample_members,
     evaluate,
     normalize_weights,
     spawn_members,
@@ -38,13 +39,13 @@ def make_group(rows, kind=DistributionKind.UNIFORM, member_count=1, mean=0.5, sd
 
 
 def one_member_prefs(group, rng):
-    """One member's raw preferences: ``spawn_members`` on a one-member group."""
-    (agent,) = spawn_members(replace(group, member_count=1), rng, 0)
-    return agent.raw_prefs
+    """One member's raw preferences, sampled as for a one-member group."""
+    (raw,) = _sample_members(replace(group, member_count=1), rng)
+    return raw
 
 
 def make_agent(weights, agent_id=0):
-    return Agent(id=agent_id, group_id=0, raw_prefs=tuple(weights), weights=tuple(weights))
+    return Agent(id=agent_id, group_id=0, weights=tuple(weights))
 
 
 bounds_row = st.tuples(
@@ -195,15 +196,19 @@ class TestSpawnMembers:
     @settings(max_examples=100)
     def test_spawned_agents_satisfy_bounds(self, rows, seed):
         group = make_group(rows, member_count=3)
-        for agent in spawn_members(group, np.random.default_rng(seed), starting_id=0):
-            for value, (lo, hi) in zip(agent.raw_prefs, rows):
+        samples = _sample_members(group, np.random.default_rng(seed))
+        agents = spawn_members(group, np.random.default_rng(seed), starting_id=0)
+        for raw, agent in zip(samples, agents, strict=True):
+            for value, (lo, hi) in zip(raw, rows):
                 assert lo <= value <= hi
+            assert agent.weights == normalize_weights(raw)
             assert abs(sum(agent.weights) - 1.0) <= 1e-9
 
     @given(runs=group_runs, seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_matches_one_draw_at_a_time(self, runs, seed):
         rng = np.random.default_rng(seed)
+        sample_rng = np.random.default_rng(seed)
         oracle_rng = np.random.default_rng(seed)
         next_id = 0
         for group_id, (rows, kind, member_count, sd) in enumerate(runs):
@@ -215,14 +220,16 @@ class TestSpawnMembers:
                 member_count=member_count,
             )
             agents = spawn_members(group, rng, next_id)
+            samples = _sample_members(group, sample_rng)
             assert [a.id for a in agents] == list(range(next_id, next_id + member_count))
             next_id += member_count
-            for agent in agents:
+            for agent, sample in zip(agents, samples, strict=True):
                 raw = sample_one_draw_at_a_time(group, oracle_rng)
                 assert agent.group_id == group_id
-                assert bits(agent.raw_prefs) == bits(raw)
+                assert bits(sample) == bits(raw)
                 assert bits(agent.weights) == bits(normalize_weights(raw))
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            assert sample_rng.bit_generator.state == oracle_rng.bit_generator.state
         single = one_member_prefs(group, rng)
         assert bits(single) == bits(sample_one_draw_at_a_time(group, oracle_rng))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state

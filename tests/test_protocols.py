@@ -241,9 +241,7 @@ class TestPropose:
             max_rounds=3,
             strategy_kind=StrategyKind.TRADE_OFF,
         )
-        session.transcript.append(
-            RoundBlock(round=1, offers=[Offer(0, 1), Offer(1, 2), Offer(2, 2)])
-        )
+        session.last_block = RoundBlock(round=1, offers=[Offer(0, 1), Offer(1, 2), Offer(2, 2)])
         session.round = 1
         assert session.threshold(0, 2) == 0.45
         assert propose(session, 0) == Offer(0, 0)

@@ -54,7 +54,7 @@ def invitations_agenda(agents, issue_ids=(0, 1)):
 
 
 def make_agent(ident, weights=(0.5, 0.5), group=0):
-    return Agent(id=ident, group_id=group, raw_prefs=tuple(weights), weights=tuple(weights))
+    return Agent(id=ident, group_id=group, weights=tuple(weights))
 
 
 def admit(room, agent):
@@ -211,7 +211,7 @@ class TestStartSession:
     def test_two_attendees_start_a_session(self):
         first, second = make_agent(1), make_agent(2, weights=(0.9, 0.1))
         room = self.open_with(first, second)
-        session = room.start_session(list(ISSUES.values()), PROTOCOL, {}, tick=1)
+        session = room.start_session(ISSUES, PROTOCOL, {}, tick=1)
         assert room.room_state is RoomState.IN_SESSION
         assert session.participants == (1, 2)
         assert session.deadline_rounds == 3  # agenda wins over protocol default
@@ -235,19 +235,20 @@ class TestStartSession:
         for agent in invited:
             admit(room, agent)
         assert evaluated == []
-        room.start_session(list(ISSUES.values()), PROTOCOL, {}, tick=1)
+        session = room.start_session(ISSUES, PROTOCOL, {}, tick=1)
         assert evaluated == [(1, 0), (1, 2), (2, 0), (2, 2)]
         cells = {(a.id, i) for a in (*invited, outsider) for i in a.utilities}
         assert cells == {(1, 0), (1, 2), (2, 0), (2, 2)}
+        assert all(session.utilities[a.id] is a.utilities for a in invited)
 
     def test_single_attendee_cannot_start(self):
         room = self.open_with(make_agent(1))
         with pytest.raises(InvalidTransitionError):
-            room.start_session(list(ISSUES.values()), PROTOCOL, {}, tick=1)
+            room.start_session(ISSUES, PROTOCOL, {}, tick=1)
 
     def test_session_runs_to_recorded_outcome(self):
         room = self.open_with(make_agent(1, weights=(1.0, 0.0)), make_agent(2, weights=(0.0, 1.0)))
-        session = room.start_session(list(ISSUES.values()), PROTOCOL, {}, tick=1)
+        session = room.start_session(ISSUES, PROTOCOL, {}, tick=1)
         while session.status.value == "active":
             run_round(session)
         outcome = session_outcome(session)
@@ -310,7 +311,7 @@ class TestStateMachineProperty:
                         if agent.room_id is None and room.room_state is RoomState.OPEN:
                             admit(room, agent)
                 elif op == "start":
-                    room.start_session(list(ISSUES.values()), PROTOCOL, {}, tick=0)
+                    room.start_session(ISSUES, PROTOCOL, {}, tick=0)
                 else:
                     room.close()
             except (InvalidTransitionError, RoomClosedError):

@@ -37,7 +37,7 @@ def run_ticks(scheduler, n):
 
 
 def make_agent(ident, phase=AgentPhase.IDLE, group=0):
-    a = Agent(id=ident, group_id=group, raw_prefs=(1.0,), weights=(1.0,))
+    a = Agent(id=ident, group_id=group, weights=(1.0,))
     a.phase = phase
     return a
 
