@@ -2,9 +2,11 @@
 
 They time ``spawn_members`` for a 2 000-member group over 4 criteria, once
 uniform (one generator call for the whole group) and once truncated normal
-(rejection sampling per value), and one ``check_admission`` of an agent
-against an invitation list of 10 000 agents. The ``bench`` marker keeps
-them out of the default test run:
+(rejection sampling per value), one ``check_admission`` of an agent
+against an invitation list of 10 000 agents, and the construction of a
+``Simulation`` of ``concurrent_rooms.yaml`` with 1 000 agents in each of its
+three groups, whose traced bytes per agent are also checked. The ``bench``
+marker keeps them out of the default test run:
 
     PYTHONPATH=src python -m pytest -m bench                      # timed
     PYTHONPATH=src python -m pytest -m bench --benchmark-disable  # each once
@@ -12,8 +14,14 @@ them out of the default test run:
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
+import yaml
+
+from mnegoti.engine import Simulation
 
 from mnegoti.model import (
     Agent,
@@ -24,11 +32,18 @@ from mnegoti.model import (
     spawn_members,
 )
 from mnegoti.rooms import AdmissionKind, AdmissionPolicy, Agenda, MeetingRoom
+from mnegoti.scenario import load_scenario
+
+from conftest import SCENARIO_DIR
 
 pytestmark = pytest.mark.bench
 
 MEMBERS = 2_000
 INVITEES = 10_000
+SETUP_MEMBERS = 1_000
+# A set-up agent holds its weights, its empty utility table, and its
+# entries in the simulation's agent, strategy and context maps.
+SETUP_BYTES_PER_AGENT = 600
 BOUNDS = PreferenceBounds(rows=((0.1, 0.9), (0.0, 1.0), (0.3, 0.3), (0.2, 0.6)))
 
 
@@ -61,3 +76,26 @@ def test_invitation_admission(benchmark):
     # The last agent of a descending list: a linear search would scan it all.
     agent = Agent(id=0, group_id=0, weights=(1.0,))
     assert benchmark(room.check_admission, agent, {}) is True
+
+
+def test_setup_bytes_per_agent(benchmark):
+    """Bytes a constructed ``Simulation`` holds, per agent, traced by tracemalloc.
+
+    The timed constructions come first, so the interpreter's first-use
+    allocations are not counted.
+    """
+    doc = yaml.safe_load((SCENARIO_DIR / "concurrent_rooms.yaml").read_text())
+    for group in doc["groups"]:
+        group["member_count"] = SETUP_MEMBERS
+    scenario = load_scenario(doc)
+    benchmark(Simulation, scenario)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sim = Simulation(scenario)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    per_agent = held / len(sim.agents)
+    benchmark.extra_info["bytes_per_agent"] = round(per_agent, 1)
+    assert per_agent < SETUP_BYTES_PER_AGENT, per_agent
