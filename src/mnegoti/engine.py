@@ -76,8 +76,7 @@ class Simulation:
         if self.ticks is None:
             self.ticks = self.scenario.ticks
         self.rng = np.random.default_rng(self.seed)
-        self.issues = self.scenario.normalized_issues()
-        self.issues_by_id = {i.id: i for i in self.issues}
+        self.issues_by_id = {i.id: i for i in self.scenario.normalized_issues()}
         self.strategies: dict[int, StrategyConfig] = {}
         self.context = Context()
         self.scheduler = Scheduler(executor=self._execute, context=self.context)
@@ -98,7 +97,7 @@ class Simulation:
             seed=self.seed,
             ticks=self.ticks,
             criteria=len(self.scenario.criteria),
-            issues=len(self.issues),
+            issues=len(self.issues_by_id),
             groups=len(self.scenario.groups),
             agents=self.scenario.total_agents,
             rooms=len(self.scenario.rooms),

@@ -22,7 +22,6 @@ import pytest
 import yaml
 
 from mnegoti.engine import Simulation
-
 from mnegoti.model import (
     Agent,
     AgentGroup,
@@ -42,7 +41,8 @@ MEMBERS = 2_000
 INVITEES = 10_000
 SETUP_MEMBERS = 1_000
 # A set-up agent holds its weights, its empty utility table, and its
-# entries in the simulation's agent, strategy and context maps.
+# entries in the simulation's agent, strategy and context maps: about
+# 540 B on CPython 3.11.
 SETUP_BYTES_PER_AGENT = 600
 BOUNDS = PreferenceBounds(rows=((0.1, 0.9), (0.0, 1.0), (0.3, 0.3), (0.2, 0.6)))
 

@@ -194,7 +194,7 @@ class TestUtilityTable:
             for agent in started["participants"]
             for issue in started["issues"]
         }
-        assert len(read) == len(sim.agents) * len(sim.issues)
+        assert len(read) == len(sim.agents) * len(sim.issues_by_id)
         assert sorted(evaluated) == sorted(read)
         assert {(a.id, i) for a in sim.agents.values() for i in a.utilities} == read
 
