@@ -1,10 +1,12 @@
-"""Set-semantics container for simulation objects, and the query language.
+"""The simulation's one member store, and the query language.
 
-The context holds at most one member per (kind, id) key and preserves
-insertion order for deterministic queries; watcher rules select their
-watchers and watchees from it with a ``Query``. Membership is fixed once
-``Simulation`` is constructed: agents and rooms are added during set-up
-and never leave. The context holds no relation over its members: groups
+The context keeps one dict per kind, ``agents`` and ``rooms``, each keyed
+by id in insertion order, so it holds at most one member per kind and id;
+``Simulation.agents`` and ``Simulation.rooms`` are those two dicts. Watcher
+rules select their watchers and watchees from it with a ``Query``, which
+walks the agents, then the rooms. Membership is fixed once ``Simulation``
+is constructed: agents and rooms are added during set-up and never leave.
+The context holds no relation over its members: groups
 are read from each agent's ``group_id``, and the scenario's
 ``social_edges`` are validated on load but not materialised, since no
 strategy or protocol reads them.
@@ -22,9 +24,6 @@ from .errors import DuplicateMemberError
 class ObjectKind(str, Enum):
     AGENT = "agent"
     MEETING_ROOM = "meeting_room"
-
-
-Key = tuple[ObjectKind, int]
 
 
 @dataclass(frozen=True)
@@ -66,22 +65,25 @@ def _state_name(obj: Any) -> str | None:
 
 
 class Context:
-    """Population container; duplicate (kind, id) insertions always error."""
+    """Agents and rooms by id, one dict per kind; adding an id twice to one kind errors."""
 
     def __init__(self) -> None:
-        self._members: dict[Key, Any] = {}
+        self.agents: dict[int, Any] = {}
+        self.rooms: dict[int, Any] = {}
 
     def add(self, kind: ObjectKind, ident: int, obj: Any) -> None:
-        key = (kind, ident)
-        if key in self._members:
+        members = self.agents if kind is ObjectKind.AGENT else self.rooms
+        if ident in members:
             raise DuplicateMemberError(f"{kind.value} {ident} already in context")
-        self._members[key] = obj
+        members[ident] = obj
 
     def items(self) -> Iterator[tuple[ObjectKind, int, Any]]:
-        # dicts preserve insertion order, which defines iteration order here.
-        for (kind, ident), obj in self._members.items():
-            yield kind, ident, obj
+        """The agents, then the rooms, each kind in insertion order."""
+        for ident, obj in self.agents.items():
+            yield ObjectKind.AGENT, ident, obj
+        for ident, obj in self.rooms.items():
+            yield ObjectKind.MEETING_ROOM, ident, obj
 
     def query(self, query: Query) -> list[tuple[ObjectKind, int, Any]]:
-        """Members matching the query, in insertion order."""
+        """Members matching the query: the agents, then the rooms, in insertion order."""
         return [(k, i, o) for k, i, o in self.items() if query.matches(k, i, o)]

@@ -32,7 +32,7 @@ import numpy as np
 
 from .context import Context, ObjectKind
 from .eventlog import EventLog, EventRecord
-from .model import Agent, AgentPhase, StrategyConfig, spawn_members
+from .model import Agent, AgentPhase, spawn_members
 from .protocols import (
     FailureReason,
     NegotiationOutcome,
@@ -66,8 +66,9 @@ class Simulation:
 
     context: Context = field(init=False)
     scheduler: Scheduler = field(init=False)
-    agents: dict[int, Agent] = field(init=False, default_factory=dict)
-    rooms: dict[int, MeetingRoom] = field(init=False, default_factory=dict)
+    # The context's own member dicts, by id: the simulation's one store.
+    agents: dict[int, Agent] = field(init=False)
+    rooms: dict[int, MeetingRoom] = field(init=False)
     events: EventLog = field(init=False, default_factory=EventLog)
 
     def __post_init__(self) -> None:
@@ -76,9 +77,11 @@ class Simulation:
         if self.ticks is None:
             self.ticks = self.scenario.ticks
         self.rng = np.random.default_rng(self.seed)
-        self.issues_by_id = {i.id: i for i in self.scenario.normalized_issues()}
-        self.strategies: dict[int, StrategyConfig] = {}
+        self.issues_by_id = {i.id: i for i in self.scenario.issues}
+        self.group_strategies = {g.id: g.strategy for g in self.scenario.groups}
         self.context = Context()
+        self.agents = self.context.agents
+        self.rooms = self.context.rooms
         self.scheduler = Scheduler(executor=self._execute, context=self.context)
         self._round_actions: dict[int, ScheduledAction] = {}
         # Rooms in the OPEN state, by ascending id; openings so far; and, per
@@ -107,8 +110,6 @@ class Simulation:
             members = spawn_members(group, self.rng, next_id)
             next_id += group.member_count
             for agent in members:
-                self.agents[agent.id] = agent
-                self.strategies[agent.id] = group.strategy
                 self.context.add(ObjectKind.AGENT, agent.id, agent)
             self._log_at_setup(
                 "population_spawned",
@@ -118,9 +119,7 @@ class Simulation:
             )
 
         for spec in sorted(self.scenario.rooms, key=lambda r: r.id):
-            room = MeetingRoom(spec.id)
-            self.rooms[spec.id] = room
-            self.context.add(ObjectKind.MEETING_ROOM, spec.id, room)
+            self.context.add(ObjectKind.MEETING_ROOM, spec.id, MeetingRoom(spec.id))
 
         for rule in self.scenario.watchers:
             self.scheduler.register_watcher(rule)
@@ -309,7 +308,9 @@ class Simulation:
                 self._close_room(room, failed_outcome(attendees, FailureReason.NO_QUORUM))
                 return
             protocol = self.scenario.protocol(room.agenda.protocol_id)
-            session = room.start_session(self.issues_by_id, protocol, self.strategies, self.now)
+            session = room.start_session(
+                self.issues_by_id, protocol, self.group_strategies, self.now
+            )
             self._open_rooms.remove(room)
             self._log(
                 "session_started",

@@ -150,14 +150,15 @@ class AgentGroup:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class Agent:
     """One negotiating agent; belongs to exactly one group.
 
     ``weights`` is the group's bounds-checked sample, normalized
-    (non-negative, summing to 1). ``phase``/``room_id`` form the mutable state
-    the watcher machinery observes. ``utilities`` is the agent's utility
-    table, issue id -> ``evaluate`` value, filled on first read by
+    (non-negative, summing to 1). ``phase`` is the mutable state the
+    watcher machinery observes; the room an agent sits in holds it among
+    its ``attendees``. ``utilities`` is the agent's utility table, issue
+    id -> ``evaluate`` value, filled on first read by
     ``protocols.utility``; issue ids must name the same issues for the
     agent's lifetime.
     """
@@ -166,7 +167,6 @@ class Agent:
     group_id: int
     weights: tuple[float, ...]
     phase: AgentPhase = AgentPhase.IDLE
-    room_id: int | None = None
     utilities: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
 
 

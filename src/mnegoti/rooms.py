@@ -134,15 +134,15 @@ class MeetingRoom:
         """
         self.attendees[agent.id] = agent
         agent.phase = AgentPhase.IN_ROOM
-        agent.room_id = self.id
 
     def start_session(
         self,
         issues_by_id: Mapping[int, Issue],
         protocol: ProtocolConfig,
-        strategies: Mapping[int, StrategyConfig],
+        group_strategies: Mapping[int, StrategyConfig],
         tick: int,
     ) -> NegotiationSession:
+        """Start a session of the attendees; each takes its group's strategy."""
         if self.room_state is not RoomState.OPEN:
             raise InvalidTransitionError(
                 f"room {self.id} is {self.room_state.value}, cannot start a session"
@@ -157,7 +157,7 @@ class MeetingRoom:
             agents=attendees,
             issues=[issues_by_id[i] for i in self.agenda.issue_ids],
             protocol=protocol,
-            strategies=strategies,
+            group_strategies=group_strategies,
             deadline_rounds=self.agenda.deadline_rounds,
             started_tick=tick,
         )
@@ -175,7 +175,6 @@ class MeetingRoom:
         self.sessions += 1
         for agent in self.attendees.values():
             agent.phase = AgentPhase.IDLE
-            agent.room_id = None
         self.attendees = {}
         self.agenda = None
         self._agenda_utilities = {}

@@ -3,7 +3,9 @@
 A scenario is one YAML (or JSON) document with the top-level keys
 version, seed, ticks, theta_in, criteria, issues, groups, social_edges,
 protocols, rooms and watchers. Loading validates every cross-reference
-and bound, naming the offending path on failure.
+and bound, naming the offending path on failure. Issues are normalized at
+load: a score on a cost criterion is flipped to 1 - score, so
+``Scenario.issues`` holds every score in benefit direction.
 """
 
 from __future__ import annotations
@@ -69,15 +71,6 @@ _REACTION_TARGET_KIND = {
 
 
 @dataclass(frozen=True)
-class IssueSpec:
-    """An issue as authored: raw scores, before direction normalization."""
-
-    id: int
-    name: str
-    raw_scores: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class ScheduleEntry:
     action: str  # "open" or "close"
     at: int
@@ -98,7 +91,7 @@ class Scenario:
     ticks: int
     theta_in: float
     criteria: tuple[Criterion, ...]
-    issues: tuple[IssueSpec, ...]
+    issues: tuple[Issue, ...]  # direction-normalized
     groups: tuple[AgentGroup, ...]
     social_edges: tuple[tuple[int, int], ...]
     protocols: tuple[ProtocolConfig, ...]
@@ -114,17 +107,6 @@ class Scenario:
             if p.id == protocol_id:
                 return p
         raise KeyError(protocol_id)
-
-    def normalized_issues(self) -> list[Issue]:
-        """Issues with cost-direction scores flipped to benefit direction."""
-        out = []
-        for spec in self.issues:
-            scores = tuple(
-                1.0 - s if c.direction is Direction.COST else s
-                for s, c in zip(spec.raw_scores, self.criteria)
-            )
-            out.append(Issue(id=spec.id, name=spec.name, scores=scores))
-        return out
 
 
 # -- primitive checks ---------------------------------------------------
@@ -228,7 +210,8 @@ def _parse_criteria(raw, path: str) -> tuple[Criterion, ...]:
     return tuple(criteria)
 
 
-def _parse_issues(raw, n_criteria: int, path: str) -> tuple[IssueSpec, ...]:
+def _parse_issues(raw, criteria: tuple[Criterion, ...], path: str) -> tuple[Issue, ...]:
+    """The issues with each cost criterion's score flipped to 1 - score."""
     issues = []
     seen_ids: set[int] = set()
     names: set[str] = set()
@@ -238,14 +221,15 @@ def _parse_issues(raw, n_criteria: int, path: str) -> tuple[IssueSpec, ...]:
         name = _str(_require(doc, "name", p), f"{p}.name")
         _unique(names, name, f"{p}.name", "issue name")
         scores_raw = _sequence(_require(doc, "scores", p), f"{p}.scores")
-        if len(scores_raw) != n_criteria:
+        if len(scores_raw) != len(criteria):
             raise ValidationError(
-                f"{p}.scores", f"expected {n_criteria} scores, got {len(scores_raw)}"
+                f"{p}.scores", f"expected {len(criteria)} scores, got {len(scores_raw)}"
             )
-        scores = tuple(
-            _float(s, f"{p}.scores[{j}]", lo=0.0, hi=1.0) for j, s in enumerate(scores_raw)
-        )
-        issues.append(IssueSpec(id=ident, name=name, raw_scores=scores))
+        scores = []
+        for j, (s, criterion) in enumerate(zip(scores_raw, criteria)):
+            s = _float(s, f"{p}.scores[{j}]", lo=0.0, hi=1.0)
+            scores.append(1.0 - s if criterion.direction is Direction.COST else s)
+        issues.append(Issue(id=ident, name=name, scores=tuple(scores)))
     return tuple(issues)
 
 
@@ -589,7 +573,7 @@ def load_scenario(document) -> Scenario:
     theta_in = _float(doc.get("theta_in", 0.0), "theta_in", lo=0.0, hi=1.0)
 
     criteria = _parse_criteria(_require(doc, "criteria", "scenario"), "criteria")
-    issues = _parse_issues(_require(doc, "issues", "scenario"), len(criteria), "issues")
+    issues = _parse_issues(_require(doc, "issues", "scenario"), criteria, "issues")
     groups = _parse_groups(_require(doc, "groups", "scenario"), len(criteria), "groups")
     total_agents = sum(g.member_count for g in groups)
     group_ids = {g.id for g in groups}

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, NamedTuple
 
-from .context import Context, Key, ObjectKind, Query, _state_name
+from .context import Context, ObjectKind, Query, _state_name
 from .errors import CascadeOverflowError, SchedulingError
 
 REACTION_CASCADE_CAP = 10_000
@@ -215,13 +215,14 @@ class Scheduler:
     def _watcher_candidates(self, query: Query) -> list[tuple[int, Any]]:
         """Members matching ``query`` but for its state, by ascending id.
 
-        A query with no kind can match an agent and a room of the same id.
-        Their order is not observable: both fires log the same
-        ``watcher_fired`` record, which names the watcher's id but not its
-        kind, and queue the same reaction on the same target id. The list
-        is built on first use and kept for the run: no member joins or
-        leaves the context after set-up, and kind, id and group never
-        change.
+        A query with no kind can match an agent and a room of the same id;
+        the sort is stable and the context yields agents before rooms, so
+        the agent always comes first. Their order is not observable anyway:
+        both fires log the same ``watcher_fired`` record, which names the
+        watcher's id but not its kind, and queue the same reaction on the
+        same target id. The list is built on first use and kept for the
+        run: no member joins or leaves the context after set-up, and kind,
+        id and group never change.
         """
         if self.context is None:
             return []
@@ -244,7 +245,7 @@ class Scheduler:
         start: int,
         priority: int,
         rule_id: int | None = None,
-        watchee: Key | None = None,
+        watchee: tuple[ObjectKind, int] | None = None,
     ) -> ScheduledAction:
         """Queue one reaction, counted against the per-tick cascade cap.
 

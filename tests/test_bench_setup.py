@@ -40,10 +40,10 @@ pytestmark = pytest.mark.bench
 MEMBERS = 2_000
 INVITEES = 10_000
 SETUP_MEMBERS = 1_000
-# A set-up agent holds its weights, its empty utility table, and its
-# entries in the simulation's agent, strategy and context maps: about
-# 540 B on CPython 3.11.
-SETUP_BYTES_PER_AGENT = 600
+# A set-up agent holds its slotted object, its weights, its empty utility
+# table, and its one entry in the context's agent dict, which the
+# simulation shares: about 350 B on CPython 3.11.
+SETUP_BYTES_PER_AGENT = 400
 BOUNDS = PreferenceBounds(rows=((0.1, 0.9), (0.0, 1.0), (0.3, 0.3), (0.2, 0.6)))
 
 

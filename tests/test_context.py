@@ -115,6 +115,12 @@ class TestSetupMemory:
         assert len(sim.agents) == 1000
         assert peak < 8 * 2**20
 
+    def test_simulation_members_are_the_context_dicts(self, minimal_doc):
+        # The context is the one member store: set-up keeps no second copy.
+        sim = Simulation(load_scenario(minimal_doc))
+        assert sim.agents is sim.context.agents and sim.rooms is sim.context.rooms
+        assert list(sim.agents) == [0, 1] and list(sim.rooms) == [0]
+
 
 # (kind, id) adds; agents and rooms share the id range, so both kinds can
 # hold one id.
@@ -135,4 +141,7 @@ class TestSetSemanticsProperty:
             else:
                 ctx.add(kind, ident, obj)
                 shadow.append((kind, ident))
-            assert [(k, i) for k, i, _ in ctx.items()] == shadow
+            # The agents, then the rooms, each kind in insertion order.
+            expected = [m for m in shadow if m[0] is ObjectKind.AGENT]
+            expected += [m for m in shadow if m[0] is ObjectKind.MEETING_ROOM]
+            assert [(k, i) for k, i, _ in ctx.items()] == expected

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mnegoti import protocols, rooms
 from mnegoti.errors import ConfigurationError, InvalidTransitionError, RoomClosedError
-from mnegoti.model import Agent, AgentPhase, Issue
+from mnegoti.model import Agent, AgentPhase, Issue, StrategyConfig, StrategyKind
 from mnegoti.protocols import (
     ProtocolConfig,
     ProtocolKind,
@@ -89,7 +89,7 @@ class TestLifecycle:
         admit(room, a)
         released = room.close()
         assert released == [1, 2]
-        assert a.phase is AgentPhase.IDLE and a.room_id is None
+        assert a.phase is AgentPhase.IDLE and b.phase is AgentPhase.IDLE
         assert room.room_state is RoomState.CLOSED
         assert room.attendee_ids() == [] and room.agenda is None
         assert room.sessions == 1
@@ -179,7 +179,6 @@ class TestSeat:
         admit(room, agent)
         assert room.attendee_ids() == [1]
         assert agent.phase is AgentPhase.IN_ROOM
-        assert agent.room_id == 0
 
     def test_seating_twice_keeps_one_attendee(self):
         room = MeetingRoom(0)
@@ -197,7 +196,7 @@ class TestSeat:
         admit(room, watcher)
         admit(room, idle)
         assert room.attendee_ids() == [1, 2]
-        assert (watcher.phase, watcher.room_id) == (AgentPhase.IN_ROOM, 0)
+        assert watcher.phase is AgentPhase.IN_ROOM
 
 
 class TestStartSession:
@@ -217,6 +216,17 @@ class TestStartSession:
         assert session.deadline_rounds == 3  # agenda wins over protocol default
         assert first.phase is AgentPhase.NEGOTIATING
         assert second.phase is AgentPhase.NEGOTIATING
+
+    def test_each_participant_takes_its_groups_strategy(self):
+        # Group ids 0 and 1 are also agent ids: a map read by agent id would
+        # give agent 1 group 1's strategy and agent 2 the default.
+        trade_off = StrategyConfig(kind=StrategyKind.TRADE_OFF, beta=0.5)
+        top_bid = StrategyConfig(kind=StrategyKind.TOP_BID, beta=2.0)
+        room = self.open_with(
+            make_agent(1, group=0), make_agent(2, group=0), make_agent(3, group=5)
+        )
+        session = room.start_session(ISSUES, PROTOCOL, {0: trade_off, 1: top_bid}, tick=1)
+        assert session.strategies == {1: trade_off, 2: trade_off, 3: StrategyConfig()}
 
     def test_invitation_session_fills_each_agenda_cell_once(self, monkeypatch):
         # Invitation admission reads no utility, so starting the session
@@ -308,7 +318,7 @@ class TestStateMachineProperty:
                     room.open(conditions_agenda())
                 elif op == "enter":
                     for agent in agents:
-                        if agent.room_id is None and room.room_state is RoomState.OPEN:
+                        if agent.phase is AgentPhase.IDLE and room.room_state is RoomState.OPEN:
                             admit(room, agent)
                 elif op == "start":
                     room.start_session(ISSUES, PROTOCOL, {}, tick=0)
@@ -320,6 +330,6 @@ class TestStateMachineProperty:
             if room.room_state is not before:
                 transitions.append((before, room.room_state))
         assert all(t in self.LEGAL for t in transitions)
-        # Attendees are confined to the one room they entered.
+        # An agent attends the room exactly while it is not idle.
         for agent in agents:
-            assert agent.room_id in (None, 0)
+            assert (agent.id in room.attendees) is (agent.phase is not AgentPhase.IDLE)

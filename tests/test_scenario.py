@@ -114,7 +114,7 @@ class TestNormalization:
         minimal_doc["groups"][0]["bounds"] = [[0.0, 1.0], [0.0, 1.0]]
         minimal_doc["rooms"][0]["schedule"][0]["agenda"]["issues"] = [0]
         scenario = load_scenario(minimal_doc)
-        (issue,) = scenario.normalized_issues()
+        (issue,) = scenario.issues
         assert issue.scores == (0.8, 0.7)
         assert scenario.criteria[1].direction is Direction.COST
 
