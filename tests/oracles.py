@@ -12,8 +12,9 @@ from collections import Counter
 
 from mnegoti.errors import CascadeOverflowError
 from mnegoti.model import TRUNCNORM_MAX_REJECTIONS, AgentPhase, DistributionKind
+from mnegoti.context import _state_name
 from mnegoti.rooms import RoomState
-from mnegoti.scheduler import ScheduledAction
+from mnegoti.scheduler import FiredReaction, ReactionOffset, ScheduledAction
 
 
 def oracle_threshold(utilities: list[float], t: int, max_rounds: int, beta: float) -> float:
@@ -402,6 +403,44 @@ def queue_every_scan(scheduler, kind, target, start, priority, rule_id=None, wat
     action = ScheduledAction(kind=kind, target=target, start=start, priority=priority)
     scheduler._push(action, start)
     return action
+
+
+def notify_one_action_per_fire(scheduler, kind, ident, old_state, new_state, obj):
+    """``Scheduler.notify_state_change`` as one action per fire, to patch in its place.
+
+    The watcher model the paper builds on: each watcher's reaction is
+    queued through ``queue_every_scan`` as a ``ScheduledAction`` of its own,
+    and a duplicate agent scan is queued like any other reaction.
+    """
+    if old_state == new_state:
+        return []
+    fired = []
+    for rule_id, rule in enumerate(scheduler._rules):
+        watchee_state = rule.trigger.watchee_state
+        if watchee_state is None or new_state != watchee_state:
+            continue
+        if not rule.watchee_query.matches(kind, ident, obj):
+            continue
+        wanted = rule.trigger.watcher_state
+        if wanted is None:
+            wanted = rule.watcher_query.state
+        elif rule.watcher_query.state not in (None, wanted):
+            continue
+        if rule.when is ReactionOffset.NEXT_TICK:
+            start = scheduler.now + 1
+            priority = rule.priority if rule.priority is not None else 0
+        else:
+            start = scheduler.now
+            priority = scheduler._same_tick_band(rule.priority)
+        for watcher_id, watcher_obj in scheduler._watcher_candidates(rule.watcher_query):
+            if wanted is not None and _state_name(watcher_obj) != wanted:
+                continue
+            target = watcher_id if rule.target_role == "watcher" else ident
+            action = queue_every_scan(
+                scheduler, rule.reaction_kind, target, start, priority, rule_id, (kind, ident)
+            )
+            fired.append(FiredReaction(rule_id, watcher_id, kind, ident, action))
+    return fired
 
 
 def sample_one_draw_at_a_time(group, rng) -> tuple[float, ...]:

@@ -36,7 +36,7 @@ from mnegoti.rooms import MeetingRoom
 from mnegoti.scheduler import ActionKind, FiredReaction, ScheduledAction, Scheduler
 
 from conftest import SCENARIO_DIR, benchmark_module
-from oracles import queue_every_scan, scan_every_room
+from oracles import notify_one_action_per_fire, scan_every_room
 from test_golden import GOLDEN, WORKLOAD_EVENTS_LOG
 from test_property_gate import COMBINATIONS, scenario_docs
 
@@ -397,7 +397,7 @@ class TestScanSkip:
 
 
 class TestScanCoalescing:
-    """Same-band duplicate scans are merged; no artifact byte changes."""
+    """Artifacts equal those of one queued action per fire, duplicate scans included."""
 
     @staticmethod
     def artifacts(scenario, out_dir, **kwargs) -> list[bytes]:
@@ -406,12 +406,12 @@ class TestScanCoalescing:
         return [path.read_bytes() for path in sorted(out_dir.glob("rep_*/*"))]
 
     def assert_same_as_queueing_every_scan(self, scenario, out_dir, **kwargs):
-        merging = self.artifacts(scenario, out_dir / "merging", **kwargs)
+        queued = self.artifacts(scenario, out_dir / "scheduler", **kwargs)
         with pytest.MonkeyPatch.context() as patched:
-            patched.setattr(Scheduler, "_react", queue_every_scan)
-            queueing = self.artifacts(scenario, out_dir / "queueing", **kwargs)
-        assert len(merging) == 3 * kwargs.get("replications", 1)
-        assert merging == queueing
+            patched.setattr(Scheduler, "notify_state_change", notify_one_action_per_fire)
+            reference = self.artifacts(scenario, out_dir / "reference", **kwargs)
+        assert len(queued) == 3 * kwargs.get("replications", 1)
+        assert queued == reference
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.yaml")))
@@ -844,11 +844,11 @@ class TestPinnedLogLines:
         run(load_scenario_file(SCENARIO_DIR / name), seed=seed, out_dir=tmp_path)
         self.assert_lines_are_reference([tmp_path / "rep_000" / "events.log"])
 
-    @pytest.mark.parametrize("workload", sorted(WORKLOAD_EVENTS_LOG))
-    def test_pinned_workload(self, workload, tmp_path):
+    @pytest.mark.parametrize(("workload", "seed"), sorted(WORKLOAD_EVENTS_LOG))
+    def test_pinned_workload(self, workload, seed, tmp_path):
         workloads = benchmark_module("workloads")
         replications = workloads.SWEEP_REPLICATIONS if workload == "sweep" else 1
-        for path in workloads.write_inputs(workload, 1, tmp_path / "inputs"):
+        for path in workloads.write_inputs(workload, seed, tmp_path / "inputs"):
             run(load_scenario_file(path), replications=replications,
                 out_dir=tmp_path / "artifacts" / path.stem)
         self.assert_lines_are_reference(sorted(tmp_path.glob("artifacts/*/rep_*/events.log")))

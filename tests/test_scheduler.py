@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 
 import pytest
@@ -21,7 +22,12 @@ from mnegoti.scheduler import (
     WatcherRule,
 )
 
-from oracles import brute_force_notify, naive_schedule_simulator, trigger_holds
+from oracles import (
+    brute_force_notify,
+    naive_schedule_simulator,
+    notify_one_action_per_fire,
+    trigger_holds,
+)
 
 
 def recording_scheduler(context=None):
@@ -478,6 +484,105 @@ class TestNotifyOracle:
                 for f in fired
             ] == expected
             assert all((f.watchee_kind, f.watchee_id) == (kind, ident) for f in fired)
+
+
+# What an executed action does next, in execution order: (effect, draw, draw).
+effects = st.lists(
+    st.tuples(
+        st.sampled_from(["change", "change", "same_band", "follow_up", "next_tick", "nothing"]),
+        st.integers(0, 63),
+        st.integers(0, 63),
+    ),
+    max_size=40,
+)
+# Agent scans are left out: the scheduler merges a same-band duplicate
+# scan, which the reference does not.
+fanout_rules = (room_watch_rules | self_watch_rules | any_rules).filter(
+    lambda rule: rule.reaction_kind is not ActionKind.AGENT_SCAN
+)
+
+
+class TestOneActionPerFireOracle:
+    """The executed order equals that of one queued action per fire.
+
+    Drawn rules fan out from state changes made by drawn actions and by the
+    reactions themselves, which also schedule into their own band, enqueue
+    lower-band follow-ups and schedule into the next tick. The reference
+    patches ``notify_one_action_per_fire`` in for ``notify_state_change``.
+    """
+
+    @staticmethod
+    def executed(joins, rules, starts, script, reference):
+        ctx = Context()
+        for kind, ident, drawn in joins:
+            if kind is ObjectKind.AGENT:
+                group, phase = drawn
+                ctx.add(kind, ident, make_agent(ident, phase, group))
+            else:
+                room = MeetingRoom(ident)
+                room.room_state = drawn
+                ctx.add(kind, ident, room)
+        # Changes favour watched members and the states the triggers name, as
+        # in TestNotifyOracle, so that many of them fire.
+        named = {r.trigger.watchee_state for r in rules}
+        members = list(ctx.items())
+        watched = [
+            (k, i, o)
+            for k, i, o in members
+            if any(replace(r.watchee_query, state=None).matches(k, i, o) for r in rules)
+        ]
+        pool = watched * 3 + members
+        scheduler = Scheduler(context=ctx, cascade_cap=10**9)
+        if reference:
+            scheduler.notify_state_change = functools.partial(notify_one_action_per_fire, scheduler)
+        for rule in rules:
+            scheduler.register_watcher(rule)
+        script = iter(script)
+        executed = []
+
+        def executor(action):
+            now, band = scheduler.now, scheduler.current_band
+            executed.append((now, band, action.kind, action.target))
+            effect, a, b = next(script, ("nothing", 0, 0))
+            if effect == "change":
+                kind, ident, obj = pool[a % len(pool)]
+                states, attr = STATES_OF[kind]
+                current = getattr(obj, attr)
+                others = [s for s in states if s is not current]
+                choices = [s for s in others if s.value in named] + others
+                new = choices[b % len(choices)]
+                setattr(obj, attr, new)
+                scheduler.notify_state_change(kind, ident, current.value, new.value, obj)
+            elif effect == "same_band":
+                scheduler.schedule(
+                    ScheduledAction(kind=ActionKind.REPORT, target=("own band", a), start=now, priority=band)
+                )
+            elif effect == "follow_up":
+                priority = None if b % 3 == 0 else band - b
+                scheduler.enqueue_reaction(ActionKind.ROOM_INVITE, ("follow-up", a), priority)
+            elif effect == "next_tick":
+                scheduler.schedule(
+                    ScheduledAction(kind=ActionKind.REPORT, target=("next tick", a), start=now + 1, priority=b)
+                )
+
+        scheduler.executor = executor
+        for index, (tick, band) in enumerate(starts):
+            scheduler.schedule(
+                ScheduledAction(kind=ActionKind.ROOM_OPEN, target=("start", index), start=tick, priority=band)
+            )
+        run_ticks(scheduler, 5)
+        return executed
+
+    @given(
+        joins=join_orders(),
+        rules=st.lists(fanout_rules, min_size=1, max_size=3),
+        starts=st.lists(st.tuples(st.integers(0, 2), st.integers(-5, 120)), min_size=1, max_size=4),
+        script=effects,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_execution_matches_one_action_per_fire(self, joins, rules, starts, script):
+        executed = self.executed(joins, rules, starts, script, reference=False)
+        assert executed == self.executed(joins, rules, starts, script, reference=True)
 
 
 class TestScanMerging:
