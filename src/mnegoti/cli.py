@@ -10,7 +10,7 @@ from pathlib import Path
 from .errors import MnegotiError, ValidationError
 from .eventlog import read_event_log
 from .runner import RunArtifacts, run
-from .scenario import Scenario, load_scenario_file, open_fanout
+from .scenario import Scenario, agent_watch_fanout, load_scenario_file, open_fanout
 from .scheduler import REACTION_CASCADE_CAP
 
 OUT_ENV_VAR = "MNEGOTI_OUT"
@@ -68,6 +68,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             print(
                 f"warning: tick {tick}: watcher rule {rule_id} may fire up to {bound} "
                 f"reactions; the cascade cap is {REACTION_CASCADE_CAP}",
+                file=sys.stderr,
+            )
+    for rule_id, watchers, watchees in agent_watch_fanout(scenario):
+        if watchers * watchees > REACTION_CASCADE_CAP:
+            print(
+                f"warning: watcher rule {rule_id} may fire {watchers * watchees} reactions in "
+                f"a tick, {watchers} watchers for each of {watchees} agent watchees; "
+                f"the cascade cap is {REACTION_CASCADE_CAP}",
                 file=sys.stderr,
             )
     print(

@@ -9,10 +9,10 @@ sequence of log records is a pure function of (scenario, seed).
 
 An agent scan walks only the open rooms, and a watching agent whose last
 scan found no room skips the walk until another room opens (see
-``_exec_agent_scan``). A scan that would only repeat one already queued
-in its band is never queued (see ``Scheduler._react``), but its
-``watcher_fired`` record is logged all the same. Log records are plain
-named tuples, built positionally.
+``_exec_agent_scan``). The scans one room opening fires run as one queue
+entry, a ``scheduler.FanOut``; an agent that several openings of one
+band fire a scan for runs each of them, and every scan after its first
+returns at once. Log records are plain named tuples, built positionally.
 
 Records go to ``Simulation.events``, an ``EventLog``, which writes each
 as its events.log line: to a buffer in memory, or to the file an on-disk
@@ -266,6 +266,11 @@ class Simulation:
         open rooms can only shrink. A watching agent whose last scan found
         no room therefore finds none again until a room opens, and its scan
         is skipped without changing anything the run does.
+
+        So a scan that repeats one run earlier in its band, with only scans
+        of other agents between them, does nothing: those scans change only
+        their own agents, and rooms have no capacity, so the agent is now
+        seated or busy, or watching with no room opened since.
         """
         agent = self.agents[action.target]
         if agent.phase not in (AgentPhase.IDLE, AgentPhase.WATCHING):

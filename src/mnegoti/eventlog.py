@@ -212,6 +212,8 @@ class EventLog:
     def log_fired(self, tick: int, priority: int | None, fired: Sequence[FiredReaction]) -> None:
         """Write one ``watcher_fired`` line per fire of one state change; they share its watchee.
 
+        Only the kind, ``start`` and ``priority`` of a fire's ``action`` are
+        read; the scheduler's fires of one rule share one ``FanOut`` there.
         The prefix is formatted again only when the rule, reaction, ``at``
         or ``band`` differs from the previous fire's.
         """

@@ -649,3 +649,40 @@ def open_fanout(scenario: Scenario) -> list[tuple[int, int, int]]:
             bounds.append((tick, rule_id, matching * watchers))
     return sorted(bounds)
 
+
+def agent_watch_fanout(scenario: Scenario) -> list[tuple[int, int, int]]:
+    """(rule id, watchers, agent watchees) for each rule under which agents watch agents.
+
+    Such a rule's watcher and watchee queries can both match agents, and
+    its trigger tests an agent state. It fires once per watcher each time
+    an agent its watchee query matches changes into that state, at any
+    tick, so a tick in which each such agent changes once fires watchers x
+    agent watchees reactions, all counted against the cascade cap. Both
+    sides are counted by kind, id and group; a kind-less watcher query
+    counts the rooms it can match as well.
+    """
+    agent_states = _STATES_BY_KIND[ObjectKind.AGENT]
+    group_sizes = {g.id: g.member_count for g in scenario.groups}
+
+    def agents(query: Query) -> int:
+        if query.ident is not None:
+            return 1
+        if query.group_id is not None:
+            return group_sizes[query.group_id]
+        return scenario.total_agents
+
+    fanouts = []
+    for rule_id, rule in enumerate(scenario.watchers):
+        watcher, watchee = rule.watcher_query, rule.watchee_query
+        watcher_state = rule.trigger.watcher_state or watcher.state
+        if (
+            ObjectKind.MEETING_ROOM in (watcher.kind, watchee.kind)
+            or rule.trigger.watchee_state not in agent_states
+            or watcher_state not in (None, *agent_states)
+        ):
+            continue
+        watchers = agents(watcher)
+        if watcher.kind is None and watcher.group_id is None:
+            watchers += 1 if watcher.ident is not None else len(scenario.rooms)
+        fanouts.append((rule_id, watchers, agents(watchee)))
+    return fanouts

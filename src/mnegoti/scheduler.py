@@ -15,9 +15,16 @@ the query that never change (kind, id, group) and never rebuilt: the
 context's membership is fixed once ``Simulation`` is constructed. A
 watcher's state is read only when the query or the trigger constrains it.
 
-An agent scan reaction that would only repeat a scan already queued for
-the same agent, tick and band, with nothing but scans queued there in
-between, is merged into that scan (see ``_react``).
+The reactions one rule fires on one state change are one queue entry, a
+``FanOut``, not one action per watcher as in the Repast Simphony watcher
+model. It holds the targets in watcher order, and ``step`` runs its
+members back to back from one pop. That is the order one action per
+watcher would run in: a push made while a member runs lands in the same
+band or below, so it sorts after every remaining member either way. The
+entry takes one seq per target, a contiguous range, so every later seq is
+the one it would be with one action per watcher. A duplicate agent scan
+runs like any other reaction; the engine's scan then returns at once
+(see ``Simulation._exec_agent_scan``).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, ClassVar, NamedTuple
 
 from .context import Context, ObjectKind, Query, _state_name
 from .errors import CascadeOverflowError, SchedulingError
@@ -61,6 +68,30 @@ class ScheduledAction:
     cancelled: bool = False
 
 
+@dataclass(slots=True)
+class FanOut:
+    """One rule's reactions to one state change, queued as one entry.
+
+    ``targets`` are the reactions' targets in watcher order; the entry's
+    seq is the first of ``len(targets)`` consecutive seqs. The executor is
+    handed the entry itself once per member, with ``target`` set to that
+    member's target. Cancelling the entry before it runs cancels every
+    member; the engine never cancels a reaction, and a cancel made while a
+    member runs leaves the remaining members to run, as it would leave
+    their own actions.
+    """
+
+    kind: ActionKind
+    targets: list[Any]
+    start: int
+    priority: int
+    seq: int
+    target: Any = None
+    cancelled: bool = False
+    interval: ClassVar[int] = 0
+    payload: ClassVar[Any] = None
+
+
 @dataclass(frozen=True)
 class Trigger:
     """Conjunction of state-equality tests over (watcher, watchee)."""
@@ -90,13 +121,13 @@ class WatcherRule:
 
 
 class FiredReaction(NamedTuple):
-    """One watcher's reaction to one state change; ``action`` is the queued action."""
+    """One watcher's reaction to one state change; ``action`` is the rule's queued ``FanOut``."""
 
     rule_id: int
     watcher_id: int
     watchee_kind: ObjectKind
     watchee_id: int
-    action: ScheduledAction
+    action: FanOut
 
 
 class Scheduler:
@@ -117,14 +148,10 @@ class Scheduler:
         self.executor = executor
         self.context = context
         self.cascade_cap = cascade_cap
-        self._heap: list[tuple[int, int, int, ScheduledAction]] = []
+        self._heap: list[tuple[int, int, int, ScheduledAction | FanOut]] = []
         self._seq_counter = 0
         self._rules: list[WatcherRule] = []
         self._reactions_this_tick = 0
-        # Agent scan reactions not yet run, by target; and, per tick and band,
-        # the seq of the last push that is not an agent scan.
-        self._pending_scans: dict[Any, ScheduledAction] = {}
-        self._other_pushes: dict[int, dict[int, int]] = {}
         # Watcher query -> its candidates, built on first use.
         self._candidates: dict[Query, list[tuple[int, Any]]] = {}
 
@@ -153,8 +180,6 @@ class Scheduler:
         action.start = tick
         action.seq = seq = self._seq_counter
         self._seq_counter += 1
-        if action.kind is not ActionKind.AGENT_SCAN:
-            self._other_pushes.setdefault(tick, {})[action.priority] = seq
         heapq.heappush(self._heap, (tick, -action.priority, seq, action))
 
     # -- watchers ------------------------------------------------------
@@ -178,7 +203,9 @@ class Scheduler:
         the change and true after it. The watcher's state is the same on both
         sides, so the flip must come from the watchee: the rule fires only when
         ``old_state != watchee_state == new_state``, and a trigger with no
-        ``watchee_state`` never fires.
+        ``watchee_state`` never fires. Each rule that fires queues one
+        ``FanOut``; one ``FiredReaction`` is returned per watcher, and every
+        reaction counts against the cascade cap.
         """
         if old_state == new_state:
             return []
@@ -202,14 +229,22 @@ class Scheduler:
             else:
                 start = self.now
                 priority = self._same_tick_band(rule.priority)
-            for watcher_id, watcher_obj in self._watcher_candidates(rule.watcher_query):
-                if wanted is not None and _state_name(watcher_obj) != wanted:
-                    continue
-                target = watcher_id if rule.target_role == "watcher" else ident
-                action = self._react(
-                    rule.reaction_kind, target, start, priority, rule_id, (kind, ident)
-                )
-                fired.append(FiredReaction(rule_id, watcher_id, kind, ident, action))
+            candidates = self._watcher_candidates(rule.watcher_query)
+            if wanted is None:
+                watchers = [i for i, _ in candidates]
+            else:
+                watchers = [i for i, o in candidates if _state_name(o) == wanted]
+            if not watchers:
+                continue
+            self._reactions_this_tick += len(watchers)
+            if self._reactions_this_tick > self.cascade_cap:
+                raise self._overflow(f"fired by watcher rule {rule_id} on {kind.value} {ident}")
+            targets = watchers if rule.target_role == "watcher" else [ident] * len(watchers)
+            seq = self._seq_counter
+            self._seq_counter += len(targets)
+            entry = FanOut(rule.reaction_kind, targets, start, priority, seq)
+            heapq.heappush(self._heap, (start, -priority, seq, entry))
+            fired += [FiredReaction(rule_id, w, kind, ident, entry) for w in watchers]
         return fired
 
     def _watcher_candidates(self, query: Query) -> list[tuple[int, Any]]:
@@ -235,65 +270,24 @@ class Scheduler:
     def enqueue_reaction(
         self, kind: ActionKind, target: Any, priority: int | None = None
     ) -> ScheduledAction:
-        """Engine hook for direct same-tick follow-ups (e.g. invitation scans)."""
-        return self._react(kind, target, self.now, self._same_tick_band(priority))
+        """Engine hook for direct same-tick follow-ups (e.g. invitation scans).
 
-    def _react(
-        self,
-        kind: ActionKind,
-        target: Any,
-        start: int,
-        priority: int,
-        rule_id: int | None = None,
-        watchee: tuple[ObjectKind, int] | None = None,
-    ) -> ScheduledAction:
-        """Queue one reaction, counted against the per-tick cascade cap.
-
-        ``rule_id`` and ``watchee`` are given for a watcher reaction and left
-        out for an engine follow-up; they only name the cause on overflow.
-
-        An agent scan of agent x is merged into x's pending scan, which is
-        returned in place of a new action, when that scan is not cancelled,
-        has the same ``(start, priority)``, and every action pushed at that
-        tick and band since it is an agent scan. The merged scan would have
-        done nothing. Between the pending scan and the merged one only scans
-        of other agents run, and their reactions land below the band or on
-        the next tick. A scan changes only its own agent's phase and seat;
-        rooms have no capacity, and admission does not read attendees. So
-        when the merged scan would have run, x is either seated or busy, and
-        the scan returns at once, or x is watching and no room has opened
-        since its scan found none, and the scan is skipped. A merge never
-        spans a ``room_close``, ``negotiation_round``, ``room_invite`` or
-        ``report`` in the band, so the event log is unchanged. A merged
-        reaction still counts against the cap.
+        Each follow-up is one action, counted against the cascade cap.
         """
         self._reactions_this_tick += 1
         if self._reactions_this_tick > self.cascade_cap:
-            if rule_id is None:
-                cause = f"an engine follow-up {kind.value}"
-            else:
-                cause = f"fired by watcher rule {rule_id} on {watchee[0].value} {watchee[1]}"
-            raise CascadeOverflowError(
-                f"more than {self.cascade_cap} reactions (the cascade cap) in tick "
-                f"{self.now}; the reaction over the cap was {cause}"
-            )
-        scan = kind is ActionKind.AGENT_SCAN
-        if scan:
-            pending = self._pending_scans.get(target)
-            if (
-                pending is not None
-                and not pending.cancelled
-                and pending.start == start
-                and pending.priority == priority
-            ):
-                others = self._other_pushes.get(start)
-                if others is None or others.get(priority, -1) < pending.seq:
-                    return pending
-        action = ScheduledAction(kind=kind, target=target, start=start, priority=priority)
-        self._push(action, start)
-        if scan:
-            self._pending_scans[target] = action
+            raise self._overflow(f"an engine follow-up {kind.value}")
+        action = ScheduledAction(
+            kind=kind, target=target, start=self.now, priority=self._same_tick_band(priority)
+        )
+        self._push(action, self.now)
         return action
+
+    def _overflow(self, cause: str) -> CascadeOverflowError:
+        return CascadeOverflowError(
+            f"more than {self.cascade_cap} reactions (the cascade cap) in tick "
+            f"{self.now}; the reaction over the cap was {cause}"
+        )
 
     def _same_tick_band(self, configured: int | None) -> int:
         # Reactions always land strictly below the band being executed; a
@@ -308,21 +302,28 @@ class Scheduler:
     # -- execution -----------------------------------------------------
 
     def step(self) -> None:
-        """Run every action of the current tick, then advance ``now``."""
+        """Run every action of the current tick, then advance ``now``.
+
+        A ``FanOut`` runs its members in order, each through the executor
+        with ``target`` set to the member's target.
+        """
         tick = self.now
         self._reactions_this_tick = 0
-        pending_scans = self._pending_scans
-        while self._heap and self._heap[0][0] == tick:
-            _, _, _, action = heapq.heappop(self._heap)
-            if action.kind is ActionKind.AGENT_SCAN and pending_scans.get(action.target) is action:
-                del pending_scans[action.target]
+        heap = self._heap
+        while heap and heap[0][0] == tick:
+            action = heapq.heappop(heap)[3]
             if action.cancelled:
                 continue
             self.current_band = action.priority
-            if self.executor is not None:
-                self.executor(action)
+            execute = self.executor
+            if execute is not None:
+                if type(action) is FanOut:
+                    for target in action.targets:
+                        action.target = target
+                        execute(action)
+                else:
+                    execute(action)
             self.current_band = None
             if action.interval > 0 and not action.cancelled:
                 self._push(action, tick + action.interval)
-        self._other_pushes.pop(tick, None)
         self.now += 1

@@ -385,10 +385,9 @@ def scan_every_room(sim, action) -> None:
 
 
 def queue_every_scan(scheduler, kind, target, start, priority, rule_id=None, watchee=None):
-    """``Scheduler._react`` without scan merging, to patch in its place.
+    """One reaction queued as an action of its own, counted against the cascade cap.
 
-    Every reaction counts against the cascade cap and is queued as an action
-    of its own, even an agent scan that duplicates one already pending.
+    An agent scan that duplicates one already pending is queued all the same.
     """
     scheduler._reactions_this_tick += 1
     if scheduler._reactions_this_tick > scheduler.cascade_cap:

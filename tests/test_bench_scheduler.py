@@ -5,11 +5,12 @@ agents, half of them idle and half negotiating, under two rules: the
 bundled open-scan rule (every agent scans when a room opens) and the same
 rule for idle watchers only (``watcher.state: idle``). The second times
 four openings in one band to 10 000 such agents under the open-scan rule,
-so the scans the last three openings fire are merged into the first's.
-The candidate list is built before timing and each timed call starts
-from an empty queue, so the figure is the dispatch itself, the queued
-reactions included. The ``bench`` marker keeps them out of the default
-test run:
+each queued as one entry for all 10 000 scans. The third times one
+opening to 10 000 agents and the ``step`` that runs its scans through an
+executor that does nothing. The candidate list is built before timing and
+each timed call starts from an empty queue, so the figure is the dispatch
+itself, the queued reactions included. The ``bench`` marker keeps them out
+of the default test run:
 
     PYTHONPATH=src python -m pytest -m bench tests/test_bench_scheduler.py
     PYTHONPATH=src python -m pytest -m bench --benchmark-disable
@@ -73,7 +74,7 @@ def test_notify_room_opening(benchmark, rule, agents):
 def test_notify_four_same_band_openings(benchmark):
     agents = 10_000
     scheduler, rooms = watched_rooms(agents, TRIGGERS["open_scan"], rooms=4)
-    scheduler.cascade_cap = 4 * agents  # every merged fire still counts
+    scheduler.cascade_cap = 4 * agents  # every fire counts
 
     def open_all():
         # As if four room_open actions of band 100 ran one after another.
@@ -91,4 +92,21 @@ def test_notify_four_same_band_openings(benchmark):
     open_all()  # builds the candidate list
     fired = benchmark.pedantic(open_all, setup=scheduler.step, rounds=10)
     assert len(fired) == 4 * agents
-    assert len({id(f.action) for f in fired}) == agents
+    assert len({id(f.action) for f in fired}) == 4
+    assert len(scheduler._heap) == 4
+
+
+def test_notify_and_step_one_opening(benchmark):
+    agents = 10_000
+    scheduler, (room,) = watched_rooms(agents, TRIGGERS["open_scan"])
+    executed = []
+    scheduler.executor = lambda action: executed.append(action.target)
+
+    def open_and_step():
+        executed.clear()
+        scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
+        scheduler.step()
+
+    open_and_step()  # builds the candidate list
+    benchmark.pedantic(open_and_step, rounds=20)
+    assert executed == list(range(agents))

@@ -53,6 +53,36 @@ def crowded_doc() -> dict:
     return doc
 
 
+def watching_cascade_doc(agents: int = 150) -> dict:
+    """``agents`` agents; each one that starts watching makes every agent scan again.
+
+    Under the agent-watches-agent rule 1, a tick may fire ``agents`` x
+    ``agents`` reactions: 22 500 for 150 agents, over the cascade cap.
+    """
+    doc = copy.deepcopy(MINIMAL_DOC)
+    doc["criteria"] = [
+        {"id": 0, "name": "a", "direction": "benefit"},
+        {"id": 1, "name": "b", "direction": "benefit"},
+    ]
+    doc["issues"] = [
+        {"id": 0, "name": "left", "scores": [1.0, 0.0]},
+        {"id": 1, "name": "right", "scores": [0.0, 1.0]},
+    ]
+    doc["groups"][0].update(member_count=agents, bounds=[[0.0, 1.0], [0.0, 1.0]])
+    agenda = doc["rooms"][0]["schedule"][0]["agenda"]
+    agenda["issues"] = [0]
+    agenda["admission"]["threshold"] = 0.45
+    doc["watchers"].append(
+        {
+            "watcher": {"kind": "agent"},
+            "watchee": {"kind": "agent"},
+            "trigger": {"watchee.state": "watching"},
+            "reaction": {"kind": "agent_scan", "when": "same_tick"},
+        }
+    )
+    return doc
+
+
 class TestCascadeFanoutWarning:
     def test_crowded_opening_warns_and_still_validates(self, tmp_path, capsys):
         path = write_doc(tmp_path / "crowded.yaml", crowded_doc())
@@ -75,6 +105,21 @@ class TestCascadeFanoutWarning:
             group["member_count"] = 250  # 9 x 1 000 = 9 000
         doc["rooms"].append(dict(doc["rooms"][0], id=9))  # 10 x 1 000 = 10 000
         assert main(["validate", write_doc(tmp_path / "full.yaml", doc)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_agents_watching_agents_warn_and_still_validate(self, tmp_path, capsys):
+        path = write_doc(tmp_path / "cascade.yaml", watching_cascade_doc())
+        assert main(["validate", path]) == 0
+        printed = capsys.readouterr()
+        assert printed.err == (
+            "warning: watcher rule 1 may fire 22500 reactions in a tick, 150 watchers for "
+            "each of 150 agent watchees; the cascade cap is 10000\n"
+        )
+        assert printed.out.startswith("ok:")
+
+    def test_agents_watching_agents_at_the_cap_do_not_warn(self, tmp_path, capsys):
+        path = write_doc(tmp_path / "cascade.yaml", watching_cascade_doc(agents=100))
+        assert main(["validate", path]) == 0
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.yaml")))
@@ -133,31 +178,9 @@ class TestRun:
         assert sorted(p.name for p in out.iterdir()) == ["rep_000", "rep_001", "rep_002"]
 
     def test_failed_replication_writes_nothing(self, tmp_path, capsys):
-        # Every agent that starts watching makes all 150 agents scan again.
         # Seeds 2 and 3 stay under the cascade cap; seed 4 sends enough
         # agents to watching to overflow it.
-        doc = copy.deepcopy(MINIMAL_DOC)
-        doc["criteria"] = [
-            {"id": 0, "name": "a", "direction": "benefit"},
-            {"id": 1, "name": "b", "direction": "benefit"},
-        ]
-        doc["issues"] = [
-            {"id": 0, "name": "left", "scores": [1.0, 0.0]},
-            {"id": 1, "name": "right", "scores": [0.0, 1.0]},
-        ]
-        doc["groups"][0].update(member_count=150, bounds=[[0.0, 1.0], [0.0, 1.0]])
-        agenda = doc["rooms"][0]["schedule"][0]["agenda"]
-        agenda["issues"] = [0]
-        agenda["admission"]["threshold"] = 0.45
-        doc["watchers"].append(
-            {
-                "watcher": {"kind": "agent"},
-                "watchee": {"kind": "agent"},
-                "trigger": {"watchee.state": "watching"},
-                "reaction": {"kind": "agent_scan", "when": "same_tick"},
-            }
-        )
-        path = write_doc(tmp_path / "cascade.yaml", doc)
+        path = write_doc(tmp_path / "cascade.yaml", watching_cascade_doc())
         out = tmp_path / "reps"
         argv = ["run", path, "--seed", "2", "--replications", "3", "--out", str(out)]
         assert main(argv) == 1

@@ -440,14 +440,6 @@ class TestScanCoalescing:
         sim.run()
         return scans
 
-    def test_two_openings_log_both_fires_and_scan_once(self, minimal_doc):
-        minimal_doc["rooms"] = [room_opening(0, 1, [0]), room_opening(1, 1, [0])]
-        sim = Simulation(load_scenario(minimal_doc))
-        assert self.executed_scans(sim) == [(1, 0), (1, 1)]
-        fired = [(e.tick, e.data["watcher"], e.data["watchee"]) for e in sim.events
-                 if e.kind == "watcher_fired"]
-        assert fired == [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
-
     def test_close_in_the_band_between_openings(self, minimal_doc, tmp_path):
         # Both agents enter room 0, a same-band room_close between the two
         # openings' scans releases them, and the second scans seat them in
@@ -467,14 +459,6 @@ class TestScanCoalescing:
         assert [(e.data["agent"], e.data["room"]) for e in sim.events
                 if e.kind == "agent_entered"] == [(0, 0), (1, 0), (0, 1), (1, 1)]
         self.assert_same_as_queueing_every_scan(scenario, tmp_path)
-
-    def test_town_hall_scans_each_agent_once(self, tmp_path):
-        # Four same-band openings fire 8 000 scans; each agent's first one runs.
-        (path,) = benchmark_module("workloads").write_inputs("town_hall", 1, tmp_path)
-        sim = Simulation(load_scenario_file(path))
-        scans = self.executed_scans(sim)
-        assert len(scans) == 2_000
-        assert sum(e.kind == "watcher_fired" for e in sim.events) == 8_000
 
     @given(
         doc=st.sampled_from(COMBINATIONS).flatmap(lambda combo: scenario_docs(*combo)),

@@ -17,6 +17,7 @@ from mnegoti.model import Direction, DistributionKind, StrategyKind
 from mnegoti.scenario import (
     load_scenario,
     load_scenario_file,
+    agent_watch_fanout,
     open_fanout,
     parse_scenario_text,
 )
@@ -804,3 +805,52 @@ class TestOpenFanout:
             ]
             assert 0 < len(fired) <= bound
 
+
+class TestAgentWatchFanout:
+    """``agent_watch_fanout`` on two groups of 2 and 3 agents and one room."""
+
+    @pytest.mark.parametrize(
+        ("rule", "expected"),
+        [
+            ({}, []),
+            (
+                {"watcher": {"kind": "agent"}, "watchee": {"kind": "agent"},
+                 "trigger": {"watchee.state": "watching"}},
+                [(0, 5, 5)],
+            ),
+            (
+                {"watcher": {"kind": "agent", "group_id": 1},
+                 "watchee": {"kind": "agent", "group_id": 0},
+                 "trigger": {"watchee.state": "idle"}},
+                [(0, 3, 2)],
+            ),
+            (
+                {"watcher": {"kind": "agent", "id": 4}, "watchee": {"kind": "agent", "id": 0},
+                 "trigger": {"watchee.state": "in_room"}},
+                [(0, 1, 1)],
+            ),
+            (
+                {"watcher": {}, "watchee": {}, "trigger": {"watchee.state": "watching"},
+                 "reaction": {"kind": "report"}},
+                [(0, 6, 5)],
+            ),
+            (
+                {"watcher": {}, "watchee": {}, "trigger": {"watchee.state": "open"},
+                 "reaction": {"kind": "report"}},
+                [],
+            ),
+            (
+                {"watcher": {"state": "open"}, "watchee": {"kind": "agent"},
+                 "trigger": {"watchee.state": "watching"}, "reaction": {"kind": "report"}},
+                [],
+            ),
+        ],
+    )
+    def test_counts_per_rule(self, rule, expected):
+        doc = two_group_doc()
+        doc["watchers"][0].update(rule)
+        assert agent_watch_fanout(load_scenario(doc)) == expected
+
+    @pytest.mark.parametrize("name", SCENARIO_FILES)
+    def test_bundled_scenarios_have_no_agent_watching_agents(self, scenario_dir, name):
+        assert agent_watch_fanout(load_scenario_file(scenario_dir / name)) == []

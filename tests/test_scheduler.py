@@ -477,7 +477,7 @@ class TestNotifyOracle:
                     f.rule_id,
                     f.watcher_id,
                     f.action.kind,
-                    f.action.target,
+                    f.watcher_id if rules[f.rule_id].target_role == "watcher" else ident,
                     f.action.start,
                     f.action.priority,
                 )
@@ -494,11 +494,6 @@ effects = st.lists(
         st.integers(0, 63),
     ),
     max_size=40,
-)
-# Agent scans are left out: the scheduler merges a same-band duplicate
-# scan, which the reference does not.
-fanout_rules = (room_watch_rules | self_watch_rules | any_rules).filter(
-    lambda rule: rule.reaction_kind is not ActionKind.AGENT_SCAN
 )
 
 
@@ -575,7 +570,7 @@ class TestOneActionPerFireOracle:
 
     @given(
         joins=join_orders(),
-        rules=st.lists(fanout_rules, min_size=1, max_size=3),
+        rules=st.lists(room_watch_rules | self_watch_rules | any_rules, min_size=1, max_size=3),
         starts=st.lists(st.tuples(st.integers(0, 2), st.integers(-5, 120)), min_size=1, max_size=4),
         script=effects,
     )
@@ -585,113 +580,136 @@ class TestOneActionPerFireOracle:
         assert executed == self.executed(joins, rules, starts, script, reference=True)
 
 
-class TestScanMerging:
-    """A same-band duplicate agent scan shares the scan already queued."""
+class TestFanOut:
+    """One rule's reactions to one state change are one queue entry, run member by member."""
 
     OPENING_BAND = 100
 
     @staticmethod
-    def watched_rooms(agents=3, rooms=2, cascade_cap=10_000, priorities=(None,)):
-        """Agents scanning whenever a room opens, one rule per priority."""
-        ctx = Context()
-        for i in range(agents):
-            ctx.add(ObjectKind.AGENT, i, make_agent(i))
-        opened = []
-        for i in range(rooms):
-            room = MeetingRoom(i)
-            ctx.add(ObjectKind.MEETING_ROOM, i, room)
-            opened.append(room)
-        scheduler, executed = recording_scheduler(ctx)
-        scheduler.cascade_cap = cascade_cap
-        for priority in priorities:
-            scheduler.register_watcher(TestWatchers.room_open_rule(priority=priority))
-        return scheduler, executed, opened
+    def watched_room(agents=3, rules=1, cascade_cap=10_000):
+        """Agents scanning whenever the room opens, under ``rules`` copies of the rule."""
+        ctx, room = TestWatchers.population(agents)
+        scheduler = Scheduler(context=ctx, cascade_cap=cascade_cap)
+        for _ in range(rules):
+            scheduler.register_watcher(TestWatchers.room_open_rule())
+        executed = []
+
+        scheduler.executor = lambda action: executed.append(
+            (scheduler.now, scheduler.current_band, action.kind, action.target)
+        )
+        return scheduler, executed, room
 
     def open_room(self, scheduler, room):
-        """Notify one room opening as if an action of the opening band ran it."""
+        """Notify the room opening as if an action of the opening band ran it."""
         scheduler.current_band = self.OPENING_BAND
         try:
             return scheduler.notify_state_change(ObjectKind.MEETING_ROOM, room.id, "closed", "open", room)
         finally:
             scheduler.current_band = None
 
-    @staticmethod
-    def scans(executed):
-        return [(tick, a.target, a.priority) for tick, a in executed if a.kind is ActionKind.AGENT_SCAN]
-
-    def test_two_openings_queue_one_scan_per_agent(self):
-        scheduler, executed, (first, second) = self.watched_rooms()
-        fired_first = self.open_room(scheduler, first)
-        fired_second = self.open_room(scheduler, second)
-        assert [(f.watcher_id, f.watchee_id) for f in fired_first + fired_second] == [
-            (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)
-        ]
-        assert all(a.action is b.action for a, b in zip(fired_first, fired_second))
-        assert {(f.action.start, f.action.priority) for f in fired_second} == {(0, 99)}
-        scheduler.step()
-        assert self.scans(executed) == [(0, 0, 99), (0, 1, 99), (0, 2, 99)]
-
-    @pytest.mark.parametrize(
-        "kind",
-        [ActionKind.ROOM_INVITE, ActionKind.REPORT, ActionKind.ROOM_CLOSE, ActionKind.NEGOTIATION_ROUND],
-    )
-    def test_other_action_in_the_band_between_fires_queues_again(self, kind):
-        scheduler, executed, (first, second) = self.watched_rooms()
-        fired_first = self.open_room(scheduler, first)
-        scheduler.current_band = self.OPENING_BAND
-        scheduler.enqueue_reaction(kind, 0)
-        scheduler.current_band = None
-        fired_second = self.open_room(scheduler, second)
-        assert all(a.action is not b.action for a, b in zip(fired_first, fired_second))
-        scheduler.step()
-        assert [a.kind for _, a in executed] == [ActionKind.AGENT_SCAN] * 3 + [kind] + [
-            ActionKind.AGENT_SCAN
-        ] * 3
-        assert self.scans(executed) == [(0, i, 99) for i in (0, 1, 2, 0, 1, 2)]
-
-    def test_other_action_in_another_band_does_not_stop_the_merge(self):
-        scheduler, executed, (first, second) = self.watched_rooms()
-        fired_first = self.open_room(scheduler, first)
-        scheduler.current_band = self.OPENING_BAND
-        scheduler.enqueue_reaction(ActionKind.REPORT, 0, priority=50)
-        scheduler.current_band = None
-        fired_second = self.open_room(scheduler, second)
-        assert all(a.action is b.action for a, b in zip(fired_first, fired_second))
-
-    def test_different_band_queues_a_second_scan(self):
-        scheduler, executed, (room, _) = self.watched_rooms(agents=1, priorities=(None, 50))
+    def test_one_entry_for_all_watchers(self):
+        scheduler, _, room = self.watched_room()
         fired = self.open_room(scheduler, room)
-        assert [(f.rule_id, f.action.priority) for f in fired] == [(0, 99), (1, 50)]
-        scheduler.step()
-        assert self.scans(executed) == [(0, 0, 99), (0, 0, 50)]
-
-    def test_cancelled_scan_never_absorbs_a_later_one(self):
-        scheduler, executed, (first, second) = self.watched_rooms(agents=1)
-        (cancelled,) = self.open_room(scheduler, first)
-        scheduler.cancel(cancelled.action)
-        (kept,) = self.open_room(scheduler, second)
-        assert kept.action is not cancelled.action
-        scheduler.step()
-        assert [a for _, a in executed] == [kept.action]
-
-    def test_scan_fired_after_the_kept_scan_ran_is_queued_again(self):
-        scheduler, executed, (first, second) = self.watched_rooms(agents=1)
-        (kept,) = self.open_room(scheduler, first)
-        scheduler.step()
-        (later,) = self.open_room(scheduler, second)
-        assert later.action is not kept.action
-        scheduler.step()
-        assert self.scans(executed) == [(0, 0, 99), (1, 0, 99)]
-
-    def test_merged_fires_still_count_against_the_cascade_cap(self):
-        scheduler, executed, rooms = self.watched_rooms(agents=1, rooms=11, cascade_cap=10)
-        fired = [f for room in rooms[:10] for f in self.open_room(scheduler, room)]
-        assert len(fired) == 10
+        assert [f.watcher_id for f in fired] == [0, 1, 2]
         assert len({id(f.action) for f in fired}) == 1
-        with pytest.raises(CascadeOverflowError, match="more than 10 reactions"):
-            self.open_room(scheduler, rooms[10])
+        (entry,) = [a for _, _, _, a in scheduler._heap]
+        assert entry is fired[0].action
+        assert (entry.kind, entry.targets, entry.start, entry.priority) == (
+            ActionKind.AGENT_SCAN, [0, 1, 2], 0, 99
+        )
+
+    def test_entry_takes_one_seq_per_member(self):
+        scheduler, _, room = self.watched_room()
+        (fire, *_) = self.open_room(scheduler, room)
+        after = scheduler.schedule(ScheduledAction(kind=ActionKind.REPORT, priority=99))
+        assert after.seq == fire.action.seq + 3
+
+    def test_members_run_back_to_back_in_watcher_order(self):
+        scheduler, executed, room = self.watched_room()
+        scheduler.schedule(ScheduledAction(kind=ActionKind.REPORT, target="before", priority=99))
+        self.open_room(scheduler, room)
+        scheduler.schedule(ScheduledAction(kind=ActionKind.REPORT, target="after", priority=99))
         scheduler.step()
-        assert self.scans(executed) == [(0, 0, 99)]
+        assert [(band, target) for _, band, _, target in executed] == [
+            (99, "before"), (99, 0), (99, 1), (99, 2), (99, "after")
+        ]
+
+    def test_same_band_schedule_from_a_member_runs_after_every_remaining_member(self):
+        scheduler, executed, room = self.watched_room()
+        (fire, *_) = self.open_room(scheduler, room)
+        queued = scheduler.schedule(ScheduledAction(kind=ActionKind.REPORT, target="queued", priority=99))
+
+        def follow_up():
+            scheduler.schedule(ScheduledAction(kind=ActionKind.REPORT, target="own band", priority=99))
+            scheduler.enqueue_reaction(ActionKind.REPORT, "below")
+
+        executor = scheduler.executor
+        scheduler.executor = lambda action: executor(action) or (
+            follow_up() if action.target == 0 else None
+        )
+        scheduler.step()
+        assert [(band, target) for _, band, _, target in executed] == [
+            (99, 0), (99, 1), (99, 2), (99, "queued"), (99, "own band"), (98, "below")
+        ]
+
+    def test_next_tick_fan_out_runs_on_the_following_tick(self):
+        scheduler, executed, room = self.watched_room(agents=2)
+        scheduler._rules[0] = TestWatchers.room_open_rule(when=ReactionOffset.NEXT_TICK, priority=7)
+        self.open_room(scheduler, room)
+        run_ticks(scheduler, 2)
+        assert executed == [(1, 7, ActionKind.AGENT_SCAN, 0), (1, 7, ActionKind.AGENT_SCAN, 1)]
+
+    def test_watchee_target_repeats_for_each_watcher(self):
+        scheduler, executed, room = self.watched_room()
+        scheduler._rules[0] = TestWatchers.room_open_rule(
+            reaction_kind=ActionKind.ROOM_INVITE, target_role="watchee"
+        )
+        self.open_room(scheduler, room)
+        scheduler.step()
+        assert executed == [(0, 99, ActionKind.ROOM_INVITE, 0)] * 3
+
+    def test_fan_out_of_n_adds_n_to_the_cap_count(self):
+        scheduler, _, room = self.watched_room(agents=3, rules=2)
+        self.open_room(scheduler, room)
+        assert scheduler._reactions_this_tick == 6
+        scheduler.enqueue_reaction(ActionKind.REPORT, None)
+        assert scheduler._reactions_this_tick == 7
+        scheduler.step()
+        assert scheduler._reactions_this_tick == 0
+
+    def test_fan_out_up_to_the_cap_is_queued(self):
+        scheduler, executed, room = self.watched_room(agents=3, rules=2, cascade_cap=6)
+        assert len(self.open_room(scheduler, room)) == 6
+        scheduler.step()
+        assert len(executed) == 6
+
+    def test_overflowing_fan_out_raises_and_queues_nothing(self):
+        # Rule 0's three reactions fit under the cap of 4; rule 1's three do not.
+        scheduler, executed, room = self.watched_room(agents=3, rules=2, cascade_cap=4)
+        with pytest.raises(CascadeOverflowError) as exc:
+            self.open_room(scheduler, room)
+        assert str(exc.value) == (
+            "more than 4 reactions (the cascade cap) in tick 0; "
+            "the reaction over the cap was fired by watcher rule 1 on meeting_room 0"
+        )
+        assert len(scheduler._heap) == 1
+        scheduler.step()
+        assert [target for *_, target in executed] == [0, 1, 2]
+
+    def test_cancelling_the_entry_cancels_every_member(self):
+        scheduler, executed, room = self.watched_room()
+        (fire, *_) = self.open_room(scheduler, room)
+        scheduler.cancel(fire.action)
+        scheduler.step()
+        assert executed == []
+
+    def test_cancel_from_a_member_leaves_the_remaining_members_to_run(self):
+        scheduler, executed, room = self.watched_room()
+        (fire, *_) = self.open_room(scheduler, room)
+        executor = scheduler.executor
+        scheduler.executor = lambda action: executor(action) or scheduler.cancel(action)
+        scheduler.step()
+        assert [target for *_, target in executed] == [0, 1, 2]
 
 
 class TestSameTickReactions:
