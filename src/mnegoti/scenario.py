@@ -11,7 +11,7 @@ load: a score on a cost criterion is flipped to 1 - score, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import yaml
@@ -613,6 +613,21 @@ def load_scenario_file(path: str | Path) -> Scenario:
     return parse_scenario_text(Path(path).read_text(encoding="utf-8"))
 
 
+def _members_matching(scenario: Scenario, query: Query) -> int:
+    """At most how many members ``query`` can match by kind, id and group."""
+    count = 0
+    if query.kind is not ObjectKind.MEETING_ROOM:
+        if query.ident is not None:
+            count += 1
+        elif query.group_id is not None:
+            count += next(g.member_count for g in scenario.groups if g.id == query.group_id)
+        else:
+            count += scenario.total_agents
+    if query.kind is not ObjectKind.AGENT and query.group_id is None:
+        count += 1 if query.ident is not None else len(scenario.rooms)
+    return count
+
+
 def open_fanout(scenario: Scenario) -> list[tuple[int, int, int]]:
     """(tick, rule id, bound) for each tick with scheduled opens and each rule they can fire.
 
@@ -621,8 +636,8 @@ def open_fanout(scenario: Scenario) -> list[tuple[int, int, int]]:
     loader has already rejected such a query with an agent kind or another
     state, so only its id can rule a room out. Each
     opening then fires at most one reaction per watcher the rule's query can
-    match by kind and group, so the bound is the matching opens scheduled at
-    the tick times those watchers. Every reaction counts against the
+    match by kind, id and group, so the bound is the matching opens scheduled
+    at the tick times those watchers. Every reaction counts against the
     scheduler's per-tick cascade cap.
     """
     opens: dict[int, list[int]] = {}
@@ -630,22 +645,13 @@ def open_fanout(scenario: Scenario) -> list[tuple[int, int, int]]:
         for entry in room.schedule:
             if entry.action == "open":
                 opens.setdefault(entry.at, []).append(room.id)
-    group_sizes = {g.id: g.member_count for g in scenario.groups}
     bounds = []
     for rule_id, rule in enumerate(scenario.watchers):
-        watchee, watcher = rule.watchee_query, rule.watcher_query
         if rule.trigger.watchee_state != RoomState.OPEN.value:
             continue
-        watchers = 0
-        if watcher.kind is not ObjectKind.MEETING_ROOM:
-            if watcher.group_id is None:
-                watchers += scenario.total_agents
-            else:
-                watchers += group_sizes[watcher.group_id]
-        if watcher.kind is not ObjectKind.AGENT and watcher.group_id is None:
-            watchers += len(scenario.rooms)
+        watchers = _members_matching(scenario, rule.watcher_query)
         for tick, room_ids in opens.items():
-            matching = sum(1 for r in room_ids if watchee.ident in (None, r))
+            matching = sum(1 for r in room_ids if rule.watchee_query.ident in (None, r))
             bounds.append((tick, rule_id, matching * watchers))
     return sorted(bounds)
 
@@ -657,20 +663,9 @@ def agent_watch_fanout(scenario: Scenario) -> list[tuple[int, int, int]]:
     its trigger tests an agent state. It fires once per watcher each time
     an agent its watchee query matches changes into that state, at any
     tick, so a tick in which each such agent changes once fires watchers x
-    agent watchees reactions, all counted against the cascade cap. Both
-    sides are counted by kind, id and group; a kind-less watcher query
-    counts the rooms it can match as well.
+    agent watchees reactions, all counted against the cascade cap.
     """
     agent_states = _STATES_BY_KIND[ObjectKind.AGENT]
-    group_sizes = {g.id: g.member_count for g in scenario.groups}
-
-    def agents(query: Query) -> int:
-        if query.ident is not None:
-            return 1
-        if query.group_id is not None:
-            return group_sizes[query.group_id]
-        return scenario.total_agents
-
     fanouts = []
     for rule_id, rule in enumerate(scenario.watchers):
         watcher, watchee = rule.watcher_query, rule.watchee_query
@@ -681,8 +676,6 @@ def agent_watch_fanout(scenario: Scenario) -> list[tuple[int, int, int]]:
             or watcher_state not in (None, *agent_states)
         ):
             continue
-        watchers = agents(watcher)
-        if watcher.kind is None and watcher.group_id is None:
-            watchers += 1 if watcher.ident is not None else len(scenario.rooms)
-        fanouts.append((rule_id, watchers, agents(watchee)))
+        agents = _members_matching(scenario, replace(watchee, kind=ObjectKind.AGENT))
+        fanouts.append((rule_id, _members_matching(scenario, watcher), agents))
     return fanouts

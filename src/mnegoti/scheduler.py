@@ -88,8 +88,7 @@ class FanOut:
     seq: int
     target: Any = None
     cancelled: bool = False
-    interval: ClassVar[int] = 0
-    payload: ClassVar[Any] = None
+    interval: ClassVar[int] = 0  # read by ``step``; a fan-out never repeats
 
 
 @dataclass(frozen=True)

@@ -752,6 +752,7 @@ class TestOpenFanout:
             ({}, [(1, 0, 5)]),
             ({"watcher": {"kind": "agent", "group_id": 1}}, [(1, 0, 3)]),
             ({"watcher": {"kind": "agent", "group_id": 0}}, [(1, 0, 2)]),
+            ({"watcher": {"kind": "agent", "id": 4}}, [(1, 0, 1)]),
             ({"watchee": {"kind": "meeting_room", "id": 1}}, [(1, 0, 0)]),
             ({"watchee": {}}, [(1, 0, 5)]),
             (
