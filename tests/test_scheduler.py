@@ -593,7 +593,6 @@ class TestFanOut:
         for _ in range(rules):
             scheduler.register_watcher(TestWatchers.room_open_rule())
         executed = []
-
         scheduler.executor = lambda action: executed.append(
             (scheduler.now, scheduler.current_band, action.kind, action.target)
         )
@@ -636,8 +635,8 @@ class TestFanOut:
 
     def test_same_band_schedule_from_a_member_runs_after_every_remaining_member(self):
         scheduler, executed, room = self.watched_room()
-        (fire, *_) = self.open_room(scheduler, room)
-        queued = scheduler.schedule(ScheduledAction(kind=ActionKind.REPORT, target="queued", priority=99))
+        self.open_room(scheduler, room)
+        scheduler.schedule(ScheduledAction(kind=ActionKind.REPORT, target="queued", priority=99))
 
         def follow_up():
             scheduler.schedule(ScheduledAction(kind=ActionKind.REPORT, target="own band", priority=99))
