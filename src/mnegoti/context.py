@@ -8,8 +8,8 @@ walks the agents, then the rooms. Membership is fixed once ``Simulation``
 is constructed: agents and rooms are added during set-up and never leave.
 The context holds no relation over its members: groups
 are read from each agent's ``group_id``, and the scenario's
-``social_edges`` are validated on load but not materialised, since no
-strategy or protocol reads them.
+``social_edges`` are validated on load but not kept, since no strategy
+or protocol reads them.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 Wires the population context, meeting rooms, watcher rules and the tick
 scheduler together, dispatches scheduled actions, and accumulates the
 ordered event log. ``run`` steps ticks 0..ticks; ``step`` runs one tick
-and does nothing once the last tick has run. Everything an action
-mutates is notified to the scheduler so watcher rules can react; the
-sequence of log records is a pure function of (scenario, seed).
+and does nothing once the last tick has run. Every state change an
+action makes goes through ``_notify``, which reports it to the scheduler
+so watcher rules can react and logs what fired; the sequence of log
+records is a pure function of (scenario, seed).
 
 An agent scan walks only the open rooms, and a watching agent whose last
 scan found no room skips the walk until another room opens (see
@@ -44,7 +45,7 @@ from .protocols import (
 )
 from .rooms import AdmissionKind, MeetingRoom, RoomState
 from .scenario import Scenario
-from .scheduler import ActionKind, FiredReaction, ScheduledAction, Scheduler
+from .scheduler import ActionKind, ScheduledAction, Scheduler
 
 # Default priority bands; larger runs earlier within a tick. Watcher
 # reactions land one band below the action that fired them.
@@ -118,33 +119,28 @@ class Simulation:
                 members=[a.id for a in members],
             )
 
-        for spec in sorted(self.scenario.rooms, key=lambda r: r.id):
+        specs = sorted(self.scenario.rooms, key=lambda r: r.id)
+        for spec in specs:
             self.context.add(ObjectKind.MEETING_ROOM, spec.id, MeetingRoom(spec.id))
 
         for rule in self.scenario.watchers:
             self.scheduler.register_watcher(rule)
 
-        for spec in sorted(self.scenario.rooms, key=lambda r: r.id):
+        for spec in specs:
             for entry in spec.schedule:
                 if entry.action == "open":
-                    self.scheduler.schedule(
-                        ScheduledAction(
-                            kind=ActionKind.ROOM_OPEN,
-                            target=spec.id,
-                            start=entry.at,
-                            priority=entry.priority if entry.priority is not None else OPEN_PRIORITY,
-                            payload=entry.agenda,
-                        )
-                    )
+                    kind, band = ActionKind.ROOM_OPEN, OPEN_PRIORITY
                 else:
-                    self.scheduler.schedule(
-                        ScheduledAction(
-                            kind=ActionKind.ROOM_CLOSE,
-                            target=spec.id,
-                            start=entry.at,
-                            priority=entry.priority if entry.priority is not None else CLOSE_PRIORITY,
-                        )
+                    kind, band = ActionKind.ROOM_CLOSE, CLOSE_PRIORITY
+                self.scheduler.schedule(
+                    ScheduledAction(
+                        kind=kind,
+                        target=spec.id,
+                        start=entry.at,
+                        priority=entry.priority if entry.priority is not None else band,
+                        payload=entry.agenda,
                     )
+                )
 
     # -- run loop --------------------------------------------------------
 
@@ -180,21 +176,17 @@ class Simulation:
         self._setup_records.append(EventRecord(0, None, kind, data))
 
     def _notify_agent(self, agent: Agent, old_phase: AgentPhase) -> None:
-        fired = self.scheduler.notify_state_change(
-            ObjectKind.AGENT, agent.id, old_phase.value, agent.phase.value, agent
-        )
-        self._log_fired(fired)
+        self._notify(ObjectKind.AGENT, agent.id, old_phase.value, agent.phase.value, agent)
 
     def _notify_room(self, room: MeetingRoom, old_state: RoomState) -> None:
-        fired = self.scheduler.notify_state_change(
-            ObjectKind.MEETING_ROOM, room.id, old_state.value, room.room_state.value, room
-        )
-        self._log_fired(fired)
+        self._notify(ObjectKind.MEETING_ROOM, room.id, old_state.value, room.room_state.value, room)
 
-    def _log_fired(self, fired: list[FiredReaction]) -> None:
+    def _notify(self, kind: ObjectKind, ident: int, old: str, new: str, obj: Any) -> None:
+        """Report a state change to the watcher rules and log what fired: the one place for both."""
+        scheduler = self.scheduler
+        fired = scheduler.notify_state_change(kind, ident, old, new, obj)
         if fired:
-            scheduler = self.scheduler
-            self.events.log_fired(scheduler.now, scheduler.current_band, fired)
+            self.events.log_fired(scheduler.now, scheduler.current_band, kind, ident, fired)
 
     # -- action dispatch ---------------------------------------------------
 
@@ -304,7 +296,7 @@ class Simulation:
     def _exec_negotiation_round(self, action: ScheduledAction) -> None:
         room = self.rooms[action.target]
         if room.room_state is RoomState.CLOSED:
-            self.scheduler.cancel(action)
+            # Only a negotiation_round reaction gets here: closing cancels the round clock.
             return
         if room.room_state is RoomState.OPEN:
             attendees = room.attendee_ids()

@@ -8,10 +8,10 @@ ASCII only, floats as ``float.__repr__``.
 open events.log, through three calls: ``append`` for one record,
 ``log_round`` for a negotiation round, whose lines are formatted from its
 ``RoundBlock`` with one tail per kind shared by the round, and
-``log_fired`` for one state change's watcher fan-out, whose lines share
-one formatted prefix and differ only in the watcher id. Each line is
-written as it is formatted; a round or a fan-out is never joined into one
-string, and no record of either is built.
+``log_fired`` for one state change's watcher fires, whose lines share
+one formatted prefix per queued entry and differ only in the watcher id.
+Each line is written as it is formatted; a round or a fan-out is never
+joined into one string, and no record of either is built.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import json
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
+from .context import ObjectKind
 from .protocols import RoundBlock
 from .scheduler import FiredReaction
 
@@ -209,24 +210,26 @@ class EventLog:
                 data = {"room": room_id, "round": block.round, "issue": issue}
                 self.append(EventRecord(tick, band, kind, data))
 
-    def log_fired(self, tick: int, priority: int | None, fired: Sequence[FiredReaction]) -> None:
-        """Write one ``watcher_fired`` line per fire of one state change; they share its watchee.
+    def log_fired(
+        self, tick: int, priority: int | None, watchee_kind: ObjectKind, watchee: int,
+        fired: Sequence[FiredReaction],
+    ) -> None:
+        """Write one ``watcher_fired`` line per fire of one change of ``watchee``.
 
         Only the kind, ``start`` and ``priority`` of a fire's ``action`` are
         read; the scheduler's fires of one rule share one ``FanOut`` there.
-        The prefix is formatted again only when the rule, reaction, ``at``
-        or ``band`` differs from the previous fire's.
+        The prefix is formatted again only when the rule or the entry, by
+        identity, differs from the previous fire's.
         """
         self.count += len(fired)
         write = self._write
         tail = _fired_tail(tick, priority) + "\n"
-        key = head = None
-        for rule, watcher, watchee_kind, watchee, action in fired:
-            fire_key = (rule, action.kind, action.start, action.priority)
-            if fire_key != key:
-                key = fire_key
+        rule = entry = head = None
+        for rule_id, watcher, action in fired:
+            if action is not entry or rule_id != rule:
+                rule, entry = rule_id, action
                 head = _fired_head(
-                    action.start, action.priority, action.kind.value, rule, watchee,
+                    action.start, action.priority, action.kind.value, rule_id, watchee,
                     watchee_kind.value
                 )
             write(head + str(watcher) + tail)

@@ -93,7 +93,6 @@ class Scenario:
     criteria: tuple[Criterion, ...]
     issues: tuple[Issue, ...]  # direction-normalized
     groups: tuple[AgentGroup, ...]
-    social_edges: tuple[tuple[int, int], ...]
     protocols: tuple[ProtocolConfig, ...]
     rooms: tuple[RoomSpec, ...]
     watchers: tuple[WatcherRule, ...]
@@ -308,10 +307,9 @@ def _parse_groups(raw, n_criteria: int, path: str) -> tuple[AgentGroup, ...]:
     return tuple(groups)
 
 
-def _parse_social_edges(raw, total_agents: int, path: str) -> tuple[tuple[int, int], ...]:
-    items = _sequence(raw, path)
-    edges = []
-    for k, item in enumerate(items):
+def _parse_social_edges(raw, total_agents: int, path: str) -> None:
+    """Validate the edges; nothing reads them, so the scenario does not keep them."""
+    for k, item in enumerate(_sequence(raw, path)):
         p = f"{path}[{k}]"
         pair = _sequence(item, p)
         if len(pair) != 2:
@@ -325,8 +323,6 @@ def _parse_social_edges(raw, total_agents: int, path: str) -> tuple[tuple[int, i
                 raise ValidationError(
                     f"{p}{side}", f"agent {value} does not exist (population is {total_agents})"
                 )
-        edges.append((a, b))
-    return tuple(edges)
 
 
 def _parse_protocols(raw, path: str) -> tuple[ProtocolConfig, ...]:
@@ -579,7 +575,7 @@ def load_scenario(document) -> Scenario:
     group_ids = {g.id for g in groups}
     issue_ids = {i.id for i in issues}
 
-    social_edges = _parse_social_edges(doc.get("social_edges", []), total_agents, "social_edges")
+    _parse_social_edges(doc.get("social_edges", []), total_agents, "social_edges")
     protocols = _parse_protocols(doc.get("protocols", []), "protocols")
     rooms = _parse_rooms(
         doc.get("rooms", []), issue_ids, group_ids, protocols, total_agents, "rooms"
@@ -594,7 +590,6 @@ def load_scenario(document) -> Scenario:
         criteria=criteria,
         issues=issues,
         groups=groups,
-        social_edges=social_edges,
         protocols=protocols,
         rooms=rooms,
         watchers=watchers,

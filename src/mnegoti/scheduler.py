@@ -25,6 +25,10 @@ entry takes one seq per target, a contiguous range, so every later seq is
 the one it would be with one action per watcher. A duplicate agent scan
 runs like any other reaction; the engine's scan then returns at once
 (see ``Simulation._exec_agent_scan``).
+
+Every reaction, an engine follow-up too, is a ``FanOut`` that
+``_push_reactions`` counts against the cap and queues; a
+``ScheduledAction`` is only what ``schedule`` queues.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Callable, ClassVar, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .context import Context, ObjectKind, Query, _state_name
 from .errors import CascadeOverflowError, SchedulingError
@@ -56,7 +60,7 @@ class ReactionOffset(str, Enum):
 
 @dataclass(slots=True)
 class ScheduledAction:
-    """One queue entry; interval 0 means one-shot, > 0 re-enqueues after running."""
+    """One entry queued by ``schedule``; interval 0 is one-shot, > 0 re-enqueues after running."""
 
     kind: ActionKind
     target: Any = None
@@ -76,9 +80,7 @@ class FanOut:
     seq is the first of ``len(targets)`` consecutive seqs. The executor is
     handed the entry itself once per member, with ``target`` set to that
     member's target. Cancelling the entry before it runs cancels every
-    member; the engine never cancels a reaction, and a cancel made while a
-    member runs leaves the remaining members to run, as it would leave
-    their own actions.
+    member; the engine never cancels a reaction.
     """
 
     kind: ActionKind
@@ -88,7 +90,6 @@ class FanOut:
     seq: int
     target: Any = None
     cancelled: bool = False
-    interval: ClassVar[int] = 0  # read by ``step``; a fan-out never repeats
 
 
 @dataclass(frozen=True)
@@ -120,12 +121,10 @@ class WatcherRule:
 
 
 class FiredReaction(NamedTuple):
-    """One watcher's reaction to one state change; ``action`` is the rule's queued ``FanOut``."""
+    """One watcher's reaction to the caller's state change; ``action`` is the rule's ``FanOut``."""
 
     rule_id: int
     watcher_id: int
-    watchee_kind: ObjectKind
-    watchee_id: int
     action: FanOut
 
 
@@ -222,12 +221,6 @@ class Scheduler:
                 wanted = rule.watcher_query.state
             elif rule.watcher_query.state not in (None, wanted):
                 continue
-            if rule.when is ReactionOffset.NEXT_TICK:
-                start = self.now + 1
-                priority = rule.priority if rule.priority is not None else 0
-            else:
-                start = self.now
-                priority = self._same_tick_band(rule.priority)
             candidates = self._watcher_candidates(rule.watcher_query)
             if wanted is None:
                 watchers = [i for i, _ in candidates]
@@ -235,15 +228,11 @@ class Scheduler:
                 watchers = [i for i, o in candidates if _state_name(o) == wanted]
             if not watchers:
                 continue
-            self._reactions_this_tick += len(watchers)
-            if self._reactions_this_tick > self.cascade_cap:
-                raise self._overflow(f"fired by watcher rule {rule_id} on {kind.value} {ident}")
             targets = watchers if rule.target_role == "watcher" else [ident] * len(watchers)
-            seq = self._seq_counter
-            self._seq_counter += len(targets)
-            entry = FanOut(rule.reaction_kind, targets, start, priority, seq)
-            heapq.heappush(self._heap, (start, -priority, seq, entry))
-            fired += [FiredReaction(rule_id, w, kind, ident, entry) for w in watchers]
+            entry = self._push_reactions(
+                rule.reaction_kind, targets, rule.when, rule.priority, (rule_id, kind, ident)
+            )
+            fired += [FiredReaction(rule_id, w, entry) for w in watchers]
         return fired
 
     def _watcher_candidates(self, query: Query) -> list[tuple[int, Any]]:
@@ -268,35 +257,53 @@ class Scheduler:
 
     def enqueue_reaction(
         self, kind: ActionKind, target: Any, priority: int | None = None
-    ) -> ScheduledAction:
+    ) -> FanOut:
         """Engine hook for direct same-tick follow-ups (e.g. invitation scans).
 
-        Each follow-up is one action, counted against the cascade cap.
+        Each follow-up is a one-member ``FanOut``, counted against the cascade cap.
         """
-        self._reactions_this_tick += 1
+        return self._push_reactions(kind, [target], ReactionOffset.SAME_TICK, priority)
+
+    def _push_reactions(
+        self, kind: ActionKind, targets: list[Any], when: ReactionOffset,
+        configured: int | None, fired_by: tuple[int, ObjectKind, int] | None = None,
+    ) -> FanOut:
+        """Count ``targets`` against the cascade cap, then queue them as one ``FanOut``.
+
+        ``fired_by`` is a watcher fire's (rule id, watchee kind, watchee id),
+        None for an engine follow-up; only the overflow message reads it.
+        """
+        self._reactions_this_tick += len(targets)
         if self._reactions_this_tick > self.cascade_cap:
-            raise self._overflow(f"an engine follow-up {kind.value}")
-        action = ScheduledAction(
-            kind=kind, target=target, start=self.now, priority=self._same_tick_band(priority)
-        )
-        self._push(action, self.now)
-        return action
+            if fired_by is None:
+                cause = f"an engine follow-up {kind.value}"
+            else:
+                rule_id, watchee_kind, watchee = fired_by
+                cause = f"fired by watcher rule {rule_id} on {watchee_kind.value} {watchee}"
+            raise CascadeOverflowError(
+                f"more than {self.cascade_cap} reactions (the cascade cap) in tick "
+                f"{self.now}; the reaction over the cap was {cause}"
+            )
+        start, band = self._reaction_slot(when, configured)
+        seq = self._seq_counter
+        self._seq_counter += len(targets)
+        entry = FanOut(kind, targets, start, band, seq)
+        heapq.heappush(self._heap, (start, -band, seq, entry))
+        return entry
 
-    def _overflow(self, cause: str) -> CascadeOverflowError:
-        return CascadeOverflowError(
-            f"more than {self.cascade_cap} reactions (the cascade cap) in tick "
-            f"{self.now}; the reaction over the cap was {cause}"
-        )
+    def _reaction_slot(self, when: ReactionOffset, configured: int | None) -> tuple[int, int]:
+        """The (start tick, band) of a reaction queued now with ``configured`` priority.
 
-    def _same_tick_band(self, configured: int | None) -> int:
-        # Reactions always land strictly below the band being executed; a
-        # configured priority may lower the band further but never raise it.
+        A same-tick reaction always lands strictly below the band being
+        executed; a configured priority may lower the band but never raise it.
+        """
+        band = configured if configured is not None else 0
+        if when is ReactionOffset.NEXT_TICK:
+            return self.now + 1, band
         if self.current_band is None:
-            return configured if configured is not None else 0
+            return self.now, band
         cap = self.current_band - 1
-        if configured is None:
-            return cap
-        return min(configured, cap)
+        return self.now, cap if configured is None else min(configured, cap)
 
     # -- execution -----------------------------------------------------
 
@@ -304,7 +311,8 @@ class Scheduler:
         """Run every action of the current tick, then advance ``now``.
 
         A ``FanOut`` runs its members in order, each through the executor
-        with ``target`` set to the member's target.
+        with ``target`` set to the member's target. A ``ScheduledAction``
+        with an interval is queued again unless it was cancelled.
         """
         tick = self.now
         self._reactions_this_tick = 0
@@ -315,14 +323,15 @@ class Scheduler:
                 continue
             self.current_band = action.priority
             execute = self.executor
-            if execute is not None:
-                if type(action) is FanOut:
+            if type(action) is FanOut:
+                if execute is not None:
                     for target in action.targets:
                         action.target = target
                         execute(action)
-                else:
+            else:
+                if execute is not None:
                     execute(action)
+                if action.interval > 0 and not action.cancelled:
+                    self._push(action, tick + action.interval)
             self.current_band = None
-            if action.interval > 0 and not action.cancelled:
-                self._push(action, tick + action.interval)
         self.now += 1

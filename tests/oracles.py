@@ -14,7 +14,7 @@ from mnegoti.errors import CascadeOverflowError
 from mnegoti.model import TRUNCNORM_MAX_REJECTIONS, AgentPhase, DistributionKind
 from mnegoti.context import _state_name
 from mnegoti.rooms import RoomState
-from mnegoti.scheduler import FiredReaction, ReactionOffset, ScheduledAction
+from mnegoti.scheduler import FiredReaction, ScheduledAction
 
 
 def oracle_threshold(utilities: list[float], t: int, max_rounds: int, beta: float) -> float:
@@ -425,12 +425,7 @@ def notify_one_action_per_fire(scheduler, kind, ident, old_state, new_state, obj
             wanted = rule.watcher_query.state
         elif rule.watcher_query.state not in (None, wanted):
             continue
-        if rule.when is ReactionOffset.NEXT_TICK:
-            start = scheduler.now + 1
-            priority = rule.priority if rule.priority is not None else 0
-        else:
-            start = scheduler.now
-            priority = scheduler._same_tick_band(rule.priority)
+        start, priority = scheduler._reaction_slot(rule.when, rule.priority)
         for watcher_id, watcher_obj in scheduler._watcher_candidates(rule.watcher_query):
             if wanted is not None and _state_name(watcher_obj) != wanted:
                 continue
@@ -438,7 +433,7 @@ def notify_one_action_per_fire(scheduler, kind, ident, old_state, new_state, obj
             action = queue_every_scan(
                 scheduler, rule.reaction_kind, target, start, priority, rule_id, (kind, ident)
             )
-            fired.append(FiredReaction(rule_id, watcher_id, kind, ident, action))
+            fired.append(FiredReaction(rule_id, watcher_id, action))
     return fired
 
 

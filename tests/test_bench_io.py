@@ -25,7 +25,7 @@ from mnegoti.eventlog import EventLog, event_line
 from mnegoti.protocols import Offer, RoundBlock
 from mnegoti.runner import run, write_artifacts
 from mnegoti.scenario import load_scenario_file, parse_scenario_text
-from mnegoti.scheduler import ActionKind, FiredReaction, ScheduledAction
+from mnegoti.scheduler import ActionKind, FanOut, FiredReaction
 
 from conftest import SCENARIO_DIR
 
@@ -61,20 +61,16 @@ def test_log_records(benchmark):
 
 
 def test_log_fan_out(benchmark, tmp_path):
-    # One room opening seen by 2 000 watching agents, each firing a scan.
-    fired = [
-        FiredReaction(
-            0, agent, ObjectKind.MEETING_ROOM, 3,
-            ScheduledAction(kind=ActionKind.AGENT_SCAN, target=agent, start=12, priority=99),
-        )
-        for agent in range(2_000)
-    ]
+    # One room opening seen by 2 000 watching agents, each firing a scan:
+    # one queued entry, as the scheduler makes it.
+    entry = FanOut(ActionKind.AGENT_SCAN, list(range(2_000)), start=12, priority=99, seq=0)
+    fired = [FiredReaction(0, agent, entry) for agent in entry.targets]
     with open(tmp_path / "events.log", "w", encoding="utf-8") as file:
         writer = EventLog(file)
 
         def log_fan_out():
             file.seek(0)
-            writer.log_fired(12, 100, fired)
+            writer.log_fired(12, 100, ObjectKind.MEETING_ROOM, 3, fired)
 
         benchmark(log_fan_out)
     assert (tmp_path / "events.log").read_text().count("\n") == 2_000

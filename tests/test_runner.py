@@ -33,7 +33,7 @@ from mnegoti.protocols import Offer, RoundBlock
 from mnegoti.runner import SummaryRow, population_rows, run, summarize
 from mnegoti.scenario import load_scenario, load_scenario_file
 from mnegoti.rooms import MeetingRoom
-from mnegoti.scheduler import ActionKind, FiredReaction, ScheduledAction, Scheduler
+from mnegoti.scheduler import ActionKind, FanOut, FiredReaction, ScheduledAction, Scheduler
 
 from conftest import SCENARIO_DIR, benchmark_module
 from oracles import notify_one_action_per_fire, scan_every_room
@@ -234,6 +234,30 @@ class TestWatcherFlow:
         assert [e.tick for e in opened] == [1]
         assert [(e.tick, e.data["agent"]) for e in entered] == [(1, 0), (1, 1)]
         assert [e.tick for e in started] == [2]
+
+    def test_round_reaction_at_a_closed_room_does_nothing(self, minimal_doc):
+        # Every room runs a round when a room opens. Room 0 never opens, so
+        # the fan-out's first member finds it closed and logs nothing; the
+        # second still runs and starts room 1's session in the reaction band.
+        minimal_doc["rooms"][0]["id"] = 1
+        minimal_doc["rooms"].insert(0, {"id": 0, "schedule": []})
+        minimal_doc["watchers"].append(
+            {
+                "watcher": {"kind": "meeting_room"},
+                "watchee": {"kind": "meeting_room"},
+                "trigger": {"watchee.state": "open"},
+                "reaction": {"kind": "negotiation_round"},
+            }
+        )
+        sim = Simulation(load_scenario(minimal_doc), seed=5)
+        sim.run()
+        fired = [e.data for e in sim.events if e.kind == "watcher_fired" and e.data["rule"] == 1]
+        assert [(f["watcher"], f["reaction"], f["band"]) for f in fired] == [
+            (0, "negotiation_round", 99), (1, "negotiation_round", 99)
+        ]
+        reactions = [(e.kind, e.data["room"]) for e in sim.events if (e.tick, e.priority) == (1, 99)]
+        assert reactions[:3] == [("agent_entered", 1), ("agent_entered", 1), ("session_started", 1)]
+        assert {room for _, room in reactions} == {1}
 
     def test_agents_without_admissible_room_watch(self, minimal_doc):
         minimal_doc["groups"].append(
@@ -1024,14 +1048,11 @@ class TestEventLine:
     )
     @settings(max_examples=200, deadline=None)
     def test_fan_out_equals_reference(self, tick, priority, watchee_kind, watchee, runs):
-        fired = [
-            FiredReaction(
-                rule, watcher, watchee_kind, watchee,
-                ScheduledAction(kind=reaction, target=watcher, start=at, priority=band),
-            )
-            for rule, reaction, at, band, watchers in runs
-            for watcher in watchers
-        ]
+        # One entry per run of fires, as the scheduler queues them.
+        fired = []
+        for rule, reaction, at, band, watchers in runs:
+            entry = FanOut(reaction, watchers, at, band, seq=0)
+            fired += [FiredReaction(rule, watcher, entry) for watcher in watchers]
         expected = [
             EventRecord(
                 tick,
@@ -1050,7 +1071,7 @@ class TestEventLine:
             for f in fired
         ]
         log = EventLog()
-        log.log_fired(tick, priority, fired)
+        log.log_fired(tick, priority, watchee_kind, watchee, fired)
         assert len(log) == len(fired)
         assert log.text() == "".join(reference_line(e) + "\n" for e in expected)
 

@@ -15,6 +15,7 @@ from mnegoti.model import Agent, AgentPhase
 from mnegoti.rooms import MeetingRoom, RoomState
 from mnegoti.scheduler import (
     ActionKind,
+    FanOut,
     ReactionOffset,
     ScheduledAction,
     Scheduler,
@@ -483,7 +484,6 @@ class TestNotifyOracle:
                 )
                 for f in fired
             ] == expected
-            assert all((f.watchee_kind, f.watchee_id) == (kind, ident) for f in fired)
 
 
 # What an executed action does next, in execution order: (effect, draw, draw).
@@ -675,6 +675,33 @@ class TestFanOut:
         assert scheduler._reactions_this_tick == 7
         scheduler.step()
         assert scheduler._reactions_this_tick == 0
+
+    def test_follow_up_is_a_one_member_fan_out(self):
+        scheduler, _, room = self.watched_room()
+        (fire, *_) = self.open_room(scheduler, room)
+        scheduler.current_band = self.OPENING_BAND
+        follow_up = scheduler.enqueue_reaction(ActionKind.ROOM_INVITE, 7)
+        scheduler.current_band = None
+        assert type(follow_up) is FanOut
+        assert (follow_up.kind, follow_up.targets, follow_up.start, follow_up.priority) == (
+            ActionKind.ROOM_INVITE, [7], 0, 99
+        )
+        assert follow_up.seq == fire.action.seq + 3
+        assert scheduler._reactions_this_tick == 4
+        after = scheduler.schedule(ScheduledAction(kind=ActionKind.REPORT, priority=99))
+        assert after.seq == follow_up.seq + 1
+        assert [a for *_, a in sorted(scheduler._heap)] == [fire.action, follow_up, after]
+
+    def test_follow_up_over_the_cap_raises_and_queues_nothing(self):
+        scheduler, _, room = self.watched_room(cascade_cap=3)
+        self.open_room(scheduler, room)
+        with pytest.raises(CascadeOverflowError) as exc:
+            scheduler.enqueue_reaction(ActionKind.AGENT_SCAN, 0)
+        assert str(exc.value) == (
+            "more than 3 reactions (the cascade cap) in tick 0; "
+            "the reaction over the cap was an engine follow-up agent_scan"
+        )
+        assert len(scheduler._heap) == 1
 
     def test_fan_out_up_to_the_cap_is_queued(self):
         scheduler, executed, room = self.watched_room(agents=3, rules=2, cascade_cap=6)
