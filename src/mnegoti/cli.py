@@ -156,13 +156,17 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_inspect(args)
+    args = build_parser().parse_args(argv)
+    command = {"validate": _cmd_validate, "run": _cmd_run, "inspect": _cmd_inspect}
+    try:
+        status = command[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`inspect LOG | head`): exit 0 quietly, with
+        # stdout on os.devnull so that the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -8,12 +8,13 @@ action makes goes through ``_notify``, which reports it to the scheduler
 so watcher rules can react and logs what fired; the sequence of log
 records is a pure function of (scenario, seed).
 
-An agent scan walks only the open rooms, and a watching agent whose last
-scan found no room skips the walk until another room opens (see
-``_exec_agent_scan``). The scans one room opening fires run as one queue
-entry, a ``scheduler.FanOut``; an agent that several openings of one
-band fire a scan for runs each of them, and every scan after its first
-returns at once. Log records are plain named tuples, built positionally.
+An agent scan makes one ``check_admission`` call per open room, and a
+watching agent whose last scan found no room skips the walk until another
+room opens (see ``_exec_agent_scan``). The scans one room opening fires
+run as one queue entry, a ``scheduler.FanOut``; an agent that several
+openings of one band fire a scan for runs each of them, and every scan
+after its first returns at once. Log records are plain named tuples,
+built positionally.
 
 Records go to ``Simulation.events``, an ``EventLog``, which writes each
 as its events.log line: to a buffer in memory, or to the file an on-disk
@@ -51,7 +52,6 @@ from .scheduler import ActionKind, ScheduledAction, Scheduler
 # reactions land one band below the action that fired them.
 OPEN_PRIORITY = 100
 CLOSE_PRIORITY = 90
-SCAN_PRIORITY = 80
 ROUND_PRIORITY = 50
 
 # Kept importable only because benchmark/tracing.py patches this name;
@@ -77,8 +77,6 @@ class Simulation:
             self.seed = self.scenario.seed
         if self.ticks is None:
             self.ticks = self.scenario.ticks
-        self.rng = np.random.default_rng(self.seed)
-        self.issues_by_id = {i.id: i for i in self.scenario.issues}
         self.group_strategies = {g.id: g.strategy for g in self.scenario.groups}
         self.context = Context()
         self.agents = self.context.agents
@@ -101,14 +99,15 @@ class Simulation:
             seed=self.seed,
             ticks=self.ticks,
             criteria=len(self.scenario.criteria),
-            issues=len(self.issues_by_id),
+            issues=len(self.scenario.issues),
             groups=len(self.scenario.groups),
             agents=self.scenario.total_agents,
             rooms=len(self.scenario.rooms),
         )
+        rng = np.random.default_rng(self.seed)
         next_id = 0
         for group in self.scenario.groups:
-            members = spawn_members(group, self.rng, next_id)
+            members = spawn_members(group, rng, next_id)
             next_id += group.member_count
             for agent in members:
                 self.context.add(ObjectKind.AGENT, agent.id, agent)
@@ -217,8 +216,8 @@ class Simulation:
         self._log(
             "room_opened",
             room=room.id,
-            issues=list(agenda.issue_ids),
-            protocol=agenda.protocol_id,
+            issues=[issue.id for issue in agenda.issues],
+            protocol=agenda.protocol.id,
             admission=agenda.admission.kind.value,
             deadline_rounds=agenda.deadline_rounds,
         )
@@ -276,10 +275,8 @@ class Simulation:
         best = None
         best_utility = 0.0
         for room in self._open_rooms:
-            if not room.check_admission(agent, self.issues_by_id, self.scenario.theta_in):
-                continue
-            u = room.agenda_utility(agent, self.issues_by_id)
-            if best is None or u > best_utility:
+            u = room.check_admission(agent)
+            if u is not None and (best is None or u > best_utility):
                 best, best_utility = room, u
         if best is None:
             self._empty_scan_at[agent.id] = self._openings
@@ -304,16 +301,13 @@ class Simulation:
                 self._log("session_no_quorum", room=room.id, attendees=attendees)
                 self._close_room(room, failed_outcome(attendees, FailureReason.NO_QUORUM))
                 return
-            protocol = self.scenario.protocol(room.agenda.protocol_id)
-            session = room.start_session(
-                self.issues_by_id, protocol, self.group_strategies, self.now
-            )
+            session = room.start_session(self.group_strategies, self.now)
             self._open_rooms.remove(room)
             self._log(
                 "session_started",
                 room=room.id,
                 participants=list(session.participants),
-                protocol=protocol.kind.value,
+                protocol=session.protocol.kind.value,
                 issues=list(session.issue_ids),
                 deadline_rounds=session.deadline_rounds,
             )

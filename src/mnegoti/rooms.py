@@ -3,9 +3,9 @@
 A room cycles Closed -> Open -> InSession -> Closed (or Open -> Closed when
 no session starts). Attendees are kept by id in entry order. ``seat`` makes
 an agent an attendee; the engine seats an agent only after finding it idle
-or watching and ``check_admission`` true, so no agent attends twice. A room
-counts its completed openings in ``sessions``; what each one ended with is
-in the run's ``session_end`` records.
+or watching and admitted, so no agent attends twice. A room counts its
+completed openings in ``sessions``; what each one ended with is in the
+run's ``session_end`` records.
 """
 
 from __future__ import annotations
@@ -36,19 +36,19 @@ class AdmissionKind(str, Enum):
 class AdmissionPolicy:
     """Either group/interest conditions or an explicit invitation list.
 
-    In conditions mode ``groups`` empty means any group, and ``threshold``
-    None falls back to the scenario-wide interest threshold.
+    In conditions mode ``groups`` empty means any group; the loader gives a
+    policy with no ``threshold`` the scenario-wide ``theta_in``.
     """
 
     kind: AdmissionKind
     groups: tuple[int, ...] = ()
-    threshold: float | None = None
+    threshold: float = 0.0
     agents: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind is AdmissionKind.INVITATIONS and not self.agents:
             raise ConfigurationError("invitation admission needs a non-empty agent list")
-        if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
+        if not 0.0 <= self.threshold <= 1.0:
             raise ConfigurationError(f"admission threshold {self.threshold} outside [0, 1]")
 
     @cached_property
@@ -59,15 +59,15 @@ class AdmissionPolicy:
 
 @dataclass(frozen=True)
 class Agenda:
-    """What one room opening is about and who may take part."""
+    """What one room opening is about and who may take part, resolved at load."""
 
-    issue_ids: tuple[int, ...]
+    issues: tuple[Issue, ...]  # the scenario's own, by ascending id
     admission: AdmissionPolicy
-    protocol_id: str
+    protocol: ProtocolConfig  # the scenario's own
     deadline_rounds: int
 
     def __post_init__(self) -> None:
-        if not self.issue_ids:
+        if not self.issues:
             raise ConfigurationError("agenda needs at least one issue")
         if self.deadline_rounds < 1:
             raise ConfigurationError("agenda deadline_rounds must be >= 1")
@@ -83,8 +83,6 @@ class MeetingRoom:
         self.attendees: dict[int, Agent] = {}
         self.session: NegotiationSession | None = None
         self.sessions = 0
-        # Each agent's agenda utility, for the current opening only.
-        self._agenda_utilities: dict[int, float] = {}
 
     def attendee_ids(self) -> list[int]:
         return sorted(self.attendees)
@@ -95,54 +93,32 @@ class MeetingRoom:
                 f"room {self.id} is {self.room_state.value}, cannot open"
             )
         self.agenda = agenda
-        self._agenda_utilities = {}
         self.room_state = RoomState.OPEN
 
-    def agenda_utility(self, agent: Agent, issues_by_id: Mapping[int, Issue]) -> float:
-        """The agent's best utility over the current agenda, computed once per opening."""
-        if self.agenda is None:
-            raise RoomClosedError(f"room {self.id} has no agenda")
-        best = self._agenda_utilities.get(agent.id)
-        if best is None:
-            best = max(utility(agent, issues_by_id[i]) for i in self.agenda.issue_ids)
-            self._agenda_utilities[agent.id] = best
-        return best
-
-    def check_admission(
-        self,
-        agent: Agent,
-        issues_by_id: Mapping[int, Issue],
-        default_threshold: float = 0.0,
-    ) -> bool:
+    def check_admission(self, agent: Agent) -> float | None:
+        """The agent's best agenda utility if the room admits it, else None."""
         if self.room_state is not RoomState.OPEN:
             raise RoomClosedError(f"room {self.id} is not open")
         policy = self.agenda.admission
         if policy.kind is AdmissionKind.INVITATIONS:
-            return agent.id in policy.invited
-        if policy.groups and agent.group_id not in policy.groups:
-            return False
-        threshold = (
-            policy.threshold if policy.threshold is not None else default_threshold
-        )
-        return self.agenda_utility(agent, issues_by_id) >= threshold
+            if agent.id not in policy.invited:
+                return None
+        elif policy.groups and agent.group_id not in policy.groups:
+            return None
+        best = max(utility(agent, issue) for issue in self.agenda.issues)
+        if policy.kind is AdmissionKind.CONDITIONS and best < policy.threshold:
+            return None
+        return best
 
     def seat(self, agent: Agent) -> None:
-        """Make the agent an attendee, with no checks.
-
-        For a caller that has already found the room open, the agent idle or
-        watching, and ``check_admission`` true.
-        """
+        """Seat the agent, unchecked: the caller found it idle or watching, and admitted."""
         self.attendees[agent.id] = agent
         agent.phase = AgentPhase.IN_ROOM
 
     def start_session(
-        self,
-        issues_by_id: Mapping[int, Issue],
-        protocol: ProtocolConfig,
-        group_strategies: Mapping[int, StrategyConfig],
-        tick: int,
+        self, group_strategies: Mapping[int, StrategyConfig], tick: int
     ) -> NegotiationSession:
-        """Start a session of the attendees; each takes its group's strategy."""
+        """Start a session of the attendees on the agenda; each takes its group's strategy."""
         if self.room_state is not RoomState.OPEN:
             raise InvalidTransitionError(
                 f"room {self.id} is {self.room_state.value}, cannot start a session"
@@ -155,8 +131,8 @@ class MeetingRoom:
         session = build_session(
             room_id=self.id,
             agents=attendees,
-            issues=[issues_by_id[i] for i in self.agenda.issue_ids],
-            protocol=protocol,
+            issues=self.agenda.issues,
+            protocol=self.agenda.protocol,
             group_strategies=group_strategies,
             deadline_rounds=self.agenda.deadline_rounds,
             started_tick=tick,
@@ -177,7 +153,6 @@ class MeetingRoom:
             agent.phase = AgentPhase.IDLE
         self.attendees = {}
         self.agenda = None
-        self._agenda_utilities = {}
         self.session = None
         self.room_state = RoomState.CLOSED
         return released

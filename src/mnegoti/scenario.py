@@ -5,7 +5,9 @@ version, seed, ticks, theta_in, criteria, issues, groups, social_edges,
 protocols, rooms and watchers. Loading validates every cross-reference
 and bound, naming the offending path on failure. Issues are normalized at
 load: a score on a cost criterion is flipped to 1 - score, so
-``Scenario.issues`` holds every score in benefit direction.
+``Scenario.issues`` holds every score in benefit direction. An agenda holds
+the scenario's own issue and protocol objects, and ``theta_in`` is the
+threshold of a conditions policy that gives none.
 """
 
 from __future__ import annotations
@@ -100,12 +102,6 @@ class Scenario:
     @property
     def total_agents(self) -> int:
         return sum(g.member_count for g in self.groups)
-
-    def protocol(self, protocol_id: str) -> ProtocolConfig:
-        for p in self.protocols:
-            if p.id == protocol_id:
-                return p
-        raise KeyError(protocol_id)
 
 
 # -- primitive checks ---------------------------------------------------
@@ -346,7 +342,7 @@ def _parse_protocols(raw, path: str) -> tuple[ProtocolConfig, ...]:
 
 
 def _parse_admission(
-    raw, group_ids: set[int], total_agents: int, path: str
+    raw, group_ids: set[int], total_agents: int, theta_in: float, path: str
 ) -> AdmissionPolicy:
     doc = _mapping(raw, path)
     kind_raw = _str(_require(doc, "kind", path), f"{path}.kind")
@@ -375,7 +371,7 @@ def _parse_admission(
         if gid not in group_ids:
             raise ValidationError(f"{path}.groups[{j}]", f"group {gid} does not exist")
         groups.append(gid)
-    threshold = None
+    threshold = theta_in
     if doc.get("threshold") is not None:
         threshold = _float(doc["threshold"], f"{path}.threshold", lo=0.0, hi=1.0)
     return AdmissionPolicy(kind=kind, groups=tuple(groups), threshold=threshold)
@@ -383,12 +379,14 @@ def _parse_admission(
 
 def _parse_rooms(
     raw,
-    issue_ids: set[int],
+    issues: tuple[Issue, ...],
     group_ids: set[int],
     protocols: tuple[ProtocolConfig, ...],
     total_agents: int,
+    theta_in: float,
     path: str,
 ) -> tuple[RoomSpec, ...]:
+    issue_by_id = {i.id: i for i in issues}
     protocol_by_id = {p.id: p for p in protocols}
     rooms = []
     seen: set[int] = set()
@@ -419,7 +417,7 @@ def _parse_rooms(
             agenda_issue_ids: set[int] = set()
             for m, iid_raw in enumerate(_sequence(_require(adoc, "issues", ap), f"{ap}.issues")):
                 iid = _int(iid_raw, f"{ap}.issues[{m}]", minimum=0)
-                if iid not in issue_ids:
+                if iid not in issue_by_id:
                     raise ValidationError(f"{ap}.issues[{m}]", f"issue {iid} does not exist")
                 _unique(agenda_issue_ids, iid, f"{ap}.issues[{m}]", "issue")
             if not agenda_issue_ids:
@@ -427,18 +425,20 @@ def _parse_rooms(
             protocol_id = _str(_require(adoc, "protocol", ap), f"{ap}.protocol")
             if protocol_id not in protocol_by_id:
                 raise ValidationError(f"{ap}.protocol", f"protocol {protocol_id!r} does not exist")
+            protocol = protocol_by_id[protocol_id]
             admission = _parse_admission(
-                _require(adoc, "admission", ap), group_ids, total_agents, f"{ap}.admission"
+                _require(adoc, "admission", ap), group_ids, total_agents, theta_in,
+                f"{ap}.admission",
             )
             deadline = adoc.get("deadline_rounds")
             if deadline is None:
-                deadline = protocol_by_id[protocol_id].max_rounds
+                deadline = protocol.max_rounds
             else:
                 deadline = _int(deadline, f"{ap}.deadline_rounds", minimum=1)
             agenda = Agenda(
-                issue_ids=tuple(sorted(agenda_issue_ids)),
+                issues=tuple(issue_by_id[i] for i in sorted(agenda_issue_ids)),
                 admission=admission,
-                protocol_id=protocol_id,
+                protocol=protocol,
                 deadline_rounds=deadline,
             )
             entries.append(ScheduleEntry(action=action, at=at, agenda=agenda, priority=priority))
@@ -573,12 +573,11 @@ def load_scenario(document) -> Scenario:
     groups = _parse_groups(_require(doc, "groups", "scenario"), len(criteria), "groups")
     total_agents = sum(g.member_count for g in groups)
     group_ids = {g.id for g in groups}
-    issue_ids = {i.id for i in issues}
 
     _parse_social_edges(doc.get("social_edges", []), total_agents, "social_edges")
     protocols = _parse_protocols(doc.get("protocols", []), "protocols")
     rooms = _parse_rooms(
-        doc.get("rooms", []), issue_ids, group_ids, protocols, total_agents, "rooms"
+        doc.get("rooms", []), issues, group_ids, protocols, total_agents, theta_in, "rooms"
     )
     watchers = _parse_watchers(doc.get("watchers", []), group_ids, "watchers")
 

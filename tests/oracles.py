@@ -367,10 +367,8 @@ def scan_every_room(sim, action) -> None:
     for _, room in sorted(sim.rooms.items()):
         if room.room_state is not RoomState.OPEN:
             continue
-        if not room.check_admission(agent, sim.issues_by_id, sim.scenario.theta_in):
-            continue
-        u = room.agenda_utility(agent, sim.issues_by_id)
-        if best is None or u > best_utility:
+        u = room.check_admission(agent)
+        if u is not None and (best is None or u > best_utility):
             best, best_utility = room, u
     if best is None:
         if agent.phase is AgentPhase.IDLE:

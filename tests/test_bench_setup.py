@@ -27,9 +27,11 @@ from mnegoti.model import (
     AgentGroup,
     DistributionKind,
     DistributionSpec,
+    Issue,
     PreferenceBounds,
     spawn_members,
 )
+from mnegoti.protocols import ProtocolConfig, ProtocolKind
 from mnegoti.rooms import AdmissionKind, AdmissionPolicy, Agenda, MeetingRoom
 from mnegoti.scenario import load_scenario
 
@@ -65,17 +67,17 @@ def test_invitation_admission(benchmark):
     room = MeetingRoom(0)
     room.open(
         Agenda(
-            issue_ids=(0,),
+            issues=(Issue(id=0, name="a", scores=(0.5,)),),
             admission=AdmissionPolicy(
                 kind=AdmissionKind.INVITATIONS, agents=tuple(range(INVITEES - 1, -1, -1))
             ),
-            protocol_id="p",
+            protocol=ProtocolConfig(id="p", kind=ProtocolKind.MEDIATED_SINGLE_TEXT),
             deadline_rounds=1,
         )
     )
     # The last agent of a descending list: a linear search would scan it all.
     agent = Agent(id=0, group_id=0, weights=(1.0,))
-    assert benchmark(room.check_admission, agent, {}) is True
+    assert benchmark(room.check_admission, agent) == 0.5
 
 
 def test_setup_bytes_per_agent(benchmark):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import copy
+import os
+import subprocess
+import sys
 
 import yaml
 import pytest
@@ -10,6 +13,8 @@ import pytest
 from mnegoti.cli import main
 
 from conftest import MINIMAL_DOC, SCENARIO_DIR, benchmark_module
+
+SRC_DIR = SCENARIO_DIR.parent / "src"
 
 
 def write_doc(path, doc):
@@ -233,6 +238,27 @@ class TestInspect:
 
     def test_missing_log_exits_one(self, capsys):
         assert main(["inspect", "/nonexistent/events.log"]) == 1
+
+    def test_closed_pipe_ends_quietly(self, scenario_path, tmp_path, capsys):
+        # The pipe's read end is closed before the child starts, so its
+        # first write to stdout fails with EPIPE.
+        out = tmp_path / "o"
+        main(["run", scenario_path, "--out", str(out)])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "mnegoti.cli", "inspect",
+                 str(out / "rep_000" / "events.log")],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert child.stderr == b""
+        assert child.returncode == 0
 
     def test_line_that_is_not_an_object_exits_one(self, tmp_path, capsys):
         log = tmp_path / "events.log"

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from mnegoti.context import Context, ObjectKind, Query
 from mnegoti.engine import Simulation
 from mnegoti.errors import DuplicateMemberError
-from mnegoti.model import Agent, AgentPhase
+from mnegoti.model import Agent, AgentPhase, Issue
+from mnegoti.protocols import ProtocolConfig, ProtocolKind
 from mnegoti.rooms import MeetingRoom, Agenda, AdmissionPolicy, AdmissionKind
 from mnegoti.scenario import load_scenario
 
@@ -53,9 +54,9 @@ class TestQuery:
         ctx = Context()
         open_room, closed_room = MeetingRoom(0), MeetingRoom(1)
         agenda = Agenda(
-            issue_ids=(0,),
+            issues=(Issue(id=0, name="a", scores=(1.0,)),),
             admission=AdmissionPolicy(kind=AdmissionKind.CONDITIONS),
-            protocol_id="p",
+            protocol=ProtocolConfig(id="p", kind=ProtocolKind.MEDIATED_SINGLE_TEXT),
             deadline_rounds=1,
         )
         open_room.open(agenda)

@@ -28,27 +28,30 @@ ISSUES = {
     0: Issue(id=0, name="a", scores=(0.9, 0.1)),
     1: Issue(id=1, name="b", scores=(0.2, 0.8)),
     2: Issue(id=2, name="c", scores=(0.55, 0.55)),
+    3: Issue(id=3, name="d", scores=(0.0, 1.0)),
 }
 
 PROTOCOL = ProtocolConfig(id="p", kind=ProtocolKind.MEDIATED_SINGLE_TEXT, max_rounds=4)
 
 
-def conditions_agenda(issue_ids=(0, 1), groups=(), threshold=None, deadline=4):
+def conditions_agenda(issue_ids=(0, 1), groups=(), threshold=0.0, deadline=4):
     return Agenda(
-        issue_ids=tuple(issue_ids),
+        issues=tuple(ISSUES[i] for i in issue_ids),
         admission=AdmissionPolicy(
             kind=AdmissionKind.CONDITIONS, groups=tuple(groups), threshold=threshold
         ),
-        protocol_id="p",
+        protocol=PROTOCOL,
         deadline_rounds=deadline,
     )
 
 
-def invitations_agenda(agents, issue_ids=(0, 1)):
+def invitations_agenda(agents, issue_ids=(0, 1), threshold=0.0):
     return Agenda(
-        issue_ids=tuple(issue_ids),
-        admission=AdmissionPolicy(kind=AdmissionKind.INVITATIONS, agents=tuple(agents)),
-        protocol_id="p",
+        issues=tuple(ISSUES[i] for i in issue_ids),
+        admission=AdmissionPolicy(
+            kind=AdmissionKind.INVITATIONS, agents=tuple(agents), threshold=threshold
+        ),
+        protocol=PROTOCOL,
         deadline_rounds=4,
     )
 
@@ -58,8 +61,8 @@ def make_agent(ident, weights=(0.5, 0.5), group=0):
 
 
 def admit(room, agent):
-    """Seat the agent as the engine's scan does, once ``check_admission`` holds."""
-    assert room.check_admission(agent, ISSUES)
+    """Seat the agent as the engine's scan does, once the room admits it."""
+    assert room.check_admission(agent) is not None
     room.seat(agent)
 
 
@@ -106,25 +109,26 @@ class TestAdmission:
     def test_invitation_list_membership(self):
         room = MeetingRoom(0)
         room.open(invitations_agenda([3, 7]))
-        assert room.check_admission(make_agent(3), ISSUES) is True
-        assert room.check_admission(make_agent(7), ISSUES) is True
-        assert room.check_admission(make_agent(4), ISSUES) is False
+        assert room.check_admission(make_agent(3)) == pytest.approx(0.5)
+        assert room.check_admission(make_agent(7)) == pytest.approx(0.5)
+        assert room.check_admission(make_agent(4)) is None
 
     @pytest.mark.parametrize("invited", [[5], [9, 2, 40]], ids=["single", "unsorted"])
     def test_only_the_list_decides(self, invited):
         # Weights (1, 0) give utility 0.2 on issue 1, the whole agenda, so
         # neither the group nor the interest threshold would admit anyone.
         room = MeetingRoom(0)
-        room.open(invitations_agenda(invited, issue_ids=(1,)))
+        room.open(invitations_agenda(invited, issue_ids=(1,), threshold=0.9))
         for ident in range(max(invited) + 2):
             agent = make_agent(ident, (1.0, 0.0), group=3)
-            assert room.check_admission(agent, ISSUES, 0.9) is (ident in invited)
+            expected = pytest.approx(0.2) if ident in invited else None
+            assert room.check_admission(agent) == expected
 
     def test_zero_threshold_admits_every_group_eligible_agent(self):
         room = MeetingRoom(0)
         room.open(conditions_agenda(groups=(0,), threshold=0.0))
-        assert room.check_admission(make_agent(1, group=0), ISSUES) is True
-        assert room.check_admission(make_agent(2, group=1), ISSUES) is False
+        assert room.check_admission(make_agent(1, group=0)) == pytest.approx(0.5)
+        assert room.check_admission(make_agent(2, group=1)) is None
 
     def test_interest_threshold_uses_max_agenda_utility(self):
         # Oracle: max of evaluate over the agenda; weights (0.5, 0.5) give
@@ -132,15 +136,36 @@ class TestAdmission:
         agent = make_agent(1)
         room = MeetingRoom(0)
         room.open(conditions_agenda(issue_ids=(0, 1), threshold=0.6))
-        assert room.agenda_utility(agent, ISSUES) == pytest.approx(0.5)
-        assert room.check_admission(agent, ISSUES) is False
+        assert room.check_admission(agent) is None
 
         room2 = MeetingRoom(1)
         room2.open(conditions_agenda(issue_ids=(0, 1, 2), threshold=0.55))
-        assert room2.agenda_utility(agent, ISSUES) == pytest.approx(0.55)
-        assert room2.check_admission(agent, ISSUES) is True
+        assert room2.check_admission(agent) == pytest.approx(0.55)
 
-    def test_agenda_utility_is_walked_once_per_agent_and_opening(self, monkeypatch):
+    def test_zero_utility_is_admitted(self):
+        # Weights (1, 0) give utility 0.0 on issue 3, the whole agenda: an
+        # admitted agent, told apart from a refused one only by None.
+        agent = make_agent(1, (1.0, 0.0))
+        for agenda in (conditions_agenda(issue_ids=(3,)), invitations_agenda([1], issue_ids=(3,))):
+            room = MeetingRoom(0)
+            room.open(agenda)
+            assert room.check_admission(agent) == 0.0
+
+    @pytest.mark.parametrize(
+        "agenda",
+        [
+            conditions_agenda(groups=(1, 2)),
+            conditions_agenda(threshold=0.6),
+            invitations_agenda([2, 3]),
+        ],
+        ids=["wrong_group", "below_threshold", "not_invited"],
+    )
+    def test_each_refusal_is_none(self, agenda):
+        room = MeetingRoom(0)
+        room.open(agenda)
+        assert room.check_admission(make_agent(1, group=0)) is None
+
+    def test_agenda_is_walked_once_per_call(self, monkeypatch):
         reads = []
 
         def counted(agent, issue):
@@ -151,24 +176,21 @@ class TestAdmission:
         agent = make_agent(1)
         room = MeetingRoom(0)
         room.open(conditions_agenda(issue_ids=(0, 1), threshold=0.5))
-        assert room.check_admission(agent, ISSUES) is True
-        assert room.agenda_utility(agent, ISSUES) == pytest.approx(0.5)
+        assert room.check_admission(agent) == pytest.approx(0.5)
         assert reads == [0, 1]
+        assert room.check_admission(agent) == pytest.approx(0.5)
+        assert reads == [0, 1, 0, 1]
         room.close()
-        room.open(conditions_agenda(issue_ids=(0, 1, 2)))
-        assert room.agenda_utility(agent, ISSUES) == pytest.approx(0.55)
-        assert reads == [0, 1, 0, 1, 2]
-
-    def test_default_threshold_falls_back_to_scenario_theta(self):
-        agent = make_agent(1)
-        room = MeetingRoom(0)
-        room.open(conditions_agenda())
-        assert room.check_admission(agent, ISSUES, default_threshold=0.9) is False
-        assert room.check_admission(agent, ISSUES, default_threshold=0.3) is True
+        room.open(conditions_agenda(issue_ids=(0, 1, 2), groups=(0,)))
+        assert room.check_admission(agent) == pytest.approx(0.55)
+        assert reads == [0, 1, 0, 1, 0, 1, 2]
+        # A wrong group is refused before any utility is read.
+        assert room.check_admission(make_agent(2, group=1)) is None
+        assert reads == [0, 1, 0, 1, 0, 1, 2]
 
     def test_admission_on_closed_room_errors(self):
         with pytest.raises(RoomClosedError):
-            MeetingRoom(0).check_admission(make_agent(1), ISSUES)
+            MeetingRoom(0).check_admission(make_agent(1))
 
 
 class TestSeat:
@@ -210,7 +232,7 @@ class TestStartSession:
     def test_two_attendees_start_a_session(self):
         first, second = make_agent(1), make_agent(2, weights=(0.9, 0.1))
         room = self.open_with(first, second)
-        session = room.start_session(ISSUES, PROTOCOL, {}, tick=1)
+        session = room.start_session({}, tick=1)
         assert room.room_state is RoomState.IN_SESSION
         assert session.participants == (1, 2)
         assert session.deadline_rounds == 3  # agenda wins over protocol default
@@ -225,12 +247,13 @@ class TestStartSession:
         room = self.open_with(
             make_agent(1, group=0), make_agent(2, group=0), make_agent(3, group=5)
         )
-        session = room.start_session(ISSUES, PROTOCOL, {0: trade_off, 1: top_bid}, tick=1)
+        session = room.start_session({0: trade_off, 1: top_bid}, tick=1)
         assert session.strategies == {1: trade_off, 2: trade_off, 3: StrategyConfig()}
 
     def test_invitation_session_fills_each_agenda_cell_once(self, monkeypatch):
-        # Invitation admission reads no utility, so starting the session
-        # evaluates every participant's agenda issues, and nothing else.
+        # Seated with no admission check, the invitees have read no utility,
+        # so starting the session evaluates every participant's agenda
+        # issues, and nothing else.
         evaluated = []
         evaluate = protocols.evaluate
 
@@ -243,9 +266,9 @@ class TestStartSession:
         room = MeetingRoom(0)
         room.open(invitations_agenda([1, 2], issue_ids=(0, 2)))
         for agent in invited:
-            admit(room, agent)
+            room.seat(agent)
         assert evaluated == []
-        session = room.start_session(ISSUES, PROTOCOL, {}, tick=1)
+        session = room.start_session({}, tick=1)
         assert evaluated == [(1, 0), (1, 2), (2, 0), (2, 2)]
         cells = {(a.id, i) for a in (*invited, outsider) for i in a.utilities}
         assert cells == {(1, 0), (1, 2), (2, 0), (2, 2)}
@@ -254,11 +277,11 @@ class TestStartSession:
     def test_single_attendee_cannot_start(self):
         room = self.open_with(make_agent(1))
         with pytest.raises(InvalidTransitionError):
-            room.start_session(ISSUES, PROTOCOL, {}, tick=1)
+            room.start_session({}, tick=1)
 
     def test_session_runs_to_recorded_outcome(self):
         room = self.open_with(make_agent(1, weights=(1.0, 0.0)), make_agent(2, weights=(0.0, 1.0)))
-        session = room.start_session(ISSUES, PROTOCOL, {}, tick=1)
+        session = room.start_session({}, tick=1)
         while session.status.value == "active":
             run_round(session)
         outcome = session_outcome(session)
@@ -272,9 +295,9 @@ class TestAgendaValidation:
     def test_empty_issue_list_rejected(self):
         with pytest.raises(ConfigurationError):
             Agenda(
-                issue_ids=(),
+                issues=(),
                 admission=AdmissionPolicy(kind=AdmissionKind.CONDITIONS),
-                protocol_id="p",
+                protocol=PROTOCOL,
                 deadline_rounds=1,
             )
 
@@ -321,7 +344,7 @@ class TestStateMachineProperty:
                         if agent.phase is AgentPhase.IDLE and room.room_state is RoomState.OPEN:
                             admit(room, agent)
                 elif op == "start":
-                    room.start_session(ISSUES, PROTOCOL, {}, tick=0)
+                    room.start_session({}, tick=0)
                 else:
                     room.close()
             except (InvalidTransitionError, RoomClosedError):

@@ -194,7 +194,7 @@ class TestUtilityTable:
             for agent in started["participants"]
             for issue in started["issues"]
         }
-        assert len(read) == len(sim.agents) * len(sim.issues_by_id)
+        assert len(read) == len(sim.agents) * len(sim.scenario.issues)
         assert sorted(evaluated) == sorted(read)
         assert {(a.id, i) for a in sim.agents.values() for i in a.utilities} == read
 
@@ -258,6 +258,17 @@ class TestWatcherFlow:
         reactions = [(e.kind, e.data["room"]) for e in sim.events if (e.tick, e.priority) == (1, 99)]
         assert reactions[:3] == [("agent_entered", 1), ("agent_entered", 1), ("session_started", 1)]
         assert {room for _, room in reactions} == {1}
+
+    def test_agent_with_zero_agenda_utility_enters(self, minimal_doc):
+        # Every issue scores 0, so each agent's best agenda utility is 0.0,
+        # which the threshold of 0.0 admits.
+        for issue in minimal_doc["issues"]:
+            issue["scores"] = [0.0]
+        sim = Simulation(load_scenario(minimal_doc), seed=5)
+        sim.run()
+        entered = events_of(sim, "agent_entered")
+        assert [(e["agent"], e["utility"]) for e in entered] == [(0, 0.0), (1, 0.0)]
+        assert events_of(sim, "agent_watching") == []
 
     def test_agents_without_admissible_room_watch(self, minimal_doc):
         minimal_doc["groups"].append(

@@ -13,7 +13,8 @@ from mnegoti import scenario as scenario_module
 from mnegoti.cli import main
 from mnegoti.engine import Simulation
 from mnegoti.errors import ValidationError
-from mnegoti.model import Direction, DistributionKind, StrategyKind
+from mnegoti.model import Agent, Direction, DistributionKind, StrategyKind
+from mnegoti.rooms import MeetingRoom
 from mnegoti.scenario import (
     load_scenario,
     load_scenario_file,
@@ -38,7 +39,33 @@ class TestLoading:
         assert scenario.total_agents == 2
         assert len(scenario.criteria) == 1
         assert len(scenario.issues) == 2
-        assert scenario.rooms[0].schedule[0].agenda.protocol_id == "main"
+        assert scenario.rooms[0].schedule[0].agenda.protocol.id == "main"
+
+    def test_agenda_holds_the_scenarios_own_objects(self, minimal_doc):
+        minimal_doc["rooms"][0]["schedule"][0]["agenda"]["issues"] = [1, 0]
+        scenario = load_scenario(minimal_doc)
+        agenda = scenario.rooms[0].schedule[0].agenda
+        assert [issue.id for issue in agenda.issues] == [0, 1]
+        assert all(a is b for a, b in zip(agenda.issues, scenario.issues))
+        assert agenda.protocol is scenario.protocols[0]
+
+    @pytest.mark.parametrize(
+        ("theta_in", "threshold", "admitted"),
+        [(0.9, None, False), (0.3, None, True), (0.9, 0.25, True)],
+    )
+    def test_policy_without_threshold_takes_theta_in(
+        self, minimal_doc, theta_in, threshold, admitted
+    ):
+        # The one criterion gives every agent utility 0.8 on issue 0, its best.
+        minimal_doc["theta_in"] = theta_in
+        if threshold is not None:
+            minimal_doc["rooms"][0]["schedule"][0]["agenda"]["admission"]["threshold"] = threshold
+        agenda = load_scenario(minimal_doc).rooms[0].schedule[0].agenda
+        assert agenda.admission.threshold == (theta_in if threshold is None else threshold)
+        room = MeetingRoom(0)
+        room.open(agenda)
+        agent = Agent(id=0, group_id=0, weights=(1.0,))
+        assert (room.check_admission(agent) is not None) is admitted
 
     def test_bundled_files_load(self, scenario_dir):
         for name in SCENARIO_FILES:
