@@ -10,8 +10,7 @@ from pathlib import Path
 from .errors import MnegotiError, ValidationError
 from .eventlog import read_event_log
 from .runner import RunArtifacts, run
-from .scenario import Scenario, agent_watch_fanout, load_scenario_file, open_fanout
-from .scheduler import REACTION_CASCADE_CAP
+from .scenario import Scenario, load_scenario_file
 
 OUT_ENV_VAR = "MNEGOTI_OUT"
 
@@ -63,21 +62,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     if scenario is None:
         return 1
-    for tick, rule_id, bound in open_fanout(scenario):
-        if bound > REACTION_CASCADE_CAP:
-            print(
-                f"warning: tick {tick}: watcher rule {rule_id} may fire up to {bound} "
-                f"reactions; the cascade cap is {REACTION_CASCADE_CAP}",
-                file=sys.stderr,
-            )
-    for rule_id, watchers, watchees in agent_watch_fanout(scenario):
-        if watchers * watchees > REACTION_CASCADE_CAP:
-            print(
-                f"warning: watcher rule {rule_id} may fire {watchers * watchees} reactions in "
-                f"a tick, {watchers} watchers for each of {watchees} agent watchees; "
-                f"the cascade cap is {REACTION_CASCADE_CAP}",
-                file=sys.stderr,
-            )
     print(
         f"ok: {len(scenario.criteria)} criteria, {len(scenario.issues)} issues, "
         f"{len(scenario.groups)} groups ({scenario.total_agents} agents), "

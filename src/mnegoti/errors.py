@@ -33,7 +33,7 @@ class SchedulingError(MnegotiError):
 
 
 class CascadeOverflowError(MnegotiError):
-    """Watcher reaction cascade exceeded the per-tick firing cap."""
+    """One cause pushed more reactions in a tick than the cascade cap allows."""
 
 
 class InvalidTransitionError(MnegotiError):

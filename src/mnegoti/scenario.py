@@ -13,7 +13,7 @@ threshold of a conditions policy that gives none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -606,70 +606,3 @@ def parse_scenario_text(text: str) -> Scenario:
 def load_scenario_file(path: str | Path) -> Scenario:
     return parse_scenario_text(Path(path).read_text(encoding="utf-8"))
 
-
-def _members_matching(scenario: Scenario, query: Query) -> int:
-    """At most how many members ``query`` can match by kind, id and group."""
-    count = 0
-    if query.kind is not ObjectKind.MEETING_ROOM:
-        if query.ident is not None:
-            count += 1
-        elif query.group_id is not None:
-            count += next(g.member_count for g in scenario.groups if g.id == query.group_id)
-        else:
-            count += scenario.total_agents
-    if query.kind is not ObjectKind.AGENT and query.group_id is None:
-        count += 1 if query.ident is not None else len(scenario.rooms)
-    return count
-
-
-def open_fanout(scenario: Scenario) -> list[tuple[int, int, int]]:
-    """(tick, rule id, bound) for each tick with scheduled opens and each rule they can fire.
-
-    A rule fires on a room becoming open only when its trigger tests
-    ``watchee.state: open`` and its watchee query can match that room; the
-    loader has already rejected such a query with an agent kind or another
-    state, so only its id can rule a room out. Each
-    opening then fires at most one reaction per watcher the rule's query can
-    match by kind, id and group, so the bound is the matching opens scheduled
-    at the tick times those watchers. Every reaction counts against the
-    scheduler's per-tick cascade cap.
-    """
-    opens: dict[int, list[int]] = {}
-    for room in scenario.rooms:
-        for entry in room.schedule:
-            if entry.action == "open":
-                opens.setdefault(entry.at, []).append(room.id)
-    bounds = []
-    for rule_id, rule in enumerate(scenario.watchers):
-        if rule.trigger.watchee_state != RoomState.OPEN.value:
-            continue
-        watchers = _members_matching(scenario, rule.watcher_query)
-        for tick, room_ids in opens.items():
-            matching = sum(1 for r in room_ids if rule.watchee_query.ident in (None, r))
-            bounds.append((tick, rule_id, matching * watchers))
-    return sorted(bounds)
-
-
-def agent_watch_fanout(scenario: Scenario) -> list[tuple[int, int, int]]:
-    """(rule id, watchers, agent watchees) for each rule under which agents watch agents.
-
-    Such a rule's watcher and watchee queries can both match agents, and
-    its trigger tests an agent state. It fires once per watcher each time
-    an agent its watchee query matches changes into that state, at any
-    tick, so a tick in which each such agent changes once fires watchers x
-    agent watchees reactions, all counted against the cascade cap.
-    """
-    agent_states = _STATES_BY_KIND[ObjectKind.AGENT]
-    fanouts = []
-    for rule_id, rule in enumerate(scenario.watchers):
-        watcher, watchee = rule.watcher_query, rule.watchee_query
-        watcher_state = rule.trigger.watcher_state or watcher.state
-        if (
-            ObjectKind.MEETING_ROOM in (watcher.kind, watchee.kind)
-            or rule.trigger.watchee_state not in agent_states
-            or watcher_state not in (None, *agent_states)
-        ):
-            continue
-        agents = _members_matching(scenario, replace(watchee, kind=ObjectKind.AGENT))
-        fanouts.append((rule_id, _members_matching(scenario, watcher), agents))
-    return fanouts

@@ -4,9 +4,10 @@ Within a tick, actions execute in lexicographic (-priority, seq) order:
 larger priority first, insertion order breaking ties. ``step`` runs one
 tick and then advances ``now``, so every action of the tick has run
 first, including same-tick watcher reactions, which always land on a
-strictly lower priority band than the action that fired them. A per-tick
-cap bounds reaction cascades. The scheduler has no run bound of its own:
-``Simulation`` decides how many ticks to step.
+strictly lower priority band than the action that fired them. A cap per
+cause and tick bounds reaction cascades (see ``_push_reactions``). The
+scheduler has no run bound of its own: ``Simulation`` decides how many
+ticks to step.
 
 A state change costs each rule one test of its watchee side, and only a
 rule whose trigger flips goes on to its watchers. Those come from a
@@ -27,7 +28,7 @@ runs like any other reaction; the engine's scan then returns at once
 (see ``Simulation._exec_agent_scan``).
 
 Every reaction, an engine follow-up too, is a ``FanOut`` that
-``_push_reactions`` counts against the cap and queues; a
+``_push_reactions`` counts as one push for its cause and queues; a
 ``ScheduledAction`` is only what ``schedule`` queues.
 """
 
@@ -149,7 +150,8 @@ class Scheduler:
         self._heap: list[tuple[int, int, int, ScheduledAction | FanOut]] = []
         self._seq_counter = 0
         self._rules: list[WatcherRule] = []
-        self._reactions_this_tick = 0
+        # Cause -> pushes made for it this tick.
+        self._pushes_this_tick: dict[tuple, int] = {}
         # Watcher query -> its candidates, built on first use.
         self._candidates: dict[Query, list[tuple[int, Any]]] = {}
 
@@ -202,8 +204,8 @@ class Scheduler:
         sides, so the flip must come from the watchee: the rule fires only when
         ``old_state != watchee_state == new_state``, and a trigger with no
         ``watchee_state`` never fires. Each rule that fires queues one
-        ``FanOut``; one ``FiredReaction`` is returned per watcher, and every
-        reaction counts against the cascade cap.
+        ``FanOut``, one push against the cascade cap for the cause (rule id,
+        watchee kind, watchee id); one ``FiredReaction`` is returned per watcher.
         """
         if old_state == new_state:
             return []
@@ -260,30 +262,38 @@ class Scheduler:
     ) -> FanOut:
         """Engine hook for direct same-tick follow-ups (e.g. invitation scans).
 
-        Each follow-up is a one-member ``FanOut``, counted against the cascade cap.
+        Each follow-up is a one-member ``FanOut``, one push for its cause
+        ``(kind, target)``.
         """
-        return self._push_reactions(kind, [target], ReactionOffset.SAME_TICK, priority)
+        return self._push_reactions(
+            kind, [target], ReactionOffset.SAME_TICK, priority, (kind, target)
+        )
 
     def _push_reactions(
         self, kind: ActionKind, targets: list[Any], when: ReactionOffset,
-        configured: int | None, fired_by: tuple[int, ObjectKind, int] | None = None,
+        configured: int | None, cause: tuple,
     ) -> FanOut:
-        """Count ``targets`` against the cascade cap, then queue them as one ``FanOut``.
+        """Count one push for ``cause``, then queue ``targets`` as one ``FanOut``.
 
-        ``fired_by`` is a watcher fire's (rule id, watchee kind, watchee id),
-        None for an engine follow-up; only the overflow message reads it.
+        ``cause`` is a watcher fire's (rule id, watchee kind, watchee id) or
+        an engine follow-up's (kind, target). The push that takes one cause
+        past the cascade cap in a tick raises and queues nothing, however
+        many targets it holds. A runaway cascade pushes without end from
+        finitely many causes, so it trips the cap; a fan-out that grows
+        with the population stays one push.
         """
-        self._reactions_this_tick += len(targets)
-        if self._reactions_this_tick > self.cascade_cap:
-            if fired_by is None:
-                cause = f"an engine follow-up {kind.value}"
+        pushes = self._pushes_this_tick.get(cause, 0) + 1
+        if pushes > self.cascade_cap:
+            if len(cause) == 2:
+                described = f"an engine follow-up {kind.value} on {cause[1]}"
             else:
-                rule_id, watchee_kind, watchee = fired_by
-                cause = f"fired by watcher rule {rule_id} on {watchee_kind.value} {watchee}"
+                rule_id, watchee_kind, watchee = cause
+                described = f"fired by watcher rule {rule_id} on {watchee_kind.value} {watchee}"
             raise CascadeOverflowError(
-                f"more than {self.cascade_cap} reactions (the cascade cap) in tick "
-                f"{self.now}; the reaction over the cap was {cause}"
+                f"more than {self.cascade_cap} reactions from one cause (the cascade cap) "
+                f"in tick {self.now}; the reaction over the cap was {described}"
             )
+        self._pushes_this_tick[cause] = pushes
         start, band = self._reaction_slot(when, configured)
         seq = self._seq_counter
         self._seq_counter += len(targets)
@@ -315,7 +325,7 @@ class Scheduler:
         with an interval is queued again unless it was cancelled.
         """
         tick = self.now
-        self._reactions_this_tick = 0
+        self._pushes_this_tick.clear()
         heap = self._heap
         while heap and heap[0][0] == tick:
             action = heapq.heappop(heap)[3]

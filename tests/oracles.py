@@ -382,24 +382,30 @@ def scan_every_room(sim, action) -> None:
     sim._notify_agent(agent, old_phase)
 
 
-def queue_every_scan(scheduler, kind, target, start, priority, rule_id=None, watchee=None):
-    """One reaction queued as an action of its own, counted against the cascade cap.
+def queue_every_scan(scheduler, kind, targets, start, priority, cause):
+    """One rule's fire queued as one action per target, counted as the scheduler counts it.
 
-    An agent scan that duplicates one already pending is queued all the same.
+    The fire is one push against the cascade cap for its ``cause``, (rule
+    id, watchee kind, watchee id), however many targets it has: the count
+    is per cause and tick, as in ``Scheduler._push_reactions``, and a push
+    over the cap raises and queues nothing. An agent scan that duplicates
+    one already pending is queued all the same.
     """
-    scheduler._reactions_this_tick += 1
-    if scheduler._reactions_this_tick > scheduler.cascade_cap:
-        if rule_id is None:
-            cause = f"an engine follow-up {kind.value}"
-        else:
-            cause = f"fired by watcher rule {rule_id} on {watchee[0].value} {watchee[1]}"
+    pushes = scheduler._pushes_this_tick.get(cause, 0) + 1
+    if pushes > scheduler.cascade_cap:
+        rule_id, watchee_kind, watchee = cause
         raise CascadeOverflowError(
-            f"more than {scheduler.cascade_cap} reactions (the cascade cap) in tick "
-            f"{scheduler.now}; the reaction over the cap was {cause}"
+            f"more than {scheduler.cascade_cap} reactions from one cause (the cascade cap) "
+            f"in tick {scheduler.now}; the reaction over the cap was fired by watcher rule "
+            f"{rule_id} on {watchee_kind.value} {watchee}"
         )
-    action = ScheduledAction(kind=kind, target=target, start=start, priority=priority)
-    scheduler._push(action, start)
-    return action
+    scheduler._pushes_this_tick[cause] = pushes
+    actions = []
+    for target in targets:
+        action = ScheduledAction(kind=kind, target=target, start=start, priority=priority)
+        scheduler._push(action, start)
+        actions.append(action)
+    return actions
 
 
 def notify_one_action_per_fire(scheduler, kind, ident, old_state, new_state, obj):
@@ -424,14 +430,18 @@ def notify_one_action_per_fire(scheduler, kind, ident, old_state, new_state, obj
         elif rule.watcher_query.state not in (None, wanted):
             continue
         start, priority = scheduler._reaction_slot(rule.when, rule.priority)
-        for watcher_id, watcher_obj in scheduler._watcher_candidates(rule.watcher_query):
-            if wanted is not None and _state_name(watcher_obj) != wanted:
-                continue
-            target = watcher_id if rule.target_role == "watcher" else ident
-            action = queue_every_scan(
-                scheduler, rule.reaction_kind, target, start, priority, rule_id, (kind, ident)
-            )
-            fired.append(FiredReaction(rule_id, watcher_id, action))
+        watchers = [
+            watcher_id
+            for watcher_id, watcher_obj in scheduler._watcher_candidates(rule.watcher_query)
+            if wanted is None or _state_name(watcher_obj) == wanted
+        ]
+        if not watchers:
+            continue
+        targets = watchers if rule.target_role == "watcher" else [ident] * len(watchers)
+        actions = queue_every_scan(
+            scheduler, rule.reaction_kind, targets, start, priority, (rule_id, kind, ident)
+        )
+        fired += [FiredReaction(rule_id, w, a) for w, a in zip(watchers, actions)]
     return fired
 
 

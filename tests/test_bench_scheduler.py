@@ -66,7 +66,7 @@ def test_notify_room_opening(benchmark, rule, agents):
         scheduler.notify_state_change, ObjectKind.MEETING_ROOM, 0, "closed", "open", room
     )
     notify()  # builds the candidate list
-    # Each step drains the queued reactions and restarts the tick's cascade count.
+    # Each step drains the queued reactions and restarts the tick's cascade counts.
     fired = benchmark.pedantic(notify, setup=scheduler.step, rounds=20)
     assert len(fired) == (agents if rule == "open_scan" else agents // 2)
 
@@ -74,7 +74,6 @@ def test_notify_room_opening(benchmark, rule, agents):
 def test_notify_four_same_band_openings(benchmark):
     agents = 10_000
     scheduler, rooms = watched_rooms(agents, TRIGGERS["open_scan"], rooms=4)
-    scheduler.cascade_cap = 4 * agents  # every fire counts
 
     def open_all():
         # As if four room_open actions of band 100 ran one after another.

@@ -11,6 +11,8 @@ import yaml
 import pytest
 
 from mnegoti.cli import main
+from mnegoti.engine import Simulation
+from mnegoti.errors import MnegotiError
 
 from conftest import MINIMAL_DOC, SCENARIO_DIR, benchmark_module
 
@@ -47,8 +49,8 @@ class TestValidate:
 def crowded_doc() -> dict:
     """1 200 agents in 4 groups and 9 conditions rooms opening at tick 1.
 
-    Every opening fires one scan per agent, so tick 1 may fire
-    9 x 1 200 = 10 800 reactions, over the cascade cap of 10 000.
+    Every opening fires one scan per agent, 9 x 1 200 = 10 800 scans in
+    tick 1, but each opening is one fan-out, one push for its cause.
     """
     doc = copy.deepcopy(MINIMAL_DOC)
     group = doc["groups"][0]
@@ -62,7 +64,8 @@ def watching_cascade_doc(agents: int = 150) -> dict:
     """``agents`` agents; each one that starts watching makes every agent scan again.
 
     Under the agent-watches-agent rule 1, a tick may fire ``agents`` x
-    ``agents`` reactions: 22 500 for 150 agents, over the cascade cap.
+    ``agents`` reactions, 22 500 for 150 agents, in one fan-out per agent
+    that starts watching.
     """
     doc = copy.deepcopy(MINIMAL_DOC)
     doc["criteria"] = [
@@ -88,55 +91,27 @@ def watching_cascade_doc(agents: int = 150) -> dict:
     return doc
 
 
-class TestCascadeFanoutWarning:
-    def test_crowded_opening_warns_and_still_validates(self, tmp_path, capsys):
-        path = write_doc(tmp_path / "crowded.yaml", crowded_doc())
-        assert main(["validate", path]) == 0
-        printed = capsys.readouterr()
-        assert printed.err == (
-            "warning: tick 1: watcher rule 0 may fire up to 10800 reactions; "
-            "the cascade cap is 10000\n"
-        )
-        assert printed.out.startswith("ok:")
+class TestPopulationFanOut:
+    """Fan-out that grows with the population validates quietly and runs to the end."""
 
-    def test_crowded_opening_overflows_the_cap_when_run(self, tmp_path, capsys):
-        path = write_doc(tmp_path / "crowded.yaml", crowded_doc())
-        assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
-        assert "the cascade cap) in tick 1" in capsys.readouterr().err
-
-    def test_fanout_at_the_cap_does_not_warn(self, tmp_path, capsys):
-        doc = crowded_doc()
-        for group in doc["groups"]:
-            group["member_count"] = 250  # 9 x 1 000 = 9 000
-        doc["rooms"].append(dict(doc["rooms"][0], id=9))  # 10 x 1 000 = 10 000
-        assert main(["validate", write_doc(tmp_path / "full.yaml", doc)]) == 0
-        assert capsys.readouterr().err == ""
-
-    def test_agents_watching_agents_warn_and_still_validate(self, tmp_path, capsys):
-        path = write_doc(tmp_path / "cascade.yaml", watching_cascade_doc())
-        assert main(["validate", path]) == 0
-        printed = capsys.readouterr()
-        assert printed.err == (
-            "warning: watcher rule 1 may fire 22500 reactions in a tick, 150 watchers for "
-            "each of 150 agent watchees; the cascade cap is 10000\n"
-        )
-        assert printed.out.startswith("ok:")
-
-    def test_agents_watching_agents_at_the_cap_do_not_warn(self, tmp_path, capsys):
-        path = write_doc(tmp_path / "cascade.yaml", watching_cascade_doc(agents=100))
+    @pytest.mark.parametrize(
+        "doc, replications",
+        [(crowded_doc(), 1), (watching_cascade_doc(), 3)],
+        ids=["crowded_opening", "agents_watching_agents"],
+    )
+    def test_runs_and_passes_the_checks(self, doc, replications, tmp_path, capsys):
+        path = write_doc(tmp_path / "scenario.yaml", doc)
         assert main(["validate", path]) == 0
         assert capsys.readouterr().err == ""
-
-    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.yaml")))
-    def test_bundled_scenarios_do_not_warn(self, name, capsys):
-        assert main(["validate", str(SCENARIO_DIR / name)]) == 0
+        out = tmp_path / "reps"
+        argv = ["run", path, "--seed", "2", "--replications", str(replications), "--out", str(out)]
+        assert main(argv) == 0
         assert capsys.readouterr().err == ""
-
-    @pytest.mark.parametrize("workload", ["town_hall", "summit", "room_churn", "sweep"])
-    def test_benchmark_workloads_do_not_warn(self, workload, tmp_path, capsys):
-        for path in benchmark_module("workloads").write_inputs(workload, 1, tmp_path):
-            assert main(["validate", str(path)]) == 0
-            assert capsys.readouterr().err == ""
+        reps = sorted(out.iterdir())
+        assert len(reps) == replications
+        checks = benchmark_module("checks")
+        for rep in reps:
+            checks.check_replication(doc, rep)
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -182,14 +157,21 @@ class TestRun:
         assert main(["run", scenario_path, "--replications", "3", "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["rep_000", "rep_001", "rep_002"]
 
-    def test_failed_replication_writes_nothing(self, tmp_path, capsys):
-        # Seeds 2 and 3 stay under the cascade cap; seed 4 sends enough
-        # agents to watching to overflow it.
-        path = write_doc(tmp_path / "cascade.yaml", watching_cascade_doc())
+    def test_failed_replication_writes_nothing(self, minimal_doc, tmp_path, capsys, monkeypatch):
+        # Seeds 2 and 3 run to the end; seed 4 fails once its first tick has run.
+        step = Simulation.step
+
+        def failing(sim):
+            step(sim)
+            if sim.seed == 4:
+                raise MnegotiError("replication of seed 4 failed")
+
+        monkeypatch.setattr(Simulation, "step", failing)
+        path = write_doc(tmp_path / "scenario.yaml", minimal_doc)
         out = tmp_path / "reps"
         argv = ["run", path, "--seed", "2", "--replications", "3", "--out", str(out)]
         assert main(argv) == 1
-        assert "the cascade cap" in capsys.readouterr().err
+        assert "error: replication of seed 4 failed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_out_env_var_is_fallback(self, scenario_path, tmp_path, capsys, monkeypatch):

@@ -20,7 +20,7 @@ from mnegoti import eventlog, protocols, rooms, runner
 
 from mnegoti.context import ObjectKind
 from mnegoti.engine import Simulation
-from mnegoti.errors import OutputError
+from mnegoti.errors import CascadeOverflowError, OutputError
 from mnegoti.eventlog import (
     EventLog,
     EventRecord,
@@ -545,6 +545,39 @@ class TestInvitations:
         # Lone invitee cannot reach quorum; the room closes without a session.
         assert [e.data["reason"] for e in sim.events if e.kind == "session_end"] == ["no_quorum"]
 
+    def test_each_room_invite_run_pushes_the_invitee_scan_again(self, minimal_doc):
+        # A rule sends room 0 one room_invite per watching agent when it
+        # opens, and the engine sends its own: six runs, each pushing one
+        # scan follow-up for invitee 1, so that cause's count grows with
+        # the watchers.
+        minimal_doc["groups"][0]["member_count"] = 5
+        minimal_doc["rooms"][0]["schedule"][0]["agenda"]["admission"] = {
+            "kind": "invitations",
+            "agents": [1],
+        }
+        minimal_doc["watchers"] = [
+            {
+                "watcher": {"kind": "agent"},
+                "watchee": {"kind": "meeting_room"},
+                "trigger": {"watchee.state": "open"},
+                "reaction": {"kind": "room_invite", "target": "watchee", "when": "same_tick"},
+            }
+        ]
+        scenario = load_scenario(minimal_doc)
+        sim = Simulation(scenario, seed=5)
+        sim.scheduler.cascade_cap = 6
+        sim.run()
+        assert [e["agent"] for e in events_of(sim, "invitation_sent")] == [1] * 6
+        assert [e["agent"] for e in events_of(sim, "agent_entered")] == [1]
+        sim = Simulation(scenario, seed=5)
+        sim.scheduler.cascade_cap = 5
+        with pytest.raises(CascadeOverflowError) as exc:
+            sim.run()
+        assert str(exc.value) == (
+            "more than 5 reactions from one cause (the cascade cap) in tick 1; "
+            "the reaction over the cap was an engine follow-up agent_scan on 1"
+        )
+
 
 class TestLifecycleFromSchedule:
     def test_no_quorum_when_nobody_is_admitted(self, minimal_doc):
@@ -716,7 +749,7 @@ class TestArtifacts:
         assert all(abs(sum(r.weights) - 1.0) <= 1e-9 for r in rows)
 
     def test_unwritable_output_path_raises(self, minimal_doc, tmp_path):
-        from mnegoti.errors import OutputError
+        from mnegoti.errors import CascadeOverflowError, OutputError
 
         blocker = tmp_path / "file"
         blocker.write_text("x")

@@ -18,8 +18,6 @@ from mnegoti.rooms import MeetingRoom
 from mnegoti.scenario import (
     load_scenario,
     load_scenario_file,
-    agent_watch_fanout,
-    open_fanout,
     parse_scenario_text,
 )
 
@@ -764,121 +762,3 @@ class TestWatcherRuleKinds:
                 kind = "agent" if event.data["watcher"] in sim.agents else "meeting_room"
             assert needed in (None, kind)
 
-
-def two_group_doc() -> dict:
-    """MINIMAL_DOC with a second group of 3 agents: 5 agents, room 0 opens at tick 1."""
-    doc = copy.deepcopy(MINIMAL_DOC)
-    doc["groups"].append(dict(doc["groups"][0], id=1, name="others", member_count=3))
-    return doc
-
-
-class TestOpenFanout:
-    @pytest.mark.parametrize(
-        ("rule", "expected"),
-        [
-            ({}, [(1, 0, 5)]),
-            ({"watcher": {"kind": "agent", "group_id": 1}}, [(1, 0, 3)]),
-            ({"watcher": {"kind": "agent", "group_id": 0}}, [(1, 0, 2)]),
-            ({"watcher": {"kind": "agent", "id": 4}}, [(1, 0, 1)]),
-            ({"watchee": {"kind": "meeting_room", "id": 1}}, [(1, 0, 0)]),
-            ({"watchee": {}}, [(1, 0, 5)]),
-            (
-                {"trigger": {"watcher.state": "idle"}},
-                ValidationError(
-                    "watchers[0].trigger", "no watchee.state is set, so this rule never fires"
-                ),
-            ),
-            ({"trigger": {"watchee.state": "closed"}}, []),
-            (
-                {"watchee": {"kind": "meeting_room", "state": "closed"}},
-                ValidationError(
-                    "watchers[0].watchee.state",
-                    "'closed' is not the trigger's watchee.state 'open', so this rule never fires",
-                ),
-            ),
-            (
-                {"watcher": {"kind": "meeting_room"},
-                 "reaction": {"kind": "room_close", "target": "watcher"}},
-                [(1, 0, 1)],
-            ),
-        ],
-    )
-    def test_bound_per_rule(self, rule, expected):
-        """``expected`` is the bound list, or the error of a rule that never fires."""
-        doc = two_group_doc()
-        doc["watchers"][0].update(rule)
-        if isinstance(expected, ValidationError):
-            with pytest.raises(ValidationError) as exc:
-                load_scenario(doc)
-            assert str(exc.value) == str(expected)
-        else:
-            assert open_fanout(load_scenario(doc)) == expected
-
-    def test_opens_at_the_same_tick_multiply(self):
-        doc = two_group_doc()
-        room = doc["rooms"][0]
-        doc["rooms"] = [dict(room, id=r) for r in range(3)]
-        doc["rooms"].append({"id": 3, "schedule": [dict(room["schedule"][0], at=4)]})
-        assert open_fanout(load_scenario(doc)) == [(1, 0, 15), (4, 0, 5)]
-
-    @pytest.mark.parametrize("name", SCENARIO_FILES)
-    def test_bound_holds_in_a_run(self, scenario_dir, name):
-        scenario = load_scenario_file(scenario_dir / name)
-        sim = Simulation(scenario)
-        sim.run()
-        for tick, rule, bound in open_fanout(scenario):
-            fired = [
-                e for e in sim.events
-                if e.kind == "watcher_fired" and e.tick == tick and e.data["rule"] == rule
-            ]
-            assert 0 < len(fired) <= bound
-
-
-class TestAgentWatchFanout:
-    """``agent_watch_fanout`` on two groups of 2 and 3 agents and one room."""
-
-    @pytest.mark.parametrize(
-        ("rule", "expected"),
-        [
-            ({}, []),
-            (
-                {"watcher": {"kind": "agent"}, "watchee": {"kind": "agent"},
-                 "trigger": {"watchee.state": "watching"}},
-                [(0, 5, 5)],
-            ),
-            (
-                {"watcher": {"kind": "agent", "group_id": 1},
-                 "watchee": {"kind": "agent", "group_id": 0},
-                 "trigger": {"watchee.state": "idle"}},
-                [(0, 3, 2)],
-            ),
-            (
-                {"watcher": {"kind": "agent", "id": 4}, "watchee": {"kind": "agent", "id": 0},
-                 "trigger": {"watchee.state": "in_room"}},
-                [(0, 1, 1)],
-            ),
-            (
-                {"watcher": {}, "watchee": {}, "trigger": {"watchee.state": "watching"},
-                 "reaction": {"kind": "report"}},
-                [(0, 6, 5)],
-            ),
-            (
-                {"watcher": {}, "watchee": {}, "trigger": {"watchee.state": "open"},
-                 "reaction": {"kind": "report"}},
-                [],
-            ),
-            (
-                {"watcher": {"state": "open"}, "watchee": {"kind": "agent"},
-                 "trigger": {"watchee.state": "watching"}, "reaction": {"kind": "report"}},
-                [],
-            ),
-        ],
-    )
-    def test_counts_per_rule(self, rule, expected):
-        doc = two_group_doc()
-        doc["watchers"][0].update(rule)
-        assert agent_watch_fanout(load_scenario(doc)) == expected
-
-    @pytest.mark.parametrize("name", SCENARIO_FILES)
-    def test_bundled_scenarios_have_no_agent_watching_agents(self, scenario_dir, name):
-        assert agent_watch_fanout(load_scenario_file(scenario_dir / name)) == []

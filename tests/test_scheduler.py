@@ -269,12 +269,17 @@ class TestWatchers:
         assert "engine follow-up agent_scan" in message
 
     def test_cascade_overflow_names_rule_and_watchee(self):
-        # Rule 0 fires for all three agents; rule 1's second reaction is the
-        # fifth of the tick, one over the cap.
+        # Rule 0 watches another room and never fires; rule 1's fan-outs to
+        # three agents are one push each, and the room's fifth opening in
+        # the tick is its fifth push, one over the cap.
         ctx, room = self.population(3)
         scheduler = Scheduler(context=ctx, cascade_cap=4)
+        scheduler.register_watcher(
+            self.room_open_rule(watchee_query=Query(kind=ObjectKind.MEETING_ROOM, ident=1))
+        )
         scheduler.register_watcher(self.room_open_rule())
-        scheduler.register_watcher(self.room_open_rule())
+        for _ in range(4):
+            scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
         with pytest.raises(CascadeOverflowError) as exc:
             scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
         message = str(exc.value)
@@ -667,14 +672,16 @@ class TestFanOut:
         scheduler.step()
         assert executed == [(0, 99, ActionKind.ROOM_INVITE, 0)] * 3
 
-    def test_fan_out_of_n_adds_n_to_the_cap_count(self):
+    def test_fan_out_is_one_push_for_its_cause(self):
         scheduler, _, room = self.watched_room(agents=3, rules=2)
         self.open_room(scheduler, room)
-        assert scheduler._reactions_this_tick == 6
+        assert scheduler._pushes_this_tick == {
+            (0, ObjectKind.MEETING_ROOM, 0): 1, (1, ObjectKind.MEETING_ROOM, 0): 1
+        }
         scheduler.enqueue_reaction(ActionKind.REPORT, None)
-        assert scheduler._reactions_this_tick == 7
+        assert scheduler._pushes_this_tick[ActionKind.REPORT, None] == 1
         scheduler.step()
-        assert scheduler._reactions_this_tick == 0
+        assert scheduler._pushes_this_tick == {}
 
     def test_follow_up_is_a_one_member_fan_out(self):
         scheduler, _, room = self.watched_room()
@@ -687,21 +694,27 @@ class TestFanOut:
             ActionKind.ROOM_INVITE, [7], 0, 99
         )
         assert follow_up.seq == fire.action.seq + 3
-        assert scheduler._reactions_this_tick == 4
+        assert scheduler._pushes_this_tick[ActionKind.ROOM_INVITE, 7] == 1
         after = scheduler.schedule(ScheduledAction(kind=ActionKind.REPORT, priority=99))
         assert after.seq == follow_up.seq + 1
         assert [a for *_, a in sorted(scheduler._heap)] == [fire.action, follow_up, after]
 
     def test_follow_up_over_the_cap_raises_and_queues_nothing(self):
+        # Scans of agent 0 are one cause; a scan of agent 1 and an invite of
+        # room 0 are causes of their own.
         scheduler, _, room = self.watched_room(cascade_cap=3)
         self.open_room(scheduler, room)
+        for _ in range(3):
+            scheduler.enqueue_reaction(ActionKind.AGENT_SCAN, 0)
+        scheduler.enqueue_reaction(ActionKind.AGENT_SCAN, 1)
+        scheduler.enqueue_reaction(ActionKind.ROOM_INVITE, 0)
         with pytest.raises(CascadeOverflowError) as exc:
             scheduler.enqueue_reaction(ActionKind.AGENT_SCAN, 0)
         assert str(exc.value) == (
-            "more than 3 reactions (the cascade cap) in tick 0; "
-            "the reaction over the cap was an engine follow-up agent_scan"
+            "more than 3 reactions from one cause (the cascade cap) in tick 0; "
+            "the reaction over the cap was an engine follow-up agent_scan on 0"
         )
-        assert len(scheduler._heap) == 1
+        assert len(scheduler._heap) == 6
 
     def test_fan_out_up_to_the_cap_is_queued(self):
         scheduler, executed, room = self.watched_room(agents=3, rules=2, cascade_cap=6)
@@ -710,17 +723,71 @@ class TestFanOut:
         assert len(executed) == 6
 
     def test_overflowing_fan_out_raises_and_queues_nothing(self):
-        # Rule 0's three reactions fit under the cap of 4; rule 1's three do not.
-        scheduler, executed, room = self.watched_room(agents=3, rules=2, cascade_cap=4)
+        # The rule fires on the room's first two openings; the third fan-out
+        # is its third push, one over the cap of 2.
+        scheduler, executed, room = self.watched_room(agents=3, cascade_cap=2)
+        for _ in range(2):
+            self.open_room(scheduler, room)
         with pytest.raises(CascadeOverflowError) as exc:
             self.open_room(scheduler, room)
         assert str(exc.value) == (
-            "more than 4 reactions (the cascade cap) in tick 0; "
-            "the reaction over the cap was fired by watcher rule 1 on meeting_room 0"
+            "more than 2 reactions from one cause (the cascade cap) in tick 0; "
+            "the reaction over the cap was fired by watcher rule 0 on meeting_room 0"
         )
-        assert len(scheduler._heap) == 1
+        assert len(scheduler._heap) == 2
         scheduler.step()
-        assert [target for *_, target in executed] == [0, 1, 2]
+        assert [target for *_, target in executed] == [0, 1, 2, 0, 1, 2]
+
+    def test_fan_out_wider_than_the_cap_is_queued_and_runs(self):
+        scheduler, executed, room = self.watched_room(agents=5, rules=2, cascade_cap=1)
+        assert len(self.open_room(scheduler, room)) == 10
+        scheduler.step()
+        assert [target for *_, target in executed] == [0, 1, 2, 3, 4] * 2
+
+    def test_watcher_causes_are_counted_apart(self):
+        # Two rules, each firing on two rooms: four causes, each at the cap of 1.
+        ctx, room = TestWatchers.population(2)
+        other = MeetingRoom(1)
+        ctx.add(ObjectKind.MEETING_ROOM, 1, other)
+        scheduler = Scheduler(context=ctx, cascade_cap=1)
+        for _ in range(2):
+            scheduler.register_watcher(TestWatchers.room_open_rule())
+        for watchee in (room, other):
+            scheduler.notify_state_change(
+                ObjectKind.MEETING_ROOM, watchee.id, "closed", "open", watchee
+            )
+        assert sorted(scheduler._pushes_this_tick.values()) == [1, 1, 1, 1]
+        with pytest.raises(CascadeOverflowError, match="watcher rule 0 on meeting_room 1"):
+            scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 1, "closed", "open", other)
+
+    def test_counts_restart_at_the_next_tick(self):
+        # Each tick takes the fire and the follow-up to the cap of 2.
+        scheduler, executed, room = self.watched_room(agents=2, cascade_cap=2)
+        for _ in range(3):
+            for _ in range(2):
+                self.open_room(scheduler, room)
+                scheduler.enqueue_reaction(ActionKind.ROOM_INVITE, 0)
+            scheduler.step()
+        assert [now for now, *_ in executed] == [0] * 6 + [1] * 6 + [2] * 6
+
+    def test_executor_that_re_enqueues_its_own_target_forever_raises(self):
+        scheduler = Scheduler(cascade_cap=50)
+        runs = []
+
+        def executor(action):
+            runs.append(action.target)
+            assert len(runs) <= 51, "the cascade cap never tripped"
+            scheduler.enqueue_reaction(action.kind, action.target)
+
+        scheduler.executor = executor
+        scheduler.schedule(ScheduledAction(kind=ActionKind.AGENT_SCAN, target=7, priority=0))
+        with pytest.raises(CascadeOverflowError) as exc:
+            scheduler.step()
+        assert str(exc.value) == (
+            "more than 50 reactions from one cause (the cascade cap) in tick 0; "
+            "the reaction over the cap was an engine follow-up agent_scan on 7"
+        )
+        assert runs == [7] * 51
 
     def test_cancelling_the_entry_cancels_every_member(self):
         scheduler, executed, room = self.watched_room()
