@@ -78,3 +78,25 @@ def minimal_doc() -> dict:
 @pytest.fixture
 def scenario_dir() -> Path:
     return SCENARIO_DIR
+
+
+def two_group_doc() -> dict:
+    """MINIMAL_DOC with a second group of 3 agents: 5 agents, room 0 opens at tick 1."""
+    doc = copy.deepcopy(MINIMAL_DOC)
+    doc["groups"].append(dict(doc["groups"][0], id=1, name="others", member_count=3))
+    return doc
+
+
+def run_counting_pushes(sim) -> list[tuple[int, tuple, int]]:
+    """Run ``sim``; the (tick, cause, fan-out width) of every push against the cascade cap."""
+    pushes = []
+    push = sim.scheduler._push_reactions
+
+    def counted(kind, targets, when, configured, cause):
+        pushes.append((sim.scheduler.now, cause, len(targets)))
+        return push(kind, targets, when, configured, cause)
+
+    sim.scheduler._push_reactions = counted
+    sim.run()
+    return pushes
+

@@ -91,6 +91,25 @@ def watching_cascade_doc(agents: int = 150) -> dict:
     return doc
 
 
+class TestValidateIsQuiet:
+    """``validate`` prints ``ok:`` and no warning on what ships with the project."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.yaml")))
+    def test_bundled_scenarios(self, name, capsys):
+        assert main(["validate", str(SCENARIO_DIR / name)]) == 0
+        printed = capsys.readouterr()
+        assert printed.out.startswith("ok:")
+        assert printed.err == ""
+
+    @pytest.mark.parametrize("workload", ["town_hall", "summit", "room_churn", "sweep"])
+    def test_benchmark_workloads(self, workload, tmp_path, capsys):
+        for path in benchmark_module("workloads").write_inputs(workload, 1, tmp_path):
+            assert main(["validate", str(path)]) == 0
+            printed = capsys.readouterr()
+            assert printed.out.startswith("ok:")
+            assert printed.err == ""
+
+
 class TestPopulationFanOut:
     """Fan-out that grows with the population validates quietly and runs to the end."""
 

@@ -35,7 +35,7 @@ from mnegoti.scenario import load_scenario, load_scenario_file
 from mnegoti.rooms import MeetingRoom
 from mnegoti.scheduler import ActionKind, FanOut, FiredReaction, ScheduledAction, Scheduler
 
-from conftest import SCENARIO_DIR, benchmark_module
+from conftest import SCENARIO_DIR, benchmark_module, run_counting_pushes, two_group_doc
 from oracles import notify_one_action_per_fire, scan_every_room
 from test_golden import GOLDEN, WORKLOAD_EVENTS_LOG
 from test_property_gate import COMBINATIONS, scenario_docs
@@ -494,6 +494,74 @@ class TestScanCoalescing:
         assert [(e.data["agent"], e.data["room"]) for e in sim.events
                 if e.kind == "agent_entered"] == [(0, 0), (1, 0), (0, 1), (1, 1)]
         self.assert_same_as_queueing_every_scan(scenario, tmp_path)
+
+    @staticmethod
+    def watching_doc() -> dict:
+        """Two groups of 2 and 3 agents; at seed 2 some fail admission to room 0 and watch."""
+        doc = two_group_doc()
+        doc["criteria"] = [
+            {"id": 0, "name": "a", "direction": "benefit"},
+            {"id": 1, "name": "b", "direction": "benefit"},
+        ]
+        doc["issues"] = [
+            {"id": 0, "name": "left", "scores": [1.0, 0.0]},
+            {"id": 1, "name": "right", "scores": [0.0, 1.0]},
+        ]
+        for group in doc["groups"]:
+            group["bounds"] = [[0.0, 1.0], [0.0, 1.0]]
+        agenda = doc["rooms"][0]["schedule"][0]["agenda"]
+        agenda["issues"] = [0]
+        agenda["admission"]["threshold"] = 0.45
+        return doc
+
+    @pytest.mark.parametrize(
+        ("rule", "expected"),
+        [
+            ({}, {(ObjectKind.MEETING_ROOM, 5)}),
+            (
+                {"watcher": {"kind": "agent"}, "watchee": {"kind": "agent"},
+                 "trigger": {"watchee.state": "watching"}},
+                {(ObjectKind.AGENT, 5)},
+            ),
+            (
+                {"watcher": {"kind": "agent", "group_id": 1},
+                 "watchee": {"kind": "agent", "group_id": 0},
+                 "trigger": {"watchee.state": "idle"}},
+                {(ObjectKind.AGENT, 3)},
+            ),
+            (
+                {"watcher": {"kind": "agent", "id": 4}, "watchee": {"kind": "agent", "id": 0},
+                 "trigger": {"watchee.state": "in_room"}},
+                {(ObjectKind.AGENT, 1)},
+            ),
+            (
+                {"watcher": {}, "watchee": {}, "trigger": {"watchee.state": "watching"},
+                 "reaction": {"kind": "report"}},
+                {(ObjectKind.AGENT, 6)},
+            ),
+            (
+                {"watcher": {}, "watchee": {}, "trigger": {"watchee.state": "open"},
+                 "reaction": {"kind": "report"}},
+                {(ObjectKind.MEETING_ROOM, 6)},
+            ),
+            (
+                {"watcher": {"state": "open"}, "watchee": {"kind": "agent"},
+                 "trigger": {"watchee.state": "watching"}, "reaction": {"kind": "report"}},
+                {(ObjectKind.AGENT, 1)},
+            ),
+        ],
+    )
+    def test_agent_watch_rules(self, rule, expected, tmp_path):
+        """Rule 1, beside the scan-on-open rule, is one push per watchee, and logs as the reference.
+
+        ``expected`` is the set of (watchee kind, width) of rule 1's pushes.
+        """
+        doc = self.watching_doc()
+        doc["watchers"].append(dict(doc["watchers"][0], **rule))
+        scenario = load_scenario(doc)
+        pushes = run_counting_pushes(Simulation(scenario, seed=2))
+        assert {(cause[1], width) for _, cause, width in pushes if cause[0] == 1} == expected
+        self.assert_same_as_queueing_every_scan(scenario, tmp_path, seed=2)
 
     @given(
         doc=st.sampled_from(COMBINATIONS).flatmap(lambda combo: scenario_docs(*combo)),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+from collections import Counter
 
 import pytest
 import yaml
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from mnegoti import scenario as scenario_module
 from mnegoti.cli import main
+from mnegoti.context import ObjectKind
 from mnegoti.engine import Simulation
 from mnegoti.errors import ValidationError
 from mnegoti.model import Agent, Direction, DistributionKind, StrategyKind
@@ -21,7 +23,7 @@ from mnegoti.scenario import (
     parse_scenario_text,
 )
 
-from conftest import MINIMAL_DOC
+from conftest import MINIMAL_DOC, benchmark_module, run_counting_pushes, two_group_doc
 
 SCENARIO_FILES = ["protection_strategies.yaml", "supply_chain.yaml", "concurrent_rooms.yaml"]
 MALFORMED = "{version: 1, seed: ["
@@ -762,3 +764,92 @@ class TestWatcherRuleKinds:
                 kind = "agent" if event.data["watcher"] in sim.agents else "meeting_room"
             assert needed in (None, kind)
 
+
+class TestOpeningFanOut:
+    """Each rule's fire on one room is one push for its cause, however many watchers it has."""
+
+    ROOM_0 = (0, ObjectKind.MEETING_ROOM, 0)
+
+    @pytest.mark.parametrize(
+        ("rule", "expected"),
+        [
+            ({}, [(1, 5)]),
+            ({"watcher": {"kind": "agent", "group_id": 1}}, [(1, 3)]),
+            ({"watcher": {"kind": "agent", "group_id": 0}}, [(1, 2)]),
+            ({"watcher": {"kind": "agent", "id": 4}}, [(1, 1)]),
+            ({"watchee": {"kind": "meeting_room", "id": 1}}, []),
+            ({"watchee": {}}, [(1, 5)]),
+            (
+                {"trigger": {"watcher.state": "idle"}},
+                ValidationError(
+                    "watchers[0].trigger", "no watchee.state is set, so this rule never fires"
+                ),
+            ),
+            ({"trigger": {"watchee.state": "closed"}}, [(2, 5)]),
+            (
+                {"watchee": {"kind": "meeting_room", "state": "closed"}},
+                ValidationError(
+                    "watchers[0].watchee.state",
+                    "'closed' is not the trigger's watchee.state 'open', so this rule never fires",
+                ),
+            ),
+            (
+                {"watcher": {"kind": "meeting_room"},
+                 "reaction": {"kind": "room_close", "target": "watcher"}},
+                [(1, 1)],
+            ),
+        ],
+    )
+    def test_pushes_per_rule(self, rule, expected):
+        """``expected`` is each push on room 0 as (tick, width), or a dead rule's error."""
+        doc = two_group_doc()
+        doc["watchers"][0].update(rule)
+        if isinstance(expected, ValidationError):
+            with pytest.raises(ValidationError) as exc:
+                load_scenario(doc)
+            assert str(exc.value) == str(expected)
+            return
+        pushes = run_counting_pushes(Simulation(load_scenario(doc)))
+        assert [cause for _, cause, _ in pushes] == [self.ROOM_0] * len(expected)
+        assert [(tick, width) for tick, _, width in pushes] == expected
+
+    def test_opens_at_the_same_tick_are_causes_of_their_own(self):
+        doc = two_group_doc()
+        room = doc["rooms"][0]
+        doc["rooms"] = [dict(room, id=r) for r in range(3)]
+        doc["rooms"].append({"id": 3, "schedule": [dict(room["schedule"][0], at=4)]})
+        pushes = run_counting_pushes(Simulation(load_scenario(doc)))
+        assert pushes == [
+            (1, (0, ObjectKind.MEETING_ROOM, 0), 5),
+            (1, (0, ObjectKind.MEETING_ROOM, 1), 5),
+            (1, (0, ObjectKind.MEETING_ROOM, 2), 5),
+            (4, (0, ObjectKind.MEETING_ROOM, 3), 5),
+        ]
+
+    @staticmethod
+    def assert_fires_match_pushes(scenario):
+        """Each watcher push's width is its cause's ``watcher_fired`` records in that tick."""
+        sim = Simulation(scenario)
+        pushes = run_counting_pushes(sim)
+        pushed = Counter()
+        for tick, cause, width in pushes:
+            if len(cause) == 3:
+                rule, _, watchee = cause
+                pushed[tick, rule, watchee] += width
+        fired = Counter(
+            (e.tick, e.data["rule"], e.data["watchee"])
+            for e in sim.events
+            if e.kind == "watcher_fired"
+        )
+        assert fired and fired == pushed
+        per_cause = Counter((tick, cause) for tick, cause, _ in pushes)
+        assert max(per_cause.values()) <= sim.scheduler.cascade_cap
+
+    @pytest.mark.parametrize("name", SCENARIO_FILES)
+    def test_bundled_fires_match_pushes(self, scenario_dir, name):
+        self.assert_fires_match_pushes(load_scenario_file(scenario_dir / name))
+
+    @pytest.mark.parametrize("workload", ["town_hall", "room_churn"])
+    def test_workload_fires_match_pushes(self, workload, tmp_path):
+        (path,) = benchmark_module("workloads").write_inputs(workload, 1, tmp_path)
+        self.assert_fires_match_pushes(load_scenario_file(path))
