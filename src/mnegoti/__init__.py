@@ -34,7 +34,6 @@ from .protocols import (
     ProtocolConfig,
     ProtocolKind,
     SessionStatus,
-    build_session,
     propose,
     run_round,
     session_outcome,

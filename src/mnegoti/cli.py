@@ -117,25 +117,27 @@ def _print_summary(artifacts: RunArtifacts) -> None:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
+    """Print the log record by record as it is read; a malformed line ends the trace there."""
+    current_tick = None
     try:
-        events = read_event_log(args.log)
+        for record in read_event_log(args.log):
+            if record.tick != current_tick:
+                current_tick = record.tick
+                print(f"tick {current_tick}:")
+            band = "-" if record.priority is None else str(record.priority)
+            details = " ".join(f"{k}={record.data[k]}" for k in sorted(record.data))
+            print(f"  [{band:>4}] {record.kind} {details}")
+    except BrokenPipeError:
+        raise  # stdout closed, not the log: ``main`` ends quietly
     except FileNotFoundError:
         print(f"error: no such file: {args.log}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: cannot read {args.log}: {exc.strerror}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: malformed event log {args.log}: {exc}", file=sys.stderr)
         return 1
-    current_tick = None
-    for record in events:
-        if record.tick != current_tick:
-            current_tick = record.tick
-            print(f"tick {current_tick}:")
-        band = "-" if record.priority is None else str(record.priority)
-        details = " ".join(f"{k}={record.data[k]}" for k in sorted(record.data))
-        print(f"  [{band:>4}] {record.kind} {details}")
     return 0
 
 

@@ -11,16 +11,15 @@ records is a pure function of (scenario, seed).
 An agent scan makes one ``check_admission`` call per open room, and a
 watching agent whose last scan found no room skips the walk until another
 room opens (see ``_exec_agent_scan``). The scans one room opening fires
-run as one queue entry, a ``scheduler.FanOut``; an agent that several
+run as one queue entry with a ``targets`` list; an agent that several
 openings of one band fire a scan for runs each of them, and every scan
 after its first returns at once. Log records are plain named tuples,
 built positionally.
 
 Records go to ``Simulation.events``, an ``EventLog``, which writes each
-as its events.log line: to a buffer in memory, or to the file an on-disk
-run attaches before the first tick. The set-up records are logged when
-the first tick runs, at tick 0 with no band, so building a simulation
-formats no line.
+as its events.log line: to a buffer in memory by default, or to the file
+of the log an on-disk run builds the simulation with. The set-up records
+are logged while the simulation is built, at tick 0 with no band.
 """
 
 from __future__ import annotations
@@ -64,13 +63,13 @@ class Simulation:
     scenario: Scenario
     seed: int | None = None
     ticks: int | None = None
+    events: EventLog = field(default_factory=EventLog)
 
     context: Context = field(init=False)
     scheduler: Scheduler = field(init=False)
     # The context's own member dicts, by id: the simulation's one store.
     agents: dict[int, Agent] = field(init=False)
     rooms: dict[int, MeetingRoom] = field(init=False)
-    events: EventLog = field(init=False, default_factory=EventLog)
 
     def __post_init__(self) -> None:
         if self.seed is None:
@@ -88,13 +87,12 @@ class Simulation:
         self._open_rooms: list[MeetingRoom] = []
         self._openings = 0
         self._empty_scan_at: dict[int, int] = {}
-        self._setup_records: list[EventRecord] = []
         self._setup()
 
     # -- setup -----------------------------------------------------------
 
     def _setup(self) -> None:
-        self._log_at_setup(
+        self._log(
             "scenario_loaded",
             seed=self.seed,
             ticks=self.ticks,
@@ -111,7 +109,7 @@ class Simulation:
             next_id += group.member_count
             for agent in members:
                 self.context.add(ObjectKind.AGENT, agent.id, agent)
-            self._log_at_setup(
+            self._log(
                 "population_spawned",
                 group=group.id,
                 name=group.name,
@@ -149,15 +147,8 @@ class Simulation:
         return self.events
 
     def step(self) -> None:
-        """Run the current tick, unless the last tick has already run.
-
-        The first tick logs the set-up records before it runs any action.
-        """
+        """Run the current tick, unless the last tick has already run."""
         if self.now <= self.ticks:
-            if self._setup_records:
-                for record in self._setup_records:
-                    self.events.append(record)
-                self._setup_records = []
             self.scheduler.step()
 
     @property
@@ -169,10 +160,6 @@ class Simulation:
     def _log(self, kind: str, **data: Any) -> None:
         scheduler = self.scheduler
         self.events.append(EventRecord(scheduler.now, scheduler.current_band, kind, data))
-
-    def _log_at_setup(self, kind: str, **data: Any) -> None:
-        """Keep a set-up record, at tick 0 with no band, for the first tick to log."""
-        self._setup_records.append(EventRecord(0, None, kind, data))
 
     def _notify_agent(self, agent: Agent, old_phase: AgentPhase) -> None:
         self._notify(ObjectKind.AGENT, agent.id, old_phase.value, agent.phase.value, agent)

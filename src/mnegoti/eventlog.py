@@ -131,9 +131,18 @@ def parse_event_line(line: str) -> EventRecord:
     )
 
 
-def read_event_log(path: str | Path) -> list[EventRecord]:
-    lines = Path(path).read_text().splitlines()
-    return [parse_event_line(line) for line in lines if line.strip()]
+def read_event_log(path: str | Path) -> Iterator[EventRecord]:
+    """The records of the events.log at ``path``, each parsed when iteration reaches its line.
+
+    A line that is not an event record raises ``ValueError`` naming its number.
+    """
+    with open(path, encoding="utf-8") as file:
+        for number, line in enumerate(file, 1):
+            if line.strip():
+                try:
+                    yield parse_event_line(line)
+                except (ValueError, KeyError) as exc:
+                    raise ValueError(f"line {number}: {exc}") from exc
 
 
 class EventLog:
@@ -217,7 +226,7 @@ class EventLog:
         """Write one ``watcher_fired`` line per fire of one change of ``watchee``.
 
         Only the kind, ``start`` and ``priority`` of a fire's ``action`` are
-        read; the scheduler's fires of one rule share one ``FanOut`` there.
+        read; the scheduler's fires of one rule share one queue entry there.
         The prefix is formatted again only when the rule or the entry, by
         identity, differs from the previous fire's.
         """

@@ -397,38 +397,3 @@ def utility(agent: Agent, issue: Issue) -> float:
     if u is None:
         u = table[issue.id] = evaluate(agent, issue)
     return u
-
-
-def build_session(
-    room_id: int,
-    agents: Sequence[Agent],
-    issues: Sequence[Issue],
-    protocol: ProtocolConfig,
-    group_strategies: Mapping[int, StrategyConfig] | None = None,
-    deadline_rounds: int | None = None,
-    started_tick: int = 0,
-) -> NegotiationSession:
-    """Create a session from live agents, fixing participants in ascending id order.
-
-    The session reads each agent's utility table in place; every agenda cell
-    still empty is filled first, agent by agent and issue by issue. Each
-    participant takes the strategy of its group in ``group_strategies``, or
-    the default ``StrategyConfig()`` when its group is absent.
-    """
-    ordered = sorted(agents, key=lambda a: a.id)
-    agenda = sorted(issues, key=lambda i: i.id)
-    for a in ordered:
-        for issue in agenda:
-            utility(a, issue)
-    group_strategies = group_strategies or {}
-    return NegotiationSession(
-        room_id=room_id,
-        issue_ids=tuple(i.id for i in agenda),
-        participants=tuple(a.id for a in ordered),
-        utilities={a.id: a.utilities for a in ordered},
-        strategies={a.id: group_strategies.get(a.group_id, StrategyConfig()) for a in ordered},
-        protocol=protocol,
-        deadline_rounds=deadline_rounds if deadline_rounds is not None else protocol.max_rounds,
-        started_tick=started_tick,
-        ended_tick=started_tick,
-    )

@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Mapping
 
 from .errors import ConfigurationError, InvalidTransitionError, RoomClosedError
 from .model import Agent, AgentPhase, Issue, StrategyConfig
 from .model import evaluate  # noqa: F401  (kept importable: benchmark/tracing.py patches it)
-from .protocols import NegotiationSession, ProtocolConfig, build_session, utility
+from .protocols import NegotiationSession, ProtocolConfig, utility
 
 
 class RoomState(str, Enum):
@@ -118,24 +119,38 @@ class MeetingRoom:
     def start_session(
         self, group_strategies: Mapping[int, StrategyConfig], tick: int
     ) -> NegotiationSession:
-        """Start a session of the attendees on the agenda; each takes its group's strategy."""
+        """Start a session of the attendees on the agenda; each takes its group's strategy.
+
+        Participants and issues are fixed in ascending id. The session reads
+        each attendee's utility table in place, with every agenda cell
+        still empty filled first; a group absent from ``group_strategies``
+        takes ``StrategyConfig()``.
+        """
         if self.room_state is not RoomState.OPEN:
             raise InvalidTransitionError(
                 f"room {self.id} is {self.room_state.value}, cannot start a session"
             )
-        attendees = list(self.attendees.values())
+        attendees = sorted(self.attendees.values(), key=attrgetter("id"))
         if len(attendees) < 2:
             raise InvalidTransitionError(
                 f"room {self.id} needs at least 2 attendees, has {len(attendees)}"
             )
-        session = build_session(
+        issues = sorted(self.agenda.issues, key=attrgetter("id"))
+        for attendee in attendees:
+            for issue in issues:
+                utility(attendee, issue)
+        session = NegotiationSession(
             room_id=self.id,
-            agents=attendees,
-            issues=self.agenda.issues,
+            issue_ids=tuple(issue.id for issue in issues),
+            participants=tuple(a.id for a in attendees),
+            utilities={a.id: a.utilities for a in attendees},
+            strategies={
+                a.id: group_strategies.get(a.group_id, StrategyConfig()) for a in attendees
+            },
             protocol=self.agenda.protocol,
-            group_strategies=group_strategies,
             deadline_rounds=self.agenda.deadline_rounds,
             started_tick=tick,
+            ended_tick=tick,
         )
         self.session = session
         self.room_state = RoomState.IN_SESSION

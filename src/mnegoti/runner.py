@@ -160,16 +160,17 @@ def _replicate(
     scenario: Scenario, seed: int, ticks: int | None, directory: Path | None
 ) -> RunArtifacts:
     """One replication, streamed to ``directory/events.log`` when there is a directory."""
-    sim = Simulation(scenario, seed=seed, ticks=ticks)
     if directory is None:
+        sim = Simulation(scenario, seed=seed, ticks=ticks)
         sim.run()
     else:
         log = directory / "events.log"
         try:
             directory.mkdir(parents=True, exist_ok=True)
             with _rewritten(log) as file:
-                sim.events = EventLog(file, log)
-                sim.run()  # the engine does no I/O: an OSError here is the log's
+                # The engine does no I/O: an OSError here is the log's.
+                sim = Simulation(scenario, seed=seed, ticks=ticks, events=EventLog(file, log))
+                sim.run()
         except OSError as exc:
             raise OutputError(f"cannot write artifacts under {directory}: {exc}") from exc
     # The scheduler's executor is a bound method of ``sim``: cutting that

@@ -16,20 +16,18 @@ the query that never change (kind, id, group) and never rebuilt: the
 context's membership is fixed once ``Simulation`` is constructed. A
 watcher's state is read only when the query or the trigger constrains it.
 
-The reactions one rule fires on one state change are one queue entry, a
-``FanOut``, not one action per watcher as in the Repast Simphony watcher
-model. It holds the targets in watcher order, and ``step`` runs its
-members back to back from one pop. That is the order one action per
-watcher would run in: a push made while a member runs lands in the same
-band or below, so it sorts after every remaining member either way. The
-entry takes one seq per target, a contiguous range, so every later seq is
-the one it would be with one action per watcher. A duplicate agent scan
+Every queue entry is a ``ScheduledAction``. The reactions one rule fires
+on one state change are one entry whose ``targets`` hold the watchers'
+targets in watcher order, not one action per watcher as in the Repast
+Simphony watcher model, and ``step`` runs its members back to back from
+one pop. That is the order one action per watcher would run in: a push
+made while a member runs lands in the same band or below, so it sorts
+after every remaining member either way. An entry takes one seq per
+member, a contiguous range, so every later seq is the one it would be
+with one action per watcher. Every reaction, an engine follow-up too, is
+one push for its cause (see ``_push_reactions``). A duplicate agent scan
 runs like any other reaction; the engine's scan then returns at once
 (see ``Simulation._exec_agent_scan``).
-
-Every reaction, an engine follow-up too, is a ``FanOut`` that
-``_push_reactions`` counts as one push for its cause and queues; a
-``ScheduledAction`` is only what ``schedule`` queues.
 """
 
 from __future__ import annotations
@@ -61,7 +59,12 @@ class ReactionOffset(str, Enum):
 
 @dataclass(slots=True)
 class ScheduledAction:
-    """One entry queued by ``schedule``; interval 0 is one-shot, > 0 re-enqueues after running."""
+    """One queue entry; interval 0 is one-shot, > 0 re-enqueues after running.
+
+    The entry runs once per member of ``targets``, in order, with ``target``
+    set to each, and takes one seq per member; ``targets`` None is one
+    member, ``target`` itself. Cancelling the entry cancels every member.
+    """
 
     kind: ActionKind
     target: Any = None
@@ -71,26 +74,7 @@ class ScheduledAction:
     payload: Any = None
     seq: int = -1  # assigned at each insertion
     cancelled: bool = False
-
-
-@dataclass(slots=True)
-class FanOut:
-    """One rule's reactions to one state change, queued as one entry.
-
-    ``targets`` are the reactions' targets in watcher order; the entry's
-    seq is the first of ``len(targets)`` consecutive seqs. The executor is
-    handed the entry itself once per member, with ``target`` set to that
-    member's target. Cancelling the entry before it runs cancels every
-    member; the engine never cancels a reaction.
-    """
-
-    kind: ActionKind
-    targets: list[Any]
-    start: int
-    priority: int
-    seq: int
-    target: Any = None
-    cancelled: bool = False
+    targets: list[Any] | None = None
 
 
 @dataclass(frozen=True)
@@ -122,11 +106,11 @@ class WatcherRule:
 
 
 class FiredReaction(NamedTuple):
-    """One watcher's reaction to the caller's state change; ``action`` is the rule's ``FanOut``."""
+    """One watcher's reaction to the caller's state change; ``action`` is the rule's entry."""
 
     rule_id: int
     watcher_id: int
-    action: FanOut
+    action: ScheduledAction
 
 
 class Scheduler:
@@ -147,7 +131,7 @@ class Scheduler:
         self.executor = executor
         self.context = context
         self.cascade_cap = cascade_cap
-        self._heap: list[tuple[int, int, int, ScheduledAction | FanOut]] = []
+        self._heap: list[tuple[int, int, int, ScheduledAction]] = []
         self._seq_counter = 0
         self._rules: list[WatcherRule] = []
         # Cause -> pushes made for it this tick.
@@ -177,9 +161,10 @@ class Scheduler:
         action.cancelled = True
 
     def _push(self, action: ScheduledAction, tick: int) -> None:
+        """Queue ``action`` at ``tick``, taking one seq per member."""
         action.start = tick
         action.seq = seq = self._seq_counter
-        self._seq_counter += 1
+        self._seq_counter += 1 if action.targets is None else len(action.targets)
         heapq.heappush(self._heap, (tick, -action.priority, seq, action))
 
     # -- watchers ------------------------------------------------------
@@ -204,7 +189,7 @@ class Scheduler:
         sides, so the flip must come from the watchee: the rule fires only when
         ``old_state != watchee_state == new_state``, and a trigger with no
         ``watchee_state`` never fires. Each rule that fires queues one
-        ``FanOut``, one push against the cascade cap for the cause (rule id,
+        entry, one push against the cascade cap for the cause (rule id,
         watchee kind, watchee id); one ``FiredReaction`` is returned per watcher.
         """
         if old_state == new_state:
@@ -259,11 +244,11 @@ class Scheduler:
 
     def enqueue_reaction(
         self, kind: ActionKind, target: Any, priority: int | None = None
-    ) -> FanOut:
+    ) -> ScheduledAction:
         """Engine hook for direct same-tick follow-ups (e.g. invitation scans).
 
-        Each follow-up is a one-member ``FanOut``, one push for its cause
-        ``(kind, target)``.
+        Each follow-up is an entry whose ``targets`` is ``[target]``, one
+        push for its cause ``(kind, target)``.
         """
         return self._push_reactions(
             kind, [target], ReactionOffset.SAME_TICK, priority, (kind, target)
@@ -272,8 +257,8 @@ class Scheduler:
     def _push_reactions(
         self, kind: ActionKind, targets: list[Any], when: ReactionOffset,
         configured: int | None, cause: tuple,
-    ) -> FanOut:
-        """Count one push for ``cause``, then queue ``targets`` as one ``FanOut``.
+    ) -> ScheduledAction:
+        """Count one push for ``cause``, then queue ``targets`` as one entry.
 
         ``cause`` is a watcher fire's (rule id, watchee kind, watchee id) or
         an engine follow-up's (kind, target). The push that takes one cause
@@ -295,10 +280,8 @@ class Scheduler:
             )
         self._pushes_this_tick[cause] = pushes
         start, band = self._reaction_slot(when, configured)
-        seq = self._seq_counter
-        self._seq_counter += len(targets)
-        entry = FanOut(kind, targets, start, band, seq)
-        heapq.heappush(self._heap, (start, -band, seq, entry))
+        entry = ScheduledAction(kind, priority=band, targets=targets)
+        self._push(entry, start)
         return entry
 
     def _reaction_slot(self, when: ReactionOffset, configured: int | None) -> tuple[int, int]:
@@ -320,9 +303,9 @@ class Scheduler:
     def step(self) -> None:
         """Run every action of the current tick, then advance ``now``.
 
-        A ``FanOut`` runs its members in order, each through the executor
-        with ``target`` set to the member's target. A ``ScheduledAction``
-        with an interval is queued again unless it was cancelled.
+        Each entry runs its members in order, each through the executor
+        with ``target`` set to the member's target. An entry with an
+        interval is queued again unless it was cancelled.
         """
         tick = self.now
         self._pushes_this_tick.clear()
@@ -333,15 +316,12 @@ class Scheduler:
                 continue
             self.current_band = action.priority
             execute = self.executor
-            if type(action) is FanOut:
-                if execute is not None:
-                    for target in action.targets:
-                        action.target = target
-                        execute(action)
-            else:
-                if execute is not None:
+            if execute is not None:
+                targets = action.targets
+                for target in (action.target,) if targets is None else targets:
+                    action.target = target
                     execute(action)
-                if action.interval > 0 and not action.cancelled:
-                    self._push(action, tick + action.interval)
+            if action.interval > 0 and not action.cancelled:
+                self._push(action, tick + action.interval)
             self.current_band = None
         self.now += 1

@@ -25,7 +25,7 @@ from mnegoti.eventlog import EventLog, event_line
 from mnegoti.protocols import Offer, RoundBlock
 from mnegoti.runner import run, write_artifacts
 from mnegoti.scenario import load_scenario_file, parse_scenario_text
-from mnegoti.scheduler import ActionKind, FanOut, FiredReaction
+from mnegoti.scheduler import ActionKind, FiredReaction, ScheduledAction
 
 from conftest import SCENARIO_DIR
 
@@ -63,7 +63,9 @@ def test_log_records(benchmark):
 def test_log_fan_out(benchmark, tmp_path):
     # One room opening seen by 2 000 watching agents, each firing a scan:
     # one queued entry, as the scheduler makes it.
-    entry = FanOut(ActionKind.AGENT_SCAN, list(range(2_000)), start=12, priority=99, seq=0)
+    entry = ScheduledAction(
+        ActionKind.AGENT_SCAN, start=12, priority=99, seq=0, targets=list(range(2_000))
+    )
     fired = [FiredReaction(0, agent, entry) for agent in entry.targets]
     with open(tmp_path / "events.log", "w", encoding="utf-8") as file:
         writer = EventLog(file)

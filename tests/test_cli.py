@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import yaml
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from mnegoti.cli import main
 from mnegoti.engine import Simulation
 from mnegoti.errors import MnegotiError
+from mnegoti.eventlog import EventRecord, event_line
 
 from conftest import MINIMAL_DOC, SCENARIO_DIR, benchmark_module
 
@@ -110,7 +113,7 @@ class TestValidateIsQuiet:
             assert printed.err == ""
 
 
-class TestPopulationFanOut:
+class TestPopulationScaleReactions:
     """Fan-out that grows with the population validates quietly and runs to the end."""
 
     @pytest.mark.parametrize(
@@ -265,7 +268,33 @@ class TestInspect:
         log = tmp_path / "events.log"
         log.write_text("[1,2]\n")
         assert main(["inspect", str(log)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: malformed event log {log}")
+        assert capsys.readouterr().err.startswith(f"error: malformed event log {log}: line 1:")
+
+    def test_lines_before_a_malformed_one_stay_printed(self, tmp_path, capsys):
+        log = tmp_path / "events.log"
+        records = [EventRecord(0, None, "report", {"n": n}) for n in range(2)]
+        log.write_text("".join(event_line(r) + "\n" for r in records) + "\n{\"tick\": 1}\n")
+        assert main(["inspect", str(log)]) == 1
+        printed = capsys.readouterr()
+        assert printed.out == "tick 0:\n  [   -] report n=0\n  [   -] report n=1\n"
+        assert printed.err.startswith(f"error: malformed event log {log}: line 4:")
+
+    def test_memory_does_not_grow_with_the_log(self, tmp_path):
+        def peak_bytes(lines):
+            log = tmp_path / f"{lines}.log"
+            with open(log, "w", encoding="utf-8") as file:
+                for n in range(lines):
+                    data = {"accept": n % 3 == 0, "agent": n, "room": 2, "round": n // 100}
+                    file.write(event_line(EventRecord(n // 1000, 50, "vote", data)) + "\n")
+            with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+                tracemalloc.start()
+                try:
+                    assert main(["inspect", str(log)]) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        assert peak_bytes(20_000) <= 1.5 * peak_bytes(2_000)
 
 
 class TestParsing:

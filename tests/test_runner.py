@@ -33,7 +33,7 @@ from mnegoti.protocols import Offer, RoundBlock
 from mnegoti.runner import SummaryRow, population_rows, run, summarize
 from mnegoti.scenario import load_scenario, load_scenario_file
 from mnegoti.rooms import MeetingRoom
-from mnegoti.scheduler import ActionKind, FanOut, FiredReaction, ScheduledAction, Scheduler
+from mnegoti.scheduler import ActionKind, FiredReaction, ScheduledAction, Scheduler
 
 from conftest import SCENARIO_DIR, benchmark_module, run_counting_pushes, two_group_doc
 from oracles import notify_one_action_per_fire, scan_every_room
@@ -777,7 +777,22 @@ class TestArtifacts:
         assert (rep / "summary.csv").exists()
         assert (rep / "population.csv").exists()
         assert (rep / "events.log").read_bytes() == in_memory.events.text().encode("ascii")
-        assert read_event_log(rep / "events.log") == list(in_memory.events)
+        assert list(read_event_log(rep / "events.log")) == list(in_memory.events)
+
+    def test_simulation_built_with_an_on_disk_log_has_written_its_set_up_records(
+        self, scenario_dir, tmp_path
+    ):
+        scenario = load_scenario_file(scenario_dir / "protection_strategies.yaml")
+        path = tmp_path / "events.log"
+        with open(path, "w", encoding="utf-8") as file:
+            sim = Simulation(scenario, events=EventLog(file, path))
+            assert len(sim.events) == 1 + len(scenario.groups)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        (in_memory,) = run(scenario)
+        assert lines == in_memory.events.text().splitlines(keepends=True)[: len(lines)]
+        assert [parse_event_line(line).kind for line in lines] == (
+            ["scenario_loaded"] + ["population_spawned"] * len(scenario.groups)
+        )
 
     def test_on_disk_result_keeps_counts_and_summary(self, scenario_dir, tmp_path):
         scenario = load_scenario_file(scenario_dir / "protection_strategies.yaml")
@@ -1163,7 +1178,7 @@ class TestEventLine:
         # One entry per run of fires, as the scheduler queues them.
         fired = []
         for rule, reaction, at, band, watchers in runs:
-            entry = FanOut(reaction, watchers, at, band, seq=0)
+            entry = ScheduledAction(reaction, start=at, priority=band, seq=0, targets=watchers)
             fired += [FiredReaction(rule, watcher, entry) for watcher in watchers]
         expected = [
             EventRecord(

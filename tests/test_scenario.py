@@ -765,7 +765,7 @@ class TestWatcherRuleKinds:
             assert needed in (None, kind)
 
 
-class TestOpeningFanOut:
+class TestOpeningPushes:
     """Each rule's fire on one room is one push for its cause, however many watchers it has."""
 
     ROOM_0 = (0, ObjectKind.MEETING_ROOM, 0)

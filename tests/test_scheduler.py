@@ -15,7 +15,6 @@ from mnegoti.model import Agent, AgentPhase
 from mnegoti.rooms import MeetingRoom, RoomState
 from mnegoti.scheduler import (
     ActionKind,
-    FanOut,
     ReactionOffset,
     ScheduledAction,
     Scheduler,
@@ -112,6 +111,18 @@ class TestScheduling:
         scheduler.cancel(action)
         run_ticks(scheduler, 4)
         assert executed == []
+
+    def test_requeued_periodic_entry_keeps_its_one_member_and_one_seq(self):
+        scheduler, executed = recording_scheduler()
+        clock = scheduler.schedule(
+            ScheduledAction(kind=ActionKind.NEGOTIATION_ROUND, target=3, start=0, interval=1)
+        )
+        scheduler.step()
+        assert (clock.targets, clock.target, clock.start, clock.seq) == (None, 3, 1, 1)
+        after = scheduler.schedule(ScheduledAction(kind=ActionKind.REPORT, target="after", start=1))
+        assert after.seq == clock.seq + 1
+        scheduler.step()
+        assert [(tick, a.target) for tick, a in executed] == [(0, 3), (1, 3), (1, "after")]
 
 
 class TestWatchers:
@@ -585,7 +596,7 @@ class TestOneActionPerFireOracle:
         assert executed == self.executed(joins, rules, starts, script, reference=True)
 
 
-class TestFanOut:
+class TestReactionEntry:
     """One rule's reactions to one state change are one queue entry, run member by member."""
 
     OPENING_BAND = 100
@@ -627,6 +638,22 @@ class TestFanOut:
         (fire, *_) = self.open_room(scheduler, room)
         after = scheduler.schedule(ScheduledAction(kind=ActionKind.REPORT, priority=99))
         assert after.seq == fire.action.seq + 3
+
+    def test_cancelled_entry_runs_none_of_its_members(self):
+        # A reaction entry and a scheduled entry with members queue and cancel alike.
+        scheduler, executed, room = self.watched_room()
+        (fire, *_) = self.open_room(scheduler, room)
+        members = scheduler.schedule(
+            ScheduledAction(kind=ActionKind.REPORT, priority=99, targets=["a", "b"])
+        )
+        cancelled = scheduler.schedule(
+            ScheduledAction(kind=ActionKind.REPORT, priority=99, targets=["c", "d"])
+        )
+        assert (members.seq, cancelled.seq) == (fire.action.seq + 3, fire.action.seq + 5)
+        scheduler.cancel(fire.action)
+        scheduler.cancel(cancelled)
+        scheduler.step()
+        assert [target for *_, target in executed] == ["a", "b"]
 
     def test_members_run_back_to_back_in_watcher_order(self):
         scheduler, executed, room = self.watched_room()
@@ -689,7 +716,7 @@ class TestFanOut:
         scheduler.current_band = self.OPENING_BAND
         follow_up = scheduler.enqueue_reaction(ActionKind.ROOM_INVITE, 7)
         scheduler.current_band = None
-        assert type(follow_up) is FanOut
+        assert follow_up.targets == [7]
         assert (follow_up.kind, follow_up.targets, follow_up.start, follow_up.priority) == (
             ActionKind.ROOM_INVITE, [7], 0, 99
         )
