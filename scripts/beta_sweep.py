@@ -12,17 +12,15 @@ import argparse
 import copy
 from pathlib import Path
 
-import yaml
-
 from mnegoti import StrategyConfig, load_scenario
 from mnegoti.runner import run
-from mnegoti.scenario import YAML_LOADER
+from mnegoti.scenario import read_document
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def sweep(template_path: str, betas: list[float], replications: int) -> None:
-    template = yaml.load(Path(template_path).read_text(encoding="utf-8"), Loader=YAML_LOADER)
+    template = read_document(Path(template_path).read_text(encoding="utf-8"))
     default_kind = StrategyConfig().kind.value
     print(f"template: {template_path}")
     print(f"{'beta':>6} {'agreed':>7} {'avg_rounds':>10} {'avg_welfare':>11} {'avg_nash':>9}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
@@ -100,11 +101,32 @@ def _agent_watching(r: EventRecord) -> str:
     return head + _line_end(r.tick, r.priority)
 
 
+def _scenario_loaded(r: EventRecord) -> str:
+    d = r.data
+    return (
+        f'{{"data":{{"agents":{d["agents"]},"criteria":{d["criteria"]},"groups":{d["groups"]},'
+        f'"issues":{d["issues"]},"rooms":{d["rooms"]},"seed":{d["seed"]},"ticks":{d["ticks"]}}},'
+        '"kind":"scenario_loaded"' + _line_end(r.tick, r.priority)
+    )
+
+
+def _population_spawned(r: EventRecord) -> str:
+    d = r.data
+    return (
+        f'{{"data":{{"group":{d["group"]},"members":[{",".join(map(str, d["members"]))}],'
+        f'"name":{encode_basestring_ascii(d["name"])}}},"kind":"population_spawned"'
+        + _line_end(r.tick, r.priority)
+    )
+
+
 # A template for each fixed-shape kind that comes through ``append`` once per
-# agent scan: its data holds only ints and finite floats.
+# agent scan or once per run at set-up: its data holds only ints, finite
+# floats, lists of ints and a group's name.
 _TEMPLATES = {
     "agent_entered": _agent_entered,
     "agent_watching": _agent_watching,
+    "population_spawned": _population_spawned,
+    "scenario_loaded": _scenario_loaded,
 }
 
 
@@ -167,7 +189,9 @@ class EventLog:
         return self.count
 
     def __iter__(self) -> Iterator[EventRecord]:
-        return map(parse_event_line, io.StringIO(self.text()))
+        if self.path is None:
+            return map(parse_event_line, io.StringIO(self.text()))
+        return read_event_log(self.path)
 
     def detach(self) -> None:
         """Let go of the file and the session_end records of a finished on-disk run.

@@ -1,8 +1,11 @@
-"""Scenario documents: schema and validation.
+"""Scenario documents: parsing, schema and validation.
 
 A scenario is one YAML (or JSON) document with the top-level keys
 version, seed, ticks, theta_in, criteria, issues, groups, social_edges,
-protocols, rooms and watchers. Loading validates every cross-reference
+protocols, rooms and watchers. The document is built in one pass over the
+parser's node graph; a graph outside the plain-data subset (string-keyed
+mappings, lists, and str, int, float, bool and null scalars) is built by
+PyYAML's own constructor instead. Loading validates every cross-reference
 and bound, naming the offending path on failure. Issues are normalized at
 load: a score on a cost criterion is flipped to 1 - score, so
 ``Scenario.issues`` holds every score in benefit direction. An agenda holds
@@ -54,6 +57,10 @@ _TOP_KEYS = {
 
 # libyaml's parser when PyYAML was built with it; both build the same document.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# The node tags of a string, a mapping and a sequence.
+_STR = "tag:yaml.org,2002:str"
+_MAP = "tag:yaml.org,2002:map"
+_SEQ = "tag:yaml.org,2002:seq"
 
 # The states each object kind takes; a query with no kind may name any.
 _STATES_BY_KIND = {
@@ -595,12 +602,79 @@ def load_scenario(document) -> Scenario:
     )
 
 
-def parse_scenario_text(text: str) -> Scenario:
+class _NotPlain(Exception):
+    """A node outside the plain-data subset ``_build_document`` builds itself."""
+
+
+def _build_document(loader, root):
+    """The document of ``root``, built in one pass over its node graph.
+
+    The plain-data subset is built here: mappings whose keys are plain
+    strings, sequences, and scalars tagged str, int, float, bool or null.
+    As in PyYAML, a string is its node's own value, the other scalars go
+    through the loader's converters, and a repeated key keeps its first
+    place and its last value. A graph with any other node, such as a node
+    reached twice (an alias), a merge key, a timestamp or a custom tag, is
+    constructed whole by PyYAML. The pass keeps its own stack of unfilled
+    collections, so depth is no limit.
+    """
+    convert = {
+        "tag:yaml.org,2002:int": loader.construct_yaml_int,
+        "tag:yaml.org,2002:float": loader.construct_yaml_float,
+        "tag:yaml.org,2002:bool": loader.construct_yaml_bool,
+        "tag:yaml.org,2002:null": loader.construct_yaml_null,
+    }
+    seen = set()
+    unfilled = []
+
+    def build(node):
+        tag = node.tag
+        if tag == _STR:
+            return node.value
+        if node in seen:
+            raise _NotPlain
+        seen.add(node)
+        if tag in convert:
+            return convert[tag](node)
+        if tag == _MAP:
+            value = {}
+        elif tag == _SEQ:
+            value = []
+        else:
+            raise _NotPlain
+        unfilled.append((node, value))
+        return value
+
     try:
-        document = yaml.load(text, Loader=YAML_LOADER)
+        document = build(root)
+        while unfilled:
+            node, value = unfilled.pop()
+            if type(value) is list:
+                value.extend(map(build, node.value))
+            else:
+                for key, item in node.value:
+                    if key.tag != _STR:
+                        raise _NotPlain
+                    value[key.value] = build(item)
+    except _NotPlain:
+        return loader.construct_document(root)
+    return document
+
+
+def read_document(text: str):
+    """The parsed document of a scenario text, before validation."""
+    loader = YAML_LOADER(text)
+    try:
+        root = loader.get_single_node()
+        return None if root is None else _build_document(loader, root)
     except yaml.YAMLError as exc:
         raise ValidationError("scenario", f"not a well-formed document: {exc}") from None
-    return load_scenario(document)
+    finally:
+        loader.dispose()
+
+
+def parse_scenario_text(text: str) -> Scenario:
+    return load_scenario(read_document(text))
 
 
 def load_scenario_file(path: str | Path) -> Scenario:

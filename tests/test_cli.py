@@ -48,6 +48,14 @@ class TestValidate:
         assert main(["validate", "/nonexistent/nowhere.yaml"]) == 1
         assert "no such file" in capsys.readouterr().err
 
+    def test_deeply_nested_list_fails_validation(self, tmp_path, capsys):
+        path = tmp_path / "deep.yaml"
+        deep = "[" * 20_000 + "]" * 20_000
+        path.write_text(f"version: 1\nseed: 1\nticks: 1\ncriteria: {deep}\n")
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "invalid scenario: criteria[0]: expected a mapping, got list\n"
+
 
 def crowded_doc() -> dict:
     """1 200 agents in 4 groups and 9 conditions rooms opening at tick 1.

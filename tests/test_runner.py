@@ -804,6 +804,26 @@ class TestArtifacts:
         assert on_disk.summary == in_memory.summary
         assert on_disk.population == []
 
+    def test_iterating_an_on_disk_log_does_not_grow_with_the_log(self, tmp_path):
+        def peak_bytes(lines):
+            # Written and detached as ``run`` leaves an on-disk replication.
+            path = tmp_path / f"{lines}.log"
+            with open(path, "w", encoding="utf-8") as file:
+                log = EventLog(file, path)
+                for n in range(lines):
+                    data = {"accept": n % 3 == 0, "agent": n, "room": 2, "round": n // 100}
+                    log.append(EventRecord(n // 1000, 50, "vote", data))
+            log.detach()
+            artifacts = runner.RunArtifacts(seed=0, events=log, summary=[], population=[])
+            tracemalloc.start()
+            try:
+                assert sum(1 for _ in artifacts.events) == lines
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(20_000) <= 1.5 * peak_bytes(2_000)
+
     def test_write_artifacts_of_a_run_in_memory_equals_streamed_files(
         self, scenario_dir, tmp_path
     ):
@@ -1124,6 +1144,15 @@ UTILITIES = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 0.1 + 0.2]), st.floats(
 TEMPLATED_DATA = {
     "agent_entered": st.fixed_dictionaries({"agent": IDS, "room": IDS, "utility": UTILITIES}),
     "agent_watching": st.fixed_dictionaries({"agent": IDS}),
+    "scenario_loaded": st.fixed_dictionaries(
+        {
+            key: IDS
+            for key in ("seed", "ticks", "criteria", "issues", "groups", "agents", "rooms")
+        }
+    ),
+    "population_spawned": st.fixed_dictionaries(
+        {"group": IDS, "name": st.text(), "members": st.lists(IDS, max_size=20)}
+    ),
 }
 
 

@@ -21,6 +21,7 @@ from mnegoti.scenario import (
     load_scenario,
     load_scenario_file,
     parse_scenario_text,
+    read_document,
 )
 
 from conftest import MINIMAL_DOC, benchmark_module, run_counting_pushes, two_group_doc
@@ -130,6 +131,126 @@ class TestPurePythonLoader:
         path.write_text(MALFORMED)
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.startswith("invalid scenario:")
+
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+# Documents in the plain-data subset, at its edges; ``read_document`` builds
+# them without PyYAML's constructor.
+PLAIN_DOCUMENTS = {
+    "scalars": (
+        "octal: 010\nhex: 0x1F\nsexagesimal: 1:30\nunderscored: 1_000\ninfinity: .inf\n"
+        "minus_infinity: -.inf\nnot_a_number: .nan\nexponent: 1.5e3\ntruthy: yes\n"
+        "falsy: off\nword: true\ntilde: ~\nnull_word: null\nempty:\nquoted: '010'\n"
+    ),
+    "explicit_tags": "text: !!str 1\nnumber: !!float 1\n",
+    "nested": "a: [{b: [1, [2, []]], c: {}}]\nd: 'x'\n",
+    "duplicate_keys": "a: 1\nb: [2]\na: [3]\nb: 4\nc: {d: 5}\nc: {e: 6}\n",
+}
+# Documents that PyYAML's constructor builds whole.
+OTHER_DOCUMENTS = {
+    "alias": "shared: &s {k: [1, 2]}\nagain: *s\nnumber: &n 1000\nsame: *n\n",
+    "merge_key": "base: &b {x: 1, y: 2}\nderived: {<<: *b, y: 3}\n",
+    "timestamp": "at: 2001-12-14t21:59:43.10-05:00\nday: 2002-12-14\n",
+    "int_key": "1: one\n2: two\n",
+    "bool_key": "yes: 1\n",
+}
+# Texts that PyYAML refuses.
+REFUSED_DOCUMENTS = {
+    "two_documents": "a: 1\n---\nb: 2\n",
+    "unhashable_key": "? [a, b]\n: 1\n",
+}
+DEEP = "criteria: " + "[" * 20_000 + "]" * 20_000 + "\n"
+
+
+def nesting_depth(value) -> int:
+    """The depth of a list holding one list at each level down to an empty one."""
+    depth = 0
+    while value:
+        assert type(value) is list and len(value) == 1
+        value, depth = value[0], depth + 1
+    assert value == []
+    return depth
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+class TestReadDocument:
+    """``read_document`` gives ``yaml.load``'s document with each loader.
+
+    Documents are compared by ``repr``, which tells 1, 1.0 and True apart
+    and reads ``nan`` as equal to itself.
+    """
+
+    @pytest.fixture(autouse=True)
+    def use_loader(self, loader, monkeypatch):
+        monkeypatch.setattr(scenario_module, "YAML_LOADER", loader)
+
+    def plain_only(self, loader, monkeypatch):
+        """Make PyYAML's constructor fail, so only the one-pass build can succeed."""
+
+        def refuse(self, node):
+            raise AssertionError("built by PyYAML's constructor")
+
+        monkeypatch.setattr(loader, "construct_document", refuse)
+
+    def assert_built_in_one_pass(self, loader, texts, monkeypatch):
+        expected = [repr(yaml.load(text, Loader=loader)) for text in texts]
+        self.plain_only(loader, monkeypatch)
+        assert [repr(read_document(text)) for text in texts] == expected
+
+    @pytest.mark.parametrize("name", sorted(PLAIN_DOCUMENTS))
+    def test_plain_document(self, loader, name, monkeypatch):
+        self.assert_built_in_one_pass(loader, [PLAIN_DOCUMENTS[name]], monkeypatch)
+
+    @pytest.mark.parametrize("name", sorted(OTHER_DOCUMENTS))
+    def test_other_document(self, loader, name):
+        text = OTHER_DOCUMENTS[name]
+        assert repr(read_document(text)) == repr(yaml.load(text, Loader=loader))
+
+    def test_alias_stays_shared(self, loader):
+        doc = read_document(OTHER_DOCUMENTS["alias"])
+        assert doc["again"] is doc["shared"]
+        assert doc["same"] is doc["number"]
+
+    def test_empty_document_is_none(self, loader):
+        assert yaml.load("", Loader=loader) is None
+        assert read_document("") is None
+
+    @pytest.mark.parametrize("name", sorted(REFUSED_DOCUMENTS))
+    def test_refused_document_keeps_pyyaml_text(self, loader, name):
+        text = REFUSED_DOCUMENTS[name]
+        with pytest.raises(yaml.YAMLError) as expected:
+            yaml.load(text, Loader=loader)
+        with pytest.raises(ValidationError) as exc:
+            read_document(text)
+        assert path_of(exc.value) == "scenario"
+        assert str(exc.value) == f"scenario: not a well-formed document: {expected.value}"
+
+    def test_deep_nesting(self, loader, monkeypatch):
+        if loader is yaml.SafeLoader:
+            # PyYAML's pure-Python composer recurses once per level.
+            with pytest.raises(RecursionError):
+                yaml.load(DEEP, Loader=loader)
+            with pytest.raises(RecursionError):
+                read_document(DEEP)
+            return
+        expected = yaml.load(DEEP, Loader=loader)
+        self.plain_only(loader, monkeypatch)
+        doc = read_document(DEEP)
+        assert list(doc) == list(expected) == ["criteria"]
+        assert nesting_depth(doc["criteria"]) == nesting_depth(expected["criteria"]) == 19_999
+
+    @pytest.mark.parametrize("name", SCENARIO_FILES)
+    def test_bundled_scenario(self, loader, name, scenario_dir, monkeypatch):
+        text = (scenario_dir / name).read_text(encoding="utf-8")
+        self.assert_built_in_one_pass(loader, [text], monkeypatch)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("workload", ["town_hall", "summit", "room_churn", "sweep"])
+    def test_workload_input(self, loader, workload, seed, tmp_path, monkeypatch):
+        paths = benchmark_module("workloads").write_inputs(workload, seed, tmp_path)
+        texts = [path.read_text(encoding="utf-8") for path in paths]
+        self.assert_built_in_one_pass(loader, texts, monkeypatch)
 
 
 class TestNormalization:
