@@ -51,7 +51,6 @@ from .scheduler import (
     ReactionOffset,
     ScheduledAction,
     Scheduler,
-    Trigger,
     WatcherRule,
 )
 

@@ -3,11 +3,11 @@
 The context keeps one dict per kind, ``agents`` and ``rooms``, each keyed
 by id in insertion order, so it holds at most one member per kind and id;
 ``Simulation.agents`` and ``Simulation.rooms`` are those two dicts. Watcher
-rules select their watchers and watchees from it with a ``Query``, which
-walks the agents, then the rooms. Membership is fixed once ``Simulation``
-is constructed: agents and rooms are added during set-up and never leave.
-The context holds no relation over its members: groups
-are read from each agent's ``group_id``, and the scenario's
+rules select their watchers and watchees from it with a ``Query`` on kind,
+id and group, which walks the agents, then the rooms. Membership is fixed
+once ``Simulation`` is constructed: agents and rooms are added during
+set-up and never leave. The context holds no relation over its members:
+groups are read from each agent's ``group_id``, and the scenario's
 ``social_edges`` are validated on load but not kept, since no strategy
 or protocol reads them.
 """
@@ -30,13 +30,13 @@ class ObjectKind(str, Enum):
 class Query:
     """Closed predicate: conjunction of field = value tests over members.
 
-    ``state`` matches an object's phase/state name (e.g. "idle", "open");
-    ``group_id`` applies to agents only. Unset fields are unconstrained.
+    It tests only what never changes: kind, id and, for agents, group. A
+    state to be in belongs to the watcher rule, not to its queries. Unset
+    fields are unconstrained.
     """
 
     kind: ObjectKind | None = None
     ident: int | None = None
-    state: str | None = None
     group_id: int | None = None
 
     def matches(self, kind: ObjectKind, ident: int, obj: Any) -> bool:
@@ -44,9 +44,6 @@ class Query:
             return False
         if self.ident is not None and ident != self.ident:
             return False
-        if self.state is not None:
-            if _state_name(obj) != self.state:
-                return False
         if self.group_id is not None:
             if getattr(obj, "group_id", None) != self.group_id:
                 return False

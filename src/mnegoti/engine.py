@@ -309,8 +309,7 @@ class Simulation:
             block = run_round(session)
             self._log_round(room.id, block)
         if session.status is not SessionStatus.ACTIVE:
-            session.ended_tick = self.now
-            self._close_room(room, session_outcome(session))
+            self._close_room(room, session_outcome(session, self.now))
 
     def _exec_room_close(self, action: ScheduledAction) -> None:
         room = self.rooms[action.target]
@@ -320,8 +319,7 @@ class Simulation:
         if room.room_state is RoomState.IN_SESSION:
             session = room.session
             session.force_fail(FailureReason.FORCED_CLOSE)
-            session.ended_tick = self.now
-            outcome = session_outcome(session)
+            outcome = session_outcome(session, self.now)
         else:
             outcome = failed_outcome(room.attendee_ids(), FailureReason.FORCED_CLOSE)
         self._close_room(room, outcome)

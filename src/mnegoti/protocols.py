@@ -113,7 +113,6 @@ class NegotiationSession:
     last_block: RoundBlock | None = None
     candidates: list[int] = field(default_factory=list)  # shrinks only by drop_candidate
     started_tick: int = 0
-    ended_tick: int = 0
     # participant -> (best, worst) utility over the agenda
     extremes: dict[int, tuple[float, float]] = field(init=False, repr=False, compare=False)
     # (issue -> count, proposer -> issue) of the last round's participant offers
@@ -355,8 +354,8 @@ def _elimination_round(session: NegotiationSession, t: int) -> RoundBlock:
     return block
 
 
-def session_outcome(session: NegotiationSession) -> NegotiationOutcome:
-    """Assemble the outcome of a terminated session; disagreement pays 0."""
+def session_outcome(session: NegotiationSession, tick: int) -> NegotiationOutcome:
+    """Assemble the outcome of a session terminated at ``tick``; disagreement pays 0."""
     if session.status is SessionStatus.ACTIVE:
         raise NotTerminatedError(f"room {session.room_id}: session still active")
     if session.status is SessionStatus.AGREED:
@@ -365,7 +364,7 @@ def session_outcome(session: NegotiationSession) -> NegotiationOutcome:
         )
     else:
         utilities = tuple(0.0 for _ in session.participants)
-    spanned = max(1, session.ended_tick - session.started_tick + 1)
+    spanned = max(1, tick - session.started_tick + 1)
     return NegotiationOutcome(
         status=session.status,
         reason=session.failure_reason,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from operator import attrgetter
 from typing import Mapping
 
@@ -44,18 +43,13 @@ class AdmissionPolicy:
     kind: AdmissionKind
     groups: tuple[int, ...] = ()
     threshold: float = 0.0
-    agents: tuple[int, ...] = ()
+    agents: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
         if self.kind is AdmissionKind.INVITATIONS and not self.agents:
             raise ConfigurationError("invitation admission needs a non-empty agent list")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigurationError(f"admission threshold {self.threshold} outside [0, 1]")
-
-    @cached_property
-    def invited(self) -> frozenset[int]:
-        """``agents`` as a set, built on the first admission check."""
-        return frozenset(self.agents)
 
 
 @dataclass(frozen=True)
@@ -102,7 +96,7 @@ class MeetingRoom:
             raise RoomClosedError(f"room {self.id} is not open")
         policy = self.agenda.admission
         if policy.kind is AdmissionKind.INVITATIONS:
-            if agent.id not in policy.invited:
+            if agent.id not in policy.agents:
                 return None
         elif policy.groups and agent.group_id not in policy.groups:
             return None
@@ -150,7 +144,6 @@ class MeetingRoom:
             protocol=self.agenda.protocol,
             deadline_rounds=self.agenda.deadline_rounds,
             started_tick=tick,
-            ended_tick=tick,
         )
         self.session = session
         self.room_state = RoomState.IN_SESSION

@@ -37,7 +37,7 @@ from .model import (
 )
 from .protocols import ProtocolConfig, ProtocolKind
 from .rooms import AdmissionKind, AdmissionPolicy, Agenda, RoomState
-from .scheduler import ActionKind, ReactionOffset, Trigger, WatcherRule
+from .scheduler import ActionKind, ReactionOffset, WatcherRule
 
 SCHEMA_VERSION = 1
 
@@ -360,7 +360,6 @@ def _parse_admission(
         if not agents_raw:
             raise ValidationError(f"{path}.agents", "invitation list must not be empty")
         seen: set[int] = set()
-        agents = []
         for j, a in enumerate(agents_raw):
             aid = _int(a, f"{path}.agents[{j}]", minimum=0)
             if aid >= total_agents:
@@ -369,8 +368,7 @@ def _parse_admission(
                     f"agent {aid} does not exist (population is {total_agents})",
                 )
             _unique(seen, aid, f"{path}.agents[{j}]", "agent")
-            agents.append(aid)
-        return AdmissionPolicy(kind=kind, agents=tuple(agents))
+        return AdmissionPolicy(kind=kind, agents=frozenset(seen))
     _no_unknown_keys(doc, {"kind", "groups", "threshold"}, path)
     groups = []
     for j, g in enumerate(_sequence(doc.get("groups", []), f"{path}.groups")):
@@ -463,18 +461,19 @@ def _state(raw, kind: ObjectKind | None, path: str) -> str:
     return state
 
 
-def _parse_trigger(raw, watcher: Query, watchee: Query, path: str) -> Trigger:
+def _parse_trigger(raw, watcher: Query, watchee: Query, path: str) -> dict[str, str]:
+    """The state the trigger names for each side, "watcher" or "watchee", that has one."""
     doc = _mapping(raw, path)
     _no_unknown_keys(doc, {"watcher.state", "watchee.state"}, path)
-    watcher_state = watchee_state = None
-    if "watcher.state" in doc:
-        watcher_state = _state(doc["watcher.state"], watcher.kind, f"{path}.watcher.state")
-    if "watchee.state" in doc:
-        watchee_state = _state(doc["watchee.state"], watchee.kind, f"{path}.watchee.state")
-    return Trigger(watcher_state=watcher_state, watchee_state=watchee_state)
+    return {
+        side: _state(doc[f"{side}.state"], query.kind, f"{path}.{side}.state")
+        for side, query in (("watcher", watcher), ("watchee", watchee))
+        if f"{side}.state" in doc
+    }
 
 
-def _parse_query(raw, group_ids: set[int], path: str) -> Query:
+def _parse_query(raw, group_ids: set[int], path: str) -> tuple[Query, str | None]:
+    """The query, and the state it names, if any."""
     doc = _mapping(raw, path)
     _no_unknown_keys(doc, {"kind", "id", "state", "group_id"}, path)
     kind = None
@@ -491,14 +490,16 @@ def _parse_query(raw, group_ids: set[int], path: str) -> Query:
             )
         if group_id not in group_ids:
             raise ValidationError(f"{path}.group_id", f"group {group_id} does not exist")
-    return Query(kind=kind, ident=ident, state=state, group_id=group_id)
+    return Query(kind=kind, ident=ident, group_id=group_id), state
 
 
 def _parse_watchers(raw, group_ids: set[int], path: str) -> tuple[WatcherRule, ...]:
     watchers = []
     for p, doc in _records(raw, path, {"watcher", "watchee", "trigger", "reaction"}):
-        watcher = _parse_query(_require(doc, "watcher", p), group_ids, f"{p}.watcher")
-        watchee = _parse_query(_require(doc, "watchee", p), group_ids, f"{p}.watchee")
+        (watcher, watcher_state), (watchee, watchee_state) = (
+            _parse_query(_require(doc, side, p), group_ids, f"{p}.{side}")
+            for side in ("watcher", "watchee")
+        )
         trigger = _parse_trigger(_require(doc, "trigger", p), watcher, watchee, f"{p}.trigger")
         rp = f"{p}.reaction"
         rdoc = _mapping(_require(doc, "reaction", p), rp)
@@ -531,27 +532,25 @@ def _parse_watchers(raw, group_ids: set[int], path: str) -> tuple[WatcherRule, .
                 f"{p}.{target_role}.kind",
                 f"{kind.value} acts on the {target_role}, so it must select kind: {needed.value}",
             )
-        # A rule fires only when its watchee changes into trigger.watchee.state
-        # and each side's query state, if any, agrees with the trigger's.
-        if trigger.watchee_state is None:
+        # The rule fires when its watchee changes into trigger.watchee.state. A
+        # query state must be its side's trigger state, or stands in for it.
+        if "watchee" not in trigger:
             raise ValidationError(
                 f"{p}.trigger", "no watchee.state is set, so this rule never fires"
             )
-        for side, query, state in (
-            ("watchee", watchee, trigger.watchee_state),
-            ("watcher", watcher, trigger.watcher_state),
-        ):
-            if None not in (query.state, state) and query.state != state:
+        for side, state in (("watchee", watchee_state), ("watcher", watcher_state)):
+            if state is not None and trigger.setdefault(side, state) != state:
                 raise ValidationError(
                     f"{p}.{side}.state",
-                    f"{query.state!r} is not the trigger's {side}.state {state!r}, "
+                    f"{state!r} is not the trigger's {side}.state {trigger[side]!r}, "
                     "so this rule never fires",
                 )
         watchers.append(
             WatcherRule(
                 watcher_query=watcher,
                 watchee_query=watchee,
-                trigger=trigger,
+                watchee_state=trigger["watchee"],
+                watcher_state=trigger.get("watcher"),
                 reaction_kind=kind,
                 when=when,
                 priority=priority,
@@ -669,6 +668,8 @@ def read_document(text: str):
         return None if root is None else _build_document(loader, root)
     except yaml.YAMLError as exc:
         raise ValidationError("scenario", f"not a well-formed document: {exc}") from None
+    except RecursionError:  # PyYAML's pure-Python parser recurses once per level
+        raise ValidationError("scenario", "nested too deeply to parse") from None
     finally:
         loader.dispose()
 

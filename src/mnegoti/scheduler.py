@@ -9,12 +9,14 @@ cause and tick bounds reaction cascades (see ``_push_reactions``). The
 scheduler has no run bound of its own: ``Simulation`` decides how many
 ticks to step.
 
-A state change costs each rule one test of its watchee side, and only a
-rule whose trigger flips goes on to its watchers. Those come from a
-candidate list per watcher query, built on first use from the parts of
-the query that never change (kind, id, group) and never rebuilt: the
-context's membership is fixed once ``Simulation`` is constructed. A
-watcher's state is read only when the query or the trigger constrains it.
+A rule names each side's state once: the watchee state it fires on and,
+if any, the state its watchers must be in. Its queries select members by
+what never changes (kind, id, group). A state change costs each rule one
+test of its watchee side, and only a rule whose watchee enters its
+watchee state goes on to its watchers. Those come from a candidate list
+per watcher query, built on first use and never rebuilt: the context's
+membership is fixed once ``Simulation`` is constructed. A watcher's state
+is read only when the rule names one.
 
 Every queue entry is a ``ScheduledAction``. The reactions one rule fires
 on one state change are one entry whose ``targets`` hold the watchers'
@@ -33,7 +35,7 @@ runs like any other reaction; the engine's scan then returns at once
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, NamedTuple
 
@@ -78,27 +80,21 @@ class ScheduledAction:
 
 
 @dataclass(frozen=True)
-class Trigger:
-    """Conjunction of state-equality tests over (watcher, watchee)."""
-
-    watcher_state: str | None = None
-    watchee_state: str | None = None
-
-
-@dataclass(frozen=True)
 class WatcherRule:
     """Who watches whom, the firing condition, and the scheduled reaction.
 
-    The reaction fires for each matching watcher when the trigger flips
-    from false to true across a watchee state change. ``priority`` caps the
-    same-tick reaction band; when unset the reaction runs one band below
-    the action that caused the change. A rule's id is its registration
-    index in the scheduler.
+    The reaction fires when a watchee matching ``watchee_query`` changes
+    into ``watchee_state``, once for each watcher matching ``watcher_query``
+    that is in ``watcher_state``, or in any state when that is None.
+    ``priority`` caps the same-tick reaction band; when unset the reaction
+    runs one band below the action that caused the change. A rule's id is
+    its registration index in the scheduler.
     """
 
     watcher_query: Query
     watchee_query: Query
-    trigger: Trigger
+    watchee_state: str
+    watcher_state: str | None = None
     reaction_kind: ActionKind = ActionKind.AGENT_SCAN
     when: ReactionOffset = ReactionOffset.SAME_TICK
     priority: int | None = None
@@ -184,31 +180,23 @@ class Scheduler:
     ) -> list[FiredReaction]:
         """Evaluate all rules against one change of ``obj``; enqueue and return reactions.
 
-        A rule fires for each matching watcher whose trigger is false before
-        the change and true after it. The watcher's state is the same on both
-        sides, so the flip must come from the watchee: the rule fires only when
-        ``old_state != watchee_state == new_state``, and a trigger with no
-        ``watchee_state`` never fires. Each rule that fires queues one
-        entry, one push against the cascade cap for the cause (rule id,
-        watchee kind, watchee id); one ``FiredReaction`` is returned per watcher.
+        A rule fires when ``old_state != new_state == rule.watchee_state``
+        and its watchee query matches ``obj``, for each watcher matching its
+        watcher query that is in ``rule.watcher_state``, if it names one.
+        Each rule that fires queues one entry, one push against the cascade
+        cap for the cause (rule id, watchee kind, watchee id); one
+        ``FiredReaction`` is returned per watcher.
         """
         if old_state == new_state:
             return []
         fired: list[FiredReaction] = []
         for rule_id, rule in enumerate(self._rules):
-            watchee_state = rule.trigger.watchee_state
-            if watchee_state is None or new_state != watchee_state:
+            if new_state != rule.watchee_state:
                 continue
             if not rule.watchee_query.matches(kind, ident, obj):
                 continue
-            # The one state a watcher must be in, if the query or the trigger
-            # names one; no watcher can be in two.
-            wanted = rule.trigger.watcher_state
-            if wanted is None:
-                wanted = rule.watcher_query.state
-            elif rule.watcher_query.state not in (None, wanted):
-                continue
             candidates = self._watcher_candidates(rule.watcher_query)
+            wanted = rule.watcher_state
             if wanted is None:
                 watchers = [i for i, _ in candidates]
             else:
@@ -223,7 +211,7 @@ class Scheduler:
         return fired
 
     def _watcher_candidates(self, query: Query) -> list[tuple[int, Any]]:
-        """Members matching ``query`` but for its state, by ascending id.
+        """Members matching ``query``, by ascending id.
 
         A query with no kind can match an agent and a room of the same id;
         the sort is stable and the context yields agents before rooms, so
@@ -238,7 +226,7 @@ class Scheduler:
             return []
         candidates = self._candidates.get(query)
         if candidates is None:
-            found = [(i, o) for _, i, o in self.context.query(replace(query, state=None))]
+            found = [(i, o) for _, i, o in self.context.query(query)]
             candidates = self._candidates[query] = sorted(found, key=lambda pair: pair[0])
         return candidates
 

@@ -299,15 +299,14 @@ def _query_holds(query, kind, ident, obj) -> bool:
     return (
         (query.kind is None or kind == query.kind)
         and (query.ident is None or ident == query.ident)
-        and (query.state is None or _state_of(obj) == query.state)
         and (query.group_id is None or getattr(obj, "group_id", None) == query.group_id)
     )
 
 
-def trigger_holds(trigger, watcher_state, watchee_state) -> bool:
-    """Whether every state a trigger names equals the given one."""
-    return (trigger.watcher_state is None or watcher_state == trigger.watcher_state) and (
-        trigger.watchee_state is None or watchee_state == trigger.watchee_state
+def trigger_holds(rule, watcher_state, watchee_state) -> bool:
+    """Whether every state a watcher rule names equals the given one."""
+    return (rule.watcher_state is None or watcher_state == rule.watcher_state) and (
+        watchee_state == rule.watchee_state
     )
 
 
@@ -344,9 +343,9 @@ def brute_force_notify(members, rules, now, current_band, kind, ident, old_state
         )
         for watcher_id, watcher in watchers:
             state = _state_of(watcher)
-            if trigger_holds(rule.trigger, state, old_state):
+            if trigger_holds(rule, state, old_state):
                 continue
-            if not trigger_holds(rule.trigger, state, new_state):
+            if not trigger_holds(rule, state, new_state):
                 continue
             target = watcher_id if rule.target_role == "watcher" else ident
             fired.append((rule_id, watcher_id, rule.reaction_kind, target, start, priority))
@@ -419,16 +418,11 @@ def notify_one_action_per_fire(scheduler, kind, ident, old_state, new_state, obj
         return []
     fired = []
     for rule_id, rule in enumerate(scheduler._rules):
-        watchee_state = rule.trigger.watchee_state
-        if watchee_state is None or new_state != watchee_state:
+        if new_state != rule.watchee_state:
             continue
         if not rule.watchee_query.matches(kind, ident, obj):
             continue
-        wanted = rule.trigger.watcher_state
-        if wanted is None:
-            wanted = rule.watcher_query.state
-        elif rule.watcher_query.state not in (None, wanted):
-            continue
+        wanted = rule.watcher_state
         start, priority = scheduler._reaction_slot(rule.when, rule.priority)
         watchers = [
             watcher_id

@@ -69,13 +69,13 @@ def test_invitation_admission(benchmark):
         Agenda(
             issues=(Issue(id=0, name="a", scores=(0.5,)),),
             admission=AdmissionPolicy(
-                kind=AdmissionKind.INVITATIONS, agents=tuple(range(INVITEES - 1, -1, -1))
+                kind=AdmissionKind.INVITATIONS, agents=frozenset(range(INVITEES))
             ),
             protocol=ProtocolConfig(id="p", kind=ProtocolKind.MEDIATED_SINGLE_TEXT),
             deadline_rounds=1,
         )
     )
-    # The last agent of a descending list: a linear search would scan it all.
+    # One set lookup, however many agents are invited.
     agent = Agent(id=0, group_id=0, weights=(1.0,))
     assert benchmark(room.check_admission, agent) == 0.5
 

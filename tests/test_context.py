@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from mnegoti.context import Context, ObjectKind, Query
 from mnegoti.engine import Simulation
 from mnegoti.errors import DuplicateMemberError
-from mnegoti.model import Agent, AgentPhase, Issue
-from mnegoti.protocols import ProtocolConfig, ProtocolKind
-from mnegoti.rooms import MeetingRoom, Agenda, AdmissionPolicy, AdmissionKind
+from mnegoti.model import Agent
+from mnegoti.rooms import MeetingRoom
 from mnegoti.scenario import load_scenario
 
 
@@ -50,21 +49,6 @@ class TestMembership:
 
 
 class TestQuery:
-    def test_open_room_filter(self):
-        ctx = Context()
-        open_room, closed_room = MeetingRoom(0), MeetingRoom(1)
-        agenda = Agenda(
-            issues=(Issue(id=0, name="a", scores=(1.0,)),),
-            admission=AdmissionPolicy(kind=AdmissionKind.CONDITIONS),
-            protocol=ProtocolConfig(id="p", kind=ProtocolKind.MEDIATED_SINGLE_TEXT),
-            deadline_rounds=1,
-        )
-        open_room.open(agenda)
-        ctx.add(ObjectKind.MEETING_ROOM, 0, open_room)
-        ctx.add(ObjectKind.MEETING_ROOM, 1, closed_room)
-        hits = ctx.query(Query(kind=ObjectKind.MEETING_ROOM, state="open"))
-        assert [ident for _, ident, _ in hits] == [0]
-
     def test_empty_query_returns_all_in_insertion_order(self):
         ctx = Context()
         for ident in (2, 0, 3, 1):
@@ -90,15 +74,6 @@ class TestQuery:
         ctx.add(ObjectKind.AGENT, 1, agent(1, group=0))
         hits = ctx.query(Query(group_id=0))
         assert [(kind, ident) for kind, ident, _ in hits] == [(ObjectKind.AGENT, 1)]
-
-    def test_agent_state_filter_reads_current_phase(self):
-        ctx = filled_context(3)
-        members = {ident: obj for _, ident, obj in ctx.items()}
-        members[2].phase = AgentPhase.WATCHING
-        hits = ctx.query(Query(kind=ObjectKind.AGENT, state="watching"))
-        assert [ident for _, ident, _ in hits] == [2]
-        members[2].phase = AgentPhase.IDLE
-        assert ctx.query(Query(kind=ObjectKind.AGENT, state="watching")) == []
 
 
 class TestSetupMemory:

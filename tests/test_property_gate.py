@@ -143,6 +143,10 @@ EXTRA_RULES = (
     # Invitations sent again whenever an agent starts watching.
     ({"kind": "meeting_room"}, {"kind": "agent"}, {"watchee.state": "watching"},
      {"kind": "room_invite"}),
+    # Watching agents scan again when a room closes; only the query names
+    # the watcher state.
+    ({"kind": "agent", "state": "watching"}, {"kind": "meeting_room"},
+     {"watchee.state": "closed"}, {"kind": "agent_scan"}),
 )
 
 

@@ -594,7 +594,7 @@ class TestOutcome:
         utils = [[0.8, 0.2], [0.6, 0.4]]
         session = make_session(utils, ProtocolKind.MEDIATED_SINGLE_TEXT, max_rounds=1)
         run_to_completion(session)
-        outcome = session_outcome(session)
+        outcome = session_outcome(session, 0)
         assert outcome.status is SessionStatus.AGREED
         assert outcome.agreed_issue == 0
         assert outcome.utilities == (0.8, 0.6)
@@ -604,7 +604,7 @@ class TestOutcome:
         utils = [[0.9, 0.1], [0.1, 0.9]]
         session = make_session(utils, ProtocolKind.MEDIATED_SINGLE_TEXT, max_rounds=9)
         run_to_completion(session)
-        outcome = session_outcome(session)
+        outcome = session_outcome(session, 0)
         assert outcome.status is SessionStatus.FAILED
         assert outcome.agreed_issue is None
         assert outcome.utilities == (0.0, 0.0)
@@ -612,7 +612,7 @@ class TestOutcome:
     def test_active_session_has_no_outcome(self):
         session = make_session([[0.9, 0.1], [0.1, 0.9]], ProtocolKind.MEDIATED_SINGLE_TEXT)
         with pytest.raises(NotTerminatedError):
-            session_outcome(session)
+            session_outcome(session, 0)
 
     def test_no_quorum_outcome_shape(self):
         outcome = failed_outcome([4], FailureReason.NO_QUORUM)

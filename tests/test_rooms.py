@@ -49,7 +49,7 @@ def invitations_agenda(agents, issue_ids=(0, 1), threshold=0.0):
     return Agenda(
         issues=tuple(ISSUES[i] for i in issue_ids),
         admission=AdmissionPolicy(
-            kind=AdmissionKind.INVITATIONS, agents=tuple(agents), threshold=threshold
+            kind=AdmissionKind.INVITATIONS, agents=frozenset(agents), threshold=threshold
         ),
         protocol=PROTOCOL,
         deadline_rounds=4,
@@ -284,8 +284,9 @@ class TestStartSession:
         session = room.start_session({}, tick=1)
         while session.status.value == "active":
             run_round(session)
-        outcome = session_outcome(session)
+        outcome = session_outcome(session, 3)
         assert outcome.status is SessionStatus.FAILED and outcome.rounds_used == 2
+        assert outcome.ticks_spanned == 3
         assert outcome.participants == (1, 2)
         assert room.close() == [1, 2]
         assert room.session is None and room.sessions == 1
@@ -307,7 +308,7 @@ class TestAgendaValidation:
 
     def test_empty_invitation_list_rejected(self):
         with pytest.raises(ConfigurationError):
-            AdmissionPolicy(kind=AdmissionKind.INVITATIONS, agents=())
+            AdmissionPolicy(kind=AdmissionKind.INVITATIONS, agents=frozenset())
 
     def test_threshold_outside_unit_interval_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -17,6 +17,7 @@ from mnegoti.engine import Simulation
 from mnegoti.errors import ValidationError
 from mnegoti.model import Agent, Direction, DistributionKind, StrategyKind
 from mnegoti.rooms import MeetingRoom
+from mnegoti.runner import run
 from mnegoti.scenario import (
     load_scenario,
     load_scenario_file,
@@ -132,6 +133,14 @@ class TestPurePythonLoader:
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err.startswith("invalid scenario:")
 
+    def test_cli_refuses_deep_nesting(self, tmp_path, capsys):
+        path = tmp_path / "deep.yaml"
+        path.write_text("version: 1\nseed: 1\nticks: 1\n" + DEEP)
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == "invalid scenario: scenario: nested too deeply to parse\n"
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
 
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
 
@@ -228,11 +237,13 @@ class TestReadDocument:
 
     def test_deep_nesting(self, loader, monkeypatch):
         if loader is yaml.SafeLoader:
-            # PyYAML's pure-Python composer recurses once per level.
+            # PyYAML's pure-Python composer recurses once per level, so the
+            # text is refused as a scenario rather than loaded.
             with pytest.raises(RecursionError):
                 yaml.load(DEEP, Loader=loader)
-            with pytest.raises(RecursionError):
+            with pytest.raises(ValidationError) as exc:
                 read_document(DEEP)
+            assert str(exc.value) == "scenario: nested too deeply to parse"
             return
         expected = yaml.load(DEEP, Loader=loader)
         self.plain_only(loader, monkeypatch)
@@ -884,6 +895,31 @@ class TestWatcherRuleKinds:
             else:
                 kind = "agent" if event.data["watcher"] in sim.agents else "meeting_room"
             assert needed in (None, kind)
+
+
+class TestWatcherStateFold:
+    """A watcher state named in the trigger, the watcher query or both is one rule's."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_three_spellings_load_and_log_alike(self, scenario_dir, seed, tmp_path):
+        doc = yaml.safe_load((scenario_dir / "concurrent_rooms.yaml").read_text(encoding="utf-8"))
+        spellings = [
+            ({"state": "idle"}, {}),
+            ({}, {"watcher.state": "idle"}),
+            ({"state": "idle"}, {"watcher.state": "idle"}),
+        ]
+        logs, rules = [], []
+        for k, (query, trigger) in enumerate(spellings):
+            variant = copy.deepcopy(doc)
+            variant["watchers"][0]["watcher"].update(query)
+            variant["watchers"][0]["trigger"].update(trigger)
+            scenario = load_scenario(variant)
+            rules.append(scenario.watchers)
+            (artifacts,) = run(scenario, seed=seed, out_dir=tmp_path / str(k))
+            logs.append((artifacts.out_dir / "events.log").read_bytes())
+        assert rules[0] == rules[1] == rules[2]
+        assert (rules[0][0].watchee_state, rules[0][0].watcher_state) == ("open", "idle")
+        assert logs[0] == logs[1] == logs[2]
 
 
 class TestOpeningPushes:

@@ -18,7 +18,6 @@ from mnegoti.scheduler import (
     ReactionOffset,
     ScheduledAction,
     Scheduler,
-    Trigger,
     WatcherRule,
 )
 
@@ -131,7 +130,7 @@ class TestWatchers:
         rule = WatcherRule(
             watcher_query=Query(kind=ObjectKind.AGENT),
             watchee_query=Query(kind=ObjectKind.MEETING_ROOM),
-            trigger=Trigger(watchee_state="open"),
+            watchee_state="open",
         )
         return replace(rule, **overrides)
 
@@ -177,7 +176,7 @@ class TestWatchers:
         ctx, room = self.population(2)
         scheduler = Scheduler(context=ctx)
         scheduler.register_watcher(
-            self.room_open_rule(trigger=Trigger(watchee_state="no_such_state"))
+            self.room_open_rule(watchee_state="no_such_state")
         )
         for old, new in [("closed", "open"), ("open", "in_session"), ("in_session", "closed")]:
             assert scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, old, new, room) == []
@@ -188,7 +187,7 @@ class TestWatchers:
         members[ObjectKind.AGENT, 1].phase = AgentPhase.NEGOTIATING
         scheduler = Scheduler(context=ctx)
         scheduler.register_watcher(
-            self.room_open_rule(trigger=Trigger(watcher_state="idle", watchee_state="open"))
+            self.room_open_rule(watcher_state="idle")
         )
         fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
         assert [f.watcher_id for f in fired] == [0]
@@ -210,7 +209,7 @@ class TestWatchers:
         fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
         assert [f.watcher_id for f in fired] == [0]
         scheduler.register_watcher(
-            self.room_open_rule(trigger=Trigger(watcher_state="idle", watchee_state="open"))
+            self.room_open_rule(watcher_state="idle")
         )
         with pytest.raises(AssertionError, match="watcher state read"):
             scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
@@ -241,7 +240,7 @@ class TestWatchers:
         members = {(kind, ident): obj for kind, ident, obj in ctx.items()}
         scheduler = Scheduler(context=ctx)
         scheduler.register_watcher(
-            self.room_open_rule(trigger=Trigger(watcher_state="idle", watchee_state="open"))
+            self.room_open_rule(watcher_state="idle")
         )
         fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, "closed", "open", room)
         assert [f.watcher_id for f in fired] == [0, 1]
@@ -301,7 +300,7 @@ class TestWatchers:
     @given(
         phases=st.lists(st.sampled_from(list(AgentPhase)), min_size=1, max_size=6),
         watcher_state=st.sampled_from([None, "idle", "watching", "negotiating"]),
-        watchee_state=st.sampled_from([None, "open", "closed", "in_session"]),
+        watchee_state=st.sampled_from(["open", "closed", "in_session"]),
         old=st.sampled_from(["open", "closed", "in_session"]),
         new=st.sampled_from(["open", "closed", "in_session"]),
     )
@@ -314,23 +313,22 @@ class TestWatchers:
             ctx.add(ObjectKind.AGENT, i, make_agent(i, phase=phase))
         room = MeetingRoom(0)
         ctx.add(ObjectKind.MEETING_ROOM, 0, room)
-        trigger = Trigger(watcher_state=watcher_state, watchee_state=watchee_state)
-        scheduler = Scheduler(context=ctx)
-        scheduler.register_watcher(
-            WatcherRule(
-                watcher_query=Query(kind=ObjectKind.AGENT),
-                watchee_query=Query(kind=ObjectKind.MEETING_ROOM),
-                trigger=trigger,
-            )
+        rule = WatcherRule(
+            watcher_query=Query(kind=ObjectKind.AGENT),
+            watchee_query=Query(kind=ObjectKind.MEETING_ROOM),
+            watchee_state=watchee_state,
+            watcher_state=watcher_state,
         )
+        scheduler = Scheduler(context=ctx)
+        scheduler.register_watcher(rule)
         fired = scheduler.notify_state_change(ObjectKind.MEETING_ROOM, 0, old, new, room)
 
         # Brute force: re-evaluate the rule against every object directly.
         expected = []
         if old != new:
             for i, phase in enumerate(phases):
-                before = trigger_holds(trigger, phase.value, old)
-                after = trigger_holds(trigger, phase.value, new)
+                before = trigger_holds(rule, phase.value, old)
+                after = trigger_holds(rule, phase.value, new)
                 if not before and after:
                     expected.append(i)
         assert [f.watcher_id for f in fired] == expected
@@ -344,14 +342,12 @@ queries = st.builds(
     Query,
     kind=st.sampled_from([None, ObjectKind.AGENT, ObjectKind.MEETING_ROOM]),
     ident=st.none() | st.integers(0, 5),
-    state=st.none() | st.sampled_from(ANY_STATE[1:]),
     group_id=st.none() | st.integers(0, 2),
 )
 agent_queries = st.builds(
     Query,
     kind=st.just(ObjectKind.AGENT),
     ident=st.none() | st.integers(0, 5),
-    state=st.none() | st.sampled_from(AGENT_STATES),
     group_id=st.none() | st.integers(0, 2),
 )
 reaction_fields = dict(
@@ -364,27 +360,17 @@ any_rules = st.builds(
     WatcherRule,
     watcher_query=queries,
     watchee_query=queries,
-    trigger=st.builds(
-        Trigger,
-        watcher_state=st.sampled_from(ANY_STATE),
-        watchee_state=st.sampled_from(ANY_STATE),
-    ),
+    watchee_state=st.sampled_from(ANY_STATE[1:]),
+    watcher_state=st.sampled_from(ANY_STATE),
     **reaction_fields,
 )
 # Agents watching rooms, as the bundled open-scan rule does.
 room_watch_rules = st.builds(
     WatcherRule,
     watcher_query=agent_queries,
-    watchee_query=st.builds(
-        Query,
-        kind=st.just(ObjectKind.MEETING_ROOM),
-        state=st.sampled_from([None, None, *ROOM_STATES]),
-    ),
-    trigger=st.builds(
-        Trigger,
-        watcher_state=st.none() | st.sampled_from(AGENT_STATES),
-        watchee_state=st.sampled_from(ROOM_STATES),
-    ),
+    watchee_query=st.builds(Query, kind=st.just(ObjectKind.MEETING_ROOM)),
+    watchee_state=st.sampled_from(ROOM_STATES),
+    watcher_state=st.none() | st.sampled_from(AGENT_STATES),
     **reaction_fields,
 )
 # Agents watching one agent, so the changed watchee may be its own watcher.
@@ -392,11 +378,8 @@ self_watch_rules = st.builds(
     WatcherRule,
     watcher_query=agent_queries,
     watchee_query=st.builds(Query, kind=st.just(ObjectKind.AGENT), ident=st.integers(0, 3)),
-    trigger=st.builds(
-        Trigger,
-        watcher_state=st.none() | st.sampled_from(AGENT_STATES),
-        watchee_state=st.sampled_from(AGENT_STATES),
-    ),
+    watchee_state=st.sampled_from(AGENT_STATES),
+    watcher_state=st.none() | st.sampled_from(AGENT_STATES),
     **reaction_fields,
 )
 STATES_OF = {
@@ -462,12 +445,12 @@ class TestNotifyOracle:
             scheduler.register_watcher(rule)
         # Changes favour members some watchee query can match and states the
         # triggers name, so that many of them fire.
-        named = {r.trigger.watchee_state for r in rules}
+        named = {r.watchee_state for r in rules}
         members = list(ctx.items())
         watched = [
             (k, i, o)
             for k, i, o in members
-            if any(replace(r.watchee_query, state=None).matches(k, i, o) for r in rules)
+            if any(r.watchee_query.matches(k, i, o) for r in rules)
         ]
         pool = watched * 3 + members
 
@@ -535,12 +518,12 @@ class TestOneActionPerFireOracle:
                 ctx.add(kind, ident, room)
         # Changes favour watched members and the states the triggers name, as
         # in TestNotifyOracle, so that many of them fire.
-        named = {r.trigger.watchee_state for r in rules}
+        named = {r.watchee_state for r in rules}
         members = list(ctx.items())
         watched = [
             (k, i, o)
             for k, i, o in members
-            if any(replace(r.watchee_query, state=None).matches(k, i, o) for r in rules)
+            if any(r.watchee_query.matches(k, i, o) for r in rules)
         ]
         pool = watched * 3 + members
         scheduler = Scheduler(context=ctx, cascade_cap=10**9)
@@ -845,7 +828,7 @@ class TestSameTickReactions:
             WatcherRule(
                 watcher_query=Query(kind=ObjectKind.AGENT),
                 watchee_query=Query(kind=ObjectKind.MEETING_ROOM),
-                trigger=Trigger(watchee_state="open"),
+                watchee_state="open",
                 reaction_kind=ActionKind.AGENT_SCAN,
                 priority=0,
             )
@@ -877,7 +860,7 @@ class TestSameTickReactions:
             WatcherRule(
                 watcher_query=Query(kind=ObjectKind.AGENT),
                 watchee_query=Query(kind=ObjectKind.MEETING_ROOM),
-                trigger=Trigger(watchee_state="open"),
+                watchee_state="open",
             )
         )
         bands = []
