@@ -28,7 +28,6 @@ from .model import (
 )
 from .protocols import (
     FailureReason,
-    NegotiationOutcome,
     NegotiationSession,
     Offer,
     ProtocolConfig,
@@ -36,7 +35,6 @@ from .protocols import (
     SessionStatus,
     propose,
     run_round,
-    session_outcome,
 )
 from .rooms import AdmissionKind, AdmissionPolicy, Agenda, MeetingRoom, RoomState
 from .runner import RunArtifacts, SummaryRow, run, summarize, write_artifacts

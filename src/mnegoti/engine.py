@@ -16,6 +16,10 @@ openings of one band fire a scan for runs each of them, and every scan
 after its first returns at once. Log records are plain named tuples,
 built positionally.
 
+A room closes when its session ends, for want of a quorum or by its
+schedule, always through ``_close_room``: it writes the opening's
+``session_end`` from the room's session, or its attendees if none started.
+
 Records go to ``Simulation.events``, an ``EventLog``, which writes each
 as its events.log line: to a buffer in memory by default, or to the file
 of the log an on-disk run builds the simulation with. The set-up records
@@ -34,15 +38,7 @@ import numpy as np
 from .context import Context, ObjectKind
 from .eventlog import EventLog, EventRecord
 from .model import Agent, AgentPhase, spawn_members
-from .protocols import (
-    FailureReason,
-    NegotiationOutcome,
-    RoundBlock,
-    SessionStatus,
-    failed_outcome,
-    run_round,
-    session_outcome,
-)
+from .protocols import FailureReason, SessionStatus, run_round
 from .rooms import AdmissionKind, MeetingRoom, RoomState
 from .scenario import Scenario
 from .scheduler import ActionKind, ScheduledAction, Scheduler
@@ -286,7 +282,7 @@ class Simulation:
             attendees = room.attendee_ids()
             if len(attendees) < 2:
                 self._log("session_no_quorum", room=room.id, attendees=attendees)
-                self._close_room(room, failed_outcome(attendees, FailureReason.NO_QUORUM))
+                self._close_room(room, FailureReason.NO_QUORUM)
                 return
             session = room.start_session(self.group_strategies, self.now)
             self._open_rooms.remove(room)
@@ -302,27 +298,20 @@ class Simulation:
             for aid in session.participants:
                 self._notify_agent(self.agents[aid], AgentPhase.IN_ROOM)
         session = room.session
-        rounds_per_tick = session.protocol.rounds_per_tick
-        for _ in range(rounds_per_tick):
+        for _ in range(session.protocol.rounds_per_tick):
             if session.status is not SessionStatus.ACTIVE:
                 break
             block = run_round(session)
-            self._log_round(room.id, block)
+            self.events.log_round(self.now, self.scheduler.current_band, room.id, block)
         if session.status is not SessionStatus.ACTIVE:
-            self._close_room(room, session_outcome(session, self.now))
+            self._close_room(room)
 
     def _exec_room_close(self, action: ScheduledAction) -> None:
         room = self.rooms[action.target]
         if room.room_state is RoomState.CLOSED:
             self._log("room_close_skipped", room=room.id)
             return
-        if room.room_state is RoomState.IN_SESSION:
-            session = room.session
-            session.force_fail(FailureReason.FORCED_CLOSE)
-            outcome = session_outcome(session, self.now)
-        else:
-            outcome = failed_outcome(room.attendee_ids(), FailureReason.FORCED_CLOSE)
-        self._close_room(room, outcome)
+        self._close_room(room, FailureReason.FORCED_CLOSE)
 
     def _exec_report(self, action: ScheduledAction) -> None:
         phases: dict[str, int] = {}
@@ -337,7 +326,26 @@ class Simulation:
 
     # -- shared close path -------------------------------------------------
 
-    def _close_room(self, room: MeetingRoom, outcome: NegotiationOutcome) -> None:
+    def _close_room(self, room: MeetingRoom, reason: FailureReason | None = None) -> None:
+        """Close the room and log what its opening ended with as ``session_end``.
+
+        An opening with no session fails for ``reason`` after 0 rounds in 1
+        tick, its attendees the participants. A session still active fails
+        for ``reason``; one that has ended keeps its own status and reason.
+        Only an agreement pays: each participant gets its utility of the
+        agreed issue, and otherwise every participant gets 0.0.
+        """
+        session = room.session
+        if session is None:
+            status, issue, rounds, spanned = SessionStatus.FAILED, None, 0, 1
+            participants = room.attendee_ids()
+        else:
+            session.force_fail(reason)
+            status, reason = session.status, session.failure_reason
+            issue, rounds = session.agreed_issue, session.round
+            spanned = max(1, self.now - session.started_tick + 1)
+            participants = list(session.participants)
+        utilities = [0.0 if issue is None else session.utility(p, issue) for p in participants]
         # Attendees sit IN_ROOM while the room is open and NEGOTIATING in session.
         old_state = room.room_state
         old_phase = AgentPhase.IN_ROOM if old_state is RoomState.OPEN else AgentPhase.NEGOTIATING
@@ -351,19 +359,15 @@ class Simulation:
             "session_end",
             room=room.id,
             session=room.sessions - 1,
-            status=outcome.status.value,
-            reason=outcome.reason.value if outcome.reason else None,
-            issue=outcome.agreed_issue,
-            rounds=outcome.rounds_used,
-            participants=list(outcome.participants),
-            utilities=list(outcome.utilities),
-            ticks_spanned=outcome.ticks_spanned,
+            status=status.value,
+            reason=reason.value if reason else None,
+            issue=issue,
+            rounds=rounds,
+            participants=participants,
+            utilities=utilities,
+            ticks_spanned=spanned,
         )
         self._log("room_closed", room=room.id, sessions=room.sessions)
         self._notify_room(room, old_state)
         for aid in released:
             self._notify_agent(self.agents[aid], old_phase)
-
-    def _log_round(self, room_id: int, block: RoundBlock) -> None:
-        scheduler = self.scheduler
-        self.events.log_round(scheduler.now, scheduler.current_band, room_id, block)

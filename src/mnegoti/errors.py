@@ -48,9 +48,5 @@ class ProtocolError(MnegotiError):
     """Negotiation round out of range or otherwise illegal protocol step."""
 
 
-class NotTerminatedError(MnegotiError):
-    """Outcome requested from a session that is still active."""
-
-
 class OutputError(MnegotiError):
     """Run artifacts could not be written."""

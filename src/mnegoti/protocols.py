@@ -1,4 +1,4 @@
-"""Multilateral negotiation protocols, strategies, and outcomes.
+"""Multilateral negotiation protocols and strategies.
 
 A session reads each participant's own utility table in place, always
 through the agenda's issue ids, so a table may hold other issues too and
@@ -15,7 +15,8 @@ set, and a scan of the issues offered last round per ``trade_off``
 proposal; only a best issue that left the pool is found again by a scan of
 the pool.
 All tie-breaks resolve to the lowest issue id (or ascending agent id), which
-makes every round a pure function of the session inputs.
+makes every round a pure function of the session inputs. A session ends
+agreed or failed in its own fields, which the engine's ``session_end`` reads.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import cached_property
 from math import inf
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import NotTerminatedError, ProtocolError
+from .errors import ProtocolError
 from .model import Agent, Issue, StrategyConfig, StrategyKind, evaluate
 
 
@@ -84,22 +85,10 @@ class RoundBlock:
     agreed: int | None = None
 
 
-@dataclass(frozen=True)
-class NegotiationOutcome:
-    status: SessionStatus
-    reason: FailureReason | None
-    agreed_issue: int | None
-    rounds_used: int
-    participants: tuple[int, ...]
-    utilities: tuple[float, ...]  # aligned with participants; 0 on disagreement
-    ticks_spanned: int = 1
-
-
 @dataclass
 class NegotiationSession:
     """Protocol state machine over a fixed participant list and agenda."""
 
-    room_id: int
     issue_ids: tuple[int, ...]
     participants: tuple[int, ...]
     utilities: dict[int, dict[int, float]]  # participant -> its agent's utility table
@@ -352,41 +341,6 @@ def _elimination_round(session: NegotiationSession, t: int) -> RoundBlock:
         session.agreed_issue = remaining
         block.agreed = remaining
     return block
-
-
-def session_outcome(session: NegotiationSession, tick: int) -> NegotiationOutcome:
-    """Assemble the outcome of a session terminated at ``tick``; disagreement pays 0."""
-    if session.status is SessionStatus.ACTIVE:
-        raise NotTerminatedError(f"room {session.room_id}: session still active")
-    if session.status is SessionStatus.AGREED:
-        utilities = tuple(
-            session.utility(p, session.agreed_issue) for p in session.participants
-        )
-    else:
-        utilities = tuple(0.0 for _ in session.participants)
-    spanned = max(1, tick - session.started_tick + 1)
-    return NegotiationOutcome(
-        status=session.status,
-        reason=session.failure_reason,
-        agreed_issue=session.agreed_issue,
-        rounds_used=session.round,
-        participants=session.participants,
-        utilities=utilities,
-        ticks_spanned=spanned,
-    )
-
-
-def failed_outcome(participants: Sequence[int], reason: FailureReason) -> NegotiationOutcome:
-    """The outcome of an opening that ends before any session round: all zeros."""
-    ordered = tuple(sorted(participants))
-    return NegotiationOutcome(
-        status=SessionStatus.FAILED,
-        reason=reason,
-        agreed_issue=None,
-        rounds_used=0,
-        participants=ordered,
-        utilities=tuple(0.0 for _ in ordered),
-    )
 
 
 def utility(agent: Agent, issue: Issue) -> float:

@@ -134,7 +134,6 @@ class MeetingRoom:
             for issue in issues:
                 utility(attendee, issue)
         session = NegotiationSession(
-            room_id=self.id,
             issue_ids=tuple(issue.id for issue in issues),
             participants=tuple(a.id for a in attendees),
             utilities={a.id: a.utilities for a in attendees},

@@ -52,7 +52,6 @@ def new_session(
 ) -> NegotiationSession:
     rng = random.Random(participants)
     session = NegotiationSession(
-        room_id=0,
         issue_ids=tuple(range(ISSUES)),
         participants=tuple(range(participants)),
         utilities={p: {i: rng.random() for i in range(ISSUES)} for p in range(participants)},

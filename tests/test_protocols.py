@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mnegoti.errors import NotTerminatedError, ProtocolError
+from mnegoti.errors import ProtocolError
 from mnegoti.model import StrategyConfig, StrategyKind
 from mnegoti.protocols import (
     FailureReason,
@@ -20,10 +20,8 @@ from mnegoti.protocols import (
     RoundBlock,
     SessionStatus,
     _conceded,
-    failed_outcome,
     propose,
     run_round,
-    session_outcome,
 )
 
 from oracles import concession_oracle, elimination_oracle, mediated_oracle, session_oracle
@@ -50,7 +48,6 @@ def make_session(
             else StrategyKind.TIME_DEPENDENT
         )
     return NegotiationSession(
-        room_id=0,
         issue_ids=tuple(range(m)),
         participants=tuple(range(n)),
         utilities={a: {i: utils[a][i] for i in range(m)} for a in range(n)},
@@ -380,7 +377,6 @@ class TestTranscriptOracle:
         utils, strategies, kind, deadline = instance
         n, m = len(utils), len(utils[0])
         session = NegotiationSession(
-            room_id=0,
             issue_ids=tuple(range(m)),
             participants=tuple(range(n)),
             utilities={a: {i: utils[a][i] for i in range(m)} for a in range(n)},
@@ -433,7 +429,6 @@ class TestTranscriptOracle:
                 i: utils[a][i // 2] if i % 2 else data.draw(other) for i in range(2 * m + 1)
             }
         session = NegotiationSession(
-            room_id=0,
             issue_ids=agenda,
             participants=tuple(range(n)),
             utilities=rows,
@@ -476,7 +471,6 @@ def assert_matches_oracle(
     """Run a session of participants 0..P-1 to its end and compare every round."""
     n, m = len(utils), len(utils[0])
     session = NegotiationSession(
-        room_id=0,
         issue_ids=tuple(range(m)),
         participants=tuple(range(n)),
         utilities={a: {i: utils[a][i] for i in range(m)} for a in range(n)},
@@ -587,36 +581,3 @@ class TestTranscriptDeterminism:
         second = make_session(utils, kind, max_rounds, betas)
         assert run_rounds(first) == run_rounds(second)
         assert first.status == second.status
-
-
-class TestOutcome:
-    def test_agreed_outcome_carries_participant_utilities(self):
-        utils = [[0.8, 0.2], [0.6, 0.4]]
-        session = make_session(utils, ProtocolKind.MEDIATED_SINGLE_TEXT, max_rounds=1)
-        run_to_completion(session)
-        outcome = session_outcome(session, 0)
-        assert outcome.status is SessionStatus.AGREED
-        assert outcome.agreed_issue == 0
-        assert outcome.utilities == (0.8, 0.6)
-        assert outcome.rounds_used <= session.deadline_rounds
-
-    def test_failed_outcome_has_zero_utilities(self):
-        utils = [[0.9, 0.1], [0.1, 0.9]]
-        session = make_session(utils, ProtocolKind.MEDIATED_SINGLE_TEXT, max_rounds=9)
-        run_to_completion(session)
-        outcome = session_outcome(session, 0)
-        assert outcome.status is SessionStatus.FAILED
-        assert outcome.agreed_issue is None
-        assert outcome.utilities == (0.0, 0.0)
-
-    def test_active_session_has_no_outcome(self):
-        session = make_session([[0.9, 0.1], [0.1, 0.9]], ProtocolKind.MEDIATED_SINGLE_TEXT)
-        with pytest.raises(NotTerminatedError):
-            session_outcome(session, 0)
-
-    def test_no_quorum_outcome_shape(self):
-        outcome = failed_outcome([4], FailureReason.NO_QUORUM)
-        assert outcome.status is SessionStatus.FAILED
-        assert outcome.reason is FailureReason.NO_QUORUM
-        assert outcome.participants == (4,)
-        assert outcome.utilities == (0.0,)

@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 from mnegoti import protocols, rooms
 from mnegoti.errors import ConfigurationError, InvalidTransitionError, RoomClosedError
 from mnegoti.model import Agent, AgentPhase, Issue, StrategyConfig, StrategyKind
-from mnegoti.protocols import (
-    ProtocolConfig,
-    ProtocolKind,
-    SessionStatus,
-    run_round,
-    session_outcome,
-)
+from mnegoti.protocols import ProtocolConfig, ProtocolKind, SessionStatus, run_round
 from mnegoti.rooms import (
     AdmissionKind,
     AdmissionPolicy,
@@ -284,10 +278,8 @@ class TestStartSession:
         session = room.start_session({}, tick=1)
         while session.status.value == "active":
             run_round(session)
-        outcome = session_outcome(session, 3)
-        assert outcome.status is SessionStatus.FAILED and outcome.rounds_used == 2
-        assert outcome.ticks_spanned == 3
-        assert outcome.participants == (1, 2)
+        assert session.status is SessionStatus.FAILED and session.round == 2
+        assert session.participants == (1, 2)
         assert room.close() == [1, 2]
         assert room.session is None and room.sessions == 1
 

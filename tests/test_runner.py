@@ -28,7 +28,7 @@ from mnegoti.eventlog import (
     parse_event_line,
     read_event_log,
 )
-from mnegoti.model import AgentPhase
+from mnegoti.model import AgentPhase, evaluate
 from mnegoti.protocols import Offer, RoundBlock
 from mnegoti.runner import SummaryRow, population_rows, run, summarize
 from mnegoti.scenario import load_scenario, load_scenario_file
@@ -647,7 +647,97 @@ class TestInvitations:
         )
 
 
+def opposed_doc(doc: dict) -> dict:
+    """Two one-member groups that each value only their own issue, so both issues are rejected."""
+    doc["criteria"] = [
+        {"id": 0, "name": "x", "direction": "benefit"},
+        {"id": 1, "name": "y", "direction": "benefit"},
+    ]
+    doc["issues"] = [
+        {"id": 0, "name": "mine", "scores": [1.0, 0.0]},
+        {"id": 1, "name": "yours", "scores": [0.0, 1.0]},
+    ]
+    doc["groups"] = [
+        {"id": 0, "name": "xs", "member_count": 1, "bounds": [[1.0, 1.0], [0.0, 0.0]]},
+        {"id": 1, "name": "ys", "member_count": 1, "bounds": [[0.0, 0.0], [1.0, 1.0]]},
+    ]
+    return doc
+
+
+def agreeing_doc(doc: dict) -> dict:
+    """Members that weigh two criteria differently; a one-round deadline accepts any issue."""
+    doc["protocols"][0]["max_rounds"] = 1
+    doc["criteria"].append({"id": 1, "name": "speed", "direction": "benefit"})
+    doc["issues"] = [
+        {"id": 0, "name": "left", "scores": [0.8, 0.2]},
+        {"id": 1, "name": "right", "scores": [0.3, 0.7]},
+    ]
+    doc["groups"][0]["bounds"] = [[0.2, 0.9], [0.1, 0.8]]
+    return doc
+
+
+def lone_invitee_doc(doc: dict) -> dict:
+    doc["rooms"][0]["schedule"][0]["agenda"]["admission"] = {"kind": "invitations", "agents": [1]}
+    return doc
+
+
+def closed_at(tick: int, edit=lambda doc: doc):
+    def edited(doc: dict) -> dict:
+        edit(doc)["rooms"][0]["schedule"].append({"action": "close", "at": tick})
+        return doc
+
+    return edited
+
+
+def ended(status: str, reason: str | None, rounds: int, participants: list, ticks: int) -> dict:
+    """The data of room 0's first session_end, with the zero payoffs of any ending but agreement."""
+    return {
+        "room": 0,
+        "session": 0,
+        "status": status,
+        "reason": reason,
+        "issue": None,
+        "rounds": rounds,
+        "participants": participants,
+        "utilities": [0.0] * len(participants),
+        "ticks_spanned": ticks,
+    }
+
+
+# How an opening can end: (scenario edit, its session_end data, the tick it is logged at).
+# The session in the cases that start one starts at tick 2.
+OPENING_ENDS = {
+    "agreement": (agreeing_doc, ended("agreed", None, 1, [0, 1], 1), 2),
+    "no_agreement": (opposed_doc, ended("failed", "no_agreement", 2, [0, 1], 2), 3),
+    "no_quorum": (lone_invitee_doc, ended("failed", "no_quorum", 0, [1], 1), 2),
+    "open_room_closed": (closed_at(1), ended("failed", "forced_close", 0, [0, 1], 1), 1),
+    "session_closed": (
+        closed_at(3, opposed_doc), ended("failed", "forced_close", 1, [0, 1], 3 - 2 + 1), 3
+    ),
+}
+
+
 class TestLifecycleFromSchedule:
+    @pytest.mark.parametrize("how", list(OPENING_ENDS))
+    def test_session_end_records_how_the_opening_ended(self, how, minimal_doc):
+        edit, expected, tick = OPENING_ENDS[how]
+        expected = dict(expected)
+        scenario = load_scenario(edit(minimal_doc))
+        sim = Simulation(scenario, seed=5)
+        sim.run()
+        (end,) = [e for e in sim.events if e.kind == "session_end"]
+        if how == "agreement":
+            # The welfare argmax; only an agreement pays, each participant its own utility.
+            agents = [sim.agents[p] for p in expected["participants"]]
+            welfare = {i.id: sum(evaluate(a, i) for a in agents) for i in scenario.issues}
+            issue = min(welfare, key=lambda i: (-welfare[i], i))
+            expected["issue"] = issue
+            expected["utilities"] = [evaluate(a, scenario.issues[issue]) for a in agents]
+            assert expected["utilities"][0] != expected["utilities"][1]
+        assert (end.tick, end.data) == (tick, expected)
+        started = [e.tick for e in sim.events if e.kind == "session_started"]
+        assert started == ([] if expected["rounds"] == 0 else [2])
+
     def test_no_quorum_when_nobody_is_admitted(self, minimal_doc):
         minimal_doc["watchers"] = []
         scenario = load_scenario(minimal_doc)
@@ -661,19 +751,7 @@ class TestLifecycleFromSchedule:
     def test_forced_close_fails_running_session(self, minimal_doc):
         # Opposing degenerate-bounds groups keep rejecting each other's
         # favorite, so the session is still active when the close fires.
-        minimal_doc["protocols"][0]["max_rounds"] = 50
-        minimal_doc["criteria"] = [
-            {"id": 0, "name": "x", "direction": "benefit"},
-            {"id": 1, "name": "y", "direction": "benefit"},
-        ]
-        minimal_doc["issues"] = [
-            {"id": 0, "name": "mine", "scores": [1.0, 0.0]},
-            {"id": 1, "name": "yours", "scores": [0.0, 1.0]},
-        ]
-        minimal_doc["groups"] = [
-            {"id": 0, "name": "xs", "member_count": 1, "bounds": [[1.0, 1.0], [0.0, 0.0]]},
-            {"id": 1, "name": "ys", "member_count": 1, "bounds": [[0.0, 0.0], [1.0, 1.0]]},
-        ]
+        opposed_doc(minimal_doc)["protocols"][0]["max_rounds"] = 50
         minimal_doc["rooms"][0]["schedule"].append({"action": "close", "at": 3})
         scenario = load_scenario(minimal_doc)
         sim = Simulation(scenario, seed=5)
