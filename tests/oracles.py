@@ -8,6 +8,7 @@ for bit.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 
 from mnegoti.errors import CascadeOverflowError
@@ -15,6 +16,18 @@ from mnegoti.model import TRUNCNORM_MAX_REJECTIONS, AgentPhase, DistributionKind
 from mnegoti.context import _state_name
 from mnegoti.rooms import RoomState
 from mnegoti.scheduler import FiredReaction, ScheduledAction
+
+
+def counting(oracle):
+    """``oracle`` counting its calls in ``calls``, so a test can check that its patch ran."""
+
+    @functools.wraps(oracle)
+    def counted(*args, **kwargs):
+        counted.calls += 1
+        return oracle(*args, **kwargs)
+
+    counted.calls = 0
+    return counted
 
 
 def oracle_threshold(utilities: list[float], t: int, max_rounds: int, beta: float) -> float:

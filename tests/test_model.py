@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,6 +50,9 @@ def one_member_prefs(group, rng):
 def make_agent(weights, agent_id=0):
     return Agent(id=agent_id, group_id=0, weights=tuple(weights))
 
+
+# Finite weights and scores in [-1, 2], both zeros drawn often.
+CLAMP_FLOATS = st.floats(-1.0, 2.0) | st.sampled_from([0.0, -0.0])
 
 bounds_row = st.tuples(
     st.floats(0.0, 1.0, allow_nan=False), st.floats(0.0, 1.0, allow_nan=False)
@@ -284,6 +290,35 @@ class TestEvaluate:
         raised[index] = min(1.0, raised[index] + bump)
         high = Issue(id=1, name="hi", scores=tuple(raised))
         assert evaluate(agent, high) > evaluate(agent, low)
+
+    @staticmethod
+    def assert_clamp_of_fsum(weights, scores):
+        """``evaluate`` is the weighted sum clamped to [0, 1], bit for bit, sign of zero too.
+
+        The issue is a stand-in, since ``Issue`` refuses scores outside [0, 1].
+        """
+        got = evaluate(make_agent(weights), SimpleNamespace(id=0, scores=tuple(scores)))
+        want = min(1.0, max(0.0, math.fsum(map(operator.mul, weights, scores))))
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
+
+    @given(pairs=st.lists(st.tuples(CLAMP_FLOATS, CLAMP_FLOATS), min_size=1, max_size=6))
+    @settings(max_examples=300)
+    def test_clamp_equals_min_max_of_fsum(self, pairs):
+        weights, scores = zip(*pairs)
+        self.assert_clamp_of_fsum(weights, scores)
+
+    @pytest.mark.parametrize(
+        ("weights", "scores"),
+        [
+            ((0.5, 0.5), (1.0, 1.0)),
+            ((1.0,), (math.nextafter(1.0, 2.0),)),
+            ((-0.0, 1.0), (1.0, 0.0)),
+            ((-0.0,), (0.5,)),
+        ],
+        ids=["sum_exactly_one", "one_ulp_above_one", "negative_zero_weight", "negative_zero_sum"],
+    )
+    def test_clamp_edges(self, weights, scores):
+        self.assert_clamp_of_fsum(weights, scores)
 
 
 class TestValidation:

@@ -36,7 +36,7 @@ from mnegoti.rooms import MeetingRoom
 from mnegoti.scheduler import ActionKind, FiredReaction, ScheduledAction, Scheduler
 
 from conftest import SCENARIO_DIR, benchmark_module, run_counting_pushes, two_group_doc
-from oracles import notify_one_action_per_fire, scan_every_room
+from oracles import counting, notify_one_action_per_fire, scan_every_room
 from test_golden import GOLDEN, WORKLOAD_EVENTS_LOG
 from test_property_gate import COMBINATIONS, scenario_docs
 
@@ -371,9 +371,11 @@ class TestScanSkip:
 
     def assert_same_as_scanning_every_room(self, scenario, tmp_path, monkeypatch, **kwargs):
         skipping = self.artifacts(scenario, tmp_path / "skipping", **kwargs)
+        oracle = counting(scan_every_room)
         with monkeypatch.context() as patched:
-            patched.setattr(Simulation, "_exec_agent_scan", scan_every_room)
+            patched.setattr(Simulation, "_exec_agent_scan", oracle)
             scanning = self.artifacts(scenario, tmp_path / "scanning", **kwargs)
+        assert oracle.calls > 0, "the patched scan never ran"
         assert skipping == scanning
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -442,9 +444,14 @@ class TestScanCoalescing:
 
     def assert_same_as_queueing_every_scan(self, scenario, out_dir, **kwargs):
         queued = self.artifacts(scenario, out_dir / "scheduler", **kwargs)
+        oracle = counting(notify_one_action_per_fire)
         with pytest.MonkeyPatch.context() as patched:
-            patched.setattr(Scheduler, "notify_state_change", notify_one_action_per_fire)
+            patched.setattr(Scheduler, "notify_state_change", oracle)
             reference = self.artifacts(scenario, out_dir / "reference", **kwargs)
+        # Each room opening is reported to the scheduler, so the patch ran
+        # at least once per opening.
+        openings = sum(artifact.count(b'"kind":"room_opened"') for artifact in reference)
+        assert oracle.calls >= openings, "the patched notification did not run"
         assert len(queued) == 3 * kwargs.get("replications", 1)
         assert queued == reference
 

@@ -23,6 +23,7 @@ from mnegoti.scheduler import (
 
 from oracles import (
     brute_force_notify,
+    counting,
     naive_schedule_simulator,
     notify_one_action_per_fire,
     trigger_holds,
@@ -527,18 +528,21 @@ class TestOneActionPerFireOracle:
         ]
         pool = watched * 3 + members
         scheduler = Scheduler(context=ctx, cascade_cap=10**9)
+        oracle = counting(notify_one_action_per_fire)
         if reference:
-            scheduler.notify_state_change = functools.partial(notify_one_action_per_fire, scheduler)
+            scheduler.notify_state_change = functools.partial(oracle, scheduler)
         for rule in rules:
             scheduler.register_watcher(rule)
         script = iter(script)
         executed = []
+        changes = []
 
         def executor(action):
             now, band = scheduler.now, scheduler.current_band
             executed.append((now, band, action.kind, action.target))
             effect, a, b = next(script, ("nothing", 0, 0))
             if effect == "change":
+                changes.append(action)
                 kind, ident, obj = pool[a % len(pool)]
                 states, attr = STATES_OF[kind]
                 current = getattr(obj, attr)
@@ -565,6 +569,8 @@ class TestOneActionPerFireOracle:
                 ScheduledAction(kind=ActionKind.ROOM_OPEN, target=("start", index), start=tick, priority=band)
             )
         run_ticks(scheduler, 5)
+        # The reference proves that its patch saw every change.
+        assert oracle.calls == (len(changes) if reference else 0)
         return executed
 
     @given(
