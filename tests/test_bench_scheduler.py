@@ -9,8 +9,10 @@ each queued as one entry for all 10 000 scans. The third times one
 opening to 10 000 agents and the ``step`` that runs its scans through an
 executor that does nothing. The candidate list is built before timing and
 each timed call starts from an empty queue, so the figure is the dispatch
-itself, the queued reactions included. The ``bench`` marker keeps them out
-of the default test run:
+itself, the queued reactions included. The fourth times one
+``Simulation._execute`` of an agent scan for a negotiating agent, the
+early return most scans of a room-churn run take. The ``bench`` marker
+keeps them out of the default test run:
 
     PYTHONPATH=src python -m pytest -m bench tests/test_bench_scheduler.py
     PYTHONPATH=src python -m pytest -m bench --benchmark-disable
@@ -23,9 +25,13 @@ import functools
 import pytest
 
 from mnegoti.context import Context, ObjectKind, Query
+from mnegoti.engine import Simulation
 from mnegoti.model import Agent, AgentPhase
 from mnegoti.rooms import MeetingRoom
-from mnegoti.scheduler import Scheduler, WatcherRule
+from mnegoti.scenario import load_scenario_file
+from mnegoti.scheduler import ActionKind, ScheduledAction, Scheduler, WatcherRule
+
+from conftest import SCENARIO_DIR
 
 pytestmark = pytest.mark.bench
 
@@ -108,3 +114,14 @@ def test_notify_and_step_one_opening(benchmark):
     open_and_step()  # builds the candidate list
     benchmark.pedantic(open_and_step, rounds=20)
     assert executed == list(range(agents))
+
+
+def test_execute_scan_of_negotiating_agent(benchmark):
+    sim = Simulation(load_scenario_file(SCENARIO_DIR / "concurrent_rooms.yaml"))
+    agent = sim.agents[0]
+    agent.phase = AgentPhase.NEGOTIATING
+    scan = ScheduledAction(kind=ActionKind.AGENT_SCAN, target=agent.id)
+    logged = sim.events.count
+    benchmark(sim._execute, scan)
+    assert agent.phase is AgentPhase.NEGOTIATING
+    assert sim.events.count == logged

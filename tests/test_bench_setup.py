@@ -1,9 +1,11 @@
-"""Micro-benchmarks of population set-up and invitation admission.
+"""Micro-benchmarks of population set-up and admission.
 
 They time ``spawn_members`` for a 2 000-member group over 4 criteria, once
 uniform (one generator call for the whole group) and once truncated normal
 (rejection sampling per value), one ``check_admission`` of an agent
-against an invitation list of 10 000 agents, and the construction of a
+against an invitation list of 10 000 agents, one ``check_admission`` of a
+fresh agent, whose utility table is still empty, on a 30-issue conditions
+room over 4 criteria (the shape of the summit workload), and the construction of a
 ``Simulation`` of ``concurrent_rooms.yaml`` with 1 000 agents in each of its
 three groups, whose traced bytes per agent are also checked. The ``bench``
 marker keeps them out of the default test run:
@@ -29,6 +31,7 @@ from mnegoti.model import (
     DistributionSpec,
     Issue,
     PreferenceBounds,
+    evaluate,
     spawn_members,
 )
 from mnegoti.protocols import ProtocolConfig, ProtocolKind
@@ -41,6 +44,7 @@ pytestmark = pytest.mark.bench
 
 MEMBERS = 2_000
 INVITEES = 10_000
+AGENDA_ISSUES = 30
 SETUP_MEMBERS = 1_000
 # A set-up agent holds its slotted object, its weights, its empty utility
 # table, and its one entry in the context's agent dict, which the
@@ -78,6 +82,31 @@ def test_invitation_admission(benchmark):
     # One set lookup, however many agents are invited.
     agent = Agent(id=0, group_id=0, weights=(1.0,))
     assert benchmark(room.check_admission, agent) == 0.5
+
+
+def test_conditions_admission_of_fresh_agent(benchmark):
+    issues = tuple(
+        Issue(id=i, name=f"i{i}", scores=tuple((i * 7 + c * 3) % 10 / 10 for c in range(4)))
+        for i in range(AGENDA_ISSUES)
+    )
+    room = MeetingRoom(0)
+    room.open(
+        Agenda(
+            issues=issues,
+            admission=AdmissionPolicy(kind=AdmissionKind.CONDITIONS, threshold=0.5),
+            protocol=ProtocolConfig(id="p", kind=ProtocolKind.MONOTONIC_CONCESSION),
+            deadline_rounds=1,
+        )
+    )
+    weights = (0.4, 0.3, 0.2, 0.1)
+
+    def fresh_agent():
+        return (Agent(id=0, group_id=0, weights=weights),), {}
+
+    # Each call fills the agent's whole agenda row before it compares.
+    best = benchmark.pedantic(room.check_admission, setup=fresh_agent, rounds=2_000)
+    agent = fresh_agent()[0][0]
+    assert best == max(evaluate(agent, issue) for issue in issues)
 
 
 def test_setup_bytes_per_agent(benchmark):
