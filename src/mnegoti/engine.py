@@ -24,6 +24,12 @@ Records go to ``Simulation.events``, an ``EventLog``, which writes each
 as its events.log line: to a buffer in memory by default, or to the file
 of the log an on-disk run builds the simulation with. The set-up records
 are logged while the simulation is built, at tick 0 with no band.
+
+The per-event paths (dispatch, scans, rounds, notifications) compare
+against enum members bound once to module names, not ``Kind.MEMBER``: on
+CPython 3.10 and 3.11 each such read goes through ``EnumType.__getattr__``
+at about ten times the cost of a global read, and they make several per
+event. Notifications pass the members themselves, not their ``.value``.
 """
 
 from __future__ import annotations
@@ -52,6 +58,14 @@ ROUND_PRIORITY = 50
 # Kept importable only because benchmark/tracing.py patches this name;
 # nothing calls it.
 build_same_group_projection = None
+
+# Members the per-event paths test, bound once: a ``Kind.MEMBER`` read goes
+# through ``EnumType.__getattr__`` on CPython 3.10 and 3.11, a global does not.
+_AGENT_SCAN, _NEGOTIATION_ROUND = ActionKind.AGENT_SCAN, ActionKind.NEGOTIATION_ROUND
+_IDLE, _WATCHING, _IN_ROOM = AgentPhase.IDLE, AgentPhase.WATCHING, AgentPhase.IN_ROOM
+_CLOSED, _OPEN = RoomState.CLOSED, RoomState.OPEN
+_ACTIVE = SessionStatus.ACTIVE
+_AGENT, _MEETING_ROOM = ObjectKind.AGENT, ObjectKind.MEETING_ROOM
 
 
 @dataclass
@@ -158,13 +172,18 @@ class Simulation:
         self.events.append(EventRecord(scheduler.now, scheduler.current_band, kind, data))
 
     def _notify_agent(self, agent: Agent, old_phase: AgentPhase) -> None:
-        self._notify(ObjectKind.AGENT, agent.id, old_phase.value, agent.phase.value, agent)
+        self._notify(_AGENT, agent.id, old_phase, agent.phase, agent)
 
     def _notify_room(self, room: MeetingRoom, old_state: RoomState) -> None:
-        self._notify(ObjectKind.MEETING_ROOM, room.id, old_state.value, room.room_state.value, room)
+        self._notify(_MEETING_ROOM, room.id, old_state, room.room_state, room)
 
     def _notify(self, kind: ObjectKind, ident: int, old: str, new: str, obj: Any) -> None:
-        """Report a state change to the watcher rules and log what fired: the one place for both."""
+        """Report a state change to the watcher rules and log what fired: the one place for both.
+
+        ``old`` and ``new`` arrive as ``str`` Enum members, phases or room
+        states. Each is a ``str`` equal to its value with the same hash, so
+        the rules' state names compare with them as with the values.
+        """
         scheduler = self.scheduler
         fired = scheduler.notify_state_change(kind, ident, old, new, obj)
         if fired:
@@ -173,17 +192,20 @@ class Simulation:
     # -- action dispatch ---------------------------------------------------
 
     def _execute(self, action: ScheduledAction) -> None:
-        if action.kind is ActionKind.ROOM_OPEN:
-            self._exec_room_open(action)
-        elif action.kind is ActionKind.ROOM_INVITE:
-            self._exec_room_invite(action)
-        elif action.kind is ActionKind.AGENT_SCAN:
+        # The most frequent kinds first. Each handler is looked up on self,
+        # so a handler patched on the class is the one that runs.
+        kind = action.kind
+        if kind is _AGENT_SCAN:
             self._exec_agent_scan(action)
-        elif action.kind is ActionKind.NEGOTIATION_ROUND:
+        elif kind is _NEGOTIATION_ROUND:
             self._exec_negotiation_round(action)
-        elif action.kind is ActionKind.ROOM_CLOSE:
+        elif kind is ActionKind.ROOM_OPEN:
+            self._exec_room_open(action)
+        elif kind is ActionKind.ROOM_INVITE:
+            self._exec_room_invite(action)
+        elif kind is ActionKind.ROOM_CLOSE:
             self._exec_room_close(action)
-        elif action.kind is ActionKind.REPORT:
+        elif kind is ActionKind.REPORT:
             self._exec_report(action)
 
     def _exec_room_open(self, action: ScheduledAction) -> None:
@@ -227,7 +249,7 @@ class Simulation:
         for agent_id in sorted(policy.agents):
             self._log("invitation_sent", room=room.id, agent=agent_id)
             agent = self.agents[agent_id]
-            if agent.phase in (AgentPhase.IDLE, AgentPhase.WATCHING):
+            if agent.phase in (_IDLE, _WATCHING):
                 self.scheduler.enqueue_reaction(ActionKind.AGENT_SCAN, agent_id)
 
     def _exec_agent_scan(self, action: ScheduledAction) -> None:
@@ -247,12 +269,10 @@ class Simulation:
         seated or busy, or watching with no room opened since.
         """
         agent = self.agents[action.target]
-        if agent.phase not in (AgentPhase.IDLE, AgentPhase.WATCHING):
+        phase = agent.phase
+        if phase is not _IDLE and phase is not _WATCHING:
             return
-        if (
-            agent.phase is AgentPhase.WATCHING
-            and self._empty_scan_at.get(agent.id) == self._openings
-        ):
+        if phase is _WATCHING and self._empty_scan_at.get(agent.id) == self._openings:
             return
         # Highest own max-utility over the agenda wins; lowest room id on ties.
         best = None
@@ -263,22 +283,22 @@ class Simulation:
                 best, best_utility = room, u
         if best is None:
             self._empty_scan_at[agent.id] = self._openings
-            if agent.phase is AgentPhase.IDLE:
-                agent.phase = AgentPhase.WATCHING
+            if phase is _IDLE:
+                agent.phase = _WATCHING
                 self._log("agent_watching", agent=agent.id)
-                self._notify_agent(agent, AgentPhase.IDLE)
+                self._notify_agent(agent, _IDLE)
             return
-        old_phase = agent.phase
         best.seat(agent)
         self._log("agent_entered", agent=agent.id, room=best.id, utility=best_utility)
-        self._notify_agent(agent, old_phase)
+        self._notify_agent(agent, phase)
 
     def _exec_negotiation_round(self, action: ScheduledAction) -> None:
         room = self.rooms[action.target]
-        if room.room_state is RoomState.CLOSED:
+        state = room.room_state
+        if state is _CLOSED:
             # Only a negotiation_round reaction gets here: closing cancels the round clock.
             return
-        if room.room_state is RoomState.OPEN:
+        if state is _OPEN:
             attendees = room.attendee_ids()
             if len(attendees) < 2:
                 self._log("session_no_quorum", room=room.id, attendees=attendees)
@@ -294,16 +314,16 @@ class Simulation:
                 issues=list(session.issue_ids),
                 deadline_rounds=session.deadline_rounds,
             )
-            self._notify_room(room, RoomState.OPEN)
+            self._notify_room(room, _OPEN)
             for aid in session.participants:
-                self._notify_agent(self.agents[aid], AgentPhase.IN_ROOM)
+                self._notify_agent(self.agents[aid], _IN_ROOM)
         session = room.session
         for _ in range(session.protocol.rounds_per_tick):
-            if session.status is not SessionStatus.ACTIVE:
+            if session.status is not _ACTIVE:
                 break
             block = run_round(session)
             self.events.log_round(self.now, self.scheduler.current_band, room.id, block)
-        if session.status is not SessionStatus.ACTIVE:
+        if session.status is not _ACTIVE:
             self._close_room(room)
 
     def _exec_room_close(self, action: ScheduledAction) -> None:

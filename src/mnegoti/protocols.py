@@ -17,6 +17,11 @@ the pool.
 All tie-breaks resolve to the lowest issue id (or ascending agent id), which
 makes every round a pure function of the session inputs. A session ends
 agreed or failed in its own fields, which the engine's ``session_end`` reads.
+
+``run_round`` and ``propose`` run once per round and per participant, so
+they compare against enum members bound to module names, which skips the
+``EnumType.__getattr__`` lookup of ``Kind.MEMBER`` on CPython 3.10 and 3.11
+(see ``engine``).
 """
 
 from __future__ import annotations
@@ -49,6 +54,13 @@ class FailureReason(str, Enum):
     NO_AGREEMENT = "no_agreement"
     NO_QUORUM = "no_quorum"
     FORCED_CLOSE = "forced_close"
+
+
+_ACTIVE = SessionStatus.ACTIVE
+_MEDIATED_SINGLE_TEXT = ProtocolKind.MEDIATED_SINGLE_TEXT
+_MONOTONIC_CONCESSION = ProtocolKind.MONOTONIC_CONCESSION
+_ELIMINATION_BIDDING = ProtocolKind.ELIMINATION_BIDDING
+_TRADE_OFF = StrategyKind.TRADE_OFF
 
 
 @dataclass(frozen=True)
@@ -238,7 +250,7 @@ def propose(session: NegotiationSession, participant: int) -> Offer:
     # Top-bid, time-dependent and round-1 trade-off offers are the pool's best
     # issue. A threshold would not change them: the best issue clears it
     # whenever any issue does.
-    if strategy.kind is not StrategyKind.TRADE_OFF or session.last_block is None:
+    if strategy.kind is not _TRADE_OFF or session.last_block is None:
         return best
 
     # Trade-off: among the acceptable pool issues, or the whole pool if none
@@ -260,16 +272,16 @@ def propose(session: NegotiationSession, participant: int) -> Offer:
 
 def run_round(session: NegotiationSession) -> RoundBlock:
     """Advance the session by exactly one protocol round."""
-    if session.status is not SessionStatus.ACTIVE:
+    if session.status is not _ACTIVE:
         raise ProtocolError("session is not active")
     t = session.round + 1
-    bounded = session.protocol.kind is not ProtocolKind.ELIMINATION_BIDDING
-    if bounded and t > session.deadline_rounds:
+    kind = session.protocol.kind
+    if kind is not _ELIMINATION_BIDDING and t > session.deadline_rounds:
         raise ProtocolError(f"round {t} exceeds deadline {session.deadline_rounds}")
 
-    if session.protocol.kind is ProtocolKind.MEDIATED_SINGLE_TEXT:
+    if kind is _MEDIATED_SINGLE_TEXT:
         block = _mediated_round(session, t)
-    elif session.protocol.kind is ProtocolKind.MONOTONIC_CONCESSION:
+    elif kind is _MONOTONIC_CONCESSION:
         block = _concession_round(session, t)
     else:
         block = _elimination_round(session, t)

@@ -6,18 +6,23 @@ an agent an attendee; the engine seats an agent only after finding it idle
 or watching and admitted, so no agent attends twice. A room counts its
 completed openings in ``sessions``; what each one ended with is in the
 run's ``session_end`` records.
+
+``check_admission`` and ``seat`` run once per scan and room, so they
+compare against enum members bound to module names, which skips the
+``EnumType.__getattr__`` lookup of ``Kind.MEMBER`` on CPython 3.10 and 3.11
+(see ``engine``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import inf
 from operator import attrgetter
 from typing import Mapping
 
 from .errors import ConfigurationError, InvalidTransitionError, RoomClosedError
-from .model import Agent, AgentPhase, Issue, StrategyConfig
-from .model import evaluate  # noqa: F401  (kept importable: benchmark/tracing.py patches it)
+from .model import Agent, AgentPhase, Issue, StrategyConfig, evaluate
 from .protocols import NegotiationSession, ProtocolConfig, utility
 
 
@@ -30,6 +35,11 @@ class RoomState(str, Enum):
 class AdmissionKind(str, Enum):
     CONDITIONS = "conditions"
     INVITATIONS = "invitations"
+
+
+_OPEN = RoomState.OPEN
+_CONDITIONS, _INVITATIONS = AdmissionKind.CONDITIONS, AdmissionKind.INVITATIONS
+_IN_ROOM = AgentPhase.IN_ROOM
 
 
 @dataclass(frozen=True)
@@ -91,24 +101,37 @@ class MeetingRoom:
         self.room_state = RoomState.OPEN
 
     def check_admission(self, agent: Agent) -> float | None:
-        """The agent's best agenda utility if the room admits it, else None."""
-        if self.room_state is not RoomState.OPEN:
+        """The agent's best agenda utility if the room admits it, else None.
+
+        One walk of the agenda reads each issue's cell of the agent's
+        utility table, fills an empty one with ``evaluate``, and keeps the
+        maximum.
+        """
+        if self.room_state is not _OPEN:
             raise RoomClosedError(f"room {self.id} is not open")
-        policy = self.agenda.admission
-        if policy.kind is AdmissionKind.INVITATIONS:
+        agenda = self.agenda
+        policy = agenda.admission
+        if policy.kind is _INVITATIONS:
             if agent.id not in policy.agents:
                 return None
         elif policy.groups and agent.group_id not in policy.groups:
             return None
-        best = max(utility(agent, issue) for issue in self.agenda.issues)
-        if policy.kind is AdmissionKind.CONDITIONS and best < policy.threshold:
+        table = agent.utilities
+        best = -inf
+        for issue in agenda.issues:
+            u = table.get(issue.id)
+            if u is None:
+                u = table[issue.id] = evaluate(agent, issue)
+            if u > best:
+                best = u
+        if policy.kind is _CONDITIONS and best < policy.threshold:
             return None
         return best
 
     def seat(self, agent: Agent) -> None:
         """Seat the agent, unchecked: the caller found it idle or watching, and admitted."""
         self.attendees[agent.id] = agent
-        agent.phase = AgentPhase.IN_ROOM
+        agent.phase = _IN_ROOM
 
     def start_session(
         self, group_strategies: Mapping[int, StrategyConfig], tick: int

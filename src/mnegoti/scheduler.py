@@ -30,6 +30,13 @@ with one action per watcher. Every reaction, an engine follow-up too, is
 one push for its cause (see ``_push_reactions``). A duplicate agent scan
 runs like any other reaction; the engine's scan then returns at once
 (see ``Simulation._exec_agent_scan``).
+
+A rule that fires returns one ``FiredReaction`` per watcher, built in C
+by ``tuple.__new__`` over the watchers rather than by the named tuple's
+Python ``__new__`` once each. ``_reaction_slot``, run once per push,
+compares against an enum member bound to a module name, which skips the
+``EnumType.__getattr__`` lookup of ``Kind.MEMBER`` on CPython 3.10 and 3.11
+(see ``engine``).
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from itertools import repeat
 from typing import Any, Callable, NamedTuple
 
 from .context import Context, ObjectKind, Query, _state_name
@@ -107,6 +116,11 @@ class FiredReaction(NamedTuple):
     rule_id: int
     watcher_id: int
     action: ScheduledAction
+
+
+# ``FiredReaction((rule_id, watcher_id, action))`` built without a Python call.
+_fired_reaction = partial(tuple.__new__, FiredReaction)
+_NEXT_TICK = ReactionOffset.NEXT_TICK
 
 
 class Scheduler:
@@ -207,7 +221,7 @@ class Scheduler:
             entry = self._push_reactions(
                 rule.reaction_kind, targets, rule.when, rule.priority, (rule_id, kind, ident)
             )
-            fired += [FiredReaction(rule_id, w, entry) for w in watchers]
+            fired += map(_fired_reaction, zip(repeat(rule_id), watchers, repeat(entry)))
         return fired
 
     def _watcher_candidates(self, query: Query) -> list[tuple[int, Any]]:
@@ -279,7 +293,7 @@ class Scheduler:
         executed; a configured priority may lower the band but never raise it.
         """
         band = configured if configured is not None else 0
-        if when is ReactionOffset.NEXT_TICK:
+        if when is _NEXT_TICK:
             return self.now + 1, band
         if self.current_band is None:
             return self.now, band

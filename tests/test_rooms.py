@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mnegoti import protocols, rooms
+from mnegoti import protocols
 from mnegoti.errors import ConfigurationError, InvalidTransitionError, RoomClosedError
 from mnegoti.model import Agent, AgentPhase, Issue, StrategyConfig, StrategyKind
 from mnegoti.protocols import ProtocolConfig, ProtocolKind, SessionStatus, run_round
@@ -159,15 +159,22 @@ class TestAdmission:
         room.open(agenda)
         assert room.check_admission(make_agent(1, group=0)) is None
 
-    def test_agenda_is_walked_once_per_call(self, monkeypatch):
+    def test_agenda_is_walked_once_per_call(self):
         reads = []
 
-        def counted(agent, issue):
-            reads.append(issue.id)
-            return protocols.utility(agent, issue)
+        class RecordingTable(dict):
+            """A utility table that records the issue id of each read."""
 
-        monkeypatch.setattr(rooms, "utility", counted)
-        agent = make_agent(1)
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                reads.append(key)
+                return super().__getitem__(key)
+
+        agent, outsider = make_agent(1), make_agent(2, group=1)
+        agent.utilities, outsider.utilities = RecordingTable(), RecordingTable()
         room = MeetingRoom(0)
         room.open(conditions_agenda(issue_ids=(0, 1), threshold=0.5))
         assert room.check_admission(agent) == pytest.approx(0.5)
@@ -179,7 +186,7 @@ class TestAdmission:
         assert room.check_admission(agent) == pytest.approx(0.55)
         assert reads == [0, 1, 0, 1, 0, 1, 2]
         # A wrong group is refused before any utility is read.
-        assert room.check_admission(make_agent(2, group=1)) is None
+        assert room.check_admission(outsider) is None
         assert reads == [0, 1, 0, 1, 0, 1, 2]
 
     def test_admission_on_closed_room_errors(self):
