@@ -245,6 +245,6 @@ def evaluate(agent: Agent, issue: Issue) -> float:
             f"{issue.id} has {len(issue.scores)} scores"
         )
     u = math.fsum(map(operator.mul, agent.weights, issue.scores))
-    # Guard against float drift just past the unit interval. For every float
-    # this is min(1.0, max(0.0, u)), -0.0 and NaN giving +0.0, without two calls.
+    # Guard against float drift just past the unit interval: for every float,
+    # min(1.0, max(0.0, u)) without the two calls (-0.0 and NaN give +0.0).
     return u if 0.0 < u < 1.0 else (1.0 if u >= 1.0 else 0.0)

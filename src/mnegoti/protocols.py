@@ -17,11 +17,8 @@ the pool.
 All tie-breaks resolve to the lowest issue id (or ascending agent id), which
 makes every round a pure function of the session inputs. A session ends
 agreed or failed in its own fields, which the engine's ``session_end`` reads.
-
-``run_round`` and ``propose`` run once per round and per participant, so
-they compare against enum members bound to module names, which skips the
-``EnumType.__getattr__`` lookup of ``Kind.MEMBER`` on CPython 3.10 and 3.11
-(see ``engine``).
+``run_round`` and ``propose``, run per round and participant, compare
+against enum members bound to module names, as ``engine`` explains.
 """
 
 from __future__ import annotations

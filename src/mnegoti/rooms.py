@@ -6,11 +6,8 @@ an agent an attendee; the engine seats an agent only after finding it idle
 or watching and admitted, so no agent attends twice. A room counts its
 completed openings in ``sessions``; what each one ended with is in the
 run's ``session_end`` records.
-
-``check_admission`` and ``seat`` run once per scan and room, so they
-compare against enum members bound to module names, which skips the
-``EnumType.__getattr__`` lookup of ``Kind.MEMBER`` on CPython 3.10 and 3.11
-(see ``engine``).
+``check_admission`` and ``seat``, run per scan and room, compare against
+enum members bound to module names, as ``engine`` explains.
 """
 
 from __future__ import annotations
@@ -103,9 +100,8 @@ class MeetingRoom:
     def check_admission(self, agent: Agent) -> float | None:
         """The agent's best agenda utility if the room admits it, else None.
 
-        One walk of the agenda reads each issue's cell of the agent's
-        utility table, fills an empty one with ``evaluate``, and keeps the
-        maximum.
+        One walk of the agenda reads the agent's utility table, fills each
+        empty cell with ``evaluate`` and keeps the maximum.
         """
         if self.room_state is not _OPEN:
             raise RoomClosedError(f"room {self.id} is not open")

@@ -30,13 +30,9 @@ with one action per watcher. Every reaction, an engine follow-up too, is
 one push for its cause (see ``_push_reactions``). A duplicate agent scan
 runs like any other reaction; the engine's scan then returns at once
 (see ``Simulation._exec_agent_scan``).
-
-A rule that fires returns one ``FiredReaction`` per watcher, built in C
-by ``tuple.__new__`` over the watchers rather than by the named tuple's
-Python ``__new__`` once each. ``_reaction_slot``, run once per push,
-compares against an enum member bound to a module name, which skips the
-``EnumType.__getattr__`` lookup of ``Kind.MEMBER`` on CPython 3.10 and 3.11
-(see ``engine``).
+A fire's ``FiredReaction`` records are built in C, by ``tuple.__new__``
+mapped over its watchers, and ``_reaction_slot``, run per push, compares
+against an enum member bound to a module name, as ``engine`` explains.
 """
 
 from __future__ import annotations
