@@ -1,6 +1,7 @@
 """Micro-benchmarks of the I/O at both ends of a run.
 
-They time ``event_line`` per templated kind and for one generic kind,
+They time ``event_line`` on fixed data per templated kind and for
+``report``, the one kind the engine logs through the reference encoder,
 ``Simulation._log`` for 1 000 records of one templated kind, one
 2 000-watcher fan-out written to a file by ``EventLog.log_fired``, one
 300-participant concession round written to a file by
@@ -21,7 +22,7 @@ import yaml
 from mnegoti import eventlog, scenario as scenario_module
 from mnegoti.context import ObjectKind
 from mnegoti.engine import Simulation
-from mnegoti.eventlog import EventLog, event_line
+from mnegoti.eventlog import EventLog, EventRecord, event_line
 from mnegoti.protocols import Offer, RoundBlock
 from mnegoti.runner import run, write_artifacts
 from mnegoti.scenario import load_scenario_file, parse_scenario_text
@@ -31,19 +32,55 @@ from conftest import SCENARIO_DIR
 
 pytestmark = pytest.mark.bench
 
-GENERIC_KIND = "session_end"
+GENERIC_KIND = "report"
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+# One record's data per kind, shaped as a run of protection_strategies.yaml
+# logs it: 7 agents in 2 groups, 2 rooms, a 4-issue agenda.
+MEMBERS = [0, 1, 2, 3, 4, 5, 6]
+ISSUES = [0, 1, 2, 3]
+RECORD_DATA = {
+    "scenario_loaded": {
+        "agents": 7, "criteria": 3, "groups": 2, "issues": 4, "rooms": 2, "seed": 42, "ticks": 12,
+    },
+    "population_spawned": {"group": 0, "members": [0, 1, 2], "name": "authorities"},
+    "room_opened": {
+        "admission": "conditions", "deadline_rounds": 4, "issues": ISSUES, "protocol": "plenary",
+        "room": 0,
+    },
+    "room_open_skipped": {"room": 0, "state": "in_session"},
+    "invitation_sent": {"agent": 1, "room": 1},
+    "agent_entered": {"agent": 0, "room": 0, "utility": 0.6521804689894972},
+    "agent_watching": {"agent": 0},
+    "session_no_quorum": {"attendees": [4], "room": 1},
+    "session_started": {
+        "deadline_rounds": 4, "issues": ISSUES, "participants": MEMBERS,
+        "protocol": "mediated_single_text", "room": 0,
+    },
+    "session_end": {
+        "issue": 0, "participants": MEMBERS, "reason": None, "room": 0, "rounds": 4, "session": 0,
+        "status": "agreed", "ticks_spanned": 2,
+        "utilities": [0.552932356984204, 0.5810472381440224, 0.55409898146112, 0.36799313885506313,
+                      0.40893556730219754, 0.40168483108189035, 0.494851534176866],
+    },
+    "room_closed": {"room": 0, "sessions": 1},
+    "room_close_skipped": {"room": 1},
+    "report": {
+        "agent_phases": {"idle": 2, "watching": 5},
+        "rooms": {"0": "closed", "1": "closed"},
+        "sessions_completed": 2,
+    },
+}
 
 
 @pytest.fixture(scope="module")
 def artifacts():
-    # protection_strategies logs every templated kind.
     return run(load_scenario_file(SCENARIO_DIR / "protection_strategies.yaml"))[0]
 
 
 @pytest.mark.parametrize("kind", sorted(eventlog._TEMPLATES) + [GENERIC_KIND])
-def test_event_line(benchmark, artifacts, kind):
-    record = next(e for e in artifacts.events if e.kind == kind)
+def test_event_line(benchmark, kind):
+    record = EventRecord(3, 50, kind, RECORD_DATA[kind])
     assert benchmark(event_line, record).startswith('{"data":')
 
 

@@ -5,7 +5,8 @@ Each example is a small scenario document. It goes through
 replication's artifacts must pass ``benchmark/checks.check_replication``:
 fsum utilities, the brute-force oracles, eliminations recomputed from
 offers, ``summary.csv`` recomputed from ``session_end``, admissibility and
-one room per agent.
+one room per agent. Every events.log line must also equal the reference
+encoding of its own parse.
 
 Every protocol x strategy x admission kind x distribution is drawn: the
 first group and the first opening of the first room take the parametrised
@@ -224,6 +225,9 @@ def scenario_docs(draw, protocol: str, strategy: str, admission: str, distributi
 def test_drawn_scenario_passes_independent_checks(
     protocol, strategy, admission, distribution, tmp_path
 ):
+    # test_runner imports this module, so this import waits until both are loaded.
+    from test_runner import TestPinnedLogLines
+
     @given(doc=scenario_docs(protocol, strategy, admission, distribution), reps=st.integers(1, 2))
     @settings(
         max_examples=3,
@@ -233,5 +237,6 @@ def test_drawn_scenario_passes_independent_checks(
     def check(doc, reps):
         for artifacts in run(load_scenario(doc), replications=reps, out_dir=tmp_path):
             CHECKS.check_replication(doc, artifacts.out_dir)
+            TestPinnedLogLines.assert_lines_are_reference([artifacts.out_dir / "events.log"])
 
     check()
