@@ -2,7 +2,10 @@
 
 A line is ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` of
 ``{"tick", "priority", "kind", "data"}``: keys sorted at both levels,
-ASCII only, floats as ``float.__repr__``.
+ASCII only, floats as ``float.__repr__``. Every kind the engine logs is
+formatted from a template of its fixed shape, except ``report``, whose
+nested maps go through the reference encoder, as does any kind without a
+template.
 
 ``EventLog`` writes every line of a run, to an in-memory buffer or to an
 open events.log, through three calls: ``append`` for one record,
@@ -47,6 +50,11 @@ def _line_end(tick: int, priority: int | None) -> str:
     return f',"priority":{priority},"tick":{tick}}}'
 
 
+def _ints(values: Sequence[int]) -> str:
+    """A JSON array of ints."""
+    return f'[{",".join(map(str, values))}]'
+
+
 def _fired_head(
     at: int, band: int, reaction: str, rule: int, watchee: int, watchee_kind: str
 ) -> str:
@@ -79,7 +87,7 @@ _REJECT_HEAD = '{"data":{"accept":false,"agent":'
 
 def _published_head(agent: int, issues: Sequence[int]) -> str:
     """An ``acceptable_published`` line up to its room."""
-    return f'{{"data":{{"agent":{agent},"issues":[{",".join(map(str, issues))}],'
+    return f'{{"data":{{"agent":{agent},"issues":{_ints(issues)},'
 
 
 def _round_middle(room: int, round_: int) -> str:
@@ -87,46 +95,51 @@ def _round_middle(room: int, round_: int) -> str:
     return f'"room":{room},"round":{round_}}},"kind":'
 
 
-def _agent_entered(r: EventRecord) -> str:
-    d = r.data
-    return (
-        f'{{"data":{{"agent":{d["agent"]},"room":{d["room"]},'
-        f'"utility":{float.__repr__(d["utility"])}}},"kind":"agent_entered"'
-        + _line_end(r.tick, r.priority)
-    )
+def _quoted(value: str | None) -> str:
+    """An enum value in quotes, or null."""
+    return "null" if value is None else f'"{value}"'
 
 
-def _agent_watching(r: EventRecord) -> str:
-    head = f'{{"data":{{"agent":{r.data["agent"]}}},"kind":"agent_watching"'
-    return head + _line_end(r.tick, r.priority)
-
-
-def _scenario_loaded(r: EventRecord) -> str:
-    d = r.data
-    return (
-        f'{{"data":{{"agents":{d["agents"]},"criteria":{d["criteria"]},"groups":{d["groups"]},'
-        f'"issues":{d["issues"]},"rooms":{d["rooms"]},"seed":{d["seed"]},"ticks":{d["ticks"]}}},'
-        '"kind":"scenario_loaded"' + _line_end(r.tick, r.priority)
-    )
-
-
-def _population_spawned(r: EventRecord) -> str:
-    d = r.data
-    return (
-        f'{{"data":{{"group":{d["group"]},"members":[{",".join(map(str, d["members"]))}],'
-        f'"name":{encode_basestring_ascii(d["name"])}}},"kind":"population_spawned"'
-        + _line_end(r.tick, r.priority)
-    )
-
-
-# A template for each fixed-shape kind that comes through ``append`` once per
-# agent scan or once per run at set-up: its data holds only ints, finite
-# floats, lists of ints and a group's name.
+# A template for every kind the engine logs through ``append`` but
+# ``report``: the kind's data object, keys sorted. Ids, counts and issues
+# are ints, utilities finite floats, and enum values ASCII identifiers,
+# quoted as they are; the only scenario text, a group's name and a
+# protocol's id, is escaped as the reference encoder escapes it.
 _TEMPLATES = {
-    "agent_entered": _agent_entered,
-    "agent_watching": _agent_watching,
-    "population_spawned": _population_spawned,
-    "scenario_loaded": _scenario_loaded,
+    "agent_entered": lambda d: (
+        f'{{"agent":{d["agent"]},"room":{d["room"]},"utility":{float.__repr__(d["utility"])}}}'
+    ),
+    "agent_watching": lambda d: f'{{"agent":{d["agent"]}}}',
+    "invitation_sent": lambda d: f'{{"agent":{d["agent"]},"room":{d["room"]}}}',
+    "population_spawned": lambda d: (
+        f'{{"group":{d["group"]},"members":{_ints(d["members"])},'
+        f'"name":{encode_basestring_ascii(d["name"])}}}'
+    ),
+    "room_close_skipped": lambda d: f'{{"room":{d["room"]}}}',
+    "room_closed": lambda d: f'{{"room":{d["room"]},"sessions":{d["sessions"]}}}',
+    "room_open_skipped": lambda d: f'{{"room":{d["room"]},"state":"{d["state"]}"}}',
+    "room_opened": lambda d: (
+        f'{{"admission":"{d["admission"]}","deadline_rounds":{d["deadline_rounds"]},'
+        f'"issues":{_ints(d["issues"])},"protocol":{encode_basestring_ascii(d["protocol"])},'
+        f'"room":{d["room"]}}}'
+    ),
+    "scenario_loaded": lambda d: (
+        f'{{"agents":{d["agents"]},"criteria":{d["criteria"]},"groups":{d["groups"]},'
+        f'"issues":{d["issues"]},"rooms":{d["rooms"]},"seed":{d["seed"]},"ticks":{d["ticks"]}}}'
+    ),
+    "session_end": lambda d: (
+        f'{{"issue":{"null" if d["issue"] is None else d["issue"]},'
+        f'"participants":{_ints(d["participants"])},"reason":{_quoted(d["reason"])},'
+        f'"room":{d["room"]},"rounds":{d["rounds"]},"session":{d["session"]},'
+        f'"status":"{d["status"]}","ticks_spanned":{d["ticks_spanned"]},'
+        f'"utilities":[{",".join(map(float.__repr__, d["utilities"]))}]}}'
+    ),
+    "session_no_quorum": lambda d: f'{{"attendees":{_ints(d["attendees"])},"room":{d["room"]}}}',
+    "session_started": lambda d: (
+        f'{{"deadline_rounds":{d["deadline_rounds"]},"issues":{_ints(d["issues"])},'
+        f'"participants":{_ints(d["participants"])},"protocol":"{d["protocol"]}",'
+        f'"room":{d["room"]}}}'
+    ),
 }
 
 
@@ -136,12 +149,11 @@ def event_line(record: EventRecord) -> str:
     ``tests/test_runner.py::TestEventLine`` checks each template against
     the reference encoding.
     """
-    template = _TEMPLATES.get(record.kind)
-    if template is not None:
-        return template(record)
-    return _ENCODER.encode(
-        {"tick": record.tick, "priority": record.priority, "kind": record.kind, "data": record.data}
-    )
+    tick, priority, kind, data = record
+    template = _TEMPLATES.get(kind)
+    if template is None:
+        return _ENCODER.encode({"tick": tick, "priority": priority, "kind": kind, "data": data})
+    return f'{{"data":{template(data)},"kind":"{kind}"{_line_end(tick, priority)}'
 
 
 def parse_event_line(line: str) -> EventRecord:
@@ -218,7 +230,7 @@ class EventLog:
 
         The round's middle and end are formatted once, and each kind's tail
         from them once per round. An elimination round can both eliminate
-        an issue and agree on the last one, so each closing record is sent.
+        an issue and agree on the last one, so each closing record is written.
         """
         offers, votes, published = block.offers, block.votes, block.published
         self.count += len(offers) + len(votes) + len(published)
@@ -240,8 +252,8 @@ class EventLog:
             ("agreement", block.agreed),
         ):
             if issue is not None:
-                data = {"room": room_id, "round": block.round, "issue": issue}
-                self.append(EventRecord(tick, band, kind, data))
+                self.count += 1
+                write(f'{{"data":{{"issue":{issue},{middle}"{kind}"{end}')
 
     def log_fired(
         self, tick: int, priority: int | None, watchee_kind: ObjectKind, watchee: int,

@@ -1319,7 +1319,7 @@ class TestEventLine:
     """``event_line`` and the round and fan-out writers against the reference encoding."""
 
     def test_every_template_is_generated(self):
-        assert set(TEMPLATED_DATA) >= set(eventlog._TEMPLATES)
+        assert set(TEMPLATED_DATA) == set(eventlog._TEMPLATES)
 
     @pytest.mark.parametrize("kind", sorted(TEMPLATED_DATA))
     @given(draw=st.data(), tick=IDS, priority=st.one_of(st.none(), INTS))
@@ -1398,6 +1398,22 @@ class TestEventLine:
         log.log_round(2, 50, 3, RoundBlock(round=7, published=[(11, tuple(range(500)))]))
         data = {"room": 3, "round": 7, "agent": 11, "issues": list(range(500))}
         assert log.text() == reference_line(EventRecord(2, 50, "acceptable_published", data)) + "\n"
+
+    def test_golden_and_pinned_runs_never_call_the_reference_encoder(self, tmp_path, monkeypatch):
+        encode = counting(eventlog._ENCODER.encode)
+        monkeypatch.setattr(eventlog._ENCODER, "encode", encode)
+        for name, seed in sorted(GOLDEN):
+            run(load_scenario_file(SCENARIO_DIR / name), seed=seed, out_dir=tmp_path / name)
+        workloads = benchmark_module("workloads")
+        for workload, seed in sorted(WORKLOAD_EVENTS_LOG):
+            replications = workloads.SWEEP_REPLICATIONS if workload == "sweep" else 1
+            for path in workloads.write_inputs(workload, seed, tmp_path / "inputs"):
+                run(load_scenario_file(path), replications=replications,
+                    out_dir=tmp_path / "artifacts" / path.stem)
+        assert encode.calls == 0
+        # The patched encoder is the one a kind without a template reaches.
+        event_line(EventRecord(0, None, "report", {"sessions_completed": 0}))
+        assert encode.calls == 1
 
     def test_generic_kind_escapes_scenario_text(self):
         data = {"group": 0, "name": 'Zürich "x"\n', "members": [0, 1]}
