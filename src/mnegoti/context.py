@@ -51,14 +51,15 @@ class Query:
 
 
 def _state_name(obj: Any) -> str | None:
-    """Phase name for agents, lifecycle state name for rooms."""
+    """An agent's phase or a room's lifecycle state, as its ``str`` Enum member.
+
+    A member equals its value and hashes the same, so it compares with a
+    rule's state name as the name itself would, without a ``.value`` read.
+    """
     phase = getattr(obj, "phase", None)
     if phase is not None:
-        return phase.value
-    state = getattr(obj, "room_state", None)
-    if state is not None:
-        return state.value
-    return None
+        return phase
+    return getattr(obj, "room_state", None)
 
 
 class Context:
