@@ -8,6 +8,9 @@ action makes goes through ``_notify``, which reports it to the scheduler
 so watcher rules can react and logs what fired; the sequence of log
 records is a pure function of (scenario, seed).
 
+Set-up draws every group's preferences, in scenario order, from one
+``random.Random(seed)``; nothing else draws from it.
+
 An agent scan makes one ``check_admission`` call per open room, and a
 watching agent whose last scan found no room skips the walk until another
 room opens (see ``_exec_agent_scan``). The scans one room opening fires
@@ -32,14 +35,14 @@ and 3.11; notifications pass the members, not their ``.value``.
 
 from __future__ import annotations
 
+import random
 from bisect import insort
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any
 
-import numpy as np
-
 from .context import Context, ObjectKind
+from .errors import ConfigurationError
 from .eventlog import EventLog, EventRecord
 from .model import Agent, AgentPhase, spawn_members
 from .protocols import FailureReason, SessionStatus, run_round
@@ -67,6 +70,17 @@ _ACTIVE = SessionStatus.ACTIVE
 _AGENT, _MEETING_ROOM = ObjectKind.AGENT, ObjectKind.MEETING_ROOM
 
 
+def check_seed(seed: object) -> int:
+    """``seed`` if it is a non-negative int, not a bool; else ConfigurationError.
+
+    ``random.Random`` seeds with the absolute value of an int and hashes a
+    str or a float, so any other seed would quietly replay another seed's run.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative int, got {seed!r}")
+    return seed
+
+
 @dataclass
 class Simulation:
     scenario: Scenario
@@ -81,8 +95,7 @@ class Simulation:
     rooms: dict[int, MeetingRoom] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.seed is None:
-            self.seed = self.scenario.seed
+        self.seed = check_seed(self.scenario.seed if self.seed is None else self.seed)
         if self.ticks is None:
             self.ticks = self.scenario.ticks
         self.group_strategies = {g.id: g.strategy for g in self.scenario.groups}
@@ -111,7 +124,7 @@ class Simulation:
             agents=self.scenario.total_agents,
             rooms=len(self.scenario.rooms),
         )
-        rng = np.random.default_rng(self.seed)
+        rng = random.Random(self.seed)
         next_id = 0
         for group in self.scenario.groups:
             members = spawn_members(group, rng, next_id)

@@ -5,16 +5,18 @@ bounds and a sampling distribution, samples one raw preference vector per
 member inside the bounds, and spawns agents whose criterion weights are
 those vectors normalized. An agent's utility for an issue is the weighted
 sum of the issue's normalized criterion scores.
+
+Every draw is built from ``random.Random.random()``, whose sequence for a
+seed Python's documentation promises to keep across versions.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import random
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
 
 from .errors import ConfigurationError
 
@@ -158,9 +160,10 @@ class Agent:
     (non-negative, summing to 1). ``phase`` is the mutable state the
     watcher machinery observes; the room an agent sits in holds it among
     its ``attendees``. ``utilities`` is the agent's utility table, issue
-    id -> ``evaluate`` value, filled on first read by
-    ``protocols.utility``; issue ids must name the same issues for the
-    agent's lifetime.
+    id -> ``evaluate`` value. In a run, ``MeetingRoom.check_admission``
+    fills it as it walks each agenda; ``protocols.utility`` fills it only
+    for an agent seated without an admission check, when its session
+    starts. Issue ids must name the same issues for the agent's lifetime.
     """
 
     id: int
@@ -170,29 +173,41 @@ class Agent:
     utilities: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
 
 
-def _sample_members(group: AgentGroup, rng: np.random.Generator) -> list[tuple[float, ...]]:
+def _sample_members(group: AgentGroup, rng: random.Random) -> list[tuple[float, ...]]:
     """The group's raw preference vectors, drawn member after member.
 
-    A uniform group draws its whole members x K block of doubles in one
-    ``rng.random`` call, row by row, and scales it as lo + (hi - lo) * double.
-    That walks the stream and rounds exactly as one ``rng.uniform(lo, hi)``
-    per criterion would, which NumPy computes the same way, and costs less
-    than ``rng.uniform`` with array bounds even for a block of a few values.
+    A uniform value is lo + (hi - lo) * ``rng.random()``, criterion by
+    criterion: the formula ``Random.uniform`` documents.
     """
     rows = group.bounds.rows
     if group.distribution.kind is DistributionKind.UNIFORM:
-        lows = np.array([lo for lo, _ in rows], dtype=np.float64)
-        ranges = np.array([hi for _, hi in rows], dtype=np.float64) - lows
-        block = lows + ranges * rng.random((group.member_count, len(rows)))
-        return [tuple(row) for row in block.tolist()]
+        spans = [(lo, hi - lo) for lo, hi in rows]
+        draw = rng.random
+        return [
+            tuple([lo + width * draw() for lo, width in spans])
+            for _ in range(group.member_count)
+        ]
     return [_truncated_normal(group, rng) for _ in range(group.member_count)]
 
 
-def _truncated_normal(group: AgentGroup, rng: np.random.Generator) -> tuple[float, ...]:
+def _normal_deviate(rng: random.Random) -> float:
+    """One standard normal deviate from two fresh ``rng.random()`` draws.
+
+    Box-Muller, cosine branch, with no cached second value, written out
+    since the documentation does not freeze ``gauss`` or ``normalvariate``;
+    ``1 - u1`` keeps the log's argument in (0, 1].
+    """
+    u1 = rng.random()
+    u2 = rng.random()
+    return math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(math.tau * u2)
+
+
+def _truncated_normal(group: AgentGroup, rng: random.Random) -> tuple[float, ...]:
     """One member's truncated-normal sample; the draws per value vary.
 
-    Each value is rejection-sampled inside its bounds row and falls back to
-    the row's midpoint after TRUNCNORM_MAX_REJECTIONS failed draws.
+    Each value is rejection-sampled inside its bounds row as
+    loc + scale * deviate, and falls back to the row's midpoint after
+    TRUNCNORM_MAX_REJECTIONS failed draws.
     """
     out = []
     for lo, hi in group.bounds.rows:
@@ -201,7 +216,7 @@ def _truncated_normal(group: AgentGroup, rng: np.random.Generator) -> tuple[floa
         scale = group.distribution.sd * width
         value = None
         for _ in range(TRUNCNORM_MAX_REJECTIONS):
-            draw = float(rng.normal(loc, scale))
+            draw = loc + scale * _normal_deviate(rng)
             if lo <= draw <= hi:
                 value = draw
                 break
@@ -223,14 +238,8 @@ def normalize_weights(raw_prefs: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(p / total for p in raw_prefs)
 
 
-def spawn_members(
-    group: AgentGroup, rng: np.random.Generator, starting_id: int
-) -> list[Agent]:
-    """Create the group's members with consecutive ids, sampled in id order.
-
-    A uniform group draws its members x criteria block in one generator
-    call, the same stream as one draw per criterion per member.
-    """
+def spawn_members(group: AgentGroup, rng: random.Random, starting_id: int) -> list[Agent]:
+    """Create the group's members with consecutive ids, sampled in id order."""
     return [
         Agent(id=starting_id + offset, group_id=group.id, weights=normalize_weights(raw))
         for offset, raw in enumerate(_sample_members(group, rng))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
-from .engine import Simulation
+from .engine import Simulation, check_seed
 from .errors import OutputError
 from .eventlog import EventLog, EventRecord
 from .protocols import SessionStatus
@@ -216,7 +216,7 @@ def run(
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    base_seed = seed if seed is not None else scenario.seed
+    base_seed = check_seed(seed if seed is not None else scenario.seed)
     out = None if out_dir is None else Path(out_dir)
     created = None if out is None else _outermost_missing(out)
     written: list[Path] = []

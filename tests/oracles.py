@@ -9,6 +9,7 @@ for bit.
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 
 from mnegoti.errors import CascadeOverflowError
@@ -453,23 +454,28 @@ def notify_one_action_per_fire(scheduler, kind, ident, old_state, new_state, obj
 
 
 def sample_one_draw_at_a_time(group, rng) -> tuple[float, ...]:
-    """One member's raw preferences, one generator call per uniform criterion.
+    """One member's raw preferences from a ``random.Random``, one criterion at a time.
 
-    The per-criterion loop that ``model.spawn_members`` replaced with one
-    uniform draw per group; a truncated-normal criterion rejection-samples
-    and falls back to the interval midpoint as the model does.
+    A uniform criterion is ``rng.uniform(lo, hi)``, documented as
+    a + (b - a) * random(). A truncated-normal criterion rejection-samples
+    loc + scale * z and falls back to the interval midpoint as the model
+    does; z is the Box-Muller cosine deviate of two fresh uniforms u, v:
+    the square root of -2 ln(1 - u), times cos(2 pi v).
     """
     out = []
     for lo, hi in group.bounds.rows:
         if group.distribution.kind is DistributionKind.UNIFORM:
-            out.append(float(rng.uniform(lo, hi)))
+            out.append(rng.uniform(lo, hi))
         else:
             width = hi - lo
             loc = lo + group.distribution.mean * width
             scale = group.distribution.sd * width
             value = None
             for _ in range(TRUNCNORM_MAX_REJECTIONS):
-                draw = float(rng.normal(loc, scale))
+                u = rng.random()
+                v = rng.random()
+                radius = math.sqrt(-2.0 * math.log(1.0 - u))
+                draw = loc + scale * (radius * math.cos(2.0 * math.pi * v))
                 if lo <= draw <= hi:
                     value = draw
                     break

@@ -10,8 +10,6 @@ import random
 import time
 from contextlib import contextmanager
 
-import numpy as np
-
 from mnegoti.context import Context, ObjectKind
 from mnegoti.engine import Simulation
 from mnegoti.errors import DuplicateMemberError
@@ -75,7 +73,7 @@ def test_criterion_01_bounds_containment():
                 member_count=100,
                 strategy=StrategyConfig(),
             )
-            samples = _sample_members(group, np.random.default_rng(index))
+            samples = _sample_members(group, random.Random(index))
             assert len(samples) == 100
             for raw in samples:
                 for value, (lo, hi) in zip(raw, rows):

@@ -1,7 +1,7 @@
 """Micro-benchmarks of population set-up and admission.
 
 They time ``spawn_members`` for a 2 000-member group over 4 criteria, once
-uniform (one generator call for the whole group) and once truncated normal
+uniform (one ``random()`` per value) and once truncated normal
 (rejection sampling per value), one ``check_admission`` of an agent
 against an invitation list of 10 000 agents, one ``check_admission`` of a
 fresh agent, whose utility table is still empty, on a 30-issue conditions
@@ -17,9 +17,9 @@ marker keeps them out of the default test run:
 from __future__ import annotations
 
 import gc
+import random
 import tracemalloc
 
-import numpy as np
 import pytest
 import yaml
 
@@ -62,7 +62,7 @@ def test_spawn_members(benchmark, kind):
         distribution=DistributionSpec(kind=kind),
         member_count=MEMBERS,
     )
-    rng = np.random.default_rng(1)
+    rng = random.Random(1)
     agents = benchmark(spawn_members, group, rng, 0)
     assert [a.id for a in agents] == list(range(MEMBERS))
 

@@ -236,6 +236,22 @@ class TestRun:
         assert "seed 42" in printed
         assert "status" in printed
 
+    def test_run_does_not_import_numpy(self, scenario_path, tmp_path):
+        code = (
+            "import sys\n"
+            "from mnegoti.cli import main\n"
+            f"status = main(['run', {scenario_path!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+            "assert status == 0, status\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+            timeout=60,
+        )
+        assert child.returncode == 0, child.stderr.decode()
+
 
 class TestInspect:
     def test_trace_grouped_by_tick(self, scenario_path, tmp_path, capsys):

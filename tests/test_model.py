@@ -8,7 +8,6 @@ import random
 from dataclasses import replace
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +21,7 @@ from mnegoti.model import (
     DistributionSpec,
     Issue,
     PreferenceBounds,
+    _normal_deviate,
     _sample_members,
     evaluate,
     normalize_weights,
@@ -86,16 +86,16 @@ def bits(values):
 class TestSamplePreferences:
     def test_degenerate_interval_uniform(self):
         group = make_group([(0.3, 0.3)])
-        assert one_member_prefs(group, np.random.default_rng(0)) == (0.3,)
+        assert one_member_prefs(group, random.Random(0)) == (0.3,)
 
     def test_degenerate_interval_truncated_normal(self):
         group = make_group([(0.3, 0.3)], kind=DistributionKind.TRUNCATED_NORMAL)
-        assert one_member_prefs(group, np.random.default_rng(0)) == (0.3,)
+        assert one_member_prefs(group, random.Random(0)) == (0.3,)
 
     def test_same_seed_reproducible_bitwise(self):
         group = make_group([(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)])
-        first = one_member_prefs(group, np.random.default_rng(99))
-        second = one_member_prefs(group, np.random.default_rng(99))
+        first = one_member_prefs(group, random.Random(99))
+        second = one_member_prefs(group, random.Random(99))
         assert first == second
 
     def test_uniform_empirical_mean_matches_monte_carlo_oracle(self):
@@ -105,13 +105,13 @@ class TestSamplePreferences:
         assert 0.29 <= oracle_mean <= 0.31
 
         group = make_group([(0.2, 0.4)])
-        rng = np.random.default_rng(5)
+        rng = random.Random(5)
         samples = [one_member_prefs(group, rng)[0] for _ in range(10_000)]
         assert 0.29 <= sum(samples) / len(samples) <= 0.31
 
     def test_truncated_normal_stays_in_bounds(self):
         group = make_group([(0.4, 0.6)], kind=DistributionKind.TRUNCATED_NORMAL, sd=2.0)
-        rng = np.random.default_rng(1)
+        rng = random.Random(1)
         for _ in range(500):
             (value,) = one_member_prefs(group, rng)
             assert 0.4 <= value <= 0.6
@@ -119,19 +119,19 @@ class TestSamplePreferences:
     def test_uniform_mode_consumes_exactly_one_draw_per_criterion(self):
         rows = [(0.1, 0.4), (0.0, 1.0), (0.3, 0.3)]
         group = make_group(rows)
-        used = np.random.default_rng(77)
+        used = random.Random(77)
         one_member_prefs(group, used)
-        reference = np.random.default_rng(77)
-        for lo, hi in rows:
-            reference.uniform(lo, hi)
-        assert used.bit_generator.state == reference.bit_generator.state
+        reference = random.Random(77)
+        for _ in rows:
+            reference.random()
+        assert used.getstate() == reference.getstate()
 
     def test_truncated_normal_midpoint_fallback_after_rejections(self):
         # A huge relative sd makes in-bounds draws rare enough that some
         # seeds exhaust all rejection attempts.
         group = make_group([(0.2, 0.4)], kind=DistributionKind.TRUNCATED_NORMAL, sd=200.0)
         values = {
-            one_member_prefs(group, np.random.default_rng(seed))[0]
+            one_member_prefs(group, random.Random(seed))[0]
             for seed in range(40)
         }
         midpoint = 0.2 + (0.4 - 0.2) / 2.0
@@ -142,7 +142,7 @@ class TestSamplePreferences:
     @settings(max_examples=150)
     def test_bounds_containment_uniform(self, rows, seed):
         group = make_group(rows)
-        sample = one_member_prefs(group, np.random.default_rng(seed))
+        sample = one_member_prefs(group, random.Random(seed))
         for value, (lo, hi) in zip(sample, rows):
             assert lo <= value <= hi
 
@@ -150,7 +150,7 @@ class TestSamplePreferences:
     @settings(max_examples=150)
     def test_bounds_containment_truncated_normal(self, rows, seed):
         group = make_group(rows, kind=DistributionKind.TRUNCATED_NORMAL, sd=0.5)
-        sample = one_member_prefs(group, np.random.default_rng(seed))
+        sample = one_member_prefs(group, random.Random(seed))
         for value, (lo, hi) in zip(sample, rows):
             assert lo <= value <= hi
 
@@ -180,21 +180,21 @@ class TestNormalizeWeights:
 class TestSpawnMembers:
     def test_single_member_gets_starting_id(self):
         group = make_group([(0.1, 0.9)])
-        agents = spawn_members(group, np.random.default_rng(0), starting_id=17)
+        agents = spawn_members(group, random.Random(0), starting_id=17)
         assert len(agents) == 1
         assert agents[0].id == 17
         assert agents[0].phase is AgentPhase.IDLE
 
     def test_degenerate_bounds_identical_weights(self):
         group = make_group([(0.5, 0.5), (0.5, 0.5)], member_count=5)
-        agents = spawn_members(group, np.random.default_rng(0), starting_id=0)
+        agents = spawn_members(group, random.Random(0), starting_id=0)
         assert len(agents) == 5
         assert len({a.weights for a in agents}) == 1
 
     def test_same_seed_identical_populations(self):
         group = make_group([(0.0, 1.0), (0.2, 0.8)], member_count=4)
-        first = spawn_members(group, np.random.default_rng(123), starting_id=0)
-        second = spawn_members(group, np.random.default_rng(123), starting_id=0)
+        first = spawn_members(group, random.Random(123), starting_id=0)
+        second = spawn_members(group, random.Random(123), starting_id=0)
         assert [a.weights for a in first] == [a.weights for a in second]
         assert [a.id for a in first] == [0, 1, 2, 3]
 
@@ -202,8 +202,8 @@ class TestSpawnMembers:
     @settings(max_examples=100)
     def test_spawned_agents_satisfy_bounds(self, rows, seed):
         group = make_group(rows, member_count=3)
-        samples = _sample_members(group, np.random.default_rng(seed))
-        agents = spawn_members(group, np.random.default_rng(seed), starting_id=0)
+        samples = _sample_members(group, random.Random(seed))
+        agents = spawn_members(group, random.Random(seed), starting_id=0)
         for raw, agent in zip(samples, agents, strict=True):
             for value, (lo, hi) in zip(raw, rows):
                 assert lo <= value <= hi
@@ -213,9 +213,9 @@ class TestSpawnMembers:
     @given(runs=group_runs, seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_matches_one_draw_at_a_time(self, runs, seed):
-        rng = np.random.default_rng(seed)
-        sample_rng = np.random.default_rng(seed)
-        oracle_rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
+        sample_rng = random.Random(seed)
+        oracle_rng = random.Random(seed)
         next_id = 0
         for group_id, (rows, kind, member_count, sd) in enumerate(runs):
             group = AgentGroup(
@@ -234,11 +234,46 @@ class TestSpawnMembers:
                 assert agent.group_id == group_id
                 assert bits(sample) == bits(raw)
                 assert bits(agent.weights) == bits(normalize_weights(raw))
-            assert rng.bit_generator.state == oracle_rng.bit_generator.state
-            assert sample_rng.bit_generator.state == oracle_rng.bit_generator.state
+            assert rng.getstate() == oracle_rng.getstate()
+            assert sample_rng.getstate() == oracle_rng.getstate()
         single = one_member_prefs(group, rng)
         assert bits(single) == bits(sample_one_draw_at_a_time(group, oracle_rng))
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert rng.getstate() == oracle_rng.getstate()
+
+
+class TestPinnedStream:
+    """The draw's bits at a fixed seed, so that a change in CPython's
+    ``random`` or in libm's ``log`` or ``cos`` fails here by name, not
+    only as a golden digest change."""
+
+    def test_fixed_seed_gives_fixed_weights(self):
+        uniform = make_group([(0.1, 0.4), (0.0, 1.0), (0.25, 0.75)], member_count=2)
+        truncated = make_group(
+            [(0.2, 0.6), (0.0, 1.0)],
+            kind=DistributionKind.TRUNCATED_NORMAL,
+            member_count=2,
+            mean=0.3,
+            sd=0.5,
+        )
+        rng = random.Random(2020)
+        agents = spawn_members(uniform, rng, 0) + spawn_members(truncated, rng, 2)
+        assert [bits(a.weights) for a in agents] == [
+            ["0x1.0b71f5a9c13f3p-2", "0x1.46840bece4fecp-3", "0x1.28a6022fe620bp-1"],
+            ["0x1.f30a70cadbb74p-3", "0x1.34573b6223454p-2", "0x1.d2238c386edf2p-2"],
+            ["0x1.6c61dbcb0bf6bp-1", "0x1.273c4869e8129p-2"],
+            ["0x1.1eda3890c8001p-2", "0x1.7092e3b79c000p-1"],
+        ]
+
+    def test_normal_deviate_moments(self):
+        rng = random.Random(4242)
+        n = 200_000
+        draws = [_normal_deviate(rng) for _ in range(n)]
+        mean = math.fsum(draws) / n
+        variance = math.fsum((z - mean) ** 2 for z in draws) / (n - 1)
+        within_one = sum(1 for z in draws if -1.0 <= z <= 1.0) / n
+        assert abs(mean) <= 0.01
+        assert abs(variance - 1.0) <= 0.01
+        assert abs(within_one - 0.6827) <= 0.005
 
 
 class TestEvaluate:

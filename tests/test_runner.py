@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import gc
 import json
+import re
 import tempfile
 import tracemalloc
 import weakref
@@ -20,7 +21,7 @@ from mnegoti import eventlog, protocols, rooms, runner
 
 from mnegoti.context import ObjectKind
 from mnegoti.engine import Simulation
-from mnegoti.errors import CascadeOverflowError, OutputError
+from mnegoti.errors import CascadeOverflowError, ConfigurationError, OutputError
 from mnegoti.eventlog import (
     EventLog,
     EventRecord,
@@ -149,6 +150,16 @@ class TestDeterminism:
             assert [r.weights for r in artifacts.population] == [
                 r.weights for r in single.population
             ]
+
+    # random.Random(-1) replays seed 1, and a str or float seed is hashed.
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "1"], ids=repr)
+    def test_seed_that_random_would_alias_is_rejected(self, seed, minimal_doc, tmp_path):
+        scenario = load_scenario(minimal_doc)
+        with pytest.raises(ConfigurationError, match=f"got {re.escape(repr(seed))}$"):
+            Simulation(scenario, seed=seed)
+        with pytest.raises(ConfigurationError):
+            run(scenario, seed=seed, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 def trade_off_rooms_doc() -> dict:
